@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
     spec.sweep = e.sweep;
     spec.seed = e.seed;
     spec.exact_meter = (e.meter_kind == "model");
-    spec.granularity = e.granularity;
     const std::vector<serve::CampaignSpec> entries{spec};
 
     auto config = [&](const std::string& tag,

@@ -2,8 +2,7 @@
 //
 // Every figure/table binary accepts `key=value` overrides on the command
 // line (seed=…, sweep=…, csv=path, meter=wattsup|model, threads=N,
-// granularity=point|task, checkpoint=DIR, resume=1) and funnels through
-// run_sweep() so all eight
+// checkpoint=DIR, resume=1) and funnels through run_sweep() so all eight
 // experiments measure the same way the paper did: Fire behind the plug
 // meter, SystemG as the SPEC-style reference. Sweeps run on the
 // deterministic parallel engine (harness::ParallelSweep): threads=1
@@ -12,6 +11,8 @@
 // (DESIGN.md §11); resume=1 replays them after a crash, byte-identically.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -67,11 +68,6 @@ struct Experiment {
   /// Worker threads for sweeps and fan-outs; 0 = default (TGI_THREADS
   /// env, else hardware concurrency), 1 = serial.
   std::size_t threads = 0;
-  /// Sweep decomposition (granularity=point|task, DESIGN.md §12): `point`
-  /// keeps whole sweep points as the unit of work; `task` pipelines
-  /// benchmark-level graph nodes through the pool. Byte-identical output
-  /// either way.
-  harness::SweepGranularity granularity = harness::SweepGranularity::kPoint;
 };
 
 /// Parses argv, additionally accepting the conventional `--threads N` /
@@ -111,15 +107,6 @@ inline Experiment make_experiment(int argc, const char* const* argv) {
   const long long threads = e.config.get_int("threads", 0);
   TGI_REQUIRE(threads >= 0, "threads must be >= 0 (0 = default)");
   e.threads = static_cast<std::size_t>(threads);
-  const std::string granularity =
-      e.config.get_string("granularity", "point");
-  if (granularity == "task") {
-    e.granularity = harness::SweepGranularity::kTask;
-  } else {
-    TGI_REQUIRE(granularity == "point",
-                "granularity must be 'point' or 'task', got '" + granularity +
-                    "'");
-  }
   auto make_meter = [&](std::uint64_t salt) -> std::unique_ptr<power::PowerMeter> {
     if (e.meter_kind == "model") {
       return std::make_unique<power::ModelMeter>(util::seconds(0.5));
@@ -207,20 +194,6 @@ inline harness::MeterFactory sweep_meter_factory(
   return harness::wattsup_meter_factory(cfg, measurements_per_point);
 }
 
-/// Per-task meter factory for granularity=task sweeps: member b of point
-/// k gets the replay offset k*stride+b, i.e. exactly the stream position
-/// a serial shared meter reaches after those measurements.
-inline harness::TaskMeterFactory sweep_task_meter_factory(
-    const Experiment& e, std::size_t measurements_per_point,
-    std::uint64_t salt = 0) {
-  if (e.meter_kind == "model") {
-    return harness::model_task_meter_factory(util::seconds(0.5));
-  }
-  power::WattsUpConfig cfg;
-  cfg.seed = e.seed + salt;
-  return harness::wattsup_task_meter_factory(cfg, measurements_per_point);
-}
-
 /// Runs the full suite sweep on the system under test (parallel across
 /// sweep points; bit-identical output for any threads= value). With
 /// trace=DIR on the command line, also emits the observability record.
@@ -229,10 +202,6 @@ inline std::vector<harness::SuitePoint> run_sweep(
   harness::ParallelSweepConfig cfg;
   cfg.suite = suite;
   cfg.threads = e.threads;
-  cfg.granularity = e.granularity;
-  if (e.granularity == harness::SweepGranularity::kTask) {
-    cfg.task_meters = sweep_task_meter_factory(e, suite_measurements(suite));
-  }
   const std::unique_ptr<harness::CheckpointJournal> journal =
       make_checkpoint_journal(e, suite);
   cfg.checkpoint = journal.get();
@@ -262,10 +231,57 @@ inline std::vector<double> x_axis(const std::vector<std::size_t>& sweep) {
   return {sweep.begin(), sweep.end()};
 }
 
+/// [check] lines that printed FAILED so far; run_harness exits 1 if any did.
+inline std::size_t failed_checks = 0;
+
 /// Prints a qualitative shape check ("who wins / which way does it trend")
-/// so a regression in the model fails loudly in the bench output.
+/// so a regression in the model fails loudly in the bench output — and in
+/// its exit status.
 inline void print_check(const std::string& what, bool ok) {
   std::cout << "[check] " << what << ": " << (ok ? "OK" : "FAILED") << "\n";
+  if (!ok) ++failed_checks;
+}
+
+/// Spin-loop iterations per second summed over `threads` pool workers,
+/// each spinning through the same 40 ms wall window.
+inline double spin_throughput(std::size_t threads) {
+  using clock = std::chrono::steady_clock;
+  const clock::duration window = std::chrono::milliseconds(40);
+  std::vector<std::uint64_t> done(threads, 0);
+  const auto spin = [&done, window](std::size_t t) {
+    const clock::time_point end = clock::now() + window;
+    std::uint64_t iterations = 0;
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL + t;
+    while (clock::now() < end) {
+      for (int i = 0; i < 4096; ++i) x = x * 6364136223846793005ULL + 1;
+      ++iterations;
+    }
+    done[t] = iterations + (x == 0 ? 1 : 0);  // keeps x observable
+  };
+  if (threads <= 1) {
+    spin(0);
+  } else {
+    util::ThreadPool pool(threads);
+    util::parallel_for(pool, threads, spin);
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t d : done) total += d;
+  return static_cast<double>(total) /
+         std::chrono::duration<double>(window).count();
+}
+
+/// Cores this process can use at once, measured: the best spin throughput
+/// of 2..max_threads concurrent workers over the best of three
+/// single-worker windows. A shared VM can list more cores (nproc) than it
+/// delivers, so speedup checks gate on this, never on nproc.
+inline double effective_cores(std::size_t max_threads) {
+  double single = 0.0;
+  for (int r = 0; r < 3; ++r) single = std::max(single, spin_throughput(1));
+  double best = single;
+  for (std::size_t n = 2; n <= max_threads; ++n) {
+    best = std::max(best, spin_throughput(n));
+  }
+  return single > 0.0 ? best / single : 0.0;
 }
 
 /// Reference suite measured once (SystemG, subset-metered I/O).
@@ -297,6 +313,10 @@ int run_harness(int argc, const char* const* argv, Body body) {
   try {
     Experiment e = make_experiment(argc, argv);
     body(e);
+    if (failed_checks > 0) {
+      std::cerr << "error: " << failed_checks << " [check] line(s) FAILED\n";
+      return 1;
+    }
     return 0;
   } catch (const std::exception& ex) {
     std::cerr << "error: " << ex.what() << "\n";

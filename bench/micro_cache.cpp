@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
     spec.sweep = e.sweep;
     spec.seed = e.seed;
     spec.exact_meter = (e.meter_kind == "model");
-    spec.granularity = e.granularity;
     const std::uint64_t hash = serve::spec_hash(spec);
     const std::string mode = serve::spec_mode(spec);
 

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "harness/taskgraph.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -28,48 +27,6 @@ MeterFactory model_meter_factory(util::Seconds sample_interval) {
   };
 }
 
-TaskMeterFactory wattsup_task_meter_factory(
-    power::WattsUpConfig base, std::size_t measurements_per_point) {
-  TGI_REQUIRE(measurements_per_point >= 1,
-              "a sweep point performs at least one measurement");
-  return [base, measurements_per_point](std::size_t point_index,
-                                        std::size_t task_index) {
-    TGI_REQUIRE(task_index < measurements_per_point,
-                "task index " << task_index << " out of range for "
-                              << measurements_per_point
-                              << " measurements per point");
-    power::WattsUpConfig config = base;
-    config.run_offset =
-        base.run_offset +
-        static_cast<std::uint64_t>(point_index) * measurements_per_point +
-        task_index;
-    return std::make_unique<power::WattsUpMeter>(config);
-  };
-}
-
-TaskMeterFactory model_task_meter_factory(util::Seconds sample_interval) {
-  return [sample_interval](std::size_t /*point_index*/,
-                           std::size_t /*task_index*/) {
-    return std::make_unique<power::ModelMeter>(sample_interval);
-  };
-}
-
-ParallelSweep::ParallelSweep(sim::ClusterSpec cluster,
-                             MeterFactory meter_factory,
-                             ParallelSweepConfig config)
-    : cluster_(std::move(cluster)),
-      meter_factory_(std::move(meter_factory)),
-      config_(std::move(config)) {
-  TGI_REQUIRE(static_cast<bool>(meter_factory_),
-              "ParallelSweep needs a meter factory");
-}
-
-namespace {
-
-/// Runs run_point(0 .. count-1) with the engine's execution discipline
-/// (inline when threads <= 1, else a pool), bracketing each point with a
-/// wall span when a profiler is attached. The profiler only observes —
-/// scheduling and results are identical with and without it.
 void execute_points(std::size_t count, std::size_t threads,
                     obs::WallProfiler* profiler,
                     const std::function<void(std::size_t)>& run_point) {
@@ -92,20 +49,15 @@ void execute_points(std::size_t count, std::size_t threads,
   util::parallel_for(pool, count, run_point);
 }
 
-/// Preallocates one recorder per point (index + human label) when tracing
-/// is requested; empty otherwise.
-std::vector<obs::PointRecorder> make_recorders(
-    bool tracing, const std::vector<std::size_t>& values) {
-  std::vector<obs::PointRecorder> recorders;
-  if (!tracing) return recorders;
-  recorders.reserve(values.size());
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    recorders.emplace_back(k, std::to_string(values[k]));
-  }
-  return recorders;
+ParallelSweep::ParallelSweep(sim::ClusterSpec cluster,
+                             MeterFactory meter_factory,
+                             ParallelSweepConfig config)
+    : cluster_(std::move(cluster)),
+      meter_factory_(std::move(meter_factory)),
+      config_(std::move(config)) {
+  TGI_REQUIRE(static_cast<bool>(meter_factory_),
+              "ParallelSweep needs a meter factory");
 }
-
-}  // namespace
 
 namespace {
 
@@ -125,48 +77,59 @@ CheckpointJournal* checked_journal(const ParallelSweepConfig& config,
   return journal;
 }
 
-/// Replays journaled plain points serially, in index order, into their
-/// preallocated slots, and returns the indices still to compute. Shared by
-/// the point-granularity and task-granularity paths so resume semantics
-/// cannot drift between them.
-std::vector<std::size_t> replay_plain_points(
-    CheckpointJournal* journal, const std::vector<std::size_t>& values,
-    std::vector<SuitePoint>& results,
-    std::vector<obs::PointRecorder>& recorders) {
+/// The one sweep body behind run_with and run_robust. Each point is fully
+/// self-contained: `compute(k, recorder)` builds point k's own meter and
+/// runner (recorder is null unless tracing or journaling). Results and
+/// recorders land in preallocated slots, so completion order cannot
+/// reorder the output. Journaled points are replayed serially, in index
+/// order (`restore` rebuilds the result from its record); only the
+/// remainder is executed. Journaling always attaches recorders (attaching
+/// is observational): each record carries its observability section so a
+/// later resume can serve --trace.
+template <typename Point, typename Restore, typename Compute,
+          typename MakeRecord>
+std::vector<Point> sweep_points(const ParallelSweepConfig& config,
+                                const char* mode,
+                                const std::vector<std::size_t>& values,
+                                obs::SweepTrace* trace, const Restore& restore,
+                                const Compute& compute,
+                                const MakeRecord& make_record) {
+  CheckpointJournal* journal = checked_journal(config, mode, values);
+  std::vector<obs::PointRecorder> recorders;
+  if (trace != nullptr || journal != nullptr) {
+    recorders.reserve(values.size());
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      recorders.emplace_back(k, std::to_string(values[k]));
+    }
+  }
+  std::vector<Point> results(values.size());
   std::vector<std::size_t> pending;
   pending.reserve(values.size());
   for (std::size_t k = 0; k < values.size(); ++k) {
     if (journal != nullptr && journal->is_complete(k)) {
       const PointRecord& record = journal->completed(k);
-      results[k] = record.point;
+      results[k] = restore(record);
       restore_recorder(record, recorders[k]);
       journal->note_resumed(k, values[k]);
     } else {
       pending.push_back(k);
     }
   }
-  return pending;
-}
-
-/// Robust twin of replay_plain_points.
-std::vector<std::size_t> replay_robust_points(
-    CheckpointJournal* journal, const std::vector<std::size_t>& values,
-    std::vector<RobustSuitePoint>& results,
-    std::vector<obs::PointRecorder>& recorders) {
-  std::vector<std::size_t> pending;
-  pending.reserve(values.size());
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    if (journal != nullptr && journal->is_complete(k)) {
-      const PointRecord& record = journal->completed(k);
-      results[k] =
-          RobustSuitePoint{record.point, record.missing, record.counters};
-      restore_recorder(record, recorders[k]);
-      journal->note_resumed(k, values[k]);
-    } else {
-      pending.push_back(k);
-    }
-  }
-  return pending;
+  execute_points(
+      pending.size(), config.threads, config.profiler,
+      [&pending, &recorders, &results, &values, &compute, &make_record,
+       journal](std::size_t i) {
+        const std::size_t k = pending[i];
+        obs::PointRecorder* recorder =
+            recorders.empty() ? nullptr : &recorders[k];
+        results[k] = compute(k, recorder);
+        if (journal != nullptr) {
+          journal->record(make_record(k, values[k], results[k], recorder));
+        }
+      });
+  if (journal != nullptr) journal->finalize();
+  if (trace != nullptr) *trace = obs::SweepTrace::merge(std::move(recorders));
+  return results;
 }
 
 }  // namespace
@@ -175,119 +138,44 @@ std::vector<SuitePoint> ParallelSweep::run_with(
     const std::vector<std::size_t>& values, const SweepPointFn& fn,
     obs::SweepTrace* trace) const {
   TGI_REQUIRE(static_cast<bool>(fn), "ParallelSweep::run_with: empty fn");
-  CheckpointJournal* journal = checked_journal(config_, "plain", values);
-  // Each point is fully self-contained: its own meter (seeded from the
-  // point index by the factory), its own SuiteRunner, and — when tracing —
-  // its own recorder. Results and recorders land in preallocated slots,
-  // so completion order cannot reorder the output. Journaling always
-  // attaches recorders (attaching is observational): each record carries
-  // its observability section so a later resume can serve --trace.
-  std::vector<obs::PointRecorder> recorders =
-      make_recorders(trace != nullptr || journal != nullptr, values);
-  std::vector<SuitePoint> results(values.size());
-  // Replay journaled points serially, in index order, into their
-  // preallocated slots; only the remainder enters the parallel phase.
-  const std::vector<std::size_t> pending =
-      replay_plain_points(journal, values, results, recorders);
-  const auto run_point = [this, &pending, &recorders, &results, &fn, &values,
-                          journal](std::size_t i) {
-    const std::size_t k = pending[i];
-    const std::unique_ptr<power::PowerMeter> meter = meter_factory_(k);
-    TGI_CHECK(meter != nullptr, "meter factory returned null");
-    SuiteRunner runner(cluster_, *meter, config_.suite);
-    if (!recorders.empty()) runner.attach_recorder(&recorders[k]);
-    results[k] = fn(runner, values[k]);
-    if (journal != nullptr) {
-      journal->record(
-          make_point_record(k, values[k], results[k], &recorders[k]));
-    }
-  };
-
-  if (config_.granularity == SweepGranularity::kTask) {
-    // The caller's fn is opaque, so the graph holds whole-point nodes —
-    // same per-point body, graph-executor scheduling (DESIGN.md §12).
-    run_point_task_graph(config_, pending, run_point);
-  } else {
-    execute_points(pending.size(), config_.threads, config_.profiler,
-                   run_point);
-  }
-  if (journal != nullptr) journal->finalize();
-  if (trace != nullptr) *trace = obs::SweepTrace::merge(std::move(recorders));
-  return results;
+  return sweep_points<SuitePoint>(
+      config_, "plain", values, trace,
+      [](const PointRecord& record) { return record.point; },
+      [this, &fn, &values](std::size_t k, obs::PointRecorder* recorder) {
+        const std::unique_ptr<power::PowerMeter> meter = meter_factory_(k);
+        TGI_CHECK(meter != nullptr, "meter factory returned null");
+        SuiteRunner runner(cluster_, *meter, config_.suite);
+        if (recorder != nullptr) runner.attach_recorder(recorder);
+        return fn(runner, values[k]);
+      },
+      make_point_record);
 }
 
 std::vector<RobustSuitePoint> ParallelSweep::run_robust(
     const std::vector<std::size_t>& process_counts, const FaultPlan& plan,
     const RobustConfig& robust, obs::SweepTrace* trace) const {
-  // Same collection-by-index discipline as run_with; the fault plane adds
-  // no shared state (FaultPlan decisions are pure functions of indices).
-  CheckpointJournal* journal =
-      checked_journal(config_, "robust", process_counts);
-  std::vector<obs::PointRecorder> recorders =
-      make_recorders(trace != nullptr || journal != nullptr, process_counts);
-  std::vector<RobustSuitePoint> results(process_counts.size());
-  const std::vector<std::size_t> pending =
-      replay_robust_points(journal, process_counts, results, recorders);
-  if (config_.granularity == SweepGranularity::kTask) {
-    // Benchmark chains per point (harness/taskgraph.h): the FaultyMeter
-    // stream is a serial per-point resource, so members are edges in a
-    // chain, not a fan-out.
-    const TaskSweepInputs inputs{cluster_,        config_,  meter_factory_,
-                                 process_counts,  pending,  recorders,
-                                 journal};
-    run_robust_task_graph(inputs, plan, robust, results);
-    if (journal != nullptr) journal->finalize();
-    if (trace != nullptr) {
-      *trace = obs::SweepTrace::merge(std::move(recorders));
-    }
-    return results;
-  }
-  const auto run_point = [this, &pending, &recorders, &results, &plan,
-                          &robust, &process_counts, journal](std::size_t i) {
-    const std::size_t k = pending[i];
-    const std::unique_ptr<power::PowerMeter> meter = meter_factory_(k);
-    TGI_CHECK(meter != nullptr, "meter factory returned null");
-    RobustSuiteRunner runner(cluster_, *meter, plan, robust, config_.suite,
-                             k);
-    if (!recorders.empty()) runner.attach_recorder(&recorders[k]);
-    results[k] = runner.run_suite(process_counts[k]);
-    if (journal != nullptr) {
-      journal->record(
-          make_robust_point_record(k, process_counts[k], results[k],
-                                   &recorders[k]));
-    }
-  };
-
-  execute_points(pending.size(), config_.threads, config_.profiler,
-                 run_point);
-  if (journal != nullptr) journal->finalize();
-  if (trace != nullptr) *trace = obs::SweepTrace::merge(std::move(recorders));
-  return results;
-}
-
-std::vector<SuitePoint> ParallelSweep::run_suite_graph(
-    const std::vector<std::size_t>& values, bool extended,
-    obs::SweepTrace* trace) const {
-  CheckpointJournal* journal = checked_journal(config_, "plain", values);
-  std::vector<obs::PointRecorder> recorders =
-      make_recorders(trace != nullptr || journal != nullptr, values);
-  std::vector<SuitePoint> results(values.size());
-  const std::vector<std::size_t> pending =
-      replay_plain_points(journal, values, results, recorders);
-  const TaskSweepInputs inputs{cluster_, config_,   meter_factory_, values,
-                               pending,  recorders, journal};
-  run_plain_task_graph(inputs, extended, results);
-  if (journal != nullptr) journal->finalize();
-  if (trace != nullptr) *trace = obs::SweepTrace::merge(std::move(recorders));
-  return results;
+  // The fault plane adds no shared state: FaultPlan decisions are pure
+  // functions of indices.
+  return sweep_points<RobustSuitePoint>(
+      config_, "robust", process_counts, trace,
+      [](const PointRecord& record) {
+        return RobustSuitePoint{record.point, record.missing, record.counters};
+      },
+      [this, &plan, &robust, &process_counts](std::size_t k,
+                                              obs::PointRecorder* recorder) {
+        const std::unique_ptr<power::PowerMeter> meter = meter_factory_(k);
+        TGI_CHECK(meter != nullptr, "meter factory returned null");
+        RobustSuiteRunner runner(cluster_, *meter, plan, robust,
+                                 config_.suite, k);
+        if (recorder != nullptr) runner.attach_recorder(recorder);
+        return runner.run_suite(process_counts[k]);
+      },
+      make_robust_point_record);
 }
 
 std::vector<SuitePoint> ParallelSweep::run(
     const std::vector<std::size_t>& process_counts,
     obs::SweepTrace* trace) const {
-  if (config_.granularity == SweepGranularity::kTask) {
-    return run_suite_graph(process_counts, /*extended=*/false, trace);
-  }
   return run_with(
       process_counts,
       [](SuiteRunner& runner, std::size_t processes) {
@@ -299,9 +187,6 @@ std::vector<SuitePoint> ParallelSweep::run(
 std::vector<SuitePoint> ParallelSweep::run_extended(
     const std::vector<std::size_t>& process_counts,
     obs::SweepTrace* trace) const {
-  if (config_.granularity == SweepGranularity::kTask) {
-    return run_suite_graph(process_counts, /*extended=*/true, trace);
-  }
   return run_with(
       process_counts,
       [](SuiteRunner& runner, std::size_t processes) {

@@ -52,32 +52,18 @@ using MeterFactory =
 [[nodiscard]] MeterFactory model_meter_factory(
     util::Seconds sample_interval = util::Seconds(0.05));
 
-/// Builds the meter for ONE measurement task: roster member `task_index`
-/// of sweep point `point_index` (harness/taskgraph.h, DESIGN.md §12).
-/// Same contract as MeterFactory, keyed on the pair.
-using TaskMeterFactory = std::function<std::unique_ptr<power::PowerMeter>(
-    std::size_t point_index, std::size_t task_index)>;
+/// Inert: kept only because perfbench/ names it; no code branches on it.
+enum class SweepGranularity { kPoint, kTask };
 
-/// TaskMeterFactory for the simulated Watts Up meter: member b of point k
-/// gets run_offset = base.run_offset + k * measurements_per_point + b —
-/// the exact position the point-granularity meter (wattsup_meter_factory
-/// with the same stride) reaches after b measurements, so a per-benchmark
-/// task replays bit-identical error draws.
-[[nodiscard]] TaskMeterFactory wattsup_task_meter_factory(
-    power::WattsUpConfig base, std::size_t measurements_per_point);
-
-/// TaskMeterFactory for the exact ModelMeter (stateless; both indices are
-/// ignored).
-[[nodiscard]] TaskMeterFactory model_task_meter_factory(
-    util::Seconds sample_interval = util::Seconds(0.05));
-
-/// The unit of work the engine schedules (DESIGN.md §12). Outputs are
-/// byte-identical across granularities and thread counts; only scheduling
-/// (and thus tail latency on skewed sweeps) differs.
-enum class SweepGranularity {
-  kPoint,  ///< classic: one task per sweep point (the §3b path)
-  kTask,   ///< benchmark-level task graph with index-ordered joins (§12)
-};
+/// Runs run_point(0 .. count-1) with the engine's execution discipline:
+/// inline, in index order, when threads <= 1 (0 =
+/// ThreadPool::default_thread_count()), else on a pool. When a profiler is
+/// attached every call is bracketed with a wall span ("point <i>"); the
+/// profiler only observes, so scheduling and results are identical with
+/// and without it.
+void execute_points(std::size_t count, std::size_t threads,
+                    obs::WallProfiler* profiler,
+                    const std::function<void(std::size_t)>& run_point);
 
 struct ParallelSweepConfig {
   /// Per-benchmark knobs, forwarded to every point's SuiteRunner.
@@ -99,19 +85,6 @@ struct ParallelSweepConfig {
   /// journal's mode must match the call (plain for run/run_extended/
   /// run_with, robust for run_robust). Must outlive the sweep calls.
   CheckpointJournal* checkpoint = nullptr;
-  /// Scheduling granularity (DESIGN.md §12). kPoint is the classic
-  /// one-task-per-point path; kTask decomposes each point into
-  /// benchmark-level nodes on a util::TaskGraph (per-benchmark meters via
-  /// `task_meters` in plain sweeps, a per-point benchmark chain in robust
-  /// sweeps, whole-point nodes in run_with) with results, traces, and
-  /// journal records byte-identical to kPoint at every thread count.
-  SweepGranularity granularity = SweepGranularity::kPoint;
-  /// Per-(point, member) meter factory enabling benchmark-level nodes in
-  /// plain kTask sweeps (build with wattsup_task_meter_factory /
-  /// model_task_meter_factory, same stride as the point factory). When
-  /// empty, kTask plain sweeps fall back to whole-point nodes — still the
-  /// graph executor, just without intra-point parallelism.
-  TaskMeterFactory task_meters;
 };
 
 /// Maps sweep points to SuitePoint results concurrently; output is
@@ -160,12 +133,6 @@ class ParallelSweep {
   [[nodiscard]] const ParallelSweepConfig& config() const { return config_; }
 
  private:
-  /// The granularity=kTask execution of run/run_extended: journal replay,
-  /// then harness/taskgraph.h decomposition of the pending points.
-  [[nodiscard]] std::vector<SuitePoint> run_suite_graph(
-      const std::vector<std::size_t>& values, bool extended,
-      obs::SweepTrace* trace) const;
-
   sim::ClusterSpec cluster_;
   MeterFactory meter_factory_;
   ParallelSweepConfig config_;

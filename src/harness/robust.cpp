@@ -151,127 +151,112 @@ void RobustSuiteRunner::attach_recorder(obs::PointRecorder* recorder) {
                                                  : nullptr);
 }
 
-void RobustSuiteRunner::begin_point(RobustSuitePoint& out,
-                                    std::size_t processes) {
-  out.point.processes = processes;
-  out.point.nodes = runner_.cluster().nodes_for(processes);
-  meter_faults_before_ = faulty_.faults_applied();
-}
-
-void RobustSuiteRunner::run_member(RobustSuitePoint& out, std::size_t member,
-                                   std::size_t processes) {
-  // The ONE suite enumeration (suite_benchmarks) drives this member, the
-  // plain SuiteRunner::run_suite, and robust_measurements_per_point's
-  // meter stride alike.
-  const std::vector<std::string> benches = suite_benchmarks(suite_);
-  TGI_REQUIRE(member < benches.size(),
-              "run_member index " << member << " out of range for a "
-                                  << benches.size() << "-member suite");
-  {
-    const std::size_t b = member;
-    bool survived = false;
-    core::BenchmarkMeasurement m;
-    for (std::size_t attempt = 0; attempt <= robust_.max_retries; ++attempt) {
-      // A truncation armed by a previous attempt whose measurement never
-      // happened (e.g. the meter threw first) must not leak onto this
-      // attempt's reading.
-      faulty_.disarm_truncation();
-      ++out.counters.attempts;
+void RobustSuiteRunner::run_member(RobustSuitePoint& out,
+                                   const std::vector<std::string>& benches,
+                                   std::size_t b, std::size_t processes) {
+  bool survived = false;
+  core::BenchmarkMeasurement m;
+  for (std::size_t attempt = 0; attempt <= robust_.max_retries; ++attempt) {
+    // A truncation armed by a previous attempt whose measurement never
+    // happened (e.g. the meter threw first) must not leak onto this
+    // attempt's reading.
+    faulty_.disarm_truncation();
+    ++out.counters.attempts;
+    if (recorder_ != nullptr) {
+      recorder_->set_context(b, attempt);
+      recorder_->metrics().add("attempts");
+      recorder_->metrics().set_max(
+          "attempt_max", static_cast<double>(attempt));
+    }
+    if (attempt > 0) {
+      ++out.counters.retries;
+      const util::Seconds backoff =
+          robust_.backoff_base *
+          std::ldexp(1.0, static_cast<int>(attempt) - 1);
+      out.counters.backoff += backoff;
       if (recorder_ != nullptr) {
-        recorder_->set_context(b, attempt);
-        recorder_->metrics().add("attempts");
-        recorder_->metrics().set_max(
-            "attempt_max", static_cast<double>(attempt));
-      }
-      if (attempt > 0) {
-        ++out.counters.retries;
-        const util::Seconds backoff =
-            robust_.backoff_base *
-            std::ldexp(1.0, static_cast<int>(attempt) - 1);
-        out.counters.backoff += backoff;
-        if (recorder_ != nullptr) {
-          recorder_->span("backoff", "recovery", recorder_->now(), backoff);
-          recorder_->advance(backoff);
-          recorder_->metrics().add("retries");
-          recorder_->metrics().add("backoff_seconds", backoff.value());
-        }
-      }
-      const RunFault rf = plan_.run_fault(point_index_, b, attempt);
-      if (rf.kind == RunFaultKind::kBenchmarkFailure) {
-        ++out.counters.run_faults;
-        if (recorder_ != nullptr) {
-          recorder_->instant("benchmark-failure", "fault",
-                             {{"benchmark", benches[b]}});
-          recorder_->metrics().add("run_faults");
-        }
-        continue;  // died before a measurement existed
-      }
-      if (rf.kind == RunFaultKind::kTimeout) {
-        ++out.counters.run_faults;
-        out.counters.stalled += robust_.timeout_stall;
-        if (recorder_ != nullptr) {
-          recorder_->span("stall", "fault", recorder_->now(),
-                          robust_.timeout_stall,
-                          {{"benchmark", benches[b]}});
-          recorder_->advance(robust_.timeout_stall);
-          recorder_->metrics().add("run_faults");
-          recorder_->metrics().add("stalled_seconds",
-                                   robust_.timeout_stall.value());
-        }
-        continue;  // watchdog killed it; nothing to measure
-      }
-      if (rf.kind == RunFaultKind::kTruncatedTrace) {
-        ++out.counters.run_faults;
-        faulty_.arm_truncation(plan_.spec().truncation_fraction);
-        if (recorder_ != nullptr) {
-          recorder_->instant("truncated-trace", "fault",
-                             {{"benchmark", benches[b]}});
-          recorder_->metrics().add("run_faults");
-        }
-      }
-      try {
-        m = runner_.run_benchmark(benches[b], processes);
-        survived = true;
-        break;
-      } catch (const ReadingRejected& rejected) {
-        ++out.counters.rejected_readings;
-        if (recorder_ != nullptr) {
-          recorder_->instant("reading-rejected", "fault",
-                             {{"why", rejected.what()}});
-          recorder_->metrics().add("rejected_readings");
-        }
+        recorder_->span("backoff", "recovery", recorder_->now(), backoff);
+        recorder_->advance(backoff);
+        recorder_->metrics().add("retries");
+        recorder_->metrics().add("backoff_seconds", backoff.value());
       }
     }
-    if (survived) {
-      out.point.measurements.push_back(std::move(m));
-    } else {
-      out.missing.emplace_back(benches[b]);
-      ++out.counters.dropped_benchmarks;
+    const RunFault rf = plan_.run_fault(point_index_, b, attempt);
+    if (rf.kind == RunFaultKind::kBenchmarkFailure) {
+      ++out.counters.run_faults;
       if (recorder_ != nullptr) {
-        recorder_->instant("benchmark-dropped", "recovery",
+        recorder_->instant("benchmark-failure", "fault",
                            {{"benchmark", benches[b]}});
-        recorder_->metrics().add("dropped_benchmarks");
+        recorder_->metrics().add("run_faults");
+      }
+      continue;  // died before a measurement existed
+    }
+    if (rf.kind == RunFaultKind::kTimeout) {
+      ++out.counters.run_faults;
+      out.counters.stalled += robust_.timeout_stall;
+      if (recorder_ != nullptr) {
+        recorder_->span("stall", "fault", recorder_->now(),
+                        robust_.timeout_stall,
+                        {{"benchmark", benches[b]}});
+        recorder_->advance(robust_.timeout_stall);
+        recorder_->metrics().add("run_faults");
+        recorder_->metrics().add("stalled_seconds",
+                                 robust_.timeout_stall.value());
+      }
+      continue;  // watchdog killed it; nothing to measure
+    }
+    if (rf.kind == RunFaultKind::kTruncatedTrace) {
+      ++out.counters.run_faults;
+      faulty_.arm_truncation(plan_.spec().truncation_fraction);
+      if (recorder_ != nullptr) {
+        recorder_->instant("truncated-trace", "fault",
+                           {{"benchmark", benches[b]}});
+        recorder_->metrics().add("run_faults");
+      }
+    }
+    try {
+      m = runner_.run_benchmark(benches[b], processes);
+      survived = true;
+      break;
+    } catch (const ReadingRejected& rejected) {
+      ++out.counters.rejected_readings;
+      if (recorder_ != nullptr) {
+        recorder_->instant("reading-rejected", "fault",
+                           {{"why", rejected.what()}});
+        recorder_->metrics().add("rejected_readings");
       }
     }
   }
-}
-
-void RobustSuiteRunner::finish_point(RobustSuitePoint& out) {
-  out.counters.meter_faults = faulty_.faults_applied() - meter_faults_before_;
-  if (recorder_ != nullptr && out.counters.meter_faults > 0) {
-    recorder_->metrics().add(
-        "meter_faults", static_cast<double>(out.counters.meter_faults));
+  if (survived) {
+    out.point.measurements.push_back(std::move(m));
+  } else {
+    out.missing.emplace_back(benches[b]);
+    ++out.counters.dropped_benchmarks;
+    if (recorder_ != nullptr) {
+      recorder_->instant("benchmark-dropped", "recovery",
+                         {{"benchmark", benches[b]}});
+      recorder_->metrics().add("dropped_benchmarks");
+    }
   }
 }
 
 RobustSuitePoint RobustSuiteRunner::run_suite(std::size_t processes) {
   RobustSuitePoint out;
-  begin_point(out, processes);
-  const std::size_t members = suite_benchmarks(suite_).size();
-  for (std::size_t b = 0; b < members; ++b) {
-    run_member(out, b, processes);
+  out.point.processes = processes;
+  out.point.nodes = runner_.cluster().nodes_for(processes);
+  const std::size_t meter_faults_before = faulty_.faults_applied();
+  // The ONE suite enumeration (suite_benchmarks) drives this loop, the
+  // plain SuiteRunner::run_suite, and robust_measurements_per_point's
+  // meter stride alike.
+  const std::vector<std::string> benches = suite_benchmarks(suite_);
+  for (std::size_t b = 0; b < benches.size(); ++b) {
+    run_member(out, benches, b, processes);
   }
-  finish_point(out);
+  out.counters.meter_faults = faulty_.faults_applied() - meter_faults_before;
+  if (recorder_ != nullptr && out.counters.meter_faults > 0) {
+    recorder_->metrics().add(
+        "meter_faults", static_cast<double>(out.counters.meter_faults));
+  }
   return out;
 }
 

@@ -148,23 +148,8 @@ class RobustSuiteRunner {
                     SuiteConfig suite = {}, std::size_t point_index = 0);
 
   /// The paper suite (suite_benchmarks(config)) at one scale, run through
-  /// the fault plane and the recovery policy. Exactly equivalent to
-  /// begin_point; run_member for each roster index in order; finish_point.
+  /// the fault plane and the recovery policy.
   [[nodiscard]] RobustSuitePoint run_suite(std::size_t processes);
-
-  /// Split form of run_suite for the task-graph executor (DESIGN.md §12):
-  /// a robust point's members form a dependency CHAIN, not a fan-out,
-  /// because the FaultyMeter stream is a serial per-point resource (a
-  /// failed or timed-out attempt consumes no measurement, so member b's
-  /// meter position depends on what members 0..b-1 actually consumed).
-  /// Call begin_point once, then run_member for each suite_benchmarks()
-  /// index in ascending order, then finish_point — any other order is a
-  /// caller bug. The serial run_suite is this exact sequence, so the two
-  /// paths cannot drift.
-  void begin_point(RobustSuitePoint& out, std::size_t processes);
-  void run_member(RobustSuitePoint& out, std::size_t member,
-                  std::size_t processes);
-  void finish_point(RobustSuitePoint& out);
 
   [[nodiscard]] const sim::ClusterSpec& cluster() const {
     return runner_.cluster();
@@ -181,10 +166,13 @@ class RobustSuiteRunner {
   FaultPlan plan_;
   RobustConfig robust_;
   SuiteConfig suite_;
+  /// Roster member `b` (of `benches`) with its retries: appends the
+  /// measurement to `out`, or records it as missing.
+  void run_member(RobustSuitePoint& out,
+                  const std::vector<std::string>& benches, std::size_t b,
+                  std::size_t processes);
+
   std::size_t point_index_;
-  /// FaultyMeter counter snapshot taken by begin_point; finish_point turns
-  /// it into the point's meter-fault delta.
-  std::size_t meter_faults_before_ = 0;
   FaultyMeter faulty_;
   ValidatingMeter validating_;
   SuiteRunner runner_;

@@ -122,7 +122,7 @@ SuitePoint SuiteRunner::run_extended_suite(std::size_t processes) {
   point.nodes = cluster().nodes_for(processes);
   // Unlike run_suite, the extended loop does NOT stamp a per-benchmark
   // recorder context: extended spans have always carried benchmark=0,
-  // attempt=0, and the task-graph decomposition mirrors that.
+  // attempt=0.
   for (const std::string& name : extended_suite_benchmarks()) {
     point.measurements.push_back(run_benchmark(name, processes));
   }

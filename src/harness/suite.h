@@ -60,8 +60,7 @@ struct SuitePoint {
 
 /// The ordered roster of the six-benchmark extended suite (paper trio +
 /// GUPS + PTRANS + FFT) — the enumeration SuiteRunner::run_extended_suite
-/// executes and the task-graph decomposition (harness/taskgraph.h)
-/// mirrors, member for member.
+/// executes, member for member.
 [[nodiscard]] std::vector<std::string> extended_suite_benchmarks();
 
 /// Runs the benchmark suite on a simulated cluster through a power meter.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "kernels/blas.h"
-#include "mpisim/runtime.h"
 #include "util/error.h"
 
 namespace tgi::kernels {
@@ -121,205 +120,6 @@ HplResult run_hpl_serial(std::size_t n, std::size_t block_size,
 
   result.residual = scaled_residual(original, result.x, problem.b);
   result.passed = result.residual < kResidualThreshold;
-  return result;
-}
-
-namespace {
-
-/// Per-rank state for the distributed factorization: the rank owns global
-/// column blocks jb with jb % p == rank, stored as one n×nb slab each.
-struct LocalPanels {
-  std::size_t n = 0;
-  std::size_t nb = 0;
-  int rank = 0;
-  int procs = 1;
-  std::vector<Matrix> blocks;  // local slot s holds global block s*p + rank
-
-  [[nodiscard]] bool owns(std::size_t global_block) const {
-    return static_cast<int>(global_block % static_cast<std::size_t>(procs)) ==
-           rank;
-  }
-  [[nodiscard]] Matrix& local(std::size_t global_block) {
-    TGI_CHECK(owns(global_block), "accessing non-owned block");
-    return blocks[global_block / static_cast<std::size_t>(procs)];
-  }
-};
-
-/// Fills the rank's blocks from the deterministic problem generator.
-/// Every rank regenerates the full column stream but keeps only its own
-/// blocks — identical data to the serial run without communication.
-LocalPanels distribute_problem(const Matrix& a, int rank, int procs,
-                               std::size_t nb) {
-  LocalPanels lp;
-  lp.n = a.rows();
-  lp.nb = nb;
-  lp.rank = rank;
-  lp.procs = procs;
-  const std::size_t nblocks = lp.n / nb;
-  for (std::size_t jb = 0; jb < nblocks; ++jb) {
-    if (!lp.owns(jb)) continue;
-    Matrix block(lp.n, nb);
-    for (std::size_t c = 0; c < nb; ++c) {
-      const double* src = a.col(jb * nb + c);
-      std::copy(src, src + lp.n, block.col(c));
-    }
-    lp.blocks.push_back(std::move(block));
-  }
-  return lp;
-}
-
-}  // namespace
-
-HplResult run_hpl_mpisim(std::size_t n, std::size_t block_size,
-                         int processes, std::uint64_t seed) {
-  TGI_REQUIRE(processes >= 1, "need at least one process");
-  TGI_REQUIRE(block_size >= 1 && n % block_size == 0,
-              "n must be a multiple of the block size");
-  const std::size_t nb = block_size;
-  const std::size_t nblocks = n / nb;
-
-  // The problem is generated identically on every rank (deterministic
-  // seed), mirroring HPL's local generation of the distributed matrix.
-  HplResult result;
-  result.n = n;
-  result.block_size = nb;
-  result.processes = processes;
-  result.flop_count = hpl_flop_count(n);
-
-  mpisim::run(processes, [&](mpisim::Rank& comm) {
-    const int me = comm.rank();
-    const int p = comm.size();
-    HplProblem problem = make_hpl_problem(n, seed);
-    LocalPanels lp = distribute_problem(problem.a, me, p, nb);
-    std::vector<double> b = problem.b;  // replicated; swapped in lockstep
-
-    comm.barrier();
-    const double t0 = now_seconds();
-
-    std::vector<double> panel(n * nb);
-    std::vector<std::uint64_t> piv_block(nb);
-
-    for (std::size_t kb = 0; kb < nblocks; ++kb) {
-      const std::size_t kk = kb * nb;
-      const int owner = static_cast<int>(kb % static_cast<std::size_t>(p));
-
-      if (me == owner) {
-        // --- Panel factorization on the owner ---------------------------
-        Matrix& blk = lp.local(kb);
-        for (std::size_t j = 0; j < nb; ++j) {
-          const std::size_t gj = kk + j;
-          double* colj = blk.col(j);
-          const std::size_t pr = gj + idamax({colj + gj, n - gj});
-          piv_block[j] = pr;
-          if (pr != gj) {
-            for (std::size_t c = 0; c < nb; ++c) {
-              std::swap(blk.at(gj, c), blk.at(pr, c));
-            }
-          }
-          const double diag = blk.at(gj, j);
-          TGI_CHECK(diag != 0.0, "singular panel at column " << gj);
-          dscal(1.0 / diag, {colj + gj + 1, n - gj - 1});
-          for (std::size_t c = j + 1; c < nb; ++c) {
-            daxpy(-blk.at(gj, c), {colj + gj + 1, n - gj - 1},
-                  {blk.col(c) + gj + 1, n - gj - 1});
-          }
-        }
-        // Ship rows kk..n of the factored panel.
-        for (std::size_t c = 0; c < nb; ++c) {
-          std::copy(blk.col(c) + kk, blk.col(c) + n,
-                    panel.begin() + static_cast<std::ptrdiff_t>(c * (n - kk)));
-        }
-      }
-
-      comm.bcast(std::span<std::uint64_t>(piv_block), owner);
-      const std::size_t panel_rows = n - kk;
-      comm.bcast(std::span<double>(panel.data(), panel_rows * nb), owner);
-
-      // --- Apply the panel's row interchanges everywhere ----------------
-      for (std::size_t j = 0; j < nb; ++j) {
-        const std::size_t gj = kk + j;
-        const auto pr = static_cast<std::size_t>(piv_block[j]);
-        if (pr == gj) continue;
-        std::swap(b[gj], b[pr]);
-        for (std::size_t jb = 0; jb < nblocks; ++jb) {
-          if (!lp.owns(jb) || jb == kb) continue;  // owner swapped its panel
-          Matrix& blk = lp.local(jb);
-          for (std::size_t c = 0; c < nb; ++c) {
-            std::swap(blk.at(gj, c), blk.at(pr, c));
-          }
-        }
-      }
-
-      // --- U12 solve and trailing update on owned trailing blocks --------
-      const double* l11 = panel.data() + kk - kk;  // rows kk.. of panel
-      const std::size_t ldp = panel_rows;
-      const std::size_t trailing_rows = n - kk - nb;
-      for (std::size_t jb = kb + 1; jb < nblocks; ++jb) {
-        if (!lp.owns(jb)) continue;
-        Matrix& blk = lp.local(jb);
-        dtrsm_unit_lower(nb, nb, l11, ldp, blk.col(0) + kk, n);
-        if (trailing_rows > 0) {
-          dgemm_minus(trailing_rows, nb, nb, panel.data() + nb, ldp,
-                      blk.col(0) + kk, n, blk.col(0) + kk + nb, n);
-        }
-      }
-      // Owner's panel block needs no update; blocks left of the panel are
-      // already final (their columns were processed in earlier steps).
-    }
-
-    comm.barrier();
-    const double elapsed = now_seconds() - t0;
-
-    // --- Gather the factored matrix on rank 0 and solve there ------------
-    // (The triangular solves are O(n²) of the O(n³) total; HPL also treats
-    // them as a serial epilogue.)
-    for (std::size_t jb = 0; jb < nblocks; ++jb) {
-      const int owner = static_cast<int>(jb % static_cast<std::size_t>(p));
-      if (me == owner && me != 0) {
-        const Matrix& blk = lp.local(jb);
-        comm.send_vector<double>(0, static_cast<int>(jb), blk.data());
-      }
-    }
-    if (me == 0) {
-      Matrix lu(n, n);
-      std::vector<std::size_t> piv(n);
-      // Reconstruct the global pivot record by replaying the loop; every
-      // rank saw every piv_block, but only the last one is still in the
-      // buffer, so rank 0 stored them as they arrived:
-      // (piv reconstruction happens below via the recorded swaps in b —
-      //  instead we re-derive x directly from the gathered LU and the
-      //  already-permuted b, which needs no pivot record.)
-      for (std::size_t jb = 0; jb < nblocks; ++jb) {
-        const int owner =
-            static_cast<int>(jb % static_cast<std::size_t>(p));
-        std::vector<double> cols;
-        if (owner == 0) {
-          const Matrix& blk = lp.local(jb);
-          cols.assign(blk.data().begin(), blk.data().end());
-        } else {
-          cols = comm.recv_vector<double>(owner, static_cast<int>(jb));
-        }
-        TGI_CHECK(cols.size() == n * nb, "gathered block size mismatch");
-        for (std::size_t c = 0; c < nb; ++c) {
-          std::copy(cols.begin() + static_cast<std::ptrdiff_t>(c * n),
-                    cols.begin() + static_cast<std::ptrdiff_t>((c + 1) * n),
-                    lu.col(jb * nb + c));
-        }
-      }
-      // b was permuted in lockstep with the factorization, so solving
-      // needs identity pivots here.
-      for (std::size_t i = 0; i < n; ++i) piv[i] = i;
-      std::vector<double> x = lu_solve(lu, piv, b);
-
-      result.x = std::move(x);
-      result.elapsed = util::seconds(std::max(elapsed, 1e-9));
-      result.residual =
-          scaled_residual(problem.a, result.x, problem.b);
-      result.passed = result.residual < kResidualThreshold;
-    }
-  });
-
-  TGI_CHECK(!result.x.empty(), "rank 0 did not produce a solution");
   return result;
 }
 

@@ -2,16 +2,10 @@
 // factorization with row partial pivoting, exactly the computation the
 // paper's CPU benchmark performs (Section IV-A).
 //
-// Two execution modes:
-//  - serial blocked factorization (right-looking, LAPACK-style), the
-//    reference implementation tests validate against;
-//  - a distributed-memory version over tgi::mpisim with a 1D block-cyclic
-//    column distribution: panel factorization on the owning rank, pivot +
-//    panel broadcast, row interchanges and trailing-matrix update applied
-//    rank-locally — the same communication structure as HPL's data flow.
-//
-// Both report the HPL operation count 2/3·N³ + 2·N² and the standard
-// scaled residual acceptance test.
+// This is the serial blocked factorization (right-looking, LAPACK-style),
+// the reference the distributed 2D solver (hpl2d.h) validates against. It
+// reports the HPL operation count 2/3·N³ + 2·N² and the standard scaled
+// residual acceptance test.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +47,5 @@ std::vector<std::size_t> lu_factor(Matrix& a, std::size_t block_size);
 /// Generates, factors, solves, and verifies an order-n problem serially.
 [[nodiscard]] HplResult run_hpl_serial(std::size_t n, std::size_t block_size,
                                        std::uint64_t seed);
-
-/// Same computation distributed over `processes` mpisim ranks with a 1D
-/// block-cyclic column layout. Precondition: n divisible by block_size.
-[[nodiscard]] HplResult run_hpl_mpisim(std::size_t n, std::size_t block_size,
-                                       int processes, std::uint64_t seed);
 
 }  // namespace tgi::kernels

@@ -1,8 +1,7 @@
 // 2D block-cyclic distributed HPL — the real HPL's data decomposition.
 //
-// The 1D column-cyclic solver (hpl.h) shares the algorithm but not HPL's
-// scalability structure. This implementation distributes the matrix over a
-// P×Q process grid exactly as HPL/ScaLAPACK do ("the data is distributed
+// It runs the serial solver's algorithm (hpl.h) with HPL's scalability
+// structure: the matrix is distributed over a P×Q process grid exactly as HPL/ScaLAPACK do ("the data is distributed
 // on a two-dimensional grid using a cyclic scheme for better load balance
 // and scalability" — paper Section IV-A):
 //

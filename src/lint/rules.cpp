@@ -734,8 +734,8 @@ class WallClockRule final : public Rule {
 // --- ref-capture-in-parallel-task -----------------------------------------
 
 /// A `[&]`-default-capturing lambda handed to the parallel primitives
-/// (util::parallel_map / util::parallel_for / ThreadPool::submit /
-/// TaskGraph::add_node), matched across line breaks. Blanket by-reference capture is how unordered
+/// (util::parallel_map / util::parallel_for / ThreadPool::submit), matched
+/// across line breaks. Blanket by-reference capture is how unordered
 /// side effects sneak into sweep tasks: nothing in the capture list says
 /// which state the task mutates, so review and TSan triage cannot audit
 /// it. Tasks must capture explicitly; deliberate [&] uses (barrier-synced
@@ -749,9 +749,8 @@ class RefCaptureRule final : public Rule {
   }
   [[nodiscard]] std::string_view description() const override {
     return "[&]-default-capturing lambda (or a name bound to one) passed "
-           "to parallel_map / parallel_for / ThreadPool::submit / "
-           "TaskGraph::add_node (capture explicitly so task state is "
-           "auditable)";
+           "to parallel_map / parallel_for / ThreadPool::submit (capture "
+           "explicitly so task state is auditable)";
   }
 
   void check(const SourceFile& file, std::vector<Violation>& out) const override {
@@ -800,7 +799,7 @@ class RefCaptureRule final : public Rule {
     // Pass 2: the argument span of every parallel-primitive call; flag any
     // default-ref introducer or bound name inside it.
     for (std::string_view fn :
-         {"parallel_map", "parallel_for", "submit", "add_node"}) {
+         {"parallel_map", "parallel_for", "submit"}) {
       for (const std::size_t call : identifier_positions(flat, fn)) {
         const std::size_t open = skip_layout(flat, call + fn.size());
         if (open >= flat.size() || flat[open] != '(') continue;

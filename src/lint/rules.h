@@ -62,8 +62,7 @@
 //                     waivers.
 //   ref-capture-in-parallel-task  a `[&]`-default-capturing lambda (or a
 //                     name bound to one) handed to parallel_map /
-//                     parallel_for / ThreadPool::submit /
-//                     TaskGraph::add_node in src/ or tools —
+//                     parallel_for / ThreadPool::submit in src/ or tools —
 //                     blanket by-reference capture makes shared mutable
 //                     state invisible to review; capture explicitly, or
 //                     waive with a comment proving the pool drains before

@@ -358,8 +358,10 @@ CampaignStats CampaignEngine::run(const std::vector<CampaignSpec>& entries,
     // anything a dead worker left behind.
     std::map<std::size_t, PointRecord> records = std::move(cached.completed);
     if (!pending.empty()) {
-      const std::string scratch =
-          config_.cache_dir + "/work/" + entry.name;
+      // Private to this run: concurrent engines sharing the cache never
+      // see (or remove) each other's journals.
+      const std::string scratch = config_.cache_dir + "/work/" + entry.name +
+                                  "." + util::unique_token();
       if (config_.workers > 0) {
         std::map<std::size_t, PointRecord> fresh = run_worker_shards(
             config_, entry, hash, mode, pending, scratch, stats,

@@ -57,6 +57,8 @@ sim::ClusterSpec resolve_cluster(const std::string& value,
   return sim::load_cluster_file(path.string());
 }
 
+/// Inert campaign key: validated so a bad value fails loudly, kept only
+/// because perfbench/ campaigns write it; no code branches on it.
 harness::SweepGranularity parse_granularity(const std::string& text) {
   if (text == "task") return harness::SweepGranularity::kTask;
   if (text == "point") return harness::SweepGranularity::kPoint;
@@ -101,7 +103,7 @@ CampaignSpec build_entry(const std::string& name, const util::Config& cfg,
     spec.fault_text = *cfg.get("faults");
     (void)spec.faults();  // validate now, at parse time
   }
-  spec.granularity = parse_granularity(cfg.get_string("granularity", "task"));
+  spec.granularity = parse_granularity(cfg.get_string("granularity", "point"));
   return spec;
 }
 
@@ -217,11 +219,6 @@ std::string worker_spec_config(const CampaignSpec& spec,
   text += "meter = " + std::string(spec.exact_meter ? "model" : "wattsup") +
           "\n";
   if (spec.faulted()) text += "faults = " + spec.fault_text + "\n";
-  text += "granularity = " +
-          std::string(spec.granularity == harness::SweepGranularity::kTask
-                          ? "task"
-                          : "point") +
-          "\n";
   return text;
 }
 
@@ -229,7 +226,7 @@ CampaignSpec load_worker_spec(const std::string& path) {
   const std::string text = read_text_file(path, "worker spec file");
   const util::Config cfg = util::Config::parse(text);
   util::require_known_keys(
-      cfg, {"cluster", "sweep", "seed", "meter", "faults", "granularity"},
+      cfg, {"cluster", "sweep", "seed", "meter", "faults"},
       "worker spec " + path);
   TGI_REQUIRE(cfg.has("cluster"),
               "worker spec " << path << " needs cluster=PATH");

@@ -12,14 +12,13 @@
 //   seed = 7                  # meter RNG seed (default 0x9e3779b9)
 //   meter = wattsup           # wattsup | model
 //   faults = dropout=0.2,failure=0.1   # optional: robust sweep
-//   granularity = task        # task | point (default task — §13)
 //   reference = systemg       # reference machine for TGI (default systemg)
+//   granularity = point       # point | task: validated, otherwise ignored
 //
 // Entry names are directory-safe ([A-Za-z0-9._-]) and unique; unknown
-// keys fail loudly (util::require_known_keys). `granularity` defaults to
-// `task` here and in tgi_serve's worker mode — the service arc is the
-// consumer ROADMAP item 2 gated that flip on; tgi_sweep and the bench
-// harnesses keep `point`.
+// keys fail loudly (util::require_known_keys). Every entry runs the one
+// point path; `granularity` is still accepted (and a bad value still
+// rejected) only because perfbench/ campaigns write it.
 //
 // The same grammar minus [sections] doubles as the engine→worker handoff
 // file (worker_spec_config / load_worker_spec): the engine serializes the
@@ -52,8 +51,8 @@ struct CampaignSpec {
   /// Kept as text so the engine→worker handoff re-parses the exact same
   /// spec; `faults()` derives the parsed form.
   std::string fault_text;
-  harness::SweepGranularity granularity =
-      harness::SweepGranularity::kTask;
+  /// Inert: kept only because perfbench/ sets it; nothing reads it.
+  harness::SweepGranularity granularity = harness::SweepGranularity::kPoint;
 
   [[nodiscard]] bool faulted() const { return !fault_text.empty(); }
   /// Parsed fault plane; requires faulted().

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include <unistd.h>
@@ -12,10 +13,8 @@
 #include "harness/parallel.h"
 #include "harness/robust.h"
 #include "harness/suite.h"
-#include "harness/taskgraph.h"
 #include "power/meter.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace tgi::serve {
 
@@ -66,19 +65,6 @@ void maybe_fire_fault_hook(const WorkerAssignment& a, std::size_t done) {
   }
 }
 
-/// Runs body(0 .. count-1) with the engine's execution discipline: inline
-/// when serial, else the sanctioned pool.
-void execute_assignment(std::size_t count, std::size_t threads,
-                        const std::function<void(std::size_t)>& body) {
-  if (threads == 0) threads = util::ThreadPool::default_thread_count();
-  if (threads <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  util::ThreadPool pool(threads < count ? threads : count);
-  util::parallel_for(pool, count, body);
-}
-
 }  // namespace
 
 std::size_t run_worker(const CampaignSpec& spec, const WorkerAssignment& a) {
@@ -99,9 +85,9 @@ std::size_t run_worker(const CampaignSpec& spec, const WorkerAssignment& a) {
   harness::CheckpointJournal journal(std::move(ccfg), spec_hash(spec), mode,
                                      values);
 
-  // Full preallocation, global labels — exactly ParallelSweep's
-  // make_recorders, so a shard's trace section is byte-identical to the
-  // record an unsharded sweep would journal for the same point.
+  // Full preallocation, global labels — exactly ParallelSweep's recorders,
+  // so a shard's trace section is byte-identical to the record an
+  // unsharded sweep would journal for the same point.
   std::vector<obs::PointRecorder> recorders;
   recorders.reserve(values.size());
   for (std::size_t k = 0; k < values.size(); ++k) {
@@ -109,89 +95,39 @@ std::size_t run_worker(const CampaignSpec& spec, const WorkerAssignment& a) {
   }
 
   const harness::SuiteConfig suite;
-
-  if (spec.faulted()) {
-    const harness::FaultSpec fspec = spec.faults();
-    const harness::FaultPlan plan(fspec);
-    const harness::RobustConfig robust = spec_robust_config(spec);
-    const harness::MeterFactory factory = point_meter_factory(
-        spec, harness::robust_measurements_per_point(suite, robust));
-    std::vector<harness::RobustSuitePoint> results(values.size());
-    const auto run_point = [&spec, &a, &values, &recorders, &results, &plan,
-                            &robust, &suite, &factory,
-                            &journal](std::size_t i) {
-      const std::size_t k = a.indices[i];
-      const std::unique_ptr<power::PowerMeter> meter = factory(k);
-      harness::RobustSuiteRunner runner(spec.cluster, *meter, plan, robust,
-                                        suite, k);
-      runner.attach_recorder(&recorders[k]);
-      results[k] = runner.run_suite(values[k]);
-      journal.record(harness::make_robust_point_record(k, values[k],
-                                                       results[k],
-                                                       &recorders[k]));
-    };
-    if (fault_hook_armed(a)) {
-      // Serial, in assignment order: "journaled N then faulted" must mean
-      // exactly the first N records are on disk.
-      for (std::size_t i = 0; i < a.indices.size(); ++i) {
-        run_point(i);
-        maybe_fire_fault_hook(a, i + 1);
-      }
-    } else if (spec.granularity == harness::SweepGranularity::kTask) {
-      harness::ParallelSweepConfig cfg;
-      cfg.suite = suite;
-      cfg.threads = a.threads;
-      cfg.checkpoint = &journal;
-      cfg.granularity = harness::SweepGranularity::kTask;
-      const harness::TaskSweepInputs inputs{spec.cluster, cfg,       factory,
-                                            values,       a.indices, recorders,
-                                            &journal};
-      run_robust_task_graph(inputs, plan, robust, results);
-    } else {
-      execute_assignment(a.indices.size(), a.threads, run_point);
-    }
-    journal.finalize();
-    return a.indices.size();
-  }
-
-  const harness::MeterFactory factory =
-      point_meter_factory(spec, harness::suite_benchmarks(suite).size());
-  std::vector<harness::SuitePoint> results(values.size());
-  const auto run_point = [&spec, &a, &values, &recorders, &results, &suite,
-                          &factory, &journal](std::size_t i) {
+  const std::optional<harness::FaultPlan> plan =
+      spec.faulted() ? std::optional<harness::FaultPlan>(spec.faults())
+                     : std::nullopt;
+  const harness::RobustConfig robust = spec_robust_config(spec);
+  const harness::MeterFactory factory = point_meter_factory(
+      spec, plan ? harness::robust_measurements_per_point(suite, robust)
+                 : harness::suite_benchmarks(suite).size());
+  const auto run_point = [&spec, &a, &values, &recorders, &plan, &robust,
+                          &suite, &factory, &journal](std::size_t i) {
     const std::size_t k = a.indices[i];
     const std::unique_ptr<power::PowerMeter> meter = factory(k);
-    harness::SuiteRunner runner(spec.cluster, *meter, suite);
-    runner.attach_recorder(&recorders[k]);
-    results[k] = runner.run_suite(values[k]);
-    journal.record(
-        harness::make_point_record(k, values[k], results[k], &recorders[k]));
+    if (plan) {
+      harness::RobustSuiteRunner runner(spec.cluster, *meter, *plan, robust,
+                                        suite, k);
+      runner.attach_recorder(&recorders[k]);
+      journal.record(harness::make_robust_point_record(
+          k, values[k], runner.run_suite(values[k]), &recorders[k]));
+    } else {
+      harness::SuiteRunner runner(spec.cluster, *meter, suite);
+      runner.attach_recorder(&recorders[k]);
+      journal.record(harness::make_point_record(
+          k, values[k], runner.run_suite(values[k]), &recorders[k]));
+    }
   };
   if (fault_hook_armed(a)) {
+    // Serial, in assignment order: "journaled N then faulted" must mean
+    // exactly the first N records are on disk.
     for (std::size_t i = 0; i < a.indices.size(); ++i) {
       run_point(i);
       maybe_fire_fault_hook(a, i + 1);
     }
-  } else if (spec.granularity == harness::SweepGranularity::kTask) {
-    harness::ParallelSweepConfig cfg;
-    cfg.suite = suite;
-    cfg.threads = a.threads;
-    cfg.checkpoint = &journal;
-    cfg.granularity = harness::SweepGranularity::kTask;
-    if (spec.exact_meter) {
-      cfg.task_meters = harness::model_task_meter_factory(util::seconds(0.5));
-    } else {
-      power::WattsUpConfig wcfg;
-      wcfg.seed = spec.seed;
-      cfg.task_meters = harness::wattsup_task_meter_factory(
-          wcfg, harness::suite_benchmarks(suite).size());
-    }
-    const harness::TaskSweepInputs inputs{spec.cluster, cfg,       factory,
-                                          values,       a.indices, recorders,
-                                          &journal};
-    run_plain_task_graph(inputs, /*extended=*/false, results);
   } else {
-    execute_assignment(a.indices.size(), a.threads, run_point);
+    harness::execute_points(a.indices.size(), a.threads, nullptr, run_point);
   }
   journal.finalize();
   return a.indices.size();

@@ -6,13 +6,13 @@
 // exactly the bytes ParallelSweep would have produced for those indices in
 // a full sweep: meters are built from the global index (WattsUp run_offset
 // = k * measurements_per_point), fault and robust streams key on the
-// global index, recorders are preallocated for the FULL value list so the
-// task-graph path can address them, and every completed point is appended
-// to a fresh CheckpointJournal in `journal_dir` — the engine merges shard
-// journals in fixed shard order and banks the records in the result cache.
-// Because the journal record is the canonical byte representation, a
-// worker's output is granularity- and thread-count-invariant by the same
-// §3b/§12 arguments the sweep engine carries.
+// global index, recorders carry the global index and label, and every
+// completed point is appended to a fresh CheckpointJournal in
+// `journal_dir` — the engine merges shard journals in fixed shard order
+// and banks the records in the result cache. Because the journal record
+// is the canonical byte representation, a worker's output is
+// thread-count-invariant by the same §3b argument the sweep engine
+// carries.
 #pragma once
 
 #include <cstddef>
@@ -32,11 +32,11 @@ struct WorkerAssignment {
   /// Sweep threads (0 = ThreadPool default, 1 = serial).
   std::size_t threads = 1;
 
-  // Deterministic process-fault hooks (DESIGN.md §15, ci.sh stages 10/12):
+  // Deterministic process-fault hooks (DESIGN.md §15, ci.sh stages 9/11):
   // each fires after journaling exactly that many points, so "N points
   // then the fault" is a precise statement about what's on disk. Any armed
-  // hook forces the serial point-granularity path (records are
-  // granularity-invariant, so the journal bytes are unchanged). 0 = off.
+  // hook forces serial execution in assignment order (records are
+  // thread-count-invariant, so the journal bytes are unchanged). 0 = off.
   /// Raise SIGKILL — a real mid-campaign kill, no sleep-and-poll raciness.
   std::size_t die_after = 0;
   /// Stop journaling and ignore SIGTERM forever: exercises the

@@ -1,8 +1,11 @@
 #include "util/atomic_file.h"
 
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+
+#include <unistd.h>
 
 #include "util/error.h"
 #include "util/io_faults.h"
@@ -38,7 +41,15 @@ std::uint32_t crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFU;
 }
 
-std::string atomic_temp_path(const std::string& path) { return path + ".tmp"; }
+std::string unique_token() {
+  static std::atomic<std::uint64_t> counter{0};
+  return std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+}
+
+std::string atomic_temp_path(const std::string& path) {
+  return path + ".tmp." + unique_token();
+}
 
 void atomic_write_file(const std::string& path, std::string_view content) {
   TGI_REQUIRE(!path.empty(), "atomic_write_file: empty path");

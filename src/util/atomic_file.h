@@ -29,9 +29,16 @@ namespace tgi::util {
 /// checksum). Deterministic across platforms; used for journal records.
 [[nodiscard]] std::uint32_t crc32(std::string_view data);
 
-/// The staging path `atomic_write_file` uses for `path` (path + ".tmp").
-/// Deterministic by design: the writer assumes a single writer per
-/// destination, which is how every emitter in this repo behaves.
+/// "<pid>.<n>", with n a process-wide counter: no two calls in one
+/// process, and no two live processes, return the same token. Names built
+/// from it (staging files, per-run scratch directories) belong to one
+/// writer even when several writers share a directory.
+[[nodiscard]] std::string unique_token();
+
+/// A fresh staging path for `path`: path + ".tmp." + unique_token(). Two
+/// concurrent writers of one destination (two campaign engines sharing a
+/// cache, in one process or two) therefore never share a staging file;
+/// the last rename wins with complete bytes.
 [[nodiscard]] std::string atomic_temp_path(const std::string& path);
 
 /// Writes `content` to `path` with all-or-nothing semantics: stage into

@@ -17,7 +17,7 @@
 // Faults are decided per guarded operation from a seeded Xoshiro256 keyed
 // on (seed, operation index): a given spec replays the identical fault
 // sequence, which is what makes the worker-process fault campaigns in
-// ci.sh stage 12 reproducible. The shim is process-wide and OFF by
+// ci.sh stage 11 reproducible. The shim is process-wide and OFF by
 // default; the campaign engine only ever installs it inside `tgi_serve
 // --worker` processes (TGI_SERVE_WORKER_IO_FAULTS), so the engine's own
 // emission and in-process heal path never fault and recovery always

@@ -415,124 +415,6 @@ TEST_F(CheckpointTest, RobustKillAndResumeIsByteIdentical) {
   }
 }
 
-ParallelSweep make_task_engine(std::size_t threads, std::size_t stride,
-                               CheckpointJournal* journal = nullptr) {
-  power::WattsUpConfig base;
-  base.seed = 0x0b5e7fULL;
-  ParallelSweepConfig cfg;
-  cfg.threads = threads;
-  cfg.checkpoint = journal;
-  cfg.granularity = SweepGranularity::kTask;
-  cfg.task_meters = wattsup_task_meter_factory(base, stride);
-  return {sim::fire_cluster(), wattsup_meter_factory(base, stride), cfg};
-}
-
-TEST_F(CheckpointTest, TaskGranularityJournalIsByteIdenticalToPointPath) {
-  // Join nodes journal whole points (DESIGN.md §12): at threads=1 both
-  // granularities commit points in index order, so the journals must be
-  // the same bytes.
-  {
-    CheckpointJournal journal(CheckpointConfig{dir("point"), false}, kSpec,
-                              "plain", kSweep);
-    (void)make_engine(1, plain_stride(), &journal).run(kSweep);
-  }
-  {
-    CheckpointJournal journal(CheckpointConfig{dir("task"), false}, kSpec,
-                              "plain", kSweep);
-    (void)make_task_engine(1, plain_stride(), &journal).run(kSweep);
-  }
-  EXPECT_EQ(slurp(dir("task") + "/journal.tgij"),
-            slurp(dir("point") + "/journal.tgij"));
-}
-
-TEST_F(CheckpointTest, TaskGranularityKillAndResumeIsByteIdentical) {
-  // A task-granularity sweep killed after k points and resumed — at any
-  // thread count, even by a task-granularity engine resuming a journal a
-  // task-granularity run wrote — must reproduce the POINT-granularity
-  // uninterrupted baseline bytes (results and trace alike).
-  obs::SweepTrace baseline_trace;
-  const auto baseline =
-      make_engine(1, plain_stride()).run(kSweep, &baseline_trace);
-  const auto baseline_bytes = serialize(baseline_trace);
-  {
-    CheckpointJournal journal(CheckpointConfig{dir("full"), false}, kSpec,
-                              "plain", kSweep);
-    (void)make_task_engine(1, plain_stride(), &journal).run(kSweep);
-  }
-  const std::string full = slurp(dir("full") + "/journal.tgij");
-  std::vector<std::string> lines;
-  std::istringstream in(full);
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 1 + kSweep.size());
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t keep :
-         {std::size_t{0}, std::size_t{2}, kSweep.size()}) {
-      const std::string cp =
-          dir("t" + std::to_string(threads) + "_" + std::to_string(keep));
-      fs::create_directories(cp);
-      std::string partial = lines[0] + "\n";
-      for (std::size_t i = 0; i < keep; ++i) partial += lines[1 + i] + "\n";
-      spill(cp + "/journal.tgij", partial);
-
-      CheckpointJournal journal(CheckpointConfig{cp, true}, kSpec, "plain",
-                                kSweep);
-      EXPECT_EQ(journal.completed_count(), keep);
-      obs::SweepTrace trace;
-      const auto resumed = make_task_engine(threads, plain_stride(), &journal)
-                               .run(kSweep, &trace);
-      expect_bitwise_equal(resumed, baseline);
-      EXPECT_EQ(serialize(trace), baseline_bytes)
-          << "threads=" << threads << " keep=" << keep;
-    }
-  }
-}
-
-TEST_F(CheckpointTest, TaskGranularityRobustResumeMatchesPointBaseline) {
-  const RobustConfig robust;
-  const std::size_t stride = robust_measurements_per_point({}, robust);
-  obs::SweepTrace baseline_trace;
-  const auto baseline = make_engine(1, stride).run_robust(
-      kSweep, FaultPlan(hot_spec()), robust, &baseline_trace);
-  {
-    CheckpointJournal journal(CheckpointConfig{dir("full"), false}, kSpec,
-                              "robust", kSweep);
-    (void)make_task_engine(1, stride, &journal)
-        .run_robust(kSweep, FaultPlan(hot_spec()), robust);
-  }
-  const std::string full = slurp(dir("full") + "/journal.tgij");
-  std::vector<std::string> lines;
-  std::istringstream in(full);
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 1 + kSweep.size());
-  for (const std::size_t threads : {1u, 8u}) {
-    const std::string cp = dir("tr" + std::to_string(threads));
-    fs::create_directories(cp);
-    spill(cp + "/journal.tgij",
-          lines[0] + "\n" + lines[1] + "\n" + lines[2] + "\n");
-    CheckpointJournal journal(CheckpointConfig{cp, true}, kSpec, "robust",
-                              kSweep);
-    EXPECT_EQ(journal.completed_count(), 2u);
-    obs::SweepTrace trace;
-    const auto resumed =
-        make_task_engine(threads, stride, &journal)
-            .run_robust(kSweep, FaultPlan(hot_spec()), robust, &trace);
-    ASSERT_EQ(resumed.size(), baseline.size());
-    for (std::size_t k = 0; k < baseline.size(); ++k) {
-      EXPECT_EQ(resumed[k].missing, baseline[k].missing);
-      EXPECT_EQ(resumed[k].counters.attempts, baseline[k].counters.attempts);
-      ASSERT_EQ(resumed[k].point.measurements.size(),
-                baseline[k].point.measurements.size());
-      for (std::size_t i = 0; i < baseline[k].point.measurements.size();
-           ++i) {
-        EXPECT_EQ(resumed[k].point.measurements[i].energy.value(),
-                  baseline[k].point.measurements[i].energy.value());
-      }
-    }
-    EXPECT_EQ(serialize(trace), serialize(baseline_trace))
-        << "threads=" << threads;
-  }
-}
-
 TEST_F(CheckpointTest, TornRecordIsQuarantinedAndRecomputed) {
   const auto baseline = make_engine(1, plain_stride()).run(kSweep);
   {

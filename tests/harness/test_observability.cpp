@@ -91,93 +91,25 @@ TEST(SweepTraceDeterminism, FaultedSweepTraceIsThreadCountInvariant) {
   }
 }
 
-ParallelSweep make_task_engine(std::size_t threads,
-                               std::size_t measurements_per_point,
-                               obs::WallProfiler* profiler = nullptr) {
-  power::WattsUpConfig base;
-  base.seed = 0x0b5e7fULL;
-  ParallelSweepConfig cfg;
-  cfg.threads = threads;
-  cfg.profiler = profiler;
-  cfg.granularity = SweepGranularity::kTask;
-  cfg.task_meters = wattsup_task_meter_factory(base, measurements_per_point);
-  return {sim::fire_cluster(),
-          wattsup_meter_factory(base, measurements_per_point), cfg};
-}
-
-TEST(SweepTraceDeterminism, TaskGranularityTraceMatchesPointGranularity) {
-  // The §12 trace gate: per-benchmark sub-recorders folded at the join in
-  // roster order serialize to the SAME BYTES as the point path's inline
-  // recording — trace.json and metrics.csv, at every thread count.
-  obs::SweepTrace point_trace;
-  (void)make_engine(1, plain_stride()).run(kSweep, &point_trace);
-  const auto expected = serialize(point_trace);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    obs::SweepTrace trace;
-    (void)make_task_engine(threads, plain_stride()).run(kSweep, &trace);
-    const auto got = serialize(trace);
-    EXPECT_EQ(got.first, expected.first)
-        << "trace.json, task granularity, threads=" << threads;
-    EXPECT_EQ(got.second, expected.second)
-        << "metrics.csv, task granularity, threads=" << threads;
-  }
-}
-
-TEST(SweepTraceDeterminism, TaskGranularityExtendedTraceMatches) {
+TEST(SweepTraceDeterminism, ExtendedSweepTraceIsThreadCountInvariant) {
   // The extended roster never stamps a per-benchmark context (spans carry
-  // benchmark=0, attempt=0); the decomposition must mirror that quirk.
-  const auto run = [](std::size_t threads, SweepGranularity granularity) {
+  // benchmark=0, attempt=0); its trace must still be thread-count
+  // invariant.
+  const auto run = [](std::size_t threads) {
     power::WattsUpConfig base;
     base.seed = 0x0b5e7fULL;
     const std::size_t stride = extended_suite_benchmarks().size();
     ParallelSweepConfig cfg;
     cfg.threads = threads;
-    cfg.granularity = granularity;
-    cfg.task_meters = wattsup_task_meter_factory(base, stride);
     ParallelSweep engine(sim::fire_cluster(),
                          wattsup_meter_factory(base, stride), cfg);
     obs::SweepTrace trace;
     (void)engine.run_extended(kSweep, &trace);
     return serialize(trace);
   };
-  const auto expected = run(1, SweepGranularity::kPoint);
-  EXPECT_EQ(run(1, SweepGranularity::kTask), expected);
-  EXPECT_EQ(run(8, SweepGranularity::kTask), expected);
-}
-
-TEST(SweepTraceDeterminism, TaskGranularityFaultedTraceMatches) {
-  // Robust chains attach the point's REAL recorder (graph edges give the
-  // happens-before), so the faulted trace must already be byte-identical.
-  const RobustConfig robust;
-  const std::size_t stride = robust_measurements_per_point({}, robust);
-  obs::SweepTrace point_trace;
-  (void)make_engine(1, stride).run_robust(kSweep, FaultPlan(hot_spec()),
-                                          robust, &point_trace);
-  const auto expected = serialize(point_trace);
-  EXPECT_GT(point_trace.totals().value("run_faults"), 0.0);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    obs::SweepTrace trace;
-    (void)make_task_engine(threads, stride)
-        .run_robust(kSweep, FaultPlan(hot_spec()), robust, &trace);
-    const auto got = serialize(trace);
-    EXPECT_EQ(got.first, expected.first)
-        << "trace.json, task granularity, threads=" << threads;
-    EXPECT_EQ(got.second, expected.second)
-        << "metrics.csv, task granularity, threads=" << threads;
-  }
-}
-
-TEST(WallProfilerIntegration, TaskGranularityProfilesLeaveTheTraceAlone) {
-  obs::SweepTrace bare_trace;
-  (void)make_task_engine(2, plain_stride()).run(kSweep, &bare_trace);
-  obs::WallProfiler profiler;
-  obs::SweepTrace profiled_trace;
-  (void)make_task_engine(2, plain_stride(), &profiler)
-      .run(kSweep, &profiled_trace);
-  EXPECT_EQ(serialize(profiled_trace), serialize(bare_trace));
-  // Four member nodes + a join per point would be 5 spans; the roster has
-  // 3 members, so at least members + join spans landed per point.
-  EXPECT_GE(profiler.span_count(), kSweep.size() * (plain_stride() + 1));
+  const auto expected = run(1);
+  EXPECT_EQ(run(2), expected);
+  EXPECT_EQ(run(8), expected);
 }
 
 TEST(SweepTraceDeterminism, TracingDoesNotPerturbResults) {

@@ -142,87 +142,6 @@ TEST(ParallelSweepDeterminism, WattsUpRunOffsetReplaysSharedMeterStreams) {
   }
 }
 
-std::vector<SuitePoint> run_task_granularity(std::size_t threads,
-                                             bool with_task_meters = true) {
-  power::WattsUpConfig base;
-  base.seed = 0x1234abcdULL;
-  ParallelSweepConfig cfg;
-  cfg.threads = threads;
-  cfg.granularity = SweepGranularity::kTask;
-  if (with_task_meters) cfg.task_meters = wattsup_task_meter_factory(base, 3);
-  ParallelSweep sweep(sim::fire_cluster(), wattsup_meter_factory(base, 3),
-                      cfg);
-  return sweep.run(kPaperSweep);
-}
-
-TEST(TaskGranularity, PlainSweepMatchesPointGranularityAtEveryThreadCount) {
-  // The §12 gate: benchmark-level nodes with per-member replay meters
-  // reproduce the point path bitwise — joins merge in roster order, never
-  // completion order.
-  const auto point = run_with_threads(1);
-  expect_identical(point, run_task_granularity(1));
-  expect_identical(point, run_task_granularity(2));
-  expect_identical(point, run_task_granularity(8));
-}
-
-TEST(TaskGranularity, WholePointFallbackMatchesWithoutTaskMeters) {
-  // Without a TaskMeterFactory the graph holds whole-point nodes; the
-  // output must still be the point path's, at every thread count.
-  const auto point = run_with_threads(1);
-  expect_identical(point, run_task_granularity(1, false));
-  expect_identical(point, run_task_granularity(8, false));
-}
-
-TEST(TaskGranularity, ExtendedSuiteMatchesPointGranularity) {
-  const auto run = [](SweepGranularity granularity, std::size_t threads) {
-    ParallelSweepConfig cfg;
-    cfg.threads = threads;
-    cfg.granularity = granularity;
-    cfg.task_meters = model_task_meter_factory(util::seconds(0.5));
-    ParallelSweep sweep(sim::fire_cluster(),
-                        model_meter_factory(util::seconds(0.5)), cfg);
-    return sweep.run_extended({16, 64, 128});
-  };
-  const auto point = run(SweepGranularity::kPoint, 1);
-  expect_identical(point, run(SweepGranularity::kTask, 1));
-  expect_identical(point, run(SweepGranularity::kTask, 8));
-}
-
-TEST(TaskGranularity, RunWithKeepsIndexOrderUnderTheGraphExecutor) {
-  ParallelSweepConfig cfg;
-  cfg.threads = 8;
-  cfg.granularity = SweepGranularity::kTask;
-  ParallelSweep sweep(sim::fire_cluster(),
-                      model_meter_factory(util::seconds(0.5)), cfg);
-  const std::vector<std::size_t> descending = {128, 96, 64, 32, 16};
-  const auto points = sweep.run_with(
-      descending, [](SuiteRunner& runner, std::size_t processes) {
-        return runner.run_suite(processes);
-      });
-  ASSERT_EQ(points.size(), descending.size());
-  for (std::size_t k = 0; k < points.size(); ++k) {
-    EXPECT_EQ(points[k].processes, descending[k]);
-  }
-}
-
-TEST(TaskGranularity, GupsRosterMatchesPointGranularity) {
-  // A four-member roster exercises a task stride other than 3.
-  const auto run = [](SweepGranularity granularity) {
-    power::WattsUpConfig base;
-    base.seed = 0xfeedULL;
-    ParallelSweepConfig cfg;
-    cfg.threads = 8;
-    cfg.suite.include_gups = true;
-    cfg.granularity = granularity;
-    cfg.task_meters = wattsup_task_meter_factory(base, 4);
-    ParallelSweep sweep(sim::fire_cluster(), wattsup_meter_factory(base, 4),
-                        cfg);
-    return sweep.run({16, 64, 128});
-  };
-  expect_identical(run(SweepGranularity::kPoint),
-                   run(SweepGranularity::kTask));
-}
-
 TEST(ParallelSweep, RequiresAMeterFactory) {
   EXPECT_THROW(ParallelSweep(sim::fire_cluster(), MeterFactory{}),
                util::PreconditionError);

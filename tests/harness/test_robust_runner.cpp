@@ -545,30 +545,6 @@ TEST(RobustSweepDeterminism, FaultedSweepIsThreadCountInvariant) {
   EXPECT_GT(total_faults, 0u);
 }
 
-TEST(RobustSweepDeterminism, TaskGranularityChainsMatchPointGranularity) {
-  // granularity=kTask runs each robust point as a benchmark CHAIN
-  // (harness/taskgraph.h): the FaultyMeter stream is a serial per-point
-  // resource, so the chain must consume it exactly like the serial loop —
-  // bitwise, at every thread count.
-  const auto run_task = [](std::size_t threads) {
-    power::WattsUpConfig base;
-    base.seed = 0x5eedULL;
-    const RobustConfig robust;
-    ParallelSweepConfig cfg = sweep_config(threads);
-    cfg.granularity = SweepGranularity::kTask;
-    ParallelSweep engine(
-        sim::fire_cluster(),
-        wattsup_meter_factory(base,
-                              robust_measurements_per_point({}, robust)),
-        cfg);
-    return engine.run_robust(kSweep, FaultPlan(mixed_spec()), robust);
-  };
-  const auto point = run_robust_with_threads(1, mixed_spec());
-  expect_identical(point, run_task(1));
-  expect_identical(point, run_task(2));
-  expect_identical(point, run_task(8));
-}
-
 TEST(RobustSweepDeterminism, MatchesAManualSerialRunnerLoop) {
   const FaultSpec spec = mixed_spec();
   power::WattsUpConfig base;

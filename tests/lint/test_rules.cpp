@@ -576,28 +576,6 @@ TEST(RefCapture, ExplicitCapturesOtherCallsAndThreadPoolHomePass) {
       "ref-capture-in-parallel-task"));
 }
 
-TEST(RefCapture, FiresOnTaskGraphNodes) {
-  // Task-graph node bodies are sweep tasks too (DESIGN.md §12): a [&]
-  // handed to TaskGraph::add_node hides exactly the unordered state a
-  // join is supposed to make auditable.
-  EXPECT_TRUE(has_rule(
-      lint("src/harness/t.cpp",
-           "graph.add_node(\"point 3 join\", [&] { merge(k); });\n"),
-      "ref-capture-in-parallel-task"));
-  const std::string bound =
-      "const auto body = [&](std::size_t) { run(); };\n"
-      "graph.add_node(\"member\", body);\n";
-  EXPECT_TRUE(
-      has_rule(lint("src/harness/t.cpp", bound),
-               "ref-capture-in-parallel-task"));
-  // Explicit captures — the style harness/taskgraph.cpp uses — pass.
-  EXPECT_FALSE(has_rule(
-      lint("src/harness/t.cpp",
-           "graph.add_node(\"member\", [&results, i, b] { results[i] = "
-           "f(b); });\n"),
-      "ref-capture-in-parallel-task"));
-}
-
 TEST(RefCapture, AllowMarkerWaives) {
   EXPECT_FALSE(has_rule(
       lint("src/kernels/k.cpp",

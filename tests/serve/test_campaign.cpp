@@ -20,6 +20,7 @@
 
 #include "serve/spec.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace tgi::serve {
 namespace {
@@ -146,6 +147,40 @@ TEST_F(CampaignTest, WarmRerunIsAByteIdenticalNoOp) {
     EXPECT_EQ(warm.stats.cache_hits, 5u) << "threads=" << threads;
     EXPECT_EQ(warm.report, cold.report) << "threads=" << threads;
     expect_same_bytes(warm.files, cold.files);
+  }
+}
+
+TEST_F(CampaignTest, ConcurrentEnginesSharingACacheBothSucceed) {
+  // Two engines racing on one cache directory (here in one process, so a
+  // TSan build sees every shared write) must both finish with the bytes a
+  // solo run emits, and leave a complete cache behind. Each round starts
+  // from an empty cache, so both engines compute and publish every shard.
+  const auto entries = plain_campaign();
+  const RunResult solo = run(entries, config("solo_cache", "solo", 0, 1));
+  for (std::size_t round = 0; round < 4; ++round) {
+    const std::string cache = "shared" + std::to_string(round);
+    std::vector<RunResult> racers(2);
+    util::ThreadPool pool(2);
+    util::parallel_for(
+        pool, racers.size(),
+        [this, &entries, &racers, &cache, round](std::size_t i) {
+          racers[i] = run(entries,
+                          config(cache,
+                                 "race" + std::to_string(round) + "_" +
+                                     std::to_string(i),
+                                 0, 1 + i));
+        });
+    for (const RunResult& racer : racers) {
+      EXPECT_EQ(racer.report, solo.report) << "round " << round;
+      expect_same_bytes(racer.files, solo.files);
+    }
+    const RunResult warm =
+        run(entries, config(cache, "warm" + std::to_string(round), 0, 1));
+    EXPECT_EQ(warm.stats.computed, 0u) << "round " << round;
+    EXPECT_EQ(warm.report, solo.report);
+    EXPECT_FALSE(fs::exists(dir(cache) + "/work") &&
+                 !fs::is_empty(dir(cache) + "/work"))
+        << "scratch left behind, round " << round;
   }
 }
 

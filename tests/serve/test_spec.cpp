@@ -1,8 +1,7 @@
 // Campaign spec parsing (DESIGN.md §13): the [entry] grammar, its
-// defaults (granularity=task — the ROADMAP item 2 flip lives HERE and in
-// worker mode, never in tgi_sweep), loud failures on malformed input, the
-// engine→worker handoff round-trip, and the key-space separation between
-// sweep, faulted, and reference runs.
+// defaults, loud failures on malformed input, the engine→worker handoff
+// round-trip, and the key-space separation between sweep, faulted, and
+// reference runs.
 #include "serve/spec.h"
 
 #include <gtest/gtest.h>
@@ -38,7 +37,7 @@ TEST(CampaignSpec, ParsesEntriesWithDefaults) {
       "sweep = 80\n"
       "seed = 11\n"
       "meter = model\n"
-      "granularity = point\n");
+      "granularity = task\n");
   ASSERT_EQ(entries.size(), 2u);
   const CampaignSpec& alpha = entries[0];
   EXPECT_EQ(alpha.name, "alpha");
@@ -48,15 +47,14 @@ TEST(CampaignSpec, ParsesEntriesWithDefaults) {
   EXPECT_EQ(alpha.seed, 0x9e3779b9ULL);
   EXPECT_FALSE(alpha.exact_meter);
   EXPECT_FALSE(alpha.faulted());
-  // The granularity default flips to `task` here (and in tgi_serve's
-  // worker mode) only — the service arc is the consumer ROADMAP item 2
-  // gated the flip on; tgi_sweep and the bench harnesses keep `point`.
-  EXPECT_EQ(alpha.granularity, harness::SweepGranularity::kTask);
 
+  // The inert granularity key is still accepted (it changes nothing).
   const CampaignSpec& beta = entries[1];
   EXPECT_EQ(beta.seed, 11u);
   EXPECT_TRUE(beta.exact_meter);
-  EXPECT_EQ(beta.granularity, harness::SweepGranularity::kPoint);
+  EXPECT_EQ(canonical_spec_text(beta),
+            canonical_spec_text(parse("[beta]\nsweep = 80\nseed = 11\n"
+                                      "meter = model\n")[0]));
 }
 
 TEST(CampaignSpec, ParsesAndValidatesFaultText) {
@@ -125,8 +123,7 @@ TEST(CampaignSpec, WorkerHandoffRoundTripsTheCacheKey) {
       "cluster = fire\n"
       "sweep = 16,48,80\n"
       "seed = 23\n"
-      "faults = dropout=0.2,failure=0.1\n"
-      "granularity = point\n")[0];
+      "faults = dropout=0.2,failure=0.1\n")[0];
   {
     std::ofstream cluster((root / "cluster.conf").string());
     cluster << sim::cluster_to_config(original.cluster);
@@ -135,28 +132,33 @@ TEST(CampaignSpec, WorkerHandoffRoundTripsTheCacheKey) {
   }
   const CampaignSpec loaded = load_worker_spec((root / "spec.conf").string());
   // The handoff must re-parse to bit-identical sweep inputs: same cache
-  // key, same fault text, same granularity, same mode.
+  // key, same fault text, same mode.
   EXPECT_EQ(canonical_spec_text(loaded), canonical_spec_text(original));
   EXPECT_EQ(spec_hash(loaded), spec_hash(original));
   EXPECT_EQ(loaded.fault_text, original.fault_text);
-  EXPECT_EQ(loaded.granularity, original.granularity);
   EXPECT_EQ(loaded.seed, original.seed);
   EXPECT_STREQ(spec_mode(loaded), spec_mode(original));
   fs::remove_all(root);
 }
 
-TEST(CampaignSpec, WorkerSpecDefaultsToTaskGranularity) {
-  const fs::path root = fs::temp_directory_path() / "tgi_serve_spec_default";
+TEST(CampaignSpec, WorkerSpecRejectsTheGranularityKey) {
+  // The engine and its workers ship in one binary and every sweep runs one
+  // path, so the handoff file has no granularity key; a stray one fails
+  // loudly like any unknown key.
+  const fs::path root = fs::temp_directory_path() / "tgi_serve_spec_keys";
   fs::remove_all(root);
   fs::create_directories(root);
   {
     std::ofstream cluster((root / "cluster.conf").string());
     cluster << sim::cluster_to_config(sim::fire_cluster());
     std::ofstream spec((root / "spec.conf").string());
-    spec << "cluster = cluster.conf\nsweep = 16\n";
+    spec << "cluster = cluster.conf\nsweep = 16\ngranularity = task\n";
   }
-  const CampaignSpec loaded = load_worker_spec((root / "spec.conf").string());
-  EXPECT_EQ(loaded.granularity, harness::SweepGranularity::kTask);
+  EXPECT_THROW((void)load_worker_spec((root / "spec.conf").string()),
+               util::TgiError);
+  EXPECT_EQ(worker_spec_config(parse("[a]\nsweep = 16\n")[0], "c.conf")
+                .find("granularity"),
+            std::string::npos);
   fs::remove_all(root);
 }
 

@@ -1,8 +1,8 @@
 // The campaign worker (DESIGN.md §13): an assigned SUBSET of global sweep
 // indices must journal exactly the bytes an unsharded sweep would have
-// journaled for those points — at every thread count, at both
-// granularities, plain and faulted. Sharding is a pure partition of the
-// record set, never a perturbation of it.
+// journaled for those points — at every thread count, plain and faulted.
+// Sharding is a pure partition of the record set, never a perturbation of
+// it.
 #include "serve/worker.h"
 
 #include <gtest/gtest.h>
@@ -50,20 +50,16 @@ class WorkerTest : public ::testing::Test {
   fs::path root_;
 };
 
-CampaignSpec plain_spec(harness::SweepGranularity granularity) {
-  auto entries = parse_campaign(
-      "[w]\ncluster = fire\nsweep = 16,48,80\nseed = 7\n", "");
-  entries[0].granularity = granularity;
-  return entries[0];
+CampaignSpec plain_spec() {
+  return parse_campaign(
+      "[w]\ncluster = fire\nsweep = 16,48,80\nseed = 7\n", "")[0];
 }
 
-CampaignSpec faulted_spec(harness::SweepGranularity granularity) {
-  auto entries = parse_campaign(
+CampaignSpec faulted_spec() {
+  return parse_campaign(
       "[w]\ncluster = fire\nsweep = 16,48,80\nseed = 7\n"
       "faults = dropout=0.25,failure=0.1,timeout=0.05\n",
-      "");
-  entries[0].granularity = granularity;
-  return entries[0];
+      "")[0];
 }
 
 /// Runs the worker and returns the reconciled records of its journal.
@@ -95,7 +91,7 @@ void expect_same_records(
 }
 
 TEST_F(WorkerTest, JournalsExactlyTheAssignedIndices) {
-  const CampaignSpec spec = plain_spec(harness::SweepGranularity::kPoint);
+  const CampaignSpec spec = plain_spec();
   const auto records = run_and_reconcile(spec, {1}, 1, dir("one"));
   ASSERT_EQ(records.size(), 1u);
   ASSERT_TRUE(records.count(1));
@@ -105,7 +101,7 @@ TEST_F(WorkerTest, JournalsExactlyTheAssignedIndices) {
 }
 
 TEST_F(WorkerTest, RejectsMalformedAssignments) {
-  const CampaignSpec spec = plain_spec(harness::SweepGranularity::kPoint);
+  const CampaignSpec spec = plain_spec();
   WorkerAssignment empty;
   empty.journal_dir = dir("x");
   EXPECT_THROW(run_worker(spec, empty), util::TgiError);
@@ -126,7 +122,7 @@ TEST_F(WorkerTest, ShardedRecordsMatchTheFullRunByteForByte) {
   // The sharding invariant: {0,2} ∪ {1} computed separately must equal
   // the full {0,1,2} run record for record — global-index meter/RNG
   // keying is what makes the partition sound.
-  const CampaignSpec spec = plain_spec(harness::SweepGranularity::kPoint);
+  const CampaignSpec spec = plain_spec();
   const auto full = run_and_reconcile(spec, {0, 1, 2}, 1, dir("full"));
   ASSERT_EQ(full.size(), 3u);
   auto merged = run_and_reconcile(spec, {0, 2}, 1, dir("even"));
@@ -137,42 +133,14 @@ TEST_F(WorkerTest, ShardedRecordsMatchTheFullRunByteForByte) {
 }
 
 TEST_F(WorkerTest, RecordsAreThreadCountInvariant) {
-  const CampaignSpec spec = plain_spec(harness::SweepGranularity::kPoint);
+  const CampaignSpec spec = plain_spec();
   const auto serial = run_and_reconcile(spec, {0, 1, 2}, 1, dir("t1"));
   const auto pooled = run_and_reconcile(spec, {0, 1, 2}, 4, dir("t4"));
   expect_same_records(pooled, serial);
 }
 
-TEST_F(WorkerTest, TaskGranularityMatchesPointGranularity) {
-  // The §12 equivalence carried through the worker path: the task-graph
-  // executor over an assigned subset journals the same record bytes as
-  // the point path, serial and pooled alike.
-  const auto point = run_and_reconcile(
-      plain_spec(harness::SweepGranularity::kPoint), {0, 1, 2}, 1,
-      dir("point"));
-  const auto task_serial = run_and_reconcile(
-      plain_spec(harness::SweepGranularity::kTask), {0, 1, 2}, 1,
-      dir("task1"));
-  const auto task_pooled = run_and_reconcile(
-      plain_spec(harness::SweepGranularity::kTask), {0, 1, 2}, 4,
-      dir("task4"));
-  expect_same_records(task_serial, point);
-  expect_same_records(task_pooled, point);
-  // Serial runs commit in index order: the raw journals are byte-equal.
-  EXPECT_EQ(slurp(dir("task1") + "/journal.tgij"),
-            slurp(dir("point") + "/journal.tgij"));
-}
-
-TEST_F(WorkerTest, TaskGranularitySubsetMatchesThePointSubset) {
-  const auto point = run_and_reconcile(
-      plain_spec(harness::SweepGranularity::kPoint), {0, 2}, 1, dir("p"));
-  const auto task = run_and_reconcile(
-      plain_spec(harness::SweepGranularity::kTask), {0, 2}, 2, dir("t"));
-  expect_same_records(task, point);
-}
-
 TEST_F(WorkerTest, FaultedShardsMatchTheFullRobustRun) {
-  const CampaignSpec spec = faulted_spec(harness::SweepGranularity::kPoint);
+  const CampaignSpec spec = faulted_spec();
   const auto full = run_and_reconcile(spec, {0, 1, 2}, 1, dir("full"));
   ASSERT_EQ(full.size(), 3u);
   auto merged = run_and_reconcile(spec, {1, 2}, 2, dir("tail"));
@@ -180,11 +148,9 @@ TEST_F(WorkerTest, FaultedShardsMatchTheFullRobustRun) {
     merged.emplace(k, std::move(record));
   }
   expect_same_records(merged, full);
-  // And the robust task-graph path agrees too.
-  const auto task = run_and_reconcile(
-      faulted_spec(harness::SweepGranularity::kTask), {0, 1, 2}, 4,
-      dir("task"));
-  expect_same_records(task, full);
+  // And a pooled full run agrees too.
+  expect_same_records(run_and_reconcile(spec, {0, 1, 2}, 4, dir("pooled")),
+                      full);
   for (const auto& [k, record] : full) {
     EXPECT_TRUE(record.robust) << "index " << k;
   }

@@ -7,10 +7,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace tgi::util {
 namespace {
@@ -33,6 +35,18 @@ class AtomicFileTest : public ::testing::Test {
 
   [[nodiscard]] std::string path(const std::string& rel) const {
     return (root_ / rel).string();
+  }
+
+  /// Staging files (".tmp.<token>") left anywhere under the test root.
+  [[nodiscard]] std::size_t staging_files() const {
+    std::size_t count = 0;
+    for (const auto& entry : fs::recursive_directory_iterator(root_)) {
+      if (entry.path().filename().string().find(".tmp.") !=
+          std::string::npos) {
+        ++count;
+      }
+    }
+    return count;
   }
 
   [[nodiscard]] static std::string slurp(const std::string& p) {
@@ -73,26 +87,29 @@ TEST_F(AtomicFileTest, WritesAndOverwrites) {
   EXPECT_EQ(slurp(target), "first\n");
   atomic_write_file(target, "second, longer content\n");
   EXPECT_EQ(slurp(target), "second, longer content\n");
-  EXPECT_FALSE(fs::exists(atomic_temp_path(target)));
+  EXPECT_EQ(staging_files(), 0u);
 }
 
 TEST_F(AtomicFileTest, FailedWriteLeavesOldFileIntact) {
-  // Regression for the checkpoint layer: simulate a write that cannot
-  // complete by parking a directory at the deterministic staging path; the
-  // previously published bytes must survive untouched.
-  const std::string target = path("sweep_summary.csv");
-  atomic_write_file(target, "the old, good content\n");
-  fs::create_directories(atomic_temp_path(target));
+  // Regression for the checkpoint layer: a write whose staging file cannot
+  // be opened — here the destination name leaves no room for the staging
+  // suffix under NAME_MAX (255) — must leave the previously published
+  // bytes untouched.
+  const std::string target = path(std::string(250, 's') + ".csv");
+  {
+    std::ofstream old(target, std::ios::binary);
+    old << "the old, good content\n";
+  }
   EXPECT_THROW(atomic_write_file(target, "torn"), TgiError);
   EXPECT_EQ(slurp(target), "the old, good content\n");
-  fs::remove_all(atomic_temp_path(target));
+  EXPECT_EQ(staging_files(), 0u);
 }
 
 TEST_F(AtomicFileTest, FailedWriteToMissingDirectoryCreatesNothing) {
   const std::string target = path("no_such_dir/out.csv");
   EXPECT_THROW(atomic_write_file(target, "content"), TgiError);
   EXPECT_FALSE(fs::exists(target));
-  EXPECT_FALSE(fs::exists(atomic_temp_path(target)));
+  EXPECT_EQ(staging_files(), 0u);
 }
 
 TEST_F(AtomicFileTest, StreamCommitPublishes) {
@@ -113,7 +130,31 @@ TEST_F(AtomicFileTest, AbandonedWriterTouchesNothing) {
     // Destroyed without commit(): the emitter threw mid-format.
   }
   EXPECT_EQ(slurp(target), "{\"old\": true}\n");
-  EXPECT_FALSE(fs::exists(atomic_temp_path(target)));
+  EXPECT_EQ(staging_files(), 0u);
+}
+
+TEST_F(AtomicFileTest, StagingPathsAreUniquePerCall) {
+  // Two writers of one destination must never share a staging file.
+  const std::string target = path("shared.tgij");
+  std::set<std::string> seen;
+  for (int i = 0; i < 64; ++i) {
+    const std::string temp = atomic_temp_path(target);
+    EXPECT_EQ(temp.rfind(target + ".tmp.", 0), 0u) << temp;
+    EXPECT_TRUE(seen.insert(temp).second) << temp;
+  }
+}
+
+TEST_F(AtomicFileTest, ConcurrentWritersOfOneDestinationNeverTear) {
+  // Every writer publishes complete bytes; whichever rename lands last
+  // wins, and no staging file is left behind.
+  const std::string target = path("shard.tgij");
+  const std::string content(64 * 1024, 'x');
+  ThreadPool pool(4);
+  parallel_for(pool, 100, [&target, &content](std::size_t) {
+    atomic_write_file(target, content);
+  });
+  EXPECT_EQ(slurp(target), content);
+  EXPECT_EQ(staging_files(), 0u);
 }
 
 TEST_F(AtomicFileTest, DoubleCommitIsACallerBug) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Canonical pre-merge gate for the TGI repository (recorded in ROADMAP.md).
 #
-# Twelve stages, fail-fast:
+# Eleven stages, fail-fast:
 #   1. tier-1: warning-clean RelWithDebInfo build + full ctest suite
 #      (includes the lint_repo convention check, the paper-shape
 #      integration tests, and the parallel-sweep determinism tests);
@@ -30,23 +30,21 @@
 #      different thread count and byte-diffed against an uninterrupted
 #      run; a second variant truncates the journal mid-record and checks
 #      the torn record is quarantined and recomputed, byte-identically;
-#   9. tsan-taskgraph: the task-graph executor (DESIGN.md §12) under TSan —
-#      the randomized-DAG fuzz suite plus the granularity=task sweep-engine
-#      equivalence tests, then a granularity=task faulted+traced sweep
-#      byte-diffed against granularity=point at several thread counts;
-#  10. tsan-serve: the campaign engine + result cache (DESIGN.md §13)
+#   9. tsan-serve: the campaign engine + result cache (DESIGN.md §13)
 #      under TSan — a cold faulted traced campaign (worker processes),
 #      warm reruns at different worker/thread counts byte-diffed against
-#      it with computed=0 (a cache hit is a byte-identical no-op), and a
+#      it with computed=0 (a cache hit is a byte-identical no-op), a
 #      SIGKILLed worker shard whose partial journal is banked and healed
-#      in-process, again byte-identically;
-#  11. bench-trajectory: every bench/micro_* microbench runs and drops its
+#      in-process, again byte-identically, and two concurrent campaigns
+#      racing on one fresh cache, both exiting 0 with identical bytes;
+#  10. bench-trajectory: every bench/micro_* microbench runs and drops its
 #      BENCH_*.json into build/bench_trajectory/ (micro_substrate via
 #      google-benchmark's --benchmark_out, the harness benches via out=);
-#      a microbench without its JSON emitter fails the gate, and
+#      a microbench without its JSON emitter, or one printing a
+#      `[check] ... FAILED` line (nonzero exit), fails the gate, and
 #      BENCH_kernels.json must record the >= 1.5x kernel-lane speedup
 #      ("speedup_ok": true) from the DESIGN.md §14 SIMD pass;
-#  12. tsan-supervise: the worker supervisor + process/I-O fault plane
+#  11. tsan-supervise: the worker supervisor + process/I-O fault plane
 #      (DESIGN.md §15) under TSan — a fault-free campaign baseline, then a
 #      hung worker (progress-watchdog SIGTERM->SIGKILL), a zero-progress
 #      crash loop (quarantine + in-process heal), an I/O-faulted worker
@@ -67,33 +65,33 @@ DTYPE="${TGI_DTYPE:-double}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
-echo "== [1/12] tier-1: build + ctest (TGI_DTYPE=$DTYPE) =="
+echo "== [1/11] tier-1: build + ctest (TGI_DTYPE=$DTYPE) =="
 cmake -B build -G Ninja -DTGI_WARNINGS_AS_ERRORS=ON -DTGI_DTYPE="$DTYPE"
 cmake --build build -j "$JOBS"
 ctest --test-dir build -j "$JOBS" --output-on-failure
 
-echo "== [2/12] lint: tgi-lint convention analyzer + waiver audit =="
+echo "== [2/11] lint: tgi-lint convention analyzer + waiver audit =="
 ./build/tools/tgi_lint root="$ROOT" audit_waivers=1 out=build/lint.json
 
-echo "== [3/12] golden: figure/table transcripts byte-identical =="
+echo "== [3/11] golden: figure/table transcripts byte-identical =="
 ctest --test-dir build -j "$JOBS" --output-on-failure -R '^golden_'
 
-echo "== [4/12] sanitize: ASan+UBSan build + ctest =="
+echo "== [4/11] sanitize: ASan+UBSan build + ctest =="
 cmake -B build-asan -G Ninja -DTGI_SANITIZE="address;undefined" \
   -DTGI_WARNINGS_AS_ERRORS=ON -DTGI_DTYPE="$DTYPE"
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan -j "$JOBS" --output-on-failure
 
-echo "== [5/12] tsan: ThreadSanitizer build + ctest =="
+echo "== [5/11] tsan: ThreadSanitizer build + ctest =="
 cmake -B build-tsan -G Ninja -DTGI_SANITIZE=thread \
   -DTGI_WARNINGS_AS_ERRORS=ON -DTGI_DTYPE="$DTYPE"
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan -j "$JOBS" --output-on-failure
 
-echo "== [6/12] tsan-faults: fault plane under ThreadSanitizer =="
+echo "== [6/11] tsan-faults: fault plane under ThreadSanitizer =="
 ./build-tsan/bench/ablation_faults threads=8
 
-echo "== [7/12] tsan-trace: traced faulted sweep under TSan, thread-count diff =="
+echo "== [7/11] tsan-trace: traced faulted sweep under TSan, thread-count diff =="
 TRACE_SCRATCH="build-tsan/trace_gate"
 rm -rf "$TRACE_SCRATCH"
 for t in 1 2 8; do
@@ -112,7 +110,7 @@ for t in 2 8; do
       "$TRACE_SCRATCH/results_t$t/faults_summary.csv"
 done
 
-echo "== [8/12] tsan-resume: SIGKILLed checkpointed sweep resumes byte-identically =="
+echo "== [8/11] tsan-resume: SIGKILLed checkpointed sweep resumes byte-identically =="
 CKPT_SCRATCH="build-tsan/checkpoint_gate"
 rm -rf "$CKPT_SCRATCH"
 mkdir -p "$CKPT_SCRATCH"
@@ -173,36 +171,7 @@ cmp "$CKPT_SCRATCH/base/faults_summary.csv" \
 cmp "$CKPT_SCRATCH/base_trace/trace.json" \
     "$CKPT_SCRATCH/healed_trace/trace.json"
 
-echo "== [9/12] tsan-taskgraph: task-graph executor under TSan, granularity diff =="
-# The randomized-DAG fuzz suite and the sweep-engine equivalence tests on
-# the TSan build (they also ran in stage 5; rerunning them here keeps this
-# gate meaningful when stages are cherry-picked).
-./build-tsan/tests/util_tests --gtest_filter='TaskGraph*' > /dev/null
-./build-tsan/tests/harness_tests \
-  --gtest_filter='TaskGranularity*:*TaskGranularity*' > /dev/null
-# A granularity=task faulted+traced sweep must be byte-identical to the
-# stage-7 granularity=point runs — same seed, same spec, every artifact.
-TG_SCRATCH="build-tsan/taskgraph_gate"
-rm -rf "$TG_SCRATCH"
-for t in 1 2 8; do
-  ./build-tsan/tools/tgi_sweep threads="$t" granularity=task \
-    --faults dropout=0.2,failure=0.1,timeout=0.05,truncation=0.05 \
-    sweep=16,48,80 seed=7 outdir="$TG_SCRATCH/results_t$t" \
-    trace="$TG_SCRATCH/trace_t$t" > /dev/null
-  cmp "$TRACE_SCRATCH/trace_t1/trace.json" "$TG_SCRATCH/trace_t$t/trace.json"
-  cmp "$TRACE_SCRATCH/trace_t1/metrics.csv" "$TG_SCRATCH/trace_t$t/metrics.csv"
-  cmp "$TRACE_SCRATCH/results_t1/faults_summary.csv" \
-      "$TG_SCRATCH/results_t$t/faults_summary.csv"
-done
-# Plain (fault-free) path too: granularity=task figure CSVs must match the
-# granularity=point ones byte for byte.
-for g in point task; do
-  ./build-tsan/tools/tgi_sweep threads=8 granularity="$g" \
-    sweep=16,48,80 seed=7 outdir="$TG_SCRATCH/plain_$g" > /dev/null
-done
-diff -r "$TG_SCRATCH/plain_point" "$TG_SCRATCH/plain_task"
-
-echo "== [10/12] tsan-serve: campaign cache — warm rerun is a byte-identical no-op =="
+echo "== [9/11] tsan-serve: campaign cache — warm rerun is a byte-identical no-op =="
 SERVE_SCRATCH="build-tsan/serve_gate"
 rm -rf "$SERVE_SCRATCH"
 mkdir -p "$SERVE_SCRATCH"
@@ -259,8 +228,23 @@ grep -qF "died (signal 9" "$SERVE_SCRATCH/killed.stderr"
 grep -qF "merging its partial journal" "$SERVE_SCRATCH/killed.stderr"
 cmp "$SERVE_SCRATCH/cold.stdout" "$SERVE_SCRATCH/killed.stdout"
 diff -r -x provenance.json "$SERVE_SCRATCH/cold" "$SERVE_SCRATCH/killed"
+# Two concurrent campaigns on one fresh cache: each run stages in its own
+# scratch directory and temp files, so both exit 0 with the cold bytes.
+for r in 1 2; do
+  ./build-tsan/tools/tgi_serve campaign="$SERVE_SCRATCH/campaign.conf" \
+    cache="$SERVE_SCRATCH/cache_race" outdir="$SERVE_SCRATCH/race$r" \
+    workers=0 threads=2 trace=1 \
+    > "$SERVE_SCRATCH/race$r.stdout" 2> "$SERVE_SCRATCH/race$r.stderr" &
+  eval "RACE_PID$r=\$!"
+done
+wait "$RACE_PID1"
+wait "$RACE_PID2"
+for r in 1 2; do
+  cmp "$SERVE_SCRATCH/cold.stdout" "$SERVE_SCRATCH/race$r.stdout"
+  diff -r -x provenance.json "$SERVE_SCRATCH/cold" "$SERVE_SCRATCH/race$r"
+done
 
-echo "== [11/12] bench-trajectory: every microbench emits its BENCH_*.json =="
+echo "== [10/11] bench-trajectory: every microbench emits its BENCH_*.json =="
 TRAJ="build/bench_trajectory"
 rm -rf "$TRAJ"
 mkdir -p "$TRAJ"
@@ -284,7 +268,7 @@ done
 # The §14 SIMD pass must keep its recorded lane speedup.
 grep -qF '"speedup_ok": true' "$TRAJ/BENCH_kernels.json"
 
-echo "== [12/12] tsan-supervise: worker supervisor + process/I-O fault plane =="
+echo "== [11/11] tsan-supervise: worker supervisor + process/I-O fault plane =="
 SUP_SCRATCH="build-tsan/supervise_gate"
 rm -rf "$SUP_SCRATCH"
 mkdir -p "$SUP_SCRATCH"

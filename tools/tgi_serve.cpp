@@ -25,14 +25,12 @@
 // Worker mode (spawned by the engine; usable standalone for tests):
 //
 //   tgi_serve --worker spec=FILE indices=I,J,... journal=DIR [threads=N]
-//             [granularity=point|task] [shard=K]
+//             [shard=K]
 //
 // Computes the GLOBAL sweep-point indices of the handoff spec and journals
-// them into DIR/journal.tgij. Worker mode defaults to granularity=task
-// (ROADMAP item 2's flip — the service arc is the consumer it waited for);
-// tgi_sweep and the bench harnesses keep `point`.
+// them into DIR/journal.tgij, one whole sweep point per unit of work.
 //
-// Deterministic worker fault plane (DESIGN.md §15, ci.sh stages 10/12) —
+// Deterministic worker fault plane (DESIGN.md §15, ci.sh stages 9/11) —
 // env hooks of the form <shard>:<n>[:<attempts>], firing only in the named
 // shard and only while the supervisor's attempt counter
 // (TGI_SERVE_WORKER_ATTEMPT, 1-based) is <= <attempts> (default 1, so a
@@ -75,8 +73,7 @@ util::Config parse_tokens(int argc, const char* const* argv, bool& worker) {
     bool aliased = false;
     for (const char* key : {"campaign", "cache", "outdir", "workers",
                             "threads", "spec", "indices", "journal",
-                            "granularity", "shard", "restarts",
-                            "stall_polls"}) {
+                            "shard", "restarts", "stall_polls"}) {
       const std::string flag = std::string("--") + key;
       if (arg == flag && i + 1 < argc) {
         tokens.push_back(std::string(key) + "=" + argv[++i]);
@@ -184,19 +181,12 @@ int run_worker_mode(const util::Config& cfg) {
               "computes one handoff spec (spec=FILE indices=I,J,... "
               "journal=DIR); drop --worker to run a campaign");
   util::require_known_keys(
-      cfg, {"spec", "indices", "journal", "threads", "granularity", "shard"},
+      cfg, {"spec", "indices", "journal", "threads", "shard"},
       "tgi_serve --worker");
   TGI_REQUIRE(cfg.has("spec"), "worker mode needs spec=FILE");
   TGI_REQUIRE(cfg.has("indices"), "worker mode needs indices=I,J,...");
   TGI_REQUIRE(cfg.has("journal"), "worker mode needs journal=DIR");
-  serve::CampaignSpec spec = serve::load_worker_spec(*cfg.get("spec"));
-  if (cfg.has("granularity")) {
-    const std::string g = *cfg.get("granularity");
-    TGI_REQUIRE(g == "point" || g == "task",
-                "granularity must be 'point' or 'task', got '" << g << "'");
-    spec.granularity = (g == "task") ? harness::SweepGranularity::kTask
-                                     : harness::SweepGranularity::kPoint;
-  }
+  const serve::CampaignSpec spec = serve::load_worker_spec(*cfg.get("spec"));
   serve::WorkerAssignment assignment;
   for (const long long index : cfg.get_int_list("indices", {})) {
     TGI_REQUIRE(index >= 0, "indices must be >= 0");

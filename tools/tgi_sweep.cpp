@@ -4,21 +4,14 @@
 //
 //   tgi_sweep outdir=results [sweep=16,32,...,128] [seed=N] [meter=model]
 //             [cluster=my.conf] [reference_cluster=ref.conf] [threads=N]
-//             [granularity=point|task]
 //             [faults=dropout=0.2,stuck=0.1,failure=0.05]
 //             [trace=DIR] [profile=DIR] [checkpoint=DIR] [--resume]
 //
 // Sweep points run on harness::ParallelSweep: `threads=N` (or `--threads
 // N`, or the TGI_THREADS environment variable; default hardware
 // concurrency) picks the worker count, and every value of it writes
-// byte-identical CSVs — threads=1 is today's serial execution.
-//
-// `granularity=task` routes the sweep through the task-graph executor
-// (DESIGN.md §12): each point decomposes into benchmark-level nodes that
-// pipeline through the pool, with joins merging in fixed roster order —
-// never completion order — so the output stays byte-identical to the
-// default `granularity=point` path at every thread count. Composes with
-// faults, trace, and checkpoint/resume unchanged.
+// byte-identical CSVs — threads=1 is today's serial execution. A sweep
+// point (the whole suite at one scale) is the one unit of work.
 //
 // `cluster`/`reference_cluster` load machine descriptions from spec files
 // (see sim/spec_io.h and clusters/*.conf); defaults are the paper's Fire
@@ -101,8 +94,8 @@ util::Config parse_args(int argc, const char* const* argv) {
       continue;
     }
     bool aliased = false;
-    for (const char* key : {"threads", "granularity", "faults", "trace",
-                            "profile", "checkpoint"}) {
+    for (const char* key :
+         {"threads", "faults", "trace", "profile", "checkpoint"}) {
       const std::string flag = std::string("--") + key;
       if (arg == flag && i + 1 < argc) {
         tokens.push_back(std::string(key) + "=" + argv[++i]);
@@ -126,8 +119,7 @@ util::Config parse_args(int argc, const char* const* argv) {
   util::require_known_keys(
       cfg,
       {"outdir", "sweep", "seed", "meter", "cluster", "reference_cluster",
-       "threads", "granularity", "faults", "trace", "profile", "checkpoint",
-       "resume"},
+       "threads", "faults", "trace", "profile", "checkpoint", "resume"},
       "tgi_sweep");
   return cfg;
 }
@@ -221,26 +213,6 @@ int run(int argc, const char* const* argv) {
   harness::ParallelSweepConfig sweep_cfg;
   sweep_cfg.threads = static_cast<std::size_t>(threads_raw);
   if (profile_dir) sweep_cfg.profiler = &profiler;
-
-  // Sweep decomposition (DESIGN.md §12). granularity=task pipelines
-  // benchmark-level graph nodes; the per-task WattsUp meters replay the
-  // shared-meter stream positions, so the bytes match the point path.
-  const std::string granularity = cfg.get_string("granularity", "point");
-  TGI_REQUIRE(granularity == "point" || granularity == "task",
-              "granularity must be 'point' or 'task', got '" + granularity +
-                  "'");
-  if (granularity == "task") {
-    sweep_cfg.granularity = harness::SweepGranularity::kTask;
-    if (exact) {
-      sweep_cfg.task_meters =
-          harness::model_task_meter_factory(util::seconds(0.5));
-    } else {
-      power::WattsUpConfig wcfg;
-      wcfg.seed = seed;
-      sweep_cfg.task_meters = harness::wattsup_task_meter_factory(
-          wcfg, harness::suite_benchmarks(sweep_cfg.suite).size());
-    }
-  }
 
   // Checkpoint journal (DESIGN.md §11). The spec text below must capture
   // everything that determines a sweep point's bytes: the system cluster,
