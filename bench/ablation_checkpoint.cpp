@@ -11,35 +11,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "harness/cache.h"
+#include "harness/checkpoint.h"
+
 namespace {
 
 using namespace tgi;
-
-bool same_measurements(const std::vector<core::BenchmarkMeasurement>& a,
-                       const std::vector<core::BenchmarkMeasurement>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].benchmark != b[i].benchmark ||
-        a[i].performance != b[i].performance ||
-        a[i].average_power.value() != b[i].average_power.value() ||
-        a[i].execution_time.value() != b[i].execution_time.value() ||
-        a[i].energy.value() != b[i].energy.value()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool same_points(const std::vector<harness::SuitePoint>& a,
-                 const std::vector<harness::SuitePoint>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!same_measurements(a[i].measurements, b[i].measurements)) {
-      return false;
-    }
-  }
-  return true;
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -69,6 +46,32 @@ std::size_t count_occurrences(const std::string& text,
   return count;
 }
 
+/// The experiment's plain sweep journaled into `dir` (resumed from it when
+/// `resume`), keyed by the one canonical spec text.
+std::vector<harness::SuitePoint> run_journaled(const bench::Experiment& e,
+                                               const std::string& dir,
+                                               bool resume,
+                                               std::size_t threads) {
+  const harness::SuiteConfig suite;
+  harness::CheckpointConfig ccfg;
+  ccfg.directory = dir;
+  ccfg.resume = resume;
+  harness::CheckpointJournal journal(
+      std::move(ccfg),
+      harness::journal_spec_hash(harness::cache_spec_text(
+          e.system_under_test, e.seed, e.meter_kind == "model", suite,
+          nullptr, 0, e.sweep)),
+      "plain", e.sweep);
+  harness::ParallelSweepConfig cfg;
+  cfg.suite = suite;
+  cfg.threads = threads;
+  cfg.checkpoint = &journal;
+  const harness::ParallelSweep sweep(
+      e.system_under_test,
+      bench::sweep_meter_factory(e, bench::suite_measurements(suite)), cfg);
+  return sweep.run(e.sweep);
+}
+
 double elapsed_ms(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -96,13 +99,13 @@ int main(int argc, char** argv) {
     const double plain_ms = elapsed_ms(t0);
 
     // Journaled full run: checkpointing must be observational.
-    e.checkpoint_dir = dir;
     t0 = std::chrono::steady_clock::now();
-    const std::vector<harness::SuitePoint> journaled = bench::run_sweep(e);
+    const std::vector<harness::SuitePoint> journaled =
+        run_journaled(e, dir, false, e.threads);
     const double journaled_ms = elapsed_ms(t0);
     bench::print_check(
         "checkpointed sweep is bit-identical to the plain sweep",
-        same_points(truth, journaled));
+        bench::same_points(truth, journaled));
 
     const std::string full_journal = slurp(journal_path);
     const std::vector<std::string> lines = journal_lines(full_journal);
@@ -121,20 +124,14 @@ int main(int argc, char** argv) {
         torn += lines[i];
       }
       util::atomic_write_file(journal_path, torn);
-      bench::Experiment r = bench::make_experiment(0, nullptr);
-      r.sweep = e.sweep;
-      r.seed = e.seed;
-      r.meter_kind = e.meter_kind;
-      r.threads = e.threads == 1 ? 2 : 1;
-      r.checkpoint_dir = dir;
-      r.resume = true;
       t0 = std::chrono::steady_clock::now();
-      const std::vector<harness::SuitePoint> resumed = bench::run_sweep(r);
+      const std::vector<harness::SuitePoint> resumed =
+          run_journaled(e, dir, true, e.threads == 1 ? 2 : 1);
       const double resumed_ms = elapsed_ms(t0);
       bench::print_check(
           "kill-and-resume at a different thread count reproduces every "
           "point",
-          same_points(truth, resumed));
+          bench::same_points(truth, resumed));
       const std::string resume_json = slurp(dir + "/resume.json");
       bench::print_check(
           "resume.json records exactly the replayed points",
@@ -156,31 +153,19 @@ int main(int argc, char** argv) {
           lines[0].size() + lines[1].size() + lines[1].size() / 2;
       corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x01);
       util::atomic_write_file(journal_path, corrupt);
-      bench::Experiment r = bench::make_experiment(0, nullptr);
-      r.sweep = e.sweep;
-      r.seed = e.seed;
-      r.meter_kind = e.meter_kind;
-      r.threads = e.threads;
-      r.checkpoint_dir = dir;
-      r.resume = true;
-      const std::vector<harness::SuitePoint> resumed = bench::run_sweep(r);
+      const std::vector<harness::SuitePoint> resumed =
+          run_journaled(e, dir, true, e.threads);
       bench::print_check(
           "a corrupted record is quarantined and recomputed bit-identically",
-          same_points(truth, resumed));
+          bench::same_points(truth, resumed));
       // The resume compacted the journal: every record is valid again, so
       // a second resume replays the full sweep.
-      bench::Experiment r2 = bench::make_experiment(0, nullptr);
-      r2.sweep = e.sweep;
-      r2.seed = e.seed;
-      r2.meter_kind = e.meter_kind;
-      r2.threads = e.threads;
-      r2.checkpoint_dir = dir;
-      r2.resume = true;
-      const std::vector<harness::SuitePoint> replayed = bench::run_sweep(r2);
+      const std::vector<harness::SuitePoint> replayed =
+          run_journaled(e, dir, true, e.threads);
       const std::string resume_json = slurp(dir + "/resume.json");
       bench::print_check(
           "after compaction a complete journal replays every point",
-          same_points(truth, replayed) &&
+          bench::same_points(truth, replayed) &&
               count_occurrences(resume_json, "point_resumed") ==
                   e.sweep.size());
     }

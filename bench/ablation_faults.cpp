@@ -16,21 +16,6 @@ namespace {
 
 using namespace tgi;
 
-bool same_measurements(const std::vector<core::BenchmarkMeasurement>& a,
-                       const std::vector<core::BenchmarkMeasurement>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].benchmark != b[i].benchmark ||
-        a[i].performance != b[i].performance ||
-        a[i].average_power.value() != b[i].average_power.value() ||
-        a[i].execution_time.value() != b[i].execution_time.value() ||
-        a[i].energy.value() != b[i].energy.value()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool same_counters(const harness::PointCounters& a,
                    const harness::PointCounters& b) {
   return a.attempts == b.attempts && a.retries == b.retries &&
@@ -45,8 +30,8 @@ bool same_robust_points(const std::vector<harness::RobustSuitePoint>& a,
                         const std::vector<harness::RobustSuitePoint>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!same_measurements(a[i].point.measurements,
-                           b[i].point.measurements) ||
+    if (!bench::same_measurements(a[i].point.measurements,
+                                  b[i].point.measurements) ||
         a[i].missing != b[i].missing ||
         !same_counters(a[i].counters, b[i].counters)) {
       return false;
@@ -113,8 +98,8 @@ int main(int argc, char** argv) {
       bool identical = robust_points.size() == plain.size();
       bool untouched = identical;
       for (std::size_t k = 0; identical && k < plain.size(); ++k) {
-        identical = same_measurements(plain[k].measurements,
-                                      robust_points[k].point.measurements);
+        identical = bench::same_measurements(
+            plain[k].measurements, robust_points[k].point.measurements);
         const harness::PointCounters& c = robust_points[k].counters;
         untouched = untouched && !robust_points[k].degraded() &&
                     c.retries == 0 && c.run_faults == 0 &&

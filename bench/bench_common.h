@@ -2,13 +2,14 @@
 //
 // Every figure/table binary accepts `key=value` overrides on the command
 // line (seed=…, sweep=…, csv=path, meter=wattsup|model, threads=N,
-// checkpoint=DIR, resume=1) and funnels through run_sweep() so all eight
-// experiments measure the same way the paper did: Fire behind the plug
-// meter, SystemG as the SPEC-style reference. Sweeps run on the
-// deterministic parallel engine (harness::ParallelSweep): threads=1
-// reproduces the serial execution bit-for-bit, threads=N prints the same
-// numbers N× faster. checkpoint=DIR journals completed points
-// (DESIGN.md §11); resume=1 replays them after a crash, byte-identically.
+// trace=DIR, plus any keys the harness itself reads; any other key fails)
+// and funnels through run_sweep() so all eight experiments measure the
+// same way the paper did: Fire behind the plug meter, SystemG as the
+// SPEC-style reference. Sweeps run on the deterministic parallel engine
+// (harness::ParallelSweep): threads=1 reproduces the serial execution
+// bit-for-bit, threads=N prints the same numbers N× faster. Checkpointed
+// sweeps are tgi_sweep's job (checkpoint=DIR, DESIGN.md §11);
+// bench/ablation_checkpoint builds its own journal.
 #pragma once
 
 #include <algorithm>
@@ -22,13 +23,11 @@
 #include <vector>
 
 #include "core/tgi.h"
-#include "harness/checkpoint.h"
 #include "harness/parallel.h"
 #include "harness/report.h"
 #include "harness/suite.h"
 #include "obs/trace.h"
 #include "sim/catalog.h"
-#include "sim/spec_io.h"
 #include "stats/correlation.h"
 #include "stats/regression.h"
 #include "util/atomic_file.h"
@@ -58,11 +57,6 @@ struct Experiment {
   /// observability record (DIR/trace.json + DIR/metrics.csv, DESIGN.md
   /// §10). Bit-identical for every threads= value; never changes results.
   std::optional<std::string> trace_dir;
-  /// When set (checkpoint=DIR), run_sweep() journals completed points to
-  /// DIR/journal.tgij; resume=1 replays the journal after a crash and the
-  /// output stays byte-identical to an uninterrupted run (DESIGN.md §11).
-  std::optional<std::string> checkpoint_dir;
-  bool resume = false;
   std::uint64_t seed = 0;
   std::string meter_kind;
   /// Worker threads for sweeps and fan-outs; 0 = default (TGI_THREADS
@@ -70,31 +64,22 @@ struct Experiment {
   std::size_t threads = 0;
 };
 
-/// Parses argv, additionally accepting the conventional `--threads N` /
-/// `--threads=N` spellings as aliases for the repo's `threads=N` form.
-inline util::Config parse_bench_args(int argc, const char* const* argv) {
-  std::vector<std::string> tokens;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    const std::string prefix = "--threads=";
-    if (arg == "--threads" && i + 1 < argc) {
-      tokens.push_back(std::string("threads=") + argv[++i]);
-    } else if (arg.rfind(prefix, 0) == 0) {
-      tokens.push_back("threads=" + arg.substr(prefix.size()));
-    } else {
-      tokens.push_back(std::move(arg));
-    }
-  }
-  std::vector<const char*> args;
-  args.push_back(argc > 0 ? argv[0] : "bench");
-  for (const std::string& t : tokens) args.push_back(t.c_str());
-  return util::Config::from_args(static_cast<int>(args.size()), args.data());
-}
-
-/// Parses argv into an Experiment (throws on malformed arguments).
-inline Experiment make_experiment(int argc, const char* const* argv) {
+/// Parses argv into an Experiment. Throws on malformed arguments and on
+/// any key that is neither a common one nor in `extra_keys` (the keys the
+/// harness reads from e.config itself).
+inline Experiment make_experiment(
+    int argc, const char* const* argv,
+    const std::vector<std::string>& extra_keys = {}) {
   Experiment e;
-  e.config = parse_bench_args(argc, argv);
+  // `--threads N` / `--threads=N` are aliases for `threads=N`.
+  e.config = util::Config::from_args(argc, argv, {"threads"});
+  std::vector<std::string> known{"sweep", "seed", "meter",
+                                 "threads", "csv", "trace"};
+  known.insert(known.end(), extra_keys.begin(), extra_keys.end());
+  util::require_known_keys(
+      e.config, known,
+      argc > 0 ? std::filesystem::path(argv[0]).filename().string()
+               : "bench");
   std::vector<long long> sweep_raw;
   for (std::size_t p : default_sweep()) {
     sweep_raw.push_back(static_cast<long long>(p));
@@ -125,10 +110,6 @@ inline Experiment make_experiment(int argc, const char* const* argv) {
   e.reference_system = sim::system_g();
   e.csv_path = e.config.get("csv");
   e.trace_dir = e.config.get("trace");
-  e.checkpoint_dir = e.config.get("checkpoint");
-  e.resume = e.config.get_bool("resume", false);
-  TGI_REQUIRE(!e.resume || e.checkpoint_dir,
-              "resume=1 requires checkpoint=DIR (nothing to resume from)");
   return e;
 }
 
@@ -139,45 +120,12 @@ inline std::size_t suite_measurements(const harness::SuiteConfig& suite) {
   return harness::suite_benchmarks(suite).size();
 }
 
-/// Writes trace.json + metrics.csv into `dir` (created if needed); each
-/// file is published atomically (write-to-temp + rename).
+/// Publishes trace.json + metrics.csv into `dir` and says so.
 inline void write_trace_files(const obs::SweepTrace& trace,
                               const std::string& dir) {
-  std::filesystem::create_directories(dir);
-  util::AtomicFile json(dir + "/trace.json");
-  trace.write_chrome_trace(json.stream());
-  json.commit();
-  util::AtomicFile metrics(dir + "/metrics.csv");
-  trace.write_metrics_csv(metrics.stream());
-  metrics.commit();
+  trace.write_files(dir);
   std::cout << "wrote " << dir << "/trace.json (" << trace.event_count()
             << " events) and metrics.csv\n";
-}
-
-/// Builds the checkpoint journal for a plain bench sweep when the user
-/// passed checkpoint=DIR (nullptr otherwise). The spec text captures
-/// everything that determines the sweep bytes — cluster, seed, meter
-/// kind, suite roster — so a stale journal from a different experiment
-/// setup is rejected instead of silently replayed.
-inline std::unique_ptr<harness::CheckpointJournal> make_checkpoint_journal(
-    const Experiment& e, const harness::SuiteConfig& suite) {
-  if (!e.checkpoint_dir) return nullptr;
-  std::string spec_text;
-  spec_text += "meter=" + e.meter_kind + "\n";
-  spec_text += "seed=" + std::to_string(e.seed) + "\n";
-  std::string roster;
-  for (const std::string& name : harness::suite_benchmarks(suite)) {
-    if (!roster.empty()) roster += ',';
-    roster += name;
-  }
-  spec_text += "suite=" + roster + "\n";
-  spec_text += sim::cluster_to_config(e.system_under_test);
-  harness::CheckpointConfig ccfg;
-  ccfg.directory = *e.checkpoint_dir;
-  ccfg.resume = e.resume;
-  return std::make_unique<harness::CheckpointJournal>(
-      std::move(ccfg), harness::journal_spec_hash(spec_text), "plain",
-      e.sweep);
 }
 
 /// Per-point meter factory matching the experiment's meter= selection,
@@ -202,9 +150,6 @@ inline std::vector<harness::SuitePoint> run_sweep(
   harness::ParallelSweepConfig cfg;
   cfg.suite = suite;
   cfg.threads = e.threads;
-  const std::unique_ptr<harness::CheckpointJournal> journal =
-      make_checkpoint_journal(e, suite);
-  cfg.checkpoint = journal.get();
   harness::ParallelSweep sweep(e.system_under_test,
                                sweep_meter_factory(e, suite_measurements(suite)),
                                cfg);
@@ -226,9 +171,69 @@ inline std::vector<double> ee_series(
   return out;
 }
 
+/// Bitwise equality of two measurement sets (== on every double, no
+/// tolerance: the determinism contract is exact).
+inline bool same_measurements(
+    const std::vector<core::BenchmarkMeasurement>& a,
+    const std::vector<core::BenchmarkMeasurement>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].benchmark != b[i].benchmark ||
+        a[i].metric_unit != b[i].metric_unit ||
+        a[i].performance != b[i].performance ||
+        a[i].average_power.value() != b[i].average_power.value() ||
+        a[i].execution_time.value() != b[i].execution_time.value() ||
+        a[i].energy.value() != b[i].energy.value()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Bitwise equality of two sweeps, point by point.
+inline bool same_points(const std::vector<harness::SuitePoint>& a,
+                        const std::vector<harness::SuitePoint>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k].processes != b[k].processes || a[k].nodes != b[k].nodes ||
+        !same_measurements(a[k].measurements, b[k].measurements)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// x axis (process counts) as doubles.
 inline std::vector<double> x_axis(const std::vector<std::size_t>& sweep) {
   return {sweep.begin(), sweep.end()};
+}
+
+/// Monotonic wall clock in seconds, for the micro benches' timings.
+inline double now_seconds() {
+  const auto t = std::chrono::steady_clock::now().time_since_epoch();
+  return std::chrono::duration<double>(t).count();
+}
+
+/// Compiler fence: forces `value` to exist in memory and clobbers the
+/// optimizer's view of it, so repeated timing iterations of a pure
+/// function cannot be hoisted or folded away.
+template <typename T>
+void keep(T& value) {
+  asm volatile("" : "+m"(value) : : "memory");
+}
+
+/// Best wall time of `trials` calls of `f`, after one untimed warm-up
+/// call (caches and the branch predictor).
+template <typename F>
+double best_seconds(std::size_t trials, F&& f) {
+  f();
+  double best = 1e300;
+  for (std::size_t t = 0; t < trials; ++t) {
+    const double t0 = now_seconds();
+    f();
+    best = std::min(best, now_seconds() - t0);
+  }
+  return best;
 }
 
 /// [check] lines that printed FAILED so far; run_harness exits 1 if any did.
@@ -308,10 +313,12 @@ inline void maybe_write_csv(const Experiment& e,
 }
 
 /// Common main() wrapper: uniform error reporting across the harnesses.
+/// `extra_keys` are the keys the harness reads from e.config itself.
 template <typename Body>
-int run_harness(int argc, const char* const* argv, Body body) {
+int run_harness(int argc, const char* const* argv, Body body,
+                const std::vector<std::string>& extra_keys = {}) {
   try {
-    Experiment e = make_experiment(argc, argv);
+    Experiment e = make_experiment(argc, argv, extra_keys);
     body(e);
     if (failed_checks > 0) {
       std::cerr << "error: " << failed_checks << " [check] line(s) FAILED\n";

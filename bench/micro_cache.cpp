@@ -11,7 +11,6 @@
 // to move it), the cache entry of the repo's BENCH_*.json perf trajectory.
 #include "bench_common.h"
 
-#include <chrono>
 #include <cstddef>
 #include <map>
 #include <vector>
@@ -20,15 +19,6 @@
 #include "harness/checkpoint.h"
 #include "serve/spec.h"
 #include "serve/worker.h"
-
-namespace {
-
-double now_seconds() {
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(t).count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tgi;
@@ -66,12 +56,12 @@ int main(int argc, char** argv) {
 
     // Cold: compute every point through the campaign worker and journal it
     // — what a cache miss costs.
-    const double cold_t0 = now_seconds();
+    const double cold_t0 = bench::now_seconds();
     const std::size_t journaled = serve::run_worker(spec, assignment);
-    const double cold_s = now_seconds() - cold_t0;
-    const harness::JournalState computed = harness::reconcile_journal(
-        harness::read_journal_file(assignment.journal_dir + "/journal.tgij"),
-        hash, mode, spec.sweep);
+    const double cold_s = bench::now_seconds() - cold_t0;
+    const harness::CacheLookup computed = harness::load_journal(
+        assignment.journal_dir + "/journal.tgij", hash, mode, spec.sweep,
+        "micro_cache: quarantined record");
     bench::print_check(
         "cold run journals every sweep point",
         journaled == spec.sweep.size() &&
@@ -85,9 +75,9 @@ int main(int argc, char** argv) {
     double warm_s = 1e300;
     harness::CacheLookup warm;
     for (std::size_t t = 0; t < trials; ++t) {
-      const double warm_t0 = now_seconds();
+      const double warm_t0 = bench::now_seconds();
       warm = cache.lookup(hash, mode, spec.sweep);
-      warm_s = std::min(warm_s, now_seconds() - warm_t0);
+      warm_s = std::min(warm_s, bench::now_seconds() - warm_t0);
     }
 
     bool all_hit = warm.damage.empty();
@@ -139,5 +129,5 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << out_path << "\n";
 
     std::filesystem::remove_all(scratch);
-  });
+  }, {"trials", "out", "scratch"});
 }

@@ -20,7 +20,6 @@
 // (BENCH_*.json series, see ROADMAP); ci.sh collects and gates on it.
 #include "bench_common.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -31,20 +30,8 @@
 namespace {
 
 namespace simd = tgi::util::simd;
-
-double now_seconds() {
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(t).count();
-}
-
-/// Compiler fence: forces `value` to exist in memory and clobbers the
-/// optimizer's view of it, so repeated timing iterations of a pure
-/// function cannot be hoisted or folded away (google-benchmark's
-/// DoNotOptimize, inlined here to keep the harness self-contained).
-template <typename T>
-void keep(T& value) {
-  asm volatile("" : "+m"(value) : : "memory");
-}
+using tgi::bench::best_seconds;
+using tgi::bench::keep;
 
 // Each variant is noinline so the timed region is the function as
 // compiled, not a caller-context specialization the other variant
@@ -92,18 +79,6 @@ __attribute__((noinline)) void triad_lane(const double* b, const double* c,
   const double* TGI_SIMD_RESTRICT vc = simd::assume_aligned(c);
   double* TGI_SIMD_RESTRICT va = simd::assume_aligned(a);
   for (std::size_t i = 0; i < n; ++i) va[i] = vb[i] + scalar * vc[i];
-}
-
-template <typename F>
-double best_seconds(std::size_t trials, F&& f) {
-  f();  // warm caches and the branch predictor outside the timing
-  double best = 1e300;
-  for (std::size_t t = 0; t < trials; ++t) {
-    const double t0 = now_seconds();
-    f();
-    best = std::min(best, now_seconds() - t0);
-  }
-  return best;
 }
 
 struct LaneResult {
@@ -270,5 +245,6 @@ int main(int argc, char** argv) {
                   << "}\n";
     json.commit();
     std::cout << "wrote " << out_path << "\n";
-  });
+  }, {"reduce_log2", "table_log2", "triad_log2", "repeats", "trials",
+      "out"});
 }

@@ -14,44 +14,7 @@
 #include "bench_common.h"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
-
-namespace {
-
-using tgi::harness::SuitePoint;
-
-double now_seconds() {
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(t).count();
-}
-
-/// Bitwise equality of two sweeps (== on every double, no tolerance: the
-/// determinism contract is exact).
-bool sweeps_identical(const std::vector<SuitePoint>& a,
-                      const std::vector<SuitePoint>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    if (a[k].processes != b[k].processes || a[k].nodes != b[k].nodes ||
-        a[k].measurements.size() != b[k].measurements.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < a[k].measurements.size(); ++i) {
-      const auto& ma = a[k].measurements[i];
-      const auto& mb = b[k].measurements[i];
-      if (ma.benchmark != mb.benchmark || ma.metric_unit != mb.metric_unit ||
-          ma.performance != mb.performance ||
-          ma.average_power.value() != mb.average_power.value() ||
-          ma.execution_time.value() != mb.execution_time.value() ||
-          ma.energy.value() != mb.energy.value()) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tgi;
@@ -69,8 +32,8 @@ int main(int argc, char** argv) {
     if (threads == 0) threads = util::ThreadPool::default_thread_count();
 
     // Legacy serial path: one runner, one meter shared across all points.
-    const double t0 = now_seconds();
-    std::vector<SuitePoint> serial;
+    const double t0 = bench::now_seconds();
+    std::vector<harness::SuitePoint> serial;
     {
       power::WattsUpConfig cfg;
       cfg.seed = e.seed;
@@ -78,7 +41,7 @@ int main(int argc, char** argv) {
       harness::SuiteRunner runner(e.system_under_test, meter);
       serial = runner.sweep(grid);
     }
-    const double t_serial = now_seconds() - t0;
+    const double t_serial = bench::now_seconds() - t0;
 
     harness::SuiteConfig suite;
     power::WattsUpConfig base;
@@ -88,17 +51,17 @@ int main(int argc, char** argv) {
 
     harness::ParallelSweepConfig one;
     one.threads = 1;
-    const double t1 = now_seconds();
+    const double t1 = bench::now_seconds();
     const auto points_1 =
         harness::ParallelSweep(e.system_under_test, factory, one).run(grid);
-    const double t_one = now_seconds() - t1;
+    const double t_one = bench::now_seconds() - t1;
 
     harness::ParallelSweepConfig many;
     many.threads = threads;
-    const double t2 = now_seconds();
+    const double t2 = bench::now_seconds();
     const auto points_n =
         harness::ParallelSweep(e.system_under_test, factory, many).run(grid);
-    const double t_many = now_seconds() - t2;
+    const double t_many = bench::now_seconds() - t2;
 
     util::TextTable table({"path", "threads", "wall (s)", "points/s"});
     auto rate = [&](double secs) {
@@ -118,8 +81,8 @@ int main(int argc, char** argv) {
               << util::fixed(speedup, 2) << "x with " << threads
               << " threads\n";
 
-    const bool identical_1 = sweeps_identical(serial, points_1);
-    const bool identical_n = sweeps_identical(serial, points_n);
+    const bool identical_1 = bench::same_points(serial, points_1);
+    const bool identical_n = bench::same_points(serial, points_n);
     bench::print_check("ParallelSweep(threads=1) output identical to serial",
                        identical_1);
     bench::print_check("ParallelSweep(threads=N) output identical to serial",
@@ -161,5 +124,5 @@ int main(int argc, char** argv) {
                   << "}\n";
     json.commit();
     std::cout << "wrote " << out_path << "\n";
-  });
+  }, {"repeat", "out"});
 }

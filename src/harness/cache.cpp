@@ -1,6 +1,5 @@
 #include "harness/cache.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <utility>
 
@@ -10,17 +9,6 @@
 #include "util/log.h"
 
 namespace tgi::harness {
-
-namespace {
-
-std::string hash_hex(std::uint64_t hash) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return std::string(buffer);
-}
-
-}  // namespace
 
 std::string cache_spec_text(const sim::ClusterSpec& cluster,
                             std::uint64_t seed, bool exact_meter,
@@ -40,9 +28,8 @@ std::string cache_spec_text(const sim::ClusterSpec& cluster,
     text += "faults=" + fault_spec_summary(*faults) + "\n";
     text += "stuck_run_limit=" + std::to_string(stuck_run_limit) + "\n";
   }
-  // The journal spec stops here (values live in its header record); the
-  // cache key must not — point k's RNG streams are keyed on k's position
-  // in THIS list, so the list is part of the point's identity.
+  // Point k's RNG streams are keyed on k's position in THIS list, so the
+  // list is part of the point's identity.
   std::string sweep;
   for (const std::size_t value : values) {
     if (!sweep.empty()) sweep += ',';
@@ -53,51 +40,50 @@ std::string cache_spec_text(const sim::ClusterSpec& cluster,
   return text;
 }
 
+CacheLookup load_journal(const std::string& path, std::uint64_t spec_hash,
+                         const std::string& mode,
+                         const std::vector<std::size_t>& values,
+                         const char* warn_prefix) {
+  CacheLookup out;
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) || ec) return out;
+  JournalContents contents;
+  try {
+    contents = read_journal_file(path);
+    JournalState state = reconcile_journal(contents, spec_hash, mode, values);
+    out.completed = std::move(state.completed);
+    out.damage = std::move(state.damage);
+  } catch (const util::TgiError& ex) {
+    // Unreadable (raced away), or a VALID header that contradicts the
+    // spec. For a resume journal the latter is a caller error; here the
+    // caller chose the path for this spec, so the journal is foreign or
+    // tampered — quarantine it wholesale and recompute.
+    out.completed.clear();
+    out.damage = std::move(contents.damage);
+    out.damage.push_back(
+        JournalDamage{0, std::string("shard rejected: ") + ex.what()});
+  }
+  for (const JournalDamage& d : out.damage) {
+    TGI_LOG_WARN(warn_prefix << " (" << path << " line " << d.line
+                             << "): " << d.reason);
+  }
+  return out;
+}
+
 ResultCache::ResultCache(std::string directory)
     : directory_(std::move(directory)) {
   TGI_REQUIRE(!directory_.empty(), "ResultCache needs a directory");
 }
 
 std::string ResultCache::shard_path(std::uint64_t spec_hash) const {
-  return directory_ + "/" + hash_hex(spec_hash) + ".tgij";
+  return directory_ + "/" + spec_hash_hex(spec_hash) + ".tgij";
 }
 
 CacheLookup ResultCache::lookup(std::uint64_t spec_hash,
                                 const std::string& mode,
                                 const std::vector<std::size_t>& values) const {
-  CacheLookup out;
-  const std::string path = shard_path(spec_hash);
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec) || ec) return out;
-  JournalContents contents;
-  try {
-    contents = read_journal_file(path);
-  } catch (const util::TgiError& ex) {
-    // Raced away or unreadable: a miss, not a crash.
-    out.damage.push_back(JournalDamage{0, std::string("unreadable: ") +
-                                              ex.what()});
-  }
-  if (out.damage.empty()) {
-    try {
-      JournalState state = reconcile_journal(contents, spec_hash, mode, values);
-      out.completed = std::move(state.completed);
-      out.damage = std::move(state.damage);
-    } catch (const util::TgiError& ex) {
-      // reconcile throws when a VALID header contradicts the current spec.
-      // For a resume journal that is a caller error; here the filename IS
-      // the spec hash, so a contradicting header means the shard is
-      // foreign or tampered — quarantine it wholesale and recompute.
-      out.completed.clear();
-      out.damage = std::move(contents.damage);
-      out.damage.push_back(
-          JournalDamage{0, std::string("shard rejected: ") + ex.what()});
-    }
-  }
-  for (const JournalDamage& d : out.damage) {
-    TGI_LOG_WARN("cache: quarantined entry (" << path << " line " << d.line
-                                              << "): " << d.reason);
-  }
-  return out;
+  return load_journal(shard_path(spec_hash), spec_hash, mode, values,
+                      "cache: quarantined entry");
 }
 
 void ResultCache::store(std::uint64_t spec_hash, const std::string& mode,

@@ -2,26 +2,26 @@
 //
 // The campaign engine (DESIGN.md §13) deduplicates sweep points across
 // many requests: a point is keyed by (spec_hash, point_index), where the
-// spec hash is the same FNV-1a digest the checkpoint journal stamps into
-// its header — but computed over a cache-specific canonical text that
-// ADDITIONALLY includes the sweep values. The journal's own hash excludes
-// them (they live in the header record), which is sound for resume because
-// resume re-supplies the same values; a cache shared across campaigns
-// cannot assume that, and a point's RNG streams are keyed on its *index*
-// in the value list, so two sweeps with different value lists must never
-// collide. cache_spec_text is the one canonicalizer; tests/harness/
-// test_cache_key.cpp pins its digests so accidental drift (which would
-// silently invalidate every cache on disk) fails loudly.
+// spec hash is journal_spec_hash() over cache_spec_text — the one
+// canonical text of a sweep's identity. The checkpoint journal of
+// `tgi_sweep checkpoint=DIR`, a campaign worker's journal and a cache
+// shard all carry this same key, so for one spec they are the same bytes.
+// The text includes the sweep values: a point's RNG streams are keyed on
+// its *index* in the value list, so two sweeps with different value lists
+// must never collide. tests/harness/test_cache_key.cpp pins its digests
+// so accidental drift (which would silently invalidate every cache on
+// disk) fails loudly.
 //
 // On-disk representation: one journal file per spec at
 // <dir>/<hash16>.tgij — the exact header+point record format of
 // harness/checkpoint.h (DESIGN.md §11), published atomically via
 // util::AtomicFile (the cache, unlike the mid-sweep journal, is only ever
-// written whole). Reads inherit the journal trust policy: a record is
-// fully valid or it is quarantined with a reason and its point recomputed;
-// a shard whose header disagrees with the hash in its own filename is
-// foreign or tampered and is quarantined wholesale. lookup() never throws
-// on damaged bytes — damage is data, not an error.
+// written whole). Every journal the engine reads — a cache shard or a
+// worker's journal — goes through load_journal, which inherits the journal
+// trust policy: a record is fully valid or it is quarantined with a reason
+// and its point recomputed; a journal whose header names another spec is
+// foreign or tampered and is quarantined wholesale. load_journal never
+// throws on damaged bytes — damage is data, not an error.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +36,13 @@
 
 namespace tgi::harness {
 
-/// The canonical spec text whose journal_spec_hash() keys the result
-/// cache. Layout mirrors tgi_sweep's checkpoint spec text (meter, seed,
-/// suite roster, fault plane + recovery policy, cluster config) plus the
-/// `sweep=` value list — everything that determines a point's bytes,
-/// including its position-keyed RNG streams. `faults` may be null
-/// (fault-free sweep); `stuck_run_limit` is only recorded alongside
-/// faults, matching the journal spec.
+/// The canonical spec text whose journal_spec_hash() keys checkpoint
+/// journals and the result cache: meter, seed, suite roster, fault plane +
+/// recovery policy, the `sweep=` value list, then the cluster config —
+/// everything that determines a point's bytes, including its
+/// position-keyed RNG streams. `faults` may be null (fault-free sweep);
+/// `stuck_run_limit` is only recorded alongside faults. The only code that
+/// builds spec key text; serve::spec_hash calls it for a sweep.
 [[nodiscard]] std::string cache_spec_text(
     const sim::ClusterSpec& cluster, std::uint64_t seed, bool exact_meter,
     const SuiteConfig& suite, const FaultSpec* faults,
@@ -60,6 +60,18 @@ struct CacheLookup {
   }
 };
 
+/// Reads the journal at `path` against one spec: the valid completed
+/// points plus every quarantined record. A missing file is an empty
+/// lookup; an unreadable file, damaged records and a valid header for
+/// another spec, mode or value list are all quarantined into `damage`, and
+/// each is logged at WARN as "<warn_prefix> (<path> line N): <reason>".
+/// Never throws on bad bytes.
+[[nodiscard]] CacheLookup load_journal(const std::string& path,
+                                       std::uint64_t spec_hash,
+                                       const std::string& mode,
+                                       const std::vector<std::size_t>& values,
+                                       const char* warn_prefix);
+
 /// A persistent, content-addressed store of completed sweep points.
 class ResultCache {
  public:
@@ -71,10 +83,10 @@ class ResultCache {
   /// Shard file for a spec: <directory>/<hash16>.tgij.
   [[nodiscard]] std::string shard_path(std::uint64_t spec_hash) const;
 
-  /// Reads the spec's shard. A missing shard is an empty (all-miss)
-  /// lookup; damaged records — torn, bit-flipped, duplicated, foreign —
-  /// are quarantined into `damage` and treated as misses. Never throws on
-  /// bad bytes.
+  /// Reads the spec's shard through load_journal. A missing shard is an
+  /// empty (all-miss) lookup; damaged records — torn, bit-flipped,
+  /// duplicated, foreign — are quarantined into `damage` and treated as
+  /// misses. Never throws on bad bytes.
   [[nodiscard]] CacheLookup lookup(
       std::uint64_t spec_hash, const std::string& mode,
       const std::vector<std::size_t>& values) const;

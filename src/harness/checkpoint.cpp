@@ -27,6 +27,12 @@ std::uint64_t journal_spec_hash(std::string_view canonical_spec) {
   return hash;
 }
 
+std::string spec_hash_hex(std::uint64_t hash) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);
+  return buf;
+}
+
 namespace {
 
 constexpr char kMagic[] = "TGIJ1";
@@ -113,12 +119,6 @@ std::size_t decode_size(const std::string& text) {
 std::string crc_hex(std::uint32_t crc) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%08x", crc);
-  return buf;
-}
-
-std::string hash_hex(std::uint64_t hash) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);
   return buf;
 }
 
@@ -446,7 +446,7 @@ std::string encode_header_record(std::uint64_t spec_hash,
                                                                 << "'");
   FieldWriter fields;
   fields.add("v", "1");
-  fields.add("spec", hash_hex(spec_hash));
+  fields.add("spec", spec_hash_hex(spec_hash));
   fields.add("mode", mode);
   fields.add("values", encode_values(values));
   return encode_record_line("header", fields.payload());
@@ -553,8 +553,8 @@ JournalState reconcile_journal(const JournalContents& contents,
     throw util::TgiError(
         "checkpoint journal was written for a different sweep spec (journal "
         "spec " +
-        hash_hex(contents.spec_hash) + ", current spec " +
-        hash_hex(spec_hash) +
+        spec_hash_hex(contents.spec_hash) + ", current spec " +
+        spec_hash_hex(spec_hash) +
         "); delete the checkpoint directory or rerun without resume");
   }
   if (contents.mode != mode) {

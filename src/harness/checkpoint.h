@@ -54,9 +54,14 @@ namespace tgi::harness {
 
 /// FNV-1a 64-bit hash of a canonical spec string — the journal's guard
 /// against resuming a sweep under a different cluster/seed/fault/suite
-/// configuration. Callers build the canonical string from every input that
-/// feeds the sweep's results (see tgi_sweep).
+/// configuration, and the result cache's key. The canonical string is
+/// harness::cache_spec_text (harness/cache.h), built for a sweep by
+/// serve::spec_hash.
 [[nodiscard]] std::uint64_t journal_spec_hash(std::string_view canonical_spec);
+
+/// A spec hash as 16 lowercase hex digits: the journal header field, the
+/// cache shard file name, and provenance all print it this way.
+[[nodiscard]] std::string spec_hash_hex(std::uint64_t hash);
 
 /// One quarantined journal line and why it was rejected.
 struct JournalDamage {

@@ -1,8 +1,10 @@
 #include "obs/trace.h"
 
+#include <filesystem>
 #include <ostream>
 
 #include "obs/json.h"
+#include "util/atomic_file.h"
 #include "util/error.h"
 #include "util/table.h"
 
@@ -135,6 +137,16 @@ void SweepTrace::write_metrics_csv(std::ostream& out) const {
     write_scope("point" + std::to_string(point.point_index()),
                 point.metrics());
   }
+}
+
+void SweepTrace::write_files(const std::string& dir) const {
+  std::filesystem::create_directories(dir);
+  util::AtomicFile json(dir + "/trace.json");
+  write_chrome_trace(json.stream());
+  json.commit();
+  util::AtomicFile metrics(dir + "/metrics.csv");
+  write_metrics_csv(metrics.stream());
+  metrics.commit();
 }
 
 }  // namespace tgi::obs

@@ -130,6 +130,10 @@ class SweepTrace {
   /// by name within each scope. Byte-deterministic.
   void write_metrics_csv(std::ostream& out) const;
 
+  /// Publishes <dir>/trace.json and <dir>/metrics.csv (creating `dir`),
+  /// each atomically through util::AtomicFile.
+  void write_files(const std::string& dir) const;
+
  private:
   std::vector<PointRecorder> points_;
   MetricRegistry totals_;

@@ -1,6 +1,6 @@
 #include "serve/campaign.h"
 
-#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -20,7 +20,6 @@
 #include "util/atomic_file.h"
 #include "util/error.h"
 #include "util/format.h"
-#include "util/log.h"
 #include "util/table.h"
 
 namespace tgi::serve {
@@ -28,13 +27,6 @@ namespace tgi::serve {
 namespace {
 
 using harness::PointRecord;
-
-std::string hash_hex(std::uint64_t hash) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return std::string(buffer);
-}
 
 std::string join_indices(const std::vector<std::size_t>& indices) {
   std::string text;
@@ -53,42 +45,17 @@ std::map<std::size_t, PointRecord> merge_journal(
     const std::string& journal_path, std::uint64_t hash,
     const std::string& mode, const std::vector<std::size_t>& values,
     CampaignStats& stats) {
-  std::map<std::size_t, PointRecord> records;
-  std::error_code ec;
-  if (!std::filesystem::exists(journal_path, ec) || ec) return records;
-  std::vector<harness::JournalDamage> damage;
-  try {
-    const harness::JournalContents contents =
-        harness::read_journal_file(journal_path);
-    harness::JournalState state =
-        harness::reconcile_journal(contents, hash, mode, values);
-    records = std::move(state.completed);
-    damage = std::move(state.damage);
-  } catch (const util::TgiError& ex) {
-    damage.push_back(harness::JournalDamage{
-        0, std::string("worker journal rejected: ") + ex.what()});
-  }
-  for (const harness::JournalDamage& d : damage) {
-    TGI_LOG_WARN("serve: quarantined worker record (" << journal_path
-                                                      << " line " << d.line
-                                                      << "): " << d.reason);
-  }
-  stats.quarantined += damage.size();
-  return records;
+  harness::CacheLookup loaded = harness::load_journal(
+      journal_path, hash, mode, values, "serve: quarantined worker record");
+  stats.quarantined += loaded.damage.size();
+  return std::move(loaded.completed);
 }
 
-/// Computes the entry's reference point (tgi_sweep's make_meter(1) +
+/// Computes the entry's reference point (reference_meter +
 /// reference_measurements, wrapped as a journal record so it can ride the
 /// cache like any sweep point).
 PointRecord compute_reference_record(const CampaignSpec& spec) {
-  std::unique_ptr<power::PowerMeter> meter;
-  if (spec.exact_meter) {
-    meter = std::make_unique<power::ModelMeter>(util::seconds(0.5));
-  } else {
-    power::WattsUpConfig wcfg;
-    wcfg.seed = spec.seed + 1;
-    meter = std::make_unique<power::WattsUpMeter>(wcfg);
-  }
+  const std::unique_ptr<power::PowerMeter> meter = reference_meter(spec);
   const std::size_t cores = spec.reference.total_cores();
   obs::PointRecorder recorder(0, std::to_string(cores));
   harness::SuitePoint point;
@@ -100,6 +67,88 @@ PointRecord compute_reference_record(const CampaignSpec& spec) {
 }
 
 }  // namespace
+
+std::size_t write_sweep_summary(
+    const CampaignSpec& spec,
+    const std::map<std::size_t, harness::PointRecord>& records,
+    const core::TgiCalculator& calc, const std::string& dir,
+    const std::string& point_prefix, const std::string& label,
+    std::ostream& out) {
+  const auto point_csv = [&dir, &point_prefix](std::size_t value) {
+    return dir + "/" + point_prefix + std::to_string(value) + ".csv";
+  };
+  if (spec.faulted()) {
+    std::size_t measurement_csvs = 0;
+    util::AtomicFile fault_file(dir + "/faults_summary.csv");
+    util::CsvWriter fcsv(fault_file.stream());
+    fcsv.write_row({"cores", "tgi_am", "missing", "attempts", "retries",
+                    "run_faults", "meter_faults", "rejected_readings",
+                    "dropped_benchmarks", "backoff_s", "stalled_s"});
+    for (std::size_t k = 0; k < spec.sweep.size(); ++k) {
+      const PointRecord& record = records.at(k);
+      std::string missing;
+      for (const std::string& name : record.missing) {
+        if (!missing.empty()) missing += '+';
+        missing += name;
+      }
+      std::string tgi_am = "nan";
+      if (!record.point.measurements.empty()) {
+        const core::PartialTgiResult partial = calc.compute_partial(
+            record.point.measurements, core::WeightScheme::kArithmeticMean);
+        tgi_am = util::fixed(partial.result.tgi, 6);
+        harness::write_measurements_file(point_csv(spec.sweep[k]),
+                                         record.point.measurements);
+        ++measurement_csvs;
+      }
+      const harness::PointCounters& c = record.counters;
+      fcsv.write_row({std::to_string(spec.sweep[k]), tgi_am, missing,
+                      std::to_string(c.attempts), std::to_string(c.retries),
+                      std::to_string(c.run_faults),
+                      std::to_string(c.meter_faults),
+                      std::to_string(c.rejected_readings),
+                      std::to_string(c.dropped_benchmarks),
+                      util::fixed(c.backoff.value(), 1),
+                      util::fixed(c.stalled.value(), 1)});
+      out << label << "cores " << spec.sweep[k] << ": TGI(AM) " << tgi_am
+          << (record.missing.empty() ? ""
+                                     : " [partial: missing " + missing + "]")
+          << " attempts=" << c.attempts << " retries=" << c.retries
+          << " faults=" << c.run_faults + c.meter_faults << "\n";
+    }
+    fault_file.commit();
+    return measurement_csvs;
+  }
+  util::AtomicFile summary_file(dir + "/sweep_summary.csv");
+  util::CsvWriter summary(summary_file.stream());
+  summary.write_row({"cores", "tgi_am", "tgi_time", "tgi_energy",
+                     "tgi_power", "hpl_mflops", "hpl_watts", "stream_mbps",
+                     "stream_watts", "iozone_mbps", "iozone_watts"});
+  for (std::size_t k = 0; k < spec.sweep.size(); ++k) {
+    const PointRecord& record = records.at(k);
+    harness::write_measurements_file(point_csv(spec.sweep[k]),
+                                     record.point.measurements);
+    std::vector<std::string> row{std::to_string(spec.sweep[k])};
+    double tgi_am = 0.0;
+    for (const core::WeightScheme scheme :
+         {core::WeightScheme::kArithmeticMean, core::WeightScheme::kTime,
+          core::WeightScheme::kEnergy, core::WeightScheme::kPower}) {
+      const double value = calc.compute(record.point.measurements, scheme).tgi;
+      if (scheme == core::WeightScheme::kArithmeticMean) tgi_am = value;
+      row.push_back(util::fixed(value, 6));
+    }
+    for (const char* name : {"HPL", "STREAM", "IOzone"}) {
+      const core::BenchmarkMeasurement& m =
+          core::find_measurement(record.point.measurements, name);
+      row.push_back(util::fixed(m.performance, 3));
+      row.push_back(util::fixed(m.average_power.value(), 3));
+    }
+    summary.write_row(row);
+    out << label << "cores " << spec.sweep[k] << ": TGI(AM) "
+        << util::fixed(tgi_am, 4) << "\n";
+  }
+  summary_file.commit();
+  return spec.sweep.size();
+}
 
 std::string CampaignStats::summary() const {
   return "entries=" + std::to_string(entries) +
@@ -221,82 +270,9 @@ void emit_entry(const CampaignConfig& config, const CampaignSpec& entry,
                                    reference.point.measurements);
   const core::TgiCalculator calc(reference.point.measurements);
 
-  std::size_t measurement_csvs = 1;  // reference.csv
-  if (entry.faulted()) {
-    util::AtomicFile fault_file(dir + "/faults_summary.csv");
-    util::CsvWriter fcsv(fault_file.stream());
-    fcsv.write_row({"cores", "tgi_am", "missing", "attempts", "retries",
-                    "run_faults", "meter_faults", "rejected_readings",
-                    "dropped_benchmarks", "backoff_s", "stalled_s"});
-    for (std::size_t k = 0; k < entry.sweep.size(); ++k) {
-      const PointRecord& record = records.at(k);
-      std::string missing;
-      for (const std::string& name : record.missing) {
-        if (!missing.empty()) missing += '+';
-        missing += name;
-      }
-      std::string tgi_am = "nan";
-      if (!record.point.measurements.empty()) {
-        const core::PartialTgiResult partial = calc.compute_partial(
-            record.point.measurements, core::WeightScheme::kArithmeticMean);
-        tgi_am = util::fixed(partial.result.tgi, 6);
-        harness::write_measurements_file(
-            dir + "/point_" + std::to_string(entry.sweep[k]) + ".csv",
-            record.point.measurements);
-        ++measurement_csvs;
-      }
-      const harness::PointCounters& c = record.counters;
-      fcsv.write_row({std::to_string(entry.sweep[k]), tgi_am, missing,
-                      std::to_string(c.attempts), std::to_string(c.retries),
-                      std::to_string(c.run_faults),
-                      std::to_string(c.meter_faults),
-                      std::to_string(c.rejected_readings),
-                      std::to_string(c.dropped_benchmarks),
-                      util::fixed(c.backoff.value(), 1),
-                      util::fixed(c.stalled.value(), 1)});
-      out << "[" << entry.name << "] cores " << entry.sweep[k] << ": TGI(AM) "
-          << tgi_am
-          << (record.missing.empty() ? ""
-                                     : " [partial: missing " + missing + "]")
-          << " attempts=" << c.attempts << " retries=" << c.retries
-          << " faults=" << c.run_faults + c.meter_faults << "\n";
-    }
-    fault_file.commit();
-  } else {
-    const std::vector<core::WeightScheme> schemes{
-        core::WeightScheme::kArithmeticMean, core::WeightScheme::kTime,
-        core::WeightScheme::kEnergy, core::WeightScheme::kPower};
-    util::AtomicFile summary_file(dir + "/sweep_summary.csv");
-    util::CsvWriter summary(summary_file.stream());
-    summary.write_row({"cores", "tgi_am", "tgi_time", "tgi_energy",
-                       "tgi_power", "hpl_mflops", "hpl_watts", "stream_mbps",
-                       "stream_watts", "iozone_mbps", "iozone_watts"});
-    for (std::size_t k = 0; k < entry.sweep.size(); ++k) {
-      const PointRecord& record = records.at(k);
-      harness::write_measurements_file(
-          dir + "/point_" + std::to_string(entry.sweep[k]) + ".csv",
-          record.point.measurements);
-      ++measurement_csvs;
-      std::vector<std::string> row{std::to_string(entry.sweep[k])};
-      double tgi_am = 0.0;
-      for (const core::WeightScheme scheme : schemes) {
-        const double value =
-            calc.compute(record.point.measurements, scheme).tgi;
-        if (scheme == core::WeightScheme::kArithmeticMean) tgi_am = value;
-        row.push_back(util::fixed(value, 6));
-      }
-      for (const char* name : {"HPL", "STREAM", "IOzone"}) {
-        const core::BenchmarkMeasurement& m =
-            core::find_measurement(record.point.measurements, name);
-        row.push_back(util::fixed(m.performance, 3));
-        row.push_back(util::fixed(m.average_power.value(), 3));
-      }
-      summary.write_row(row);
-      out << "[" << entry.name << "] cores " << entry.sweep[k] << ": TGI(AM) "
-          << util::fixed(tgi_am, 4) << "\n";
-    }
-    summary_file.commit();
-  }
+  const std::size_t measurement_csvs =
+      1 + write_sweep_summary(entry, records, calc, dir, "point_",
+                              "[" + entry.name + "] ", out);
 
   if (config.trace) {
     std::vector<obs::PointRecorder> recorders;
@@ -308,14 +284,7 @@ void emit_entry(const CampaignConfig& config, const CampaignSpec& entry,
     }
     const obs::SweepTrace trace =
         obs::SweepTrace::merge(std::move(recorders));
-    const std::string trace_dir = dir + "/trace";
-    std::filesystem::create_directories(trace_dir);
-    util::AtomicFile trace_json(trace_dir + "/trace.json");
-    trace.write_chrome_trace(trace_json.stream());
-    trace_json.commit();
-    util::AtomicFile metrics(trace_dir + "/metrics.csv");
-    trace.write_metrics_csv(metrics.stream());
-    metrics.commit();
+    trace.write_files(dir + "/trace");
     out << "[" << entry.name << "] wrote trace (" << trace.event_count()
         << " events) and metrics\n";
   }
@@ -452,10 +421,10 @@ CampaignStats CampaignEngine::run(const std::vector<CampaignSpec>& entries,
   for (std::size_t i = 0; i < provenance.size(); ++i) {
     const EntryProvenance& p = provenance[i];
     json.stream() << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << p.name
-                  << "\", \"spec\": \"" << hash_hex(p.spec)
+                  << "\", \"spec\": \"" << harness::spec_hash_hex(p.spec)
                   << "\", \"reference_spec\": \""
-                  << hash_hex(p.reference_spec) << "\", \"points\": "
-                  << p.points << ", \"hits\": " << p.hits
+                  << harness::spec_hash_hex(p.reference_spec)
+                  << "\", \"points\": " << p.points << ", \"hits\": " << p.hits
                   << ", \"computed\": " << p.computed;
     // The supervision taxonomy (DESIGN.md §15) — like every other
     // cache/worker-dependent fact, it lives here and on stderr only.

@@ -35,8 +35,12 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
+
+#include "core/tgi.h"
+#include "harness/checkpoint.h"
 
 #include "serve/spec.h"
 #include "serve/supervisor.h"
@@ -78,6 +82,19 @@ struct CampaignStats {
 
   [[nodiscard]] std::string summary() const;
 };
+
+/// Writes one sweep's summary — faults_summary.csv for a faulted spec,
+/// sweep_summary.csv otherwise — plus <dir>/<point_prefix><value>.csv for
+/// every point with measurements, and prints one report line per point to
+/// `out`, each starting with `label`. `records` holds every index of
+/// spec.sweep. The campaign engine and tgi_sweep both emit through this,
+/// so their CSVs agree byte for byte. Returns the measurement CSVs written.
+std::size_t write_sweep_summary(
+    const CampaignSpec& spec,
+    const std::map<std::size_t, harness::PointRecord>& records,
+    const core::TgiCalculator& calc, const std::string& dir,
+    const std::string& point_prefix, const std::string& label,
+    std::ostream& out);
 
 class CampaignEngine {
  public:

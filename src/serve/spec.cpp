@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "harness/cache.h"
+#include "harness/suite.h"
 #include "sim/catalog.h"
 #include "sim/spec_io.h"
 #include "util/config.h"
@@ -81,15 +82,8 @@ CampaignSpec build_entry(const std::string& name, const util::Config& cfg,
       resolve_cluster(cfg.get_string("reference", "systemg"), base_dir);
   TGI_REQUIRE(cfg.has("sweep"),
               "campaign entry [" << name << "] needs sweep=V1,V2,...");
-  for (const long long value : cfg.get_int_list("sweep", {})) {
-    TGI_REQUIRE(value > 0, "campaign entry [" << name
-                                              << "]: sweep values must be "
-                                                 "positive, got "
-                                              << value);
-    spec.sweep.push_back(static_cast<std::size_t>(value));
-  }
-  TGI_REQUIRE(!spec.sweep.empty(),
-              "campaign entry [" << name << "] needs a non-empty sweep");
+  spec.sweep = checked_sweep(cfg.get_int_list("sweep", {}), spec.cluster,
+                             "campaign entry [" + name + "]");
   spec.seed = static_cast<std::uint64_t>(
       cfg.get_int("seed", static_cast<long long>(spec.seed)));
   const std::string meter = cfg.get_string("meter", "wattsup");
@@ -114,16 +108,57 @@ harness::FaultSpec CampaignSpec::faults() const {
   return harness::parse_fault_spec(fault_text);
 }
 
+std::vector<std::size_t> checked_sweep(const std::vector<long long>& values,
+                                       const sim::ClusterSpec& cluster,
+                                       const std::string& context) {
+  TGI_REQUIRE(!values.empty(), context << " needs a non-empty sweep");
+  const std::size_t cores = cluster.total_cores();
+  std::vector<std::size_t> sweep;
+  sweep.reserve(values.size());
+  for (const long long value : values) {
+    TGI_REQUIRE(value >= 1 && static_cast<unsigned long long>(value) <= cores,
+                context << ": sweep value " << value << " is outside [1, "
+                        << cores << "] (" << cluster.name << " has " << cores
+                        << " cores)");
+    sweep.push_back(static_cast<std::size_t>(value));
+  }
+  return sweep;
+}
+
 const char* spec_mode(const CampaignSpec& spec) {
   return spec.faulted() ? "robust" : "plain";
 }
 
 harness::RobustConfig spec_robust_config(const CampaignSpec& spec) {
   harness::RobustConfig robust;
-  // Mirrors tgi_sweep: repeated bit-identical samples are suspicious on
-  // the noisy WattsUp simulation, legitimate on ModelMeter's flat phases.
+  // Repeated bit-identical samples are suspicious on the noisy WattsUp
+  // simulation, legitimate on ModelMeter's flat phases.
   if (!spec.exact_meter) robust.stuck_run_limit = 8;
   return robust;
+}
+
+harness::MeterFactory spec_meter_factory(const CampaignSpec& spec) {
+  if (spec.exact_meter) {
+    return harness::model_meter_factory(util::seconds(0.5));
+  }
+  const harness::SuiteConfig suite;
+  power::WattsUpConfig wcfg;
+  wcfg.seed = spec.seed;
+  // Point k's meter starts k strides into the shared-meter stream, one
+  // stride being the measurements a point takes (retries included).
+  return harness::wattsup_meter_factory(
+      wcfg, spec.faulted() ? harness::robust_measurements_per_point(
+                                 suite, spec_robust_config(spec))
+                           : harness::suite_benchmarks(suite).size());
+}
+
+std::unique_ptr<power::PowerMeter> reference_meter(const CampaignSpec& spec) {
+  if (spec.exact_meter) {
+    return std::make_unique<power::ModelMeter>(util::seconds(0.5));
+  }
+  power::WattsUpConfig wcfg;
+  wcfg.seed = spec.seed + 1;
+  return std::make_unique<power::WattsUpMeter>(wcfg);
 }
 
 std::string canonical_spec_text(const CampaignSpec& spec) {
@@ -145,8 +180,8 @@ std::uint64_t spec_hash(const CampaignSpec& spec) {
 
 std::string reference_spec_text(const CampaignSpec& spec) {
   const harness::SuiteConfig suite;
-  // Reference meters get the +1 seed salt (tgi_sweep's make_meter(1)), and
-  // the marker line separates the reference keyspace from plain sweeps.
+  // Reference meters get the +1 seed salt (reference_meter), and the
+  // marker line separates the reference keyspace from plain sweeps.
   return "reference=1\n" +
          harness::cache_spec_text(
              spec.reference, spec.seed + 1, spec.exact_meter, suite, nullptr,

@@ -27,19 +27,22 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/faults.h"
 #include "harness/parallel.h"
 #include "harness/robust.h"
+#include "power/meter.h"
 #include "sim/machine.h"
 
 namespace tgi::serve {
 
-/// One campaign entry: everything that determines a sweep's bytes, plus
-/// its presentation name and the reference machine (which only affects
-/// derived TGI output, never the cached raw measurements).
+/// One sweep spec — a campaign entry, a worker handoff, or one tgi_sweep
+/// invocation: everything that determines a sweep's bytes, plus its
+/// presentation name and the reference machine (which only affects
+/// derived TGI output, never the journaled raw measurements).
 struct CampaignSpec {
   std::string name;
   sim::ClusterSpec cluster;
@@ -59,16 +62,37 @@ struct CampaignSpec {
   [[nodiscard]] harness::FaultSpec faults() const;
 };
 
+/// The sweep values a spec may carry on `cluster`: each in
+/// [1, cluster.total_cores()], at least one. Throws a PreconditionError
+/// naming `context` otherwise. Every front end (campaign entries, worker
+/// handoffs, tgi_sweep) builds its sweep through this one check, before
+/// it writes any output.
+[[nodiscard]] std::vector<std::size_t> checked_sweep(
+    const std::vector<long long>& values, const sim::ClusterSpec& cluster,
+    const std::string& context);
+
 /// "plain" or "robust" — the journal/cache mode this entry runs under.
 [[nodiscard]] const char* spec_mode(const CampaignSpec& spec);
 
-/// The recovery policy the entry's robust sweeps use (mirrors tgi_sweep:
-/// stuck_run_limit=8 on the noisy WattsUp instrument, 0 on ModelMeter).
+/// The recovery policy the entry's robust sweeps use: stuck_run_limit=8
+/// on the noisy WattsUp instrument, 0 on ModelMeter.
 [[nodiscard]] harness::RobustConfig spec_robust_config(
     const CampaignSpec& spec);
 
-/// Canonical cache-key text for the entry's sweep points
-/// (harness::cache_spec_text) and its FNV-1a digest.
+/// The per-point meter factory of the entry's sweep: a WattsUp meter
+/// seeded with spec.seed whose run offsets stride by the measurements one
+/// point takes in the entry's mode, or the exact ModelMeter.
+[[nodiscard]] harness::MeterFactory spec_meter_factory(
+    const CampaignSpec& spec);
+
+/// The meter of the entry's reference run: the sweep meter's kind with the
+/// seed salted by +1.
+[[nodiscard]] std::unique_ptr<power::PowerMeter> reference_meter(
+    const CampaignSpec& spec);
+
+/// Canonical key text for the entry's sweep points
+/// (harness::cache_spec_text) and its FNV-1a digest — the header key of
+/// its checkpoint journal, worker journals and cache shard alike.
 [[nodiscard]] std::string canonical_spec_text(const CampaignSpec& spec);
 [[nodiscard]] std::uint64_t spec_hash(const CampaignSpec& spec);
 

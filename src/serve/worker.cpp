@@ -20,18 +20,6 @@ namespace tgi::serve {
 
 namespace {
 
-/// Mirrors tgi_sweep's make_meter(0): the sweep meter factory with the
-/// engine-wide per-point stride.
-harness::MeterFactory point_meter_factory(const CampaignSpec& spec,
-                                          std::size_t stride) {
-  if (spec.exact_meter) {
-    return harness::model_meter_factory(util::seconds(0.5));
-  }
-  power::WattsUpConfig wcfg;
-  wcfg.seed = spec.seed;
-  return harness::wattsup_meter_factory(wcfg, stride);
-}
-
 /// True when any deterministic process-fault hook is armed (DESIGN.md
 /// §15); an armed hook forces the serial assignment-order path.
 bool fault_hook_armed(const WorkerAssignment& a) {
@@ -99,9 +87,7 @@ std::size_t run_worker(const CampaignSpec& spec, const WorkerAssignment& a) {
       spec.faulted() ? std::optional<harness::FaultPlan>(spec.faults())
                      : std::nullopt;
   const harness::RobustConfig robust = spec_robust_config(spec);
-  const harness::MeterFactory factory = point_meter_factory(
-      spec, plan ? harness::robust_measurements_per_point(suite, robust)
-                 : harness::suite_benchmarks(suite).size());
+  const harness::MeterFactory factory = spec_meter_factory(spec);
   const auto run_point = [&spec, &a, &values, &recorders, &plan, &robust,
                           &suite, &factory, &journal](std::size_t i) {
     const std::size_t k = a.indices[i];

@@ -16,6 +16,14 @@
 // CRC-32 checksums instead: a torn tail record fails its checksum and is
 // quarantined on read. The checksum primitive lives here so both halves of
 // the durability story share one implementation.
+//
+// Durability contract. Both paths flush to the kernel and never fsync. A
+// publication (the rename) or a journal append that has returned survives
+// a crash of this process — SIGKILL included — and is seen whole by any
+// concurrent process: readers observe old-or-new bytes, never a torn
+// artifact, and at worst one torn journal tail record, which its CRC
+// quarantines. Neither survives an OS crash or a power loss: the kernel
+// may not have written the data, or the rename, to disk yet.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "util/config.h"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -77,10 +78,27 @@ Config Config::parse(const std::string& text) {
   return cfg;
 }
 
-Config Config::from_args(int argc, const char* const* argv) {
+Config Config::from_args(int argc, const char* const* argv,
+                         const std::vector<std::string>& flag_keys,
+                         const std::vector<std::string>& switches) {
+  const auto listed = [](const std::vector<std::string>& names,
+                         const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
   Config cfg;
   for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
+    std::string token = argv[i];
+    if (token.rfind("--", 0) == 0) {
+      const std::string body = token.substr(2);
+      const std::string name = body.substr(0, body.find('='));
+      if (name == body && listed(switches, name)) {
+        token = name + "=1";
+      } else if (name != body && listed(flag_keys, name)) {
+        token = body;
+      } else if (listed(flag_keys, name) && i + 1 < argc) {
+        token = name + "=" + argv[++i];
+      }
+    }
     const auto eq = token.find('=');
     TGI_REQUIRE(eq != std::string::npos && eq > 0,
                 "argument '" << token << "' is not key=value");

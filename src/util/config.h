@@ -40,9 +40,13 @@ class Config {
   /// Parses configuration text. Throws TgiError on malformed lines.
   static Config parse(const std::string& text);
 
-  /// Parses `key=value` command-line tokens (argv[1..)). Tokens without '='
-  /// are rejected. Useful for bench binaries.
-  static Config from_args(int argc, const char* const* argv);
+  /// Parses `key=value` command-line tokens (argv[1..)). Every key in
+  /// `flag_keys` may also be spelled `--key VALUE` or `--key=VALUE`, and a
+  /// bare `--name` for a name in `switches` means `name=1`. Any other
+  /// token without '=' is rejected.
+  static Config from_args(int argc, const char* const* argv,
+                          const std::vector<std::string>& flag_keys = {},
+                          const std::vector<std::string>& switches = {});
 
   /// Sets or overwrites a key.
   void set(const std::string& key, const std::string& value);

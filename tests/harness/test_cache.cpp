@@ -171,6 +171,38 @@ TEST_F(CacheTest, ForeignShardIsQuarantinedWholesaleNeverServed) {
   EXPECT_FALSE(wrong_values.damage.empty());
 }
 
+TEST_F(CacheTest, CheckpointJournalIsTheCacheShardOfItsSpec) {
+  // One key, one format: a checkpoint journal that recorded every point in
+  // index order is byte for byte the shard the cache publishes for the
+  // same spec, and the one loader serves either.
+  {
+    CheckpointConfig ccfg;
+    ccfg.directory = dir("ckpt");
+    CheckpointJournal journal(std::move(ccfg), kSpec, "plain", kSweep);
+    for (const auto& [index, record] : full_records()) journal.record(record);
+  }
+  const ResultCache cache(dir("cache"));
+  cache.store(kSpec, "plain", kSweep, full_records());
+  EXPECT_EQ(slurp(dir("ckpt") + "/journal.tgij"),
+            slurp(cache.shard_path(kSpec)));
+  const CacheLookup loaded = load_journal(dir("ckpt") + "/journal.tgij",
+                                          kSpec, "plain", kSweep, "test");
+  EXPECT_EQ(loaded.completed.size(), kSweep.size());
+  EXPECT_TRUE(loaded.damage.empty());
+
+  // Resuming that journal under another spec is a caller error and
+  // throws; loading it as another spec's journal quarantines it instead.
+  CheckpointConfig resume;
+  resume.directory = dir("ckpt");
+  resume.resume = true;
+  EXPECT_THROW(CheckpointJournal(resume, kSpec + 1, "plain", kSweep),
+               util::TgiError);
+  const CacheLookup foreign = load_journal(dir("ckpt") + "/journal.tgij",
+                                           kSpec + 1, "plain", kSweep, "test");
+  EXPECT_TRUE(foreign.completed.empty());
+  EXPECT_EQ(foreign.damage.size(), 1u);
+}
+
 TEST_F(CacheTest, DamagedRecordsAreQuarantinedOthersStillServe) {
   const ResultCache cache(dir("cache"));
   cache.store(kSpec, "plain", kSweep, full_records());

@@ -1,8 +1,8 @@
 // Cache-key canonicalization (DESIGN.md §13): cache_spec_text is the one
-// canonicalizer keying the result cache, so its FNV-1a digests are pinned
-// — accidental drift silently invalidates every cache on disk — and
-// near-miss specs (seed±1, a fault-rate tick, a reordered or extended
-// sweep list) must always map to distinct keys.
+// canonicalizer keying checkpoint journals and the result cache, so its
+// FNV-1a digests are pinned — accidental drift silently invalidates every
+// cache on disk — and near-miss specs (seed±1, a fault-rate tick, a
+// reordered or extended sweep list) must always map to distinct keys.
 #include "harness/cache.h"
 
 #include <gtest/gtest.h>
@@ -41,8 +41,9 @@ TEST(CacheKey, TextPinsEveryIdentityInput) {
   const std::string text = cache_spec_text(sim::fire_cluster(), 7, false, {},
                                            nullptr, 0, {16, 48});
   // Layout: meter, seed, suite roster, sweep values, then the cluster
-  // config verbatim. The journal spec stops before `sweep=`; the cache key
-  // must not (point k's RNG streams key on k's position in the list).
+  // config verbatim. This one text keys checkpoint journals and cache
+  // shards alike, and it includes `sweep=` (point k's RNG streams key on
+  // k's position in the list).
   EXPECT_EQ(text.rfind("meter=wattsup\nseed=7\nsuite=", 0), 0u) << text;
   EXPECT_NE(text.find("\nsweep=16,48\n"), std::string::npos) << text;
   EXPECT_NE(text.find("Fire"), std::string::npos) << text;

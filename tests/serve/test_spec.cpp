@@ -13,6 +13,9 @@
 
 #include "harness/cache.h"
 #include "harness/checkpoint.h"
+#include "harness/robust.h"
+#include "harness/suite.h"
+#include "power/meter.h"
 #include "sim/catalog.h"
 #include "sim/spec_io.h"
 #include "util/error.h"
@@ -92,6 +95,91 @@ TEST(CampaignSpec, RobustConfigMirrorsTgiSweep) {
   EXPECT_EQ(spec_robust_config(wattsup).stuck_run_limit, 8u);
   const auto model = parse("[a]\nsweep = 16\nmeter = model\n")[0];
   EXPECT_EQ(spec_robust_config(model).stuck_run_limit, 0u);
+}
+
+TEST(CampaignSpec, SweepValuesMustFitTheCluster) {
+  // A negative value used to wrap to 2^64-5; a value past the cluster's
+  // cores used to pass parsing and fail mid-run. Both die at parse time
+  // with a message naming the valid range.
+  try {
+    (void)parse("[neg]\nsweep = 16,-5\n");
+    ADD_FAILURE() << "negative sweep value accepted";
+  } catch (const util::TgiError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "[neg]: sweep value -5 is outside [1, 128]"),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)parse("[big]\ncluster = fire\nsweep = 16,129\n");
+    ADD_FAILURE() << "sweep value past the cluster's cores accepted";
+  } catch (const util::TgiError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "[big]: sweep value 129 is outside [1, 128]"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parse("[edge]\nsweep = 1,128\n")[0].sweep,
+            (std::vector<std::size_t>{1, 128}));
+  // The bound is the entry's own cluster, not Fire's.
+  EXPECT_EQ(parse("[g]\ncluster = systemg\nsweep = 1024\n")[0].sweep,
+            (std::vector<std::size_t>{1024}));
+  EXPECT_EQ(checked_sweep({16, 48}, sim::fire_cluster(), "t"),
+            (std::vector<std::size_t>{16, 48}));
+  EXPECT_THROW((void)checked_sweep({}, sim::fire_cluster(), "t"),
+               util::TgiError);
+  EXPECT_THROW((void)checked_sweep({0}, sim::fire_cluster(), "t"),
+               util::TgiError);
+}
+
+TEST(CampaignSpec, WorkerHandoffRejectsAnOversizedSweep) {
+  const fs::path root = fs::temp_directory_path() / "tgi_serve_spec_sweep";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  {
+    std::ofstream cluster((root / "cluster.conf").string());
+    cluster << sim::cluster_to_config(sim::fire_cluster());
+    std::ofstream spec((root / "spec.conf").string());
+    spec << "cluster = cluster.conf\nsweep = 16,129\n";
+  }
+  EXPECT_THROW((void)load_worker_spec((root / "spec.conf").string()),
+               util::TgiError);
+  fs::remove_all(root);
+}
+
+TEST(CampaignSpec, MeterPolicyComesFromTheSpec) {
+  const auto plain = parse("[a]\nsweep = 16,48\nseed = 7\n")[0];
+  const auto faulted =
+      parse("[a]\nsweep = 16,48\nseed = 7\nfaults = dropout=0.2\n")[0];
+  const power::PowerSource flat = [](util::Seconds) {
+    return util::watts(500.0);
+  };
+  const auto watts = [&flat](power::PowerMeter& meter) {
+    return meter.measure(flat, util::seconds(30.0)).average_power.value();
+  };
+  // Point k's meter starts k strides into the seed's stream; a stride is
+  // the measurements one point takes in the spec's mode.
+  const harness::SuiteConfig suite;
+  for (const CampaignSpec* spec : {&plain, &faulted}) {
+    power::WattsUpConfig wcfg;
+    wcfg.seed = 7;
+    wcfg.run_offset =
+        spec->faulted() ? harness::robust_measurements_per_point(
+                              suite, spec_robust_config(*spec))
+                        : harness::suite_benchmarks(suite).size();
+    power::WattsUpMeter expected(wcfg);
+    EXPECT_EQ(watts(*spec_meter_factory(*spec)(1)), watts(expected))
+        << spec_mode(*spec);
+  }
+  // The reference run meters with the seed salted by +1.
+  power::WattsUpConfig salted;
+  salted.seed = 8;
+  power::WattsUpMeter expected_reference(salted);
+  EXPECT_EQ(watts(*reference_meter(plain)), watts(expected_reference));
+  // meter=model is the exact instrument for both.
+  const auto model = parse("[m]\nsweep = 16\nmeter = model\n")[0];
+  EXPECT_EQ(watts(*spec_meter_factory(model)(3)), 500.0);
+  EXPECT_EQ(watts(*reference_meter(model)), 500.0);
 }
 
 TEST(CampaignSpec, HashSeparatesSweepFaultedAndReferenceKeySpaces) {

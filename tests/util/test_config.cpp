@@ -38,6 +38,24 @@ TEST(Config, FromArgs) {
   EXPECT_EQ(cfg.get_string("name", ""), "fire");
 }
 
+TEST(Config, FromArgsAcceptsFlagAliasesAndSwitches) {
+  const char* argv[] = {"prog", "--threads", "4", "--trace=out",
+                        "--resume", "seed=7"};
+  const Config cfg = Config::from_args(6, argv, {"threads", "trace"},
+                                       {"resume"});
+  EXPECT_EQ(cfg.get_int("threads", 0), 4);
+  EXPECT_EQ(cfg.get_string("trace", ""), "out");
+  EXPECT_TRUE(cfg.get_bool("resume", false));
+  EXPECT_EQ(cfg.get_int("seed", 0), 7);
+  // Unlisted --flags and a trailing flag with no value stay malformed.
+  const char* unknown[] = {"prog", "--frobnicate", "3"};
+  EXPECT_THROW(Config::from_args(3, unknown, {"threads"}),
+               PreconditionError);
+  const char* dangling[] = {"prog", "--threads"};
+  EXPECT_THROW(Config::from_args(2, dangling, {"threads"}),
+               PreconditionError);
+}
+
 TEST(Config, FromArgsRejectsBareToken) {
   const char* argv[] = {"prog", "noequals"};
   EXPECT_THROW(Config::from_args(2, argv), PreconditionError);

@@ -38,8 +38,7 @@
 #      in-process, again byte-identically, and two concurrent campaigns
 #      racing on one fresh cache, both exiting 0 with identical bytes;
 #  10. bench-trajectory: every bench/micro_* microbench runs and drops its
-#      BENCH_*.json into build/bench_trajectory/ (micro_substrate via
-#      google-benchmark's --benchmark_out, the harness benches via out=);
+#      BENCH_*.json into build/bench_trajectory/ (out=PATH);
 #      a microbench without its JSON emitter, or one printing a
 #      `[check] ... FAILED` line (nonzero exit), fails the gate, and
 #      BENCH_kernels.json must record the >= 1.5x kernel-lane speedup
@@ -250,16 +249,7 @@ rm -rf "$TRAJ"
 mkdir -p "$TRAJ"
 for bin in build/bench/micro_*; do
   name="${bin##*/micro_}"
-  case "$name" in
-    substrate)
-      # google-benchmark harness: JSON comes from its own reporter.
-      "$bin" --benchmark_out="$TRAJ/BENCH_substrate.json" \
-             --benchmark_out_format=json > /dev/null
-      ;;
-    *)
-      "$bin" out="$TRAJ/BENCH_$name.json" > /dev/null
-      ;;
-  esac
+  "$bin" out="$TRAJ/BENCH_$name.json" > /dev/null
   if ! [ -s "$TRAJ/BENCH_$name.json" ]; then
     echo "ci.sh: micro_$name did not emit BENCH_$name.json" >&2
     exit 1

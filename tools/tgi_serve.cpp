@@ -60,39 +60,20 @@ namespace {
 
 using namespace tgi;
 
-/// key=value tokens with `--flag VALUE` aliases (tgi_sweep's pattern).
+/// key=value tokens with `--flag VALUE` aliases; the bare `--worker` flag
+/// selects worker mode and is not a key.
 util::Config parse_tokens(int argc, const char* const* argv, bool& worker) {
-  std::vector<std::string> tokens;
-  worker = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--worker") {
-      worker = true;
-      continue;
-    }
-    bool aliased = false;
-    for (const char* key : {"campaign", "cache", "outdir", "workers",
-                            "threads", "spec", "indices", "journal",
-                            "shard", "restarts", "stall_polls"}) {
-      const std::string flag = std::string("--") + key;
-      if (arg == flag && i + 1 < argc) {
-        tokens.push_back(std::string(key) + "=" + argv[++i]);
-        aliased = true;
-        break;
-      }
-      if (arg.rfind(flag + "=", 0) == 0) {
-        tokens.push_back(std::string(key) + "=" +
-                         arg.substr(flag.size() + 1));
-        aliased = true;
-        break;
-      }
-    }
-    if (!aliased) tokens.push_back(std::move(arg));
-  }
   std::vector<const char*> args;
-  args.push_back(argc > 0 ? argv[0] : "tgi_serve");
-  for (const std::string& t : tokens) args.push_back(t.c_str());
-  return util::Config::from_args(static_cast<int>(args.size()), args.data());
+  worker = false;
+  for (int i = 0; i < argc; ++i) {
+    const bool is_worker = i > 0 && std::string(argv[i]) == "--worker";
+    worker = worker || is_worker;
+    if (!is_worker) args.push_back(argv[i]);
+  }
+  return util::Config::from_args(
+      static_cast<int>(args.size()), args.data(),
+      {"campaign", "cache", "outdir", "workers", "threads", "spec", "indices",
+       "journal", "shard", "restarts", "stall_polls"});
 }
 
 /// The supervisor's 1-based attempt counter for this worker process

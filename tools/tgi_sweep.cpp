@@ -46,6 +46,10 @@
 // seed, meter, sweep, faults) is rejected; corrupted or torn records are
 // quarantined with a logged reason and recomputed. Resume provenance goes
 // to DIR/resume.json (`point_resumed` instants) and stderr, never stdout.
+// The arguments fill a serve::CampaignSpec, so the journal is keyed, and
+// its points metered, exactly like a one-entry `tgi_serve` campaign: at
+// threads=1 DIR/journal.tgij equals that campaign's cache shard byte for
+// byte.
 //
 // Produces in `outdir`:
 //   fig2_hpl_ee.csv, fig3_stream_ee.csv, fig4_iozone_ee.csv,
@@ -68,6 +72,8 @@
 #include "harness/robust.h"
 #include "harness/report.h"
 #include "harness/suite.h"
+#include "serve/campaign.h"
+#include "serve/spec.h"
 #include "sim/catalog.h"
 #include "sim/spec_io.h"
 #include "stats/correlation.h"
@@ -86,36 +92,9 @@ using namespace tgi;
 /// forms, plus the bare `--resume` flag. Unknown keys and unknown --flags
 /// are rejected with the full list of valid options.
 util::Config parse_args(int argc, const char* const* argv) {
-  std::vector<std::string> tokens;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--resume") {
-      tokens.push_back("resume=1");
-      continue;
-    }
-    bool aliased = false;
-    for (const char* key :
-         {"threads", "faults", "trace", "profile", "checkpoint"}) {
-      const std::string flag = std::string("--") + key;
-      if (arg == flag && i + 1 < argc) {
-        tokens.push_back(std::string(key) + "=" + argv[++i]);
-        aliased = true;
-        break;
-      }
-      if (arg.rfind(flag + "=", 0) == 0) {
-        tokens.push_back(std::string(key) + "=" +
-                         arg.substr(flag.size() + 1));
-        aliased = true;
-        break;
-      }
-    }
-    if (!aliased) tokens.push_back(std::move(arg));
-  }
-  std::vector<const char*> args;
-  args.push_back(argc > 0 ? argv[0] : "tgi_sweep");
-  for (const std::string& t : tokens) args.push_back(t.c_str());
-  util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
+  util::Config cfg = util::Config::from_args(
+      argc, argv, {"threads", "faults", "trace", "profile", "checkpoint"},
+      {"resume"});
   util::require_known_keys(
       cfg,
       {"outdir", "sweep", "seed", "meter", "cluster", "reference_cluster",
@@ -124,218 +103,130 @@ util::Config parse_args(int argc, const char* const* argv) {
   return cfg;
 }
 
+/// The sweep this invocation asks for, as the one spec description the
+/// campaign engine and its workers use. Everything is validated here,
+/// before any output is written.
+serve::CampaignSpec sweep_spec(const util::Config& cfg) {
+  serve::CampaignSpec spec;
+  spec.name = "tgi_sweep";
+  spec.cluster = cfg.has("cluster")
+                     ? sim::load_cluster_file(*cfg.get("cluster"))
+                     : sim::fire_cluster();
+  spec.reference = cfg.has("reference_cluster")
+                       ? sim::load_cluster_file(*cfg.get("reference_cluster"))
+                       : sim::system_g();
+  spec.sweep = serve::checked_sweep(
+      cfg.get_int_list("sweep", {16, 32, 48, 64, 80, 96, 112, 128}),
+      spec.cluster, "tgi_sweep");
+  spec.seed = static_cast<std::uint64_t>(
+      cfg.get_int("seed", static_cast<long long>(spec.seed)));
+  spec.exact_meter = cfg.get_string("meter", "wattsup") == "model";
+  if (cfg.has("faults")) {
+    spec.fault_text = *cfg.get("faults");
+    (void)spec.faults();  // validate now, before any output
+  }
+  return spec;
+}
+
 int run(int argc, const char* const* argv) {
   const util::Config cfg = parse_args(argc, argv);
+  const serve::CampaignSpec spec = sweep_spec(cfg);
+  const std::vector<std::size_t>& sweep = spec.sweep;
+  const long long threads_raw = cfg.get_int("threads", 0);
+  TGI_REQUIRE(threads_raw >= 0, "threads must be >= 0 (0 = default)");
+  const auto checkpoint_dir = cfg.get("checkpoint");
+  const bool resume = cfg.get_bool("resume", false);
+  TGI_REQUIRE(!resume || checkpoint_dir,
+              "resume requires checkpoint=DIR (nothing to resume from)");
+
   const std::string outdir = cfg.get_string("outdir", "tgi_results");
   std::filesystem::create_directories(outdir);
   auto path = [&](const std::string& name) { return outdir + "/" + name; };
-
-  std::vector<std::size_t> sweep;
-  for (const long long p : cfg.get_int_list(
-           "sweep", {16, 32, 48, 64, 80, 96, 112, 128})) {
-    sweep.push_back(static_cast<std::size_t>(p));
-  }
-  const auto seed =
-      static_cast<std::uint64_t>(cfg.get_int("seed", 0x9e3779b9LL));
-  const bool exact = cfg.get_string("meter", "wattsup") == "model";
-
-  auto make_meter = [&](std::uint64_t salt)
-      -> std::unique_ptr<power::PowerMeter> {
-    if (exact) {
-      return std::make_unique<power::ModelMeter>(util::seconds(0.5));
-    }
-    power::WattsUpConfig wcfg;
-    wcfg.seed = seed + salt;
-    return std::make_unique<power::WattsUpMeter>(wcfg);
-  };
-
-  const sim::ClusterSpec system_cluster =
-      cfg.has("cluster") ? sim::load_cluster_file(*cfg.get("cluster"))
-                         : sim::fire_cluster();
-  const sim::ClusterSpec reference_cluster =
-      cfg.has("reference_cluster")
-          ? sim::load_cluster_file(*cfg.get("reference_cluster"))
-          : sim::system_g();
-  std::cout << "system: " << system_cluster.name << " ("
-            << system_cluster.total_cores() << " cores), reference: "
-            << reference_cluster.name << "\n";
+  std::cout << "system: " << spec.cluster.name << " ("
+            << spec.cluster.total_cores() << " cores), reference: "
+            << spec.reference.name << "\n";
 
   // Reference.
-  auto ref_meter = make_meter(1);
-  const auto reference =
-      harness::reference_measurements(reference_cluster, *ref_meter);
+  const auto reference = harness::reference_measurements(
+      spec.reference, *serve::reference_meter(spec));
   harness::write_measurements_file(path("reference_systemg.csv"), reference);
   const core::TgiCalculator calc(reference);
-
-  // Sweep: points run concurrently on the deterministic engine; the
-  // per-point WattsUp meters replay the exact RNG streams of one meter
-  // shared across a serial sweep, so the CSVs are thread-count-invariant.
-  const long long threads_raw = cfg.get_int("threads", 0);
-  TGI_REQUIRE(threads_raw >= 0, "threads must be >= 0 (0 = default)");
 
   // Observability knobs (DESIGN.md §10). The deterministic trace and the
   // wall profile are independent channels; either may be enabled alone.
   const auto trace_dir = cfg.get("trace");
   const auto profile_dir = cfg.get("profile");
   obs::WallProfiler profiler;
-  const auto write_trace_files = [](const obs::SweepTrace& trace,
-                                    const std::string& dir) {
-    std::filesystem::create_directories(dir);
-    util::AtomicFile json(dir + "/trace.json");
-    trace.write_chrome_trace(json.stream());
-    json.commit();
-    util::AtomicFile metrics(dir + "/metrics.csv");
-    trace.write_metrics_csv(metrics.stream());
-    metrics.commit();
-    std::cout << "wrote " << dir << "/trace.json ("
-              << trace.event_count() << " events) and metrics.csv\n";
-  };
-  const auto write_profile_file = [&profiler](const std::string& dir) {
-    std::filesystem::create_directories(dir);
-    util::AtomicFile json(dir + "/profile.json");
-    profiler.write_chrome_trace(json.stream());
-    json.commit();
-    std::cout << "wrote " << dir
-              << "/profile.json (wall clock; non-deterministic)\n";
-  };
 
-  // Fault plane, parsed before the checkpoint journal so the journal mode
-  // and spec hash can reflect it.
-  std::optional<harness::FaultSpec> fspec;
-  if (cfg.has("faults")) {
-    fspec = harness::parse_fault_spec(*cfg.get("faults"));
-  }
-  harness::RobustConfig robust;
-  // The WattsUp simulation is noisy, so repeated bit-identical samples
-  // really are suspicious there; ModelMeter's flat phases are not.
-  if (!exact) robust.stuck_run_limit = 8;
-
+  // Sweep: points run concurrently on the deterministic engine; the
+  // per-point meters replay the exact RNG streams of one meter shared
+  // across a serial sweep, so the CSVs are thread-count-invariant.
   harness::ParallelSweepConfig sweep_cfg;
   sweep_cfg.threads = static_cast<std::size_t>(threads_raw);
   if (profile_dir) sweep_cfg.profiler = &profiler;
 
-  // Checkpoint journal (DESIGN.md §11). The spec text below must capture
-  // everything that determines a sweep point's bytes: the system cluster,
-  // the RNG seed, the meter kind, the suite roster, and the fault plane +
-  // recovery policy. The sweep values themselves live in the journal
-  // header. reference_cluster is deliberately EXCLUDED — it only affects
-  // derived TGI output, which resume recomputes from the journaled raw
-  // measurements.
-  const auto checkpoint_dir = cfg.get("checkpoint");
-  const bool resume = cfg.get_bool("resume", false);
-  TGI_REQUIRE(!resume || checkpoint_dir,
-              "resume requires checkpoint=DIR (nothing to resume from)");
+  // Checkpoint journal (DESIGN.md §11), keyed exactly like the campaign
+  // cache shard of the same spec. reference_cluster is not part of the
+  // key: it only affects derived TGI output, which resume recomputes from
+  // the journaled raw measurements.
   std::unique_ptr<harness::CheckpointJournal> journal;
   if (checkpoint_dir) {
-    std::string spec_text;
-    spec_text += "meter=" + std::string(exact ? "model" : "wattsup") + "\n";
-    spec_text += "seed=" + std::to_string(seed) + "\n";
-    std::string roster;
-    for (const std::string& name :
-         harness::suite_benchmarks(sweep_cfg.suite)) {
-      if (!roster.empty()) roster += ',';
-      roster += name;
-    }
-    spec_text += "suite=" + roster + "\n";
-    if (fspec) {
-      spec_text += "faults=" + harness::fault_spec_summary(*fspec) + "\n";
-      spec_text += "stuck_run_limit=" +
-                   std::to_string(robust.stuck_run_limit) + "\n";
-    }
-    spec_text += sim::cluster_to_config(system_cluster);
     harness::CheckpointConfig ccfg;
     ccfg.directory = *checkpoint_dir;
     ccfg.resume = resume;
     journal = std::make_unique<harness::CheckpointJournal>(
-        std::move(ccfg), harness::journal_spec_hash(spec_text),
-        fspec ? "robust" : "plain", sweep);
+        std::move(ccfg), serve::spec_hash(spec), serve::spec_mode(spec),
+        sweep);
     sweep_cfg.checkpoint = journal.get();
   }
+  const harness::ParallelSweep engine(
+      spec.cluster, serve::spec_meter_factory(spec), sweep_cfg);
+  obs::SweepTrace trace;
 
   // Fault mode: same sweep, but through the fault plane and recovery
   // policy. Kept strictly separate from the plain path so a fault-free
   // invocation reproduces today's CSVs byte-for-byte.
-  if (fspec) {
-    const harness::FaultPlan plan(*fspec);
-    harness::MeterFactory factory;
-    if (exact) {
-      factory = harness::model_meter_factory(util::seconds(0.5));
-    } else {
-      power::WattsUpConfig wcfg;
-      wcfg.seed = seed;
-      factory = harness::wattsup_meter_factory(
-          wcfg,
-          harness::robust_measurements_per_point(sweep_cfg.suite, robust));
-    }
-    const harness::ParallelSweep engine(system_cluster, factory, sweep_cfg);
-    std::cout << "fault plane: " << harness::fault_spec_summary(*fspec)
+  std::map<std::size_t, harness::PointRecord> records;
+  if (spec.faulted()) {
+    const harness::FaultSpec fspec = spec.faults();
+    std::cout << "fault plane: " << harness::fault_spec_summary(fspec)
               << "\n";
-    obs::SweepTrace trace;
     const std::vector<harness::RobustSuitePoint> points = engine.run_robust(
-        sweep, plan, robust, trace_dir ? &trace : nullptr);
-    if (trace_dir) write_trace_files(trace, *trace_dir);
-    if (profile_dir) write_profile_file(*profile_dir);
-
-    util::AtomicFile fault_file(path("faults_summary.csv"));
-    util::CsvWriter fcsv(fault_file.stream());
-    fcsv.write_row({"cores", "tgi_am", "missing", "attempts", "retries",
-                    "run_faults", "meter_faults", "rejected_readings",
-                    "dropped_benchmarks", "backoff_s", "stalled_s"});
+        sweep, harness::FaultPlan(fspec), serve::spec_robust_config(spec),
+        trace_dir ? &trace : nullptr);
     for (std::size_t k = 0; k < sweep.size(); ++k) {
-      const harness::RobustSuitePoint& rp = points[k];
-      std::string missing;
-      for (const std::string& name : rp.missing) {
-        if (!missing.empty()) missing += '+';
-        missing += name;
-      }
-      std::string tgi_am = "nan";
-      if (!rp.point.measurements.empty()) {
-        const core::PartialTgiResult partial = calc.compute_partial(
-            rp.point.measurements, core::WeightScheme::kArithmeticMean);
-        tgi_am = util::fixed(partial.result.tgi, 6);
-        harness::write_measurements_file(
-            path("fire_" + std::to_string(sweep[k]) + ".csv"),
-            rp.point.measurements);
-      }
-      const harness::PointCounters& c = rp.counters;
-      fcsv.write_row({std::to_string(sweep[k]), tgi_am, missing,
-                      std::to_string(c.attempts), std::to_string(c.retries),
-                      std::to_string(c.run_faults),
-                      std::to_string(c.meter_faults),
-                      std::to_string(c.rejected_readings),
-                      std::to_string(c.dropped_benchmarks),
-                      util::fixed(c.backoff.value(), 1),
-                      util::fixed(c.stalled.value(), 1)});
-      std::cout << "cores " << sweep[k] << ": TGI(AM) " << tgi_am
-                << (rp.degraded() ? " [partial: missing " + missing + "]"
-                                  : "")
-                << " attempts=" << c.attempts << " retries=" << c.retries
-                << " faults=" << c.run_faults + c.meter_faults << "\n";
+      records.emplace(k, harness::make_robust_point_record(k, sweep[k],
+                                                           points[k], nullptr));
     }
-    fault_file.commit();
+  } else {
+    const std::vector<harness::SuitePoint> points =
+        engine.run(sweep, trace_dir ? &trace : nullptr);
+    for (std::size_t k = 0; k < sweep.size(); ++k) {
+      records.emplace(
+          k, harness::make_point_record(k, sweep[k], points[k], nullptr));
+    }
+  }
+  if (trace_dir) {
+    trace.write_files(*trace_dir);
+    std::cout << "wrote " << *trace_dir << "/trace.json ("
+              << trace.event_count() << " events) and metrics.csv\n";
+  }
+  if (profile_dir) {
+    std::filesystem::create_directories(*profile_dir);
+    util::AtomicFile json(*profile_dir + "/profile.json");
+    profiler.write_chrome_trace(json.stream());
+    json.commit();
+    std::cout << "wrote " << *profile_dir
+              << "/profile.json (wall clock; non-deterministic)\n";
+  }
+  (void)serve::write_sweep_summary(spec, records, calc, outdir, "fire_", "",
+                                   std::cout);
+  if (spec.faulted()) {
     std::cout << "wrote " << outdir
               << "/ (faults_summary.csv and measurement CSVs; figure CSVs "
                  "need a fault-free sweep)\n";
     return 0;
   }
-
-  harness::MeterFactory factory;
-  if (exact) {
-    factory = harness::model_meter_factory(util::seconds(0.5));
-  } else {
-    power::WattsUpConfig wcfg;
-    wcfg.seed = seed;
-    // One measurement per suite member — derived from the same roster
-    // run_suite executes, not a hand-maintained constant.
-    factory = harness::wattsup_meter_factory(
-        wcfg, harness::suite_benchmarks(sweep_cfg.suite).size());
-  }
-  const harness::ParallelSweep engine(system_cluster, factory, sweep_cfg);
-  obs::SweepTrace trace;
-  const std::vector<harness::SuitePoint> points =
-      engine.run(sweep, trace_dir ? &trace : nullptr);
-  if (trace_dir) write_trace_files(trace, *trace_dir);
-  if (profile_dir) write_profile_file(*profile_dir);
 
   std::map<std::string, std::vector<double>> ee;
   std::vector<double> x;
@@ -343,37 +234,17 @@ int run(int argc, const char* const* argv) {
   const std::vector<core::WeightScheme> schemes{
       core::WeightScheme::kArithmeticMean, core::WeightScheme::kTime,
       core::WeightScheme::kEnergy, core::WeightScheme::kPower};
-
-  util::AtomicFile summary_file(path("sweep_summary.csv"));
-  util::CsvWriter summary(summary_file.stream());
-  summary.write_row({"cores", "tgi_am", "tgi_time", "tgi_energy",
-                     "tgi_power", "hpl_mflops", "hpl_watts",
-                     "stream_mbps", "stream_watts", "iozone_mbps",
-                     "iozone_watts"});
-
-  for (std::size_t k = 0; k < sweep.size(); ++k) {
-    const std::size_t p = sweep[k];
-    const harness::SuitePoint& point = points[k];
-    harness::write_measurements_file(
-        path("fire_" + std::to_string(p) + ".csv"), point.measurements);
-    x.push_back(static_cast<double>(p));
-    std::vector<std::string> row{std::to_string(p)};
+  for (const auto& [k, record] : records) {
+    const auto& measurements = record.point.measurements;
+    x.push_back(static_cast<double>(sweep[k]));
     for (const auto scheme : schemes) {
-      const double value = calc.compute(point.measurements, scheme).tgi;
-      tgi[scheme].push_back(value);
-      row.push_back(util::fixed(value, 6));
+      tgi[scheme].push_back(calc.compute(measurements, scheme).tgi);
     }
     for (const char* name : {"HPL", "STREAM", "IOzone"}) {
-      const auto& m = core::find_measurement(point.measurements, name);
+      const auto& m = core::find_measurement(measurements, name);
       ee[name].push_back(m.performance / m.average_power.value());
-      row.push_back(util::fixed(m.performance, 3));
-      row.push_back(util::fixed(m.average_power.value(), 3));
     }
-    summary.write_row(row);
-    std::cout << "cores " << p << ": TGI(AM) "
-              << util::fixed(tgi[schemes[0]].back(), 4) << "\n";
   }
-  summary_file.commit();
 
   // Figure CSVs.
   harness::write_csv(
