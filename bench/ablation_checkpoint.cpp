@@ -9,10 +9,13 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 
 #include "harness/cache.h"
 #include "harness/checkpoint.h"
+#include "util/io_faults.h"
 
 namespace {
 
@@ -26,15 +29,6 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-/// Journal lines (header first, then one line per completed point).
-std::vector<std::string> journal_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line + "\n");
-  return lines;
-}
-
 std::size_t count_occurrences(const std::string& text,
                               const std::string& needle) {
   std::size_t count = 0;
@@ -46,30 +40,51 @@ std::size_t count_occurrences(const std::string& text,
   return count;
 }
 
-/// The experiment's plain sweep journaled into `dir` (resumed from it when
-/// `resume`), keyed by the one canonical spec text.
+/// The experiment's plain-sweep journal at <dir>/journal.tgij, keyed by the
+/// one canonical spec text.
+harness::PointStore journal_store(const bench::Experiment& e,
+                                  const std::string& dir) {
+  return harness::PointStore(
+      dir + "/journal.tgij",
+      harness::journal_spec_hash(harness::cache_spec_text(
+          e.system_under_test, e.seed, e.meter_kind == "model", {}, nullptr,
+          0, e.sweep)),
+      "plain", e.sweep);
+}
+
+/// The experiment's plain sweep checkpointed into `dir` the way `tgi_sweep
+/// checkpoint=DIR [--resume]` does it, resume.json included.
 std::vector<harness::SuitePoint> run_journaled(const bench::Experiment& e,
                                                const std::string& dir,
                                                bool resume,
                                                std::size_t threads) {
-  const harness::SuiteConfig suite;
-  harness::CheckpointConfig ccfg;
-  ccfg.directory = dir;
-  ccfg.resume = resume;
-  harness::CheckpointJournal journal(
-      std::move(ccfg),
-      harness::journal_spec_hash(harness::cache_spec_text(
-          e.system_under_test, e.seed, e.meter_kind == "model", suite,
-          nullptr, 0, e.sweep)),
-      "plain", e.sweep);
+  harness::PointStore journal = journal_store(e, dir);
+  std::map<std::size_t, harness::PointRecord> replayed;
+  if (resume) {
+    harness::resume_checkpoint(journal);
+    replayed = journal.records();
+  } else {
+    journal.publish({});
+  }
   harness::ParallelSweepConfig cfg;
-  cfg.suite = suite;
   cfg.threads = threads;
   cfg.checkpoint = &journal;
   const harness::ParallelSweep sweep(
       e.system_under_test,
-      bench::sweep_meter_factory(e, bench::suite_measurements(suite)), cfg);
-  return sweep.run(e.sweep);
+      bench::sweep_meter_factory(e, bench::suite_measurements({})), cfg);
+  std::vector<harness::SuitePoint> points = sweep.run(e.sweep);
+  if (resume) harness::write_resume_trace(dir + "/resume.json", replayed);
+  return points;
+}
+
+/// An I/O fault policy (util/io_faults.h) whose first draw is a short
+/// write.
+util::IoFaultSpec short_write_first() {
+  for (std::uint64_t seed = 0;; ++seed) {
+    const util::IoFaultSpec spec{seed, 1.0};
+    const util::ScopedIoFaults probe(spec);
+    if (util::next_io_fault() == util::IoFaultKind::kShortWrite) return spec;
+  }
 }
 
 double elapsed_ms(const std::chrono::steady_clock::time_point& start) {
@@ -91,7 +106,6 @@ int main(int argc, char** argv) {
     fs::remove_all(scratch);
     fs::create_directories(scratch);
     const std::string dir = scratch.string();
-    const std::string journal_path = dir + "/journal.tgij";
 
     // Truth: today's plain parallel sweep, no checkpoint anywhere.
     auto t0 = std::chrono::steady_clock::now();
@@ -107,23 +121,23 @@ int main(int argc, char** argv) {
         "checkpointed sweep is bit-identical to the plain sweep",
         bench::same_points(truth, journaled));
 
-    const std::string full_journal = slurp(journal_path);
-    const std::vector<std::string> lines = journal_lines(full_journal);
+    const std::map<std::size_t, harness::PointRecord> full =
+        journal_store(e, dir).load("ablation_checkpoint").completed;
     bench::print_check(
         "journal holds a header plus one record per sweep point",
-        lines.size() == e.sweep.size() + 1);
+        count_occurrences(slurp(dir + "/journal.tgij"), "\n") ==
+                e.sweep.size() + 1 &&
+            full.size() == e.sweep.size());
 
-    // Kill-and-resume: keep the header and the first three records (as if
-    // the process died mid-sweep), then resume at a different thread
-    // count. Results must be byte-identical and resume.json must name
-    // exactly the replayed points.
-    const std::size_t keep = std::min<std::size_t>(3, e.sweep.size());
+    // Kill-and-resume: keep the first three records (as if the process
+    // died mid-sweep), then resume at a different thread count. Results
+    // must be byte-identical and resume.json must name exactly the
+    // replayed points.
+    const std::size_t keep = std::min<std::size_t>(3, full.size());
     {
-      std::string torn;
-      for (std::size_t i = 0; i < 1 + keep && i < lines.size(); ++i) {
-        torn += lines[i];
-      }
-      util::atomic_write_file(journal_path, torn);
+      journal_store(e, dir).publish(
+          {full.begin(),
+           std::next(full.begin(), static_cast<std::ptrdiff_t>(keep))});
       t0 = std::chrono::steady_clock::now();
       const std::vector<harness::SuitePoint> resumed =
           run_journaled(e, dir, true, e.threads == 1 ? 2 : 1);
@@ -144,15 +158,24 @@ int main(int argc, char** argv) {
       std::cout << table;
     }
 
-    // Corruption: flip one byte inside the second point record. The CRC
-    // must catch it; the point is quarantined and recomputed, and the
-    // final results still match the truth bit-for-bit.
+    // Corruption: an injected short write tears the second record's
+    // append, and the next append fuses onto the torn half — one line
+    // mid-journal whose CRC fails. The CRC must catch it; the damaged
+    // points are quarantined and recomputed, and the final results still
+    // match the truth bit-for-bit.
     {
-      std::string corrupt = full_journal;
-      const std::size_t offset =
-          lines[0].size() + lines[1].size() + lines[1].size() / 2;
-      corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x01);
-      util::atomic_write_file(journal_path, corrupt);
+      const auto victim = std::next(full.begin(), full.size() > 1 ? 1 : 0);
+      harness::PointStore journal = journal_store(e, dir);
+      journal.publish({full.begin(), victim});
+      try {
+        const util::ScopedIoFaults faults(short_write_first());
+        journal.append(victim->second);
+      } catch (const util::TgiError&) {
+        // The torn append throws; its half record stays on disk.
+      }
+      for (auto it = std::next(victim); it != full.end(); ++it) {
+        journal.append(it->second);
+      }
       const std::vector<harness::SuitePoint> resumed =
           run_journaled(e, dir, true, e.threads);
       bench::print_check(

@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
     const std::string mode = serve::spec_mode(spec);
 
     std::filesystem::remove_all(scratch);
-    std::filesystem::create_directories(scratch + "/journal");
 
     serve::WorkerAssignment assignment;
     assignment.indices.resize(spec.sweep.size());
@@ -59,9 +58,10 @@ int main(int argc, char** argv) {
     const double cold_t0 = bench::now_seconds();
     const std::size_t journaled = serve::run_worker(spec, assignment);
     const double cold_s = bench::now_seconds() - cold_t0;
-    const harness::CacheLookup computed = harness::load_journal(
-        assignment.journal_dir + "/journal.tgij", hash, mode, spec.sweep,
-        "micro_cache: quarantined record");
+    const harness::StoreLoad computed =
+        harness::PointStore(assignment.journal_dir + "/journal.tgij", hash,
+                            mode, spec.sweep)
+            .load("micro_cache: quarantined record");
     bench::print_check(
         "cold run journals every sweep point",
         journaled == spec.sweep.size() &&

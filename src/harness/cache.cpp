@@ -1,12 +1,9 @@
 #include "harness/cache.h"
 
-#include <filesystem>
 #include <utility>
 
 #include "sim/spec_io.h"
-#include "util/atomic_file.h"
 #include "util/error.h"
-#include "util/log.h"
 
 namespace tgi::harness {
 
@@ -40,36 +37,6 @@ std::string cache_spec_text(const sim::ClusterSpec& cluster,
   return text;
 }
 
-CacheLookup load_journal(const std::string& path, std::uint64_t spec_hash,
-                         const std::string& mode,
-                         const std::vector<std::size_t>& values,
-                         const char* warn_prefix) {
-  CacheLookup out;
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec) || ec) return out;
-  JournalContents contents;
-  try {
-    contents = read_journal_file(path);
-    JournalState state = reconcile_journal(contents, spec_hash, mode, values);
-    out.completed = std::move(state.completed);
-    out.damage = std::move(state.damage);
-  } catch (const util::TgiError& ex) {
-    // Unreadable (raced away), or a VALID header that contradicts the
-    // spec. For a resume journal the latter is a caller error; here the
-    // caller chose the path for this spec, so the journal is foreign or
-    // tampered — quarantine it wholesale and recompute.
-    out.completed.clear();
-    out.damage = std::move(contents.damage);
-    out.damage.push_back(
-        JournalDamage{0, std::string("shard rejected: ") + ex.what()});
-  }
-  for (const JournalDamage& d : out.damage) {
-    TGI_LOG_WARN(warn_prefix << " (" << path << " line " << d.line
-                             << "): " << d.reason);
-  }
-  return out;
-}
-
 ResultCache::ResultCache(std::string directory)
     : directory_(std::move(directory)) {
   TGI_REQUIRE(!directory_.empty(), "ResultCache needs a directory");
@@ -82,24 +49,15 @@ std::string ResultCache::shard_path(std::uint64_t spec_hash) const {
 CacheLookup ResultCache::lookup(std::uint64_t spec_hash,
                                 const std::string& mode,
                                 const std::vector<std::size_t>& values) const {
-  return load_journal(shard_path(spec_hash), spec_hash, mode, values,
-                      "cache: quarantined entry");
+  return PointStore(shard_path(spec_hash), spec_hash, mode, values)
+      .load("cache: quarantined entry");
 }
 
 void ResultCache::store(std::uint64_t spec_hash, const std::string& mode,
                         const std::vector<std::size_t>& values,
-                        const std::map<std::size_t, PointRecord>& records) const {
-  std::filesystem::create_directories(directory_);
-  std::string text = encode_header_record(spec_hash, mode, values);
-  for (const auto& [index, record] : records) {
-    TGI_REQUIRE(index < values.size(),
-                "cache store: point index " << index
-                                            << " is outside the sweep");
-    TGI_REQUIRE(record.index == index,
-                "cache store: record index mismatch at " << index);
-    text += encode_point_record(record);
-  }
-  util::atomic_write_file(shard_path(spec_hash), text);
+                        std::map<std::size_t, PointRecord> records) const {
+  PointStore(shard_path(spec_hash), spec_hash, mode, values)
+      .publish(std::move(records));
 }
 
 }  // namespace tgi::harness

@@ -1,11 +1,12 @@
-// Content-addressed result cache over the checkpoint journal format.
+// Content-addressed result cache: one PointStore per sweep spec.
 //
 // The campaign engine (DESIGN.md §13) deduplicates sweep points across
 // many requests: a point is keyed by (spec_hash, point_index), where the
 // spec hash is journal_spec_hash() over cache_spec_text — the one
 // canonical text of a sweep's identity. The checkpoint journal of
 // `tgi_sweep checkpoint=DIR`, a campaign worker's journal and a cache
-// shard all carry this same key, so for one spec they are the same bytes.
+// shard all carry this same key, so a completed checkpoint is byte for
+// byte the cache shard of its spec, at any thread count.
 // The text includes the sweep values: a point's RNG streams are keyed on
 // its *index* in the value list, so two sweeps with different value lists
 // must never collide. tests/harness/test_cache_key.cpp pins its digests
@@ -13,15 +14,13 @@
 // disk) fails loudly.
 //
 // On-disk representation: one journal file per spec at
-// <dir>/<hash16>.tgij — the exact header+point record format of
-// harness/checkpoint.h (DESIGN.md §11), published atomically via
-// util::AtomicFile (the cache, unlike the mid-sweep journal, is only ever
-// written whole). Every journal the engine reads — a cache shard or a
-// worker's journal — goes through load_journal, which inherits the journal
-// trust policy: a record is fully valid or it is quarantined with a reason
-// and its point recomputed; a journal whose header names another spec is
-// foreign or tampered and is quarantined wholesale. load_journal never
-// throws on damaged bytes — damage is data, not an error.
+// <dir>/<hash16>.tgij — a harness::PointStore (harness/checkpoint.h,
+// DESIGN.md §11) that the cache only ever loads and publishes whole, never
+// appends to. Loads inherit the store's trust policy: a record is fully
+// valid or it is quarantined with a reason and its point recomputed; a
+// shard whose header names another spec is foreign or tampered and is
+// quarantined wholesale. A lookup never throws on damaged bytes — damage
+// is data, not an error.
 #pragma once
 
 #include <cstdint>
@@ -48,29 +47,8 @@ namespace tgi::harness {
     const SuiteConfig& suite, const FaultSpec* faults,
     std::size_t stuck_run_limit, const std::vector<std::size_t>& values);
 
-/// One lookup's outcome: the valid completed points (first valid record
-/// per index wins, exactly like journal resume) and every quarantined
-/// record with its reason. Damage has already been logged at WARN.
-struct CacheLookup {
-  std::map<std::size_t, PointRecord> completed;
-  std::vector<JournalDamage> damage;
-
-  [[nodiscard]] bool hit(std::size_t index) const {
-    return completed.find(index) != completed.end();
-  }
-};
-
-/// Reads the journal at `path` against one spec: the valid completed
-/// points plus every quarantined record. A missing file is an empty
-/// lookup; an unreadable file, damaged records and a valid header for
-/// another spec, mode or value list are all quarantined into `damage`, and
-/// each is logged at WARN as "<warn_prefix> (<path> line N): <reason>".
-/// Never throws on bad bytes.
-[[nodiscard]] CacheLookup load_journal(const std::string& path,
-                                       std::uint64_t spec_hash,
-                                       const std::string& mode,
-                                       const std::vector<std::size_t>& values,
-                                       const char* warn_prefix);
+/// One lookup's outcome: a PointStore load of the spec's shard.
+using CacheLookup = StoreLoad;
 
 /// A persistent, content-addressed store of completed sweep points.
 class ResultCache {
@@ -78,28 +56,27 @@ class ResultCache {
   /// `directory` is created lazily on the first store().
   explicit ResultCache(std::string directory);
 
-  [[nodiscard]] const std::string& directory() const { return directory_; }
-
   /// Shard file for a spec: <directory>/<hash16>.tgij.
   [[nodiscard]] std::string shard_path(std::uint64_t spec_hash) const;
 
-  /// Reads the spec's shard through load_journal. A missing shard is an
-  /// empty (all-miss) lookup; damaged records — torn, bit-flipped,
-  /// duplicated, foreign — are quarantined into `damage` and treated as
-  /// misses. Never throws on bad bytes.
+  /// Loads the spec's shard (PointStore::load, WARN prefix "cache:
+  /// quarantined entry"). A missing shard is an empty (all-miss) lookup;
+  /// damaged records — torn, bit-flipped, duplicated, foreign — are
+  /// quarantined into `damage` and treated as misses. Never throws on bad
+  /// bytes.
   [[nodiscard]] CacheLookup lookup(
       std::uint64_t spec_hash, const std::string& mode,
       const std::vector<std::size_t>& values) const;
 
-  /// Publishes the spec's shard atomically: header + `records` in index
-  /// order. `records` may be partial (a campaign cut short by a worker
-  /// failure still banks what finished); the next lookup simply misses the
-  /// rest. Callers pass the union of prior hits and fresh computes — the
+  /// Publishes the spec's shard atomically (PointStore::publish): header +
+  /// `records` in index order. `records` may be partial (a campaign cut
+  /// short by a worker failure still banks what finished); the next lookup
+  /// simply misses the rest. Callers pass the union of prior hits and fresh computes — the
   /// cache itself never merges, so a store is a deterministic function of
   /// its arguments.
   void store(std::uint64_t spec_hash, const std::string& mode,
              const std::vector<std::size_t>& values,
-             const std::map<std::size_t, PointRecord>& records) const;
+             std::map<std::size_t, PointRecord> records) const;
 
  private:
   std::string directory_;

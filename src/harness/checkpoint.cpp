@@ -1,10 +1,14 @@
 #include "harness/checkpoint.h"
 
+#include <cctype>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "harness/measurement_io.h"
@@ -95,25 +99,35 @@ std::string encode_double(double v) {
   return buf;
 }
 
+/// Strict: no leading whitespace, finite values only.
 double decode_double(const std::string& text) {
   if (text.empty()) throw util::TgiError("journal: empty double field");
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) {
+  if (std::isspace(static_cast<unsigned char>(text[0])) != 0 ||
+      end != text.c_str() + text.size() || !std::isfinite(v)) {
     throw util::TgiError("journal: bad double '" + text + "'");
   }
   return v;
 }
 
+/// A simulated clock reading or duration: finite and >= 0.
+double decode_seconds(const std::string& text) {
+  const double v = decode_double(text);
+  if (v < 0.0) throw util::TgiError("journal: negative time '" + text + "'");
+  return v;
+}
+
+/// Strict: decimal digits only (no whitespace, no sign) that fit a size_t.
 std::size_t decode_size(const std::string& text) {
   if (text.empty()) throw util::TgiError("journal: empty integer field");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || text[0] == '-' ||
-      text[0] == '+') {
+  std::size_t v = 0;
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc() || ptr != last) {
     throw util::TgiError("journal: bad integer '" + text + "'");
   }
-  return static_cast<std::size_t>(v);
+  return v;
 }
 
 std::string crc_hex(std::uint32_t crc) {
@@ -194,8 +208,8 @@ class FieldReader {
   [[nodiscard]] std::size_t get_size(const std::string& name) const {
     return decode_size(get(name));
   }
-  [[nodiscard]] double get_double(const std::string& name) const {
-    return decode_double(get(name));
+  [[nodiscard]] double get_seconds(const std::string& name) const {
+    return decode_seconds(get(name));
   }
   [[nodiscard]] bool get_flag(const std::string& name) const {
     const std::string& v = get(name);
@@ -299,8 +313,8 @@ std::vector<obs::TraceEvent> decode_events(const std::string& text) {
     e.category = unescape(f[2]);
     e.benchmark = decode_size(f[3]);
     e.attempt = decode_size(f[4]);
-    e.start = util::Seconds(decode_double(f[5]));
-    e.duration = util::Seconds(decode_double(f[6]));
+    e.start = util::Seconds(decode_seconds(f[5]));
+    e.duration = util::Seconds(decode_seconds(f[6]));
     for (std::size_t i = 7; i + 1 < f.size(); i += 2) {
       e.args.emplace_back(unescape(f[i]), unescape(f[i + 1]));
     }
@@ -379,15 +393,12 @@ PointRecord parse_point_payload(const std::string& payload) {
     record.counters.meter_faults = fields.get_size("meter_faults");
     record.counters.rejected_readings = fields.get_size("rejected_readings");
     record.counters.dropped_benchmarks = fields.get_size("dropped_benchmarks");
-    record.counters.backoff = util::Seconds(fields.get_double("backoff"));
-    record.counters.stalled = util::Seconds(fields.get_double("stalled"));
+    record.counters.backoff = util::Seconds(fields.get_seconds("backoff"));
+    record.counters.stalled = util::Seconds(fields.get_seconds("stalled"));
   }
   record.traced = fields.get_flag("traced");
   if (record.traced) {
-    record.trace_now = util::Seconds(fields.get_double("now"));
-    if (record.trace_now.value() < 0.0) {
-      throw util::TgiError("journal: negative recorder clock");
-    }
+    record.trace_now = util::Seconds(fields.get_seconds("now"));
     record.events = decode_events(fields.get("events"));
     record.trace_metrics = decode_metrics(fields.get("metrics"));
   }
@@ -608,19 +619,6 @@ JournalState reconcile_journal(const JournalContents& contents,
   return state;
 }
 
-namespace {
-
-void fill_trace_section(PointRecord& record,
-                        const obs::PointRecorder* recorder) {
-  if (recorder == nullptr) return;
-  record.traced = true;
-  record.trace_now = recorder->now();
-  record.events = recorder->events();
-  record.trace_metrics = recorder->metrics().sorted();
-}
-
-}  // namespace
-
 PointRecord make_point_record(std::size_t index, std::size_t value,
                               const SuitePoint& point,
                               const obs::PointRecorder* recorder) {
@@ -628,22 +626,22 @@ PointRecord make_point_record(std::size_t index, std::size_t value,
   record.index = index;
   record.value = value;
   record.point = point;
-  record.robust = false;
-  fill_trace_section(record, recorder);
+  if (recorder != nullptr) {
+    record.traced = true;
+    record.trace_now = recorder->now();
+    record.events = recorder->events();
+    record.trace_metrics = recorder->metrics().sorted();
+  }
   return record;
 }
 
 PointRecord make_robust_point_record(std::size_t index, std::size_t value,
                                      const RobustSuitePoint& point,
                                      const obs::PointRecorder* recorder) {
-  PointRecord record;
-  record.index = index;
-  record.value = value;
-  record.point = point.point;
+  PointRecord record = make_point_record(index, value, point.point, recorder);
   record.robust = true;
   record.missing = point.missing;
   record.counters = point.counters;
-  fill_trace_section(record, recorder);
   return record;
 }
 
@@ -665,78 +663,78 @@ void restore_recorder(const PointRecord& record,
   recorder.advance(record.trace_now);  // exact: clock starts at 0.0
 }
 
-CheckpointJournal::CheckpointJournal(CheckpointConfig config,
-                                     std::uint64_t spec_hash,
-                                     std::string mode,
-                                     std::vector<std::size_t> values)
-    : config_(std::move(config)),
+PointStore::PointStore(std::string path, std::uint64_t spec_hash,
+                       std::string mode, std::vector<std::size_t> values)
+    : path_(std::move(path)),
       spec_hash_(spec_hash),
       mode_(std::move(mode)),
       values_(std::move(values)) {
-  TGI_REQUIRE(!config_.directory.empty(),
-              "CheckpointJournal needs a directory");
-  TGI_REQUIRE(mode_ == "plain" || mode_ == "robust",
-              "journal mode must be 'plain' or 'robust'");
+  TGI_REQUIRE(!path_.empty(), "PointStore needs a path");
+}
+
+StoreLoad PointStore::load(const char* warn_prefix) const {
+  StoreLoad out;
   std::error_code ec;
-  std::filesystem::create_directories(config_.directory, ec);
-  TGI_REQUIRE(!ec, "cannot create checkpoint directory '"
-                       << config_.directory << "': " << ec.message());
-  journal_path_ = config_.directory + "/journal.tgij";
-
-  const std::string header =
-      encode_header_record(spec_hash_, mode_, values_);
-  if (config_.resume && std::filesystem::exists(journal_path_)) {
-    JournalState state = reconcile_journal(read_journal_file(journal_path_),
-                                           spec_hash_, mode_, values_);
-    completed_ = std::move(state.completed);
-    damage_ = std::move(state.damage);
-    for (const JournalDamage& d : damage_) {
-      TGI_LOG_WARN("checkpoint: quarantined journal record (line "
-                   << d.line << "): " << d.reason);
-    }
-    TGI_LOG_INFO("checkpoint: resuming with "
-                 << completed_.size() << "/" << values_.size()
-                 << " points from " << journal_path_);
-    // Compact: rewrite header + surviving records in index order, so
-    // damage and duplicates heal on every resume. Atomic — a crash here
-    // leaves the old journal intact.
-    std::string compacted = header;
-    for (const auto& [index, record] : completed_) {
-      compacted += encode_point_record(record);
-    }
-    util::atomic_write_file(journal_path_, compacted);
-  } else {
-    if (config_.resume) {
-      TGI_LOG_WARN("checkpoint: no journal at " << journal_path_
-                                                << "; starting fresh");
-    }
-    util::atomic_write_file(journal_path_, header);
+  if (!std::filesystem::exists(path_, ec) || ec) return out;
+  JournalContents contents;
+  try {
+    contents = read_journal_file(path_);
+    JournalState state =
+        reconcile_journal(contents, spec_hash_, mode_, values_);
+    out.completed = std::move(state.completed);
+    out.damage = std::move(state.damage);
+  } catch (const util::TgiError& ex) {
+    // Unreadable (raced away), or a VALID header that contradicts this
+    // binding: the file is foreign or tampered — quarantine it wholesale.
+    if (contents.header_valid) out.foreign = ex.what();
+    out.damage = std::move(contents.damage);
+    out.damage.push_back(
+        JournalDamage{0, std::string("shard rejected: ") + ex.what()});
   }
-  // The journal is the one output that must survive a SIGKILL mid-sweep,
-  // so it appends in place; per-record CRCs replace rename atomicity.
-  out_.open(journal_path_, std::ios::binary | std::ios::app);
-  TGI_REQUIRE(out_.good(), "cannot open journal '" << journal_path_
-                                                   << "' for appending");
+  for (const JournalDamage& d : out.damage) {
+    TGI_LOG_WARN(warn_prefix << " (" << path_ << " line " << d.line
+                             << "): " << d.reason);
+  }
+  return out;
 }
 
-bool CheckpointJournal::is_complete(std::size_t index) const {
-  return completed_.find(index) != completed_.end();
-}
-
-const PointRecord& CheckpointJournal::completed(std::size_t index) const {
-  const auto it = completed_.find(index);
-  TGI_REQUIRE(it != completed_.end(),
-              "point " << index << " is not in the journal");
-  return it->second;
-}
-
-void CheckpointJournal::record(const PointRecord& record) {
-  TGI_REQUIRE(record.index < values_.size(),
-              "journal record index out of range");
+void PointStore::check(std::size_t index, const PointRecord& record) const {
+  TGI_REQUIRE(index < values_.size(),
+              "point store: point index " << index << " is outside the sweep");
+  TGI_REQUIRE(record.index == index,
+              "point store: record index mismatch at " << index);
   TGI_REQUIRE(record.robust == (mode_ == "robust"),
-              "journal record mode does not match the journal");
+              "point store: record mode does not match the store");
+}
+
+void PointStore::publish(std::map<std::size_t, PointRecord> records) {
+  std::string text = encode_header_record(spec_hash_, mode_, values_);
+  for (const auto& [index, record] : records) {
+    check(index, record);
+    text += encode_point_record(record);
+  }
+  const std::filesystem::path parent =
+      std::filesystem::path(path_).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
+  const std::lock_guard<std::mutex> lock(mu_);
+  // The rename replaces the file an open append handle points at.
+  if (out_.is_open()) out_.close();
+  util::atomic_write_file(path_, text);
+  records_ = std::move(records);
+  published_ = true;
+}
+
+void PointStore::append(PointRecord record) {
+  check(record.index, record);
   const std::string line = encode_point_record(record);
   const std::lock_guard<std::mutex> lock(mu_);
+  TGI_REQUIRE(published_, "point store: append before publish ('" << path_
+                                                                  << "')");
+  if (!out_.is_open()) {
+    out_.open(path_, std::ios::binary | std::ios::app);
+    TGI_REQUIRE(out_.good(),
+                "cannot open journal '" << path_ << "' for appending");
+  }
   // Deterministic I/O fault injection (DESIGN.md §15): tear this append
   // exactly the way ENOSPC/EIO/a crash mid-write would. A short write
   // leaves a prefix with no trailing newline — the same torn tail a
@@ -748,38 +746,50 @@ void CheckpointJournal::record(const PointRecord& record) {
       out_.flush();
     }
     throw util::TgiError(std::string("journal append failed (injected ") +
-                         util::io_fault_name(fault) + ") for '" +
-                         journal_path_ + "'");
+                         util::io_fault_name(fault) + ") for '" + path_ +
+                         "'");
   }
   out_ << line;
   out_.flush();
-  TGI_CHECK(out_.good(), "journal append failed for '" << journal_path_
-                                                       << "'");
+  TGI_CHECK(out_.good(), "journal append failed for '" << path_ << "'");
+  const std::size_t index = record.index;
+  records_.insert_or_assign(index, std::move(record));
 }
 
-void CheckpointJournal::note_resumed(std::size_t index, std::size_t value) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  resumed_[index] = value;
+std::vector<JournalDamage> resume_checkpoint(PointStore& store) {
+  std::error_code ec;
+  if (!std::filesystem::exists(store.path(), ec)) {
+    TGI_LOG_WARN("checkpoint: no journal at " << store.path()
+                                              << "; starting fresh");
+    store.publish({});
+    return {};
+  }
+  StoreLoad loaded = store.load("checkpoint: quarantined journal record");
+  if (!loaded.foreign.empty()) throw util::TgiError(loaded.foreign);
+  TGI_LOG_INFO("checkpoint: resuming with "
+               << loaded.completed.size() << "/" << store.values().size()
+               << " points from " << store.path());
+  // Atomic — a crash here leaves the old journal intact.
+  store.publish(std::move(loaded.completed));
+  return std::move(loaded.damage);
 }
 
-void CheckpointJournal::finalize() {
-  if (!config_.resume) return;
-  // One `point_resumed` instant per replayed point, built with the same
-  // obs machinery as trace.json but written to a separate file: which
-  // points resume depends on where the previous run died, so this record
-  // must never leak into the byte-compared trace channel.
+void write_resume_trace(const std::string& path,
+                        const std::map<std::size_t, PointRecord>& replayed) {
+  // Built with the same obs machinery as trace.json but written to a
+  // separate file, so it never leaks into the byte-compared trace channel.
   std::vector<obs::PointRecorder> recorders;
-  recorders.reserve(resumed_.size());
-  for (const auto& [index, value] : resumed_) {
-    obs::PointRecorder recorder(index, std::to_string(value));
+  recorders.reserve(replayed.size());
+  for (const auto& [index, record] : replayed) {
+    const std::string value = std::to_string(record.value);
+    obs::PointRecorder recorder(index, value);
     recorder.instant("point_resumed", "resume",
-                     {{"value", std::to_string(value)},
-                      {"source", "journal"}});
+                     {{"value", value}, {"source", "journal"}});
     recorder.metrics().add("points_resumed");
     recorders.push_back(std::move(recorder));
   }
   const obs::SweepTrace trace = obs::SweepTrace::merge(std::move(recorders));
-  util::AtomicFile out(config_.directory + "/resume.json");
+  util::AtomicFile out(path);
   trace.write_chrome_trace(out.stream());
   out.commit();
 }

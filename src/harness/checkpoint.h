@@ -1,19 +1,24 @@
-// Crash-tolerant sweeps: a deterministic checkpoint/resume journal.
+// The one point store (DESIGN.md §11): the journal record codec and the
+// `.tgij` file handle behind every checkpoint, campaign worker journal and
+// cache shard.
 //
-// The paper's methodology is a long measurement campaign — every suite
-// benchmark, metered, at every scale — and the sweep engine multiplies it
-// across dozens of points. A crash used to throw away every completed
-// point. This module gives `ParallelSweep` an append-only, checksummed
-// journal: one record per completed sweep point, written through a flushed
-// append (the one output in this repo that cannot use temp+rename, because
-// it must survive a SIGKILL *mid-sweep*, not just mid-write). On resume the
-// journal is validated, completed points are replayed, and only the missing
-// ones are recomputed — with the exact per-point RNG offsets the
-// determinism contract (DESIGN.md §3b) already keys on the point index, so
-// a killed-and-resumed sweep is byte-identical to an uninterrupted one at
-// any thread count.
+// Every measured sweep point is banked as one checksummed record. A
+// PointStore is one journal file bound to one sweep (spec hash, mode,
+// values) with three operations: `load` (never throws on bad bytes;
+// quarantines damage, reports a foreign header), `append` (locked, flushed,
+// I/O-fault-injected — it must survive a SIGKILL *mid-sweep*, so it cannot
+// use temp+rename), and `publish` (header plus records in index order,
+// atomically). A checkpoint (`tgi_sweep checkpoint=DIR`) is published
+// (fresh header, or the resume compaction), appended to as points finish,
+// and published again when the sweep completes — so a completed
+// checkpoint is byte for byte the cache shard of its spec at any thread
+// count. A worker journal is published and appended to; a cache shard
+// (harness/cache.h) is loaded and published whole. Resume replays
+// completed points with the per-point RNG offsets the determinism contract
+// (DESIGN.md §3b) keys on the point index, so a killed-and-resumed sweep
+// is byte-identical to an uninterrupted one at any thread count.
 //
-// Journal format (DESIGN.md §11): one record per line,
+// Journal format: one record per line,
 //
 //   TGIJ1 <kind> <crc32-hex8> <payload>\n
 //
@@ -22,16 +27,17 @@
 // by US (0x1f). Values are percent-escaped (%, LF, CR, RS, US), so a
 // record is always exactly one line; nested lists (trace events, metrics)
 // join their escaped elements with RS (0x1e) before the field-level escape.
-// Doubles that must round-trip bit-exactly ride either the measurement_io
-// interchange CSV (17 significant digits) or C hexfloats.
+// Doubles ride the measurement_io interchange CSV (17 significant digits)
+// or C hexfloats, bit-exactly; integers are plain decimal digits.
 //
-// Trust policy: a record is either fully valid — magic, CRC, schema, and
-// every embedded measurement re-validated — or it is quarantined with a
-// logged reason and its point recomputed. A torn tail (SIGKILL mid-append
-// leaves no trailing newline), a flipped bit, a duplicated or reordered
-// record: none of them can silently corrupt a resumed figure. A journal
-// whose header does not match the current run's spec hash throws —
-// resuming under a different spec is a caller error, not damage.
+// Trust policy: a record is either fully valid — magic, CRC, schema,
+// strict numbers (digits-only integers that fit, finite doubles,
+// non-negative clocks and durations), every embedded measurement
+// re-validated — or it is quarantined with a logged reason and its point
+// recomputed. A torn tail, a flipped bit, a duplicated or reordered record
+// cannot silently corrupt a resumed figure. A valid header that names
+// another spec makes the file foreign: `load` quarantines it wholesale,
+// and resuming a checkpoint over it throws — a caller error, not damage.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +58,9 @@
 
 namespace tgi::harness {
 
-/// FNV-1a 64-bit hash of a canonical spec string — the journal's guard
-/// against resuming a sweep under a different cluster/seed/fault/suite
-/// configuration, and the result cache's key. The canonical string is
+/// FNV-1a 64-bit hash of a canonical spec string — the key a PointStore
+/// is bound to: the guard against resuming a sweep under a different
+/// cluster/seed/fault/suite configuration, and the result cache's key. The canonical string is
 /// harness::cache_spec_text (harness/cache.h), built for a sweep by
 /// serve::spec_hash.
 [[nodiscard]] std::uint64_t journal_spec_hash(std::string_view canonical_spec);
@@ -143,76 +149,86 @@ struct JournalState {
 /// record.traced.
 void restore_recorder(const PointRecord& record, obs::PointRecorder& recorder);
 
-struct CheckpointConfig {
-  std::string directory;  ///< journal lives at <directory>/journal.tgij
-  bool resume = false;    ///< load completed points instead of starting over
+/// One load of a PointStore: the valid completed points (first valid
+/// record per index wins) and every quarantined record with its reason,
+/// already logged at WARN.
+struct StoreLoad {
+  std::map<std::size_t, PointRecord> completed;
+  std::vector<JournalDamage> damage;
+  /// Set when the file's valid header names another spec, mode or value
+  /// list: why. The whole file is quarantined (the last damage entry).
+  std::string foreign;
+
+  [[nodiscard]] bool hit(std::size_t index) const {
+    return completed.find(index) != completed.end();
+  }
 };
 
-/// The sweep engine's journal handle (ParallelSweepConfig::checkpoint).
-///
-/// Fresh mode truncates the journal and writes the header; resume mode
-/// loads it (logging every quarantined record at WARN), then compacts it
-/// atomically — header plus the surviving records in index order — so
-/// accumulated damage and duplicates heal on every resume. `record` is
-/// thread-safe: workers append-and-flush one complete line per finished
-/// point, which a SIGKILL can only ever tear at the tail, where the
-/// checksum catches it.
-class CheckpointJournal {
+/// One `.tgij` file bound to one sweep: spec hash, mode ("plain" for
+/// run/run_extended/run_with, "robust" for run_robust) and sweep values.
+/// Only a PointStore writes journal-format files.
+class PointStore {
  public:
-  /// `mode` is "plain" (run/run_extended/run_with) or "robust"
-  /// (run_robust); it is stamped into the header and must match on resume.
-  CheckpointJournal(CheckpointConfig config, std::uint64_t spec_hash,
-                    std::string mode, std::vector<std::size_t> values);
+  PointStore(std::string path, std::uint64_t spec_hash, std::string mode,
+             std::vector<std::size_t> values);
 
-  [[nodiscard]] const std::string& journal_path() const {
-    return journal_path_;
-  }
+  [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] const std::string& mode() const { return mode_; }
-  [[nodiscard]] bool resuming() const { return config_.resume; }
   [[nodiscard]] const std::vector<std::size_t>& values() const {
     return values_;
   }
 
-  /// Completed points loaded from the journal on resume.
-  [[nodiscard]] std::size_t completed_count() const {
-    return completed_.size();
+  /// Reads the file against this binding. Never throws on bad bytes: a
+  /// missing file is an empty load; damaged records, an unreadable file and
+  /// a valid header for another spec, mode or value list are quarantined
+  /// into `damage`, each logged at WARN as "<warn_prefix> (<path> line N):
+  /// <reason>"; a foreign header also sets `foreign`.
+  [[nodiscard]] StoreLoad load(const char* warn_prefix) const;
+
+  /// Atomically replaces the file (util::AtomicFile; the directory is
+  /// created) with the header plus `records` in index order. `records` may
+  /// be partial. They become records().
+  void publish(std::map<std::size_t, PointRecord> records);
+
+  /// Appends one record and flushes. Thread-safe; needs a prior publish.
+  /// Deterministic I/O fault injection (util/io_faults.h) can tear or
+  /// abort the append, which throws; the per-record CRC quarantines a torn
+  /// tail on the next load. The record joins records().
+  void append(PointRecord record);
+
+  /// Every record this handle has published or appended since, by index.
+  /// Not safe to call while appends are in flight.
+  [[nodiscard]] const std::map<std::size_t, PointRecord>& records() const {
+    return records_;
   }
-  [[nodiscard]] bool is_complete(std::size_t index) const;
-  [[nodiscard]] const PointRecord& completed(std::size_t index) const;
-
-  /// Quarantined records (structural + semantic), already logged at WARN.
-  [[nodiscard]] const std::vector<JournalDamage>& damage() const {
-    return damage_;
-  }
-
-  /// Appends one completed point and flushes. Thread-safe.
-  void record(const PointRecord& record);
-
-  /// Notes that point `index` was replayed from the journal; finalize()
-  /// turns these into `point_resumed` trace events. Thread-safe.
-  void note_resumed(std::size_t index, std::size_t value);
-
-  /// Called by the sweep engine after the sweep completes. On resume,
-  /// writes <directory>/resume.json — a Chrome-trace record (src/obs) with
-  /// one `point_resumed` instant per replayed point. Deliberately a
-  /// SEPARATE file: trace.json must stay byte-identical to an
-  /// uninterrupted run, and which points resumed depends on where the
-  /// previous run died.
-  void finalize();
 
  private:
-  CheckpointConfig config_;
+  void check(std::size_t index, const PointRecord& record) const;
+
+  std::string path_;
   std::uint64_t spec_hash_ = 0;
   std::string mode_;
   std::vector<std::size_t> values_;
-  std::string journal_path_;
-  std::map<std::size_t, PointRecord> completed_;
-  std::vector<JournalDamage> damage_;
-  std::map<std::size_t, std::size_t> resumed_;  // index -> sweep value
+  std::map<std::size_t, PointRecord> records_;
+  bool published_ = false;
   std::mutex mu_;
   // Append-mode on purpose: per-record CRCs replace rename atomicity so a
   // crash can only tear the final record, never the published prefix.
   std::ofstream out_;  // tgi-lint: allow(nonatomic-output-write)
 };
+
+/// The resume step of a checkpoint (`tgi_sweep --resume`): loads `store`
+/// (WARN "checkpoint: quarantined journal record"), throws TgiError on a
+/// foreign header, and compacts — publishes the surviving records, which
+/// become store.records(). A missing file starts fresh (WARN). Returns the
+/// quarantined records.
+std::vector<JournalDamage> resume_checkpoint(PointStore& store);
+
+/// Writes a resumed sweep's provenance to `path` (resume.json): one
+/// `point_resumed` Chrome-trace instant per replayed record. A SEPARATE
+/// file because trace.json must stay byte-identical to an uninterrupted
+/// run, and which points resumed depends on where the previous run died.
+void write_resume_trace(const std::string& path,
+                        const std::map<std::size_t, PointRecord>& replayed);
 
 }  // namespace tgi::harness

@@ -61,31 +61,32 @@ ParallelSweep::ParallelSweep(sim::ClusterSpec cluster,
 
 namespace {
 
-/// Validates the journal handle against the call and returns it (null when
-/// checkpointing is off).
-CheckpointJournal* checked_journal(const ParallelSweepConfig& config,
-                                   const char* mode,
-                                   const std::vector<std::size_t>& values) {
-  CheckpointJournal* journal = config.checkpoint;
-  if (journal == nullptr) return nullptr;
-  TGI_REQUIRE(journal->mode() == mode,
-              "checkpoint journal mode '" << journal->mode()
+/// Validates the checkpoint store against the call and returns it (null
+/// when checkpointing is off).
+PointStore* checked_store(const ParallelSweepConfig& config, const char* mode,
+                          const std::vector<std::size_t>& values) {
+  PointStore* store = config.checkpoint;
+  if (store == nullptr) return nullptr;
+  TGI_REQUIRE(store->mode() == mode,
+              "checkpoint journal mode '" << store->mode()
                                           << "' does not match this sweep ('"
                                           << mode << "')");
-  TGI_REQUIRE(journal->values() == values,
+  TGI_REQUIRE(store->values() == values,
               "checkpoint journal sweep values do not match this sweep");
-  return journal;
+  return store;
 }
 
 /// The one sweep body behind run_with and run_robust. Each point is fully
 /// self-contained: `compute(k, recorder)` builds point k's own meter and
-/// runner (recorder is null unless tracing or journaling). Results and
+/// runner (recorder is null unless tracing or checkpointing). Results and
 /// recorders land in preallocated slots, so completion order cannot
-/// reorder the output. Journaled points are replayed serially, in index
-/// order (`restore` rebuilds the result from its record); only the
-/// remainder is executed. Journaling always attaches recorders (attaching
-/// is observational): each record carries its observability section so a
-/// later resume can serve --trace.
+/// reorder the output. Points the checkpoint holds are replayed serially,
+/// in index order (`restore` rebuilds the result from its record); only
+/// the remainder is executed, each appended to the checkpoint as it
+/// finishes, and the completed sweep is published in index order.
+/// Checkpointing always attaches recorders (attaching is observational):
+/// each record carries its observability section so a later resume can
+/// serve --trace.
 template <typename Point, typename Restore, typename Compute,
           typename MakeRecord>
 std::vector<Point> sweep_points(const ParallelSweepConfig& config,
@@ -94,9 +95,9 @@ std::vector<Point> sweep_points(const ParallelSweepConfig& config,
                                 obs::SweepTrace* trace, const Restore& restore,
                                 const Compute& compute,
                                 const MakeRecord& make_record) {
-  CheckpointJournal* journal = checked_journal(config, mode, values);
+  PointStore* store = checked_store(config, mode, values);
   std::vector<obs::PointRecorder> recorders;
-  if (trace != nullptr || journal != nullptr) {
+  if (trace != nullptr || store != nullptr) {
     recorders.reserve(values.size());
     for (std::size_t k = 0; k < values.size(); ++k) {
       recorders.emplace_back(k, std::to_string(values[k]));
@@ -106,11 +107,10 @@ std::vector<Point> sweep_points(const ParallelSweepConfig& config,
   std::vector<std::size_t> pending;
   pending.reserve(values.size());
   for (std::size_t k = 0; k < values.size(); ++k) {
-    if (journal != nullptr && journal->is_complete(k)) {
-      const PointRecord& record = journal->completed(k);
+    if (store != nullptr && store->records().count(k) != 0) {
+      const PointRecord& record = store->records().at(k);
       results[k] = restore(record);
       restore_recorder(record, recorders[k]);
-      journal->note_resumed(k, values[k]);
     } else {
       pending.push_back(k);
     }
@@ -118,21 +118,63 @@ std::vector<Point> sweep_points(const ParallelSweepConfig& config,
   execute_points(
       pending.size(), config.threads, config.profiler,
       [&pending, &recorders, &results, &values, &compute, &make_record,
-       journal](std::size_t i) {
+       store](std::size_t i) {
         const std::size_t k = pending[i];
         obs::PointRecorder* recorder =
             recorders.empty() ? nullptr : &recorders[k];
         results[k] = compute(k, recorder);
-        if (journal != nullptr) {
-          journal->record(make_record(k, values[k], results[k], recorder));
+        if (store != nullptr) {
+          store->append(make_record(k, values[k], results[k], recorder));
         }
       });
-  if (journal != nullptr) journal->finalize();
+  if (store != nullptr) store->publish(store->records());
   if (trace != nullptr) *trace = obs::SweepTrace::merge(std::move(recorders));
   return results;
 }
 
+SuitePoint standard_suite(SuiteRunner& runner, std::size_t processes) {
+  return runner.run_suite(processes);
+}
+
 }  // namespace
+
+SuitePoint ParallelSweep::plain_point(std::size_t k, std::size_t value,
+                                      const SweepPointFn& fn,
+                                      obs::PointRecorder* recorder) const {
+  const std::unique_ptr<power::PowerMeter> meter = meter_factory_(k);
+  TGI_CHECK(meter != nullptr, "meter factory returned null");
+  SuiteRunner runner(cluster_, *meter, config_.suite);
+  if (recorder != nullptr) runner.attach_recorder(recorder);
+  return fn(runner, value);
+}
+
+RobustSuitePoint ParallelSweep::robust_point(
+    std::size_t k, std::size_t value, const FaultPlan& plan,
+    const RobustConfig& robust, obs::PointRecorder* recorder) const {
+  // The fault plane adds no shared state: FaultPlan decisions are pure
+  // functions of indices.
+  const std::unique_ptr<power::PowerMeter> meter = meter_factory_(k);
+  TGI_CHECK(meter != nullptr, "meter factory returned null");
+  RobustSuiteRunner runner(cluster_, *meter, plan, robust, config_.suite, k);
+  if (recorder != nullptr) runner.attach_recorder(recorder);
+  return runner.run_suite(value);
+}
+
+PointRecord ParallelSweep::record_point(const std::vector<std::size_t>& values,
+                                        std::size_t k, const FaultPlan* plan,
+                                        const RobustConfig& robust) const {
+  TGI_REQUIRE(k < values.size(),
+              "sweep point " << k << " is outside the sweep");
+  obs::PointRecorder recorder(k, std::to_string(values[k]));
+  if (plan != nullptr) {
+    return make_robust_point_record(
+        k, values[k], robust_point(k, values[k], *plan, robust, &recorder),
+        &recorder);
+  }
+  return make_point_record(
+      k, values[k], plain_point(k, values[k], standard_suite, &recorder),
+      &recorder);
+}
 
 std::vector<SuitePoint> ParallelSweep::run_with(
     const std::vector<std::size_t>& values, const SweepPointFn& fn,
@@ -142,11 +184,7 @@ std::vector<SuitePoint> ParallelSweep::run_with(
       config_, "plain", values, trace,
       [](const PointRecord& record) { return record.point; },
       [this, &fn, &values](std::size_t k, obs::PointRecorder* recorder) {
-        const std::unique_ptr<power::PowerMeter> meter = meter_factory_(k);
-        TGI_CHECK(meter != nullptr, "meter factory returned null");
-        SuiteRunner runner(cluster_, *meter, config_.suite);
-        if (recorder != nullptr) runner.attach_recorder(recorder);
-        return fn(runner, values[k]);
+        return plain_point(k, values[k], fn, recorder);
       },
       make_point_record);
 }
@@ -154,8 +192,6 @@ std::vector<SuitePoint> ParallelSweep::run_with(
 std::vector<RobustSuitePoint> ParallelSweep::run_robust(
     const std::vector<std::size_t>& process_counts, const FaultPlan& plan,
     const RobustConfig& robust, obs::SweepTrace* trace) const {
-  // The fault plane adds no shared state: FaultPlan decisions are pure
-  // functions of indices.
   return sweep_points<RobustSuitePoint>(
       config_, "robust", process_counts, trace,
       [](const PointRecord& record) {
@@ -163,12 +199,7 @@ std::vector<RobustSuitePoint> ParallelSweep::run_robust(
       },
       [this, &plan, &robust, &process_counts](std::size_t k,
                                               obs::PointRecorder* recorder) {
-        const std::unique_ptr<power::PowerMeter> meter = meter_factory_(k);
-        TGI_CHECK(meter != nullptr, "meter factory returned null");
-        RobustSuiteRunner runner(cluster_, *meter, plan, robust,
-                                 config_.suite, k);
-        if (recorder != nullptr) runner.attach_recorder(recorder);
-        return runner.run_suite(process_counts[k]);
+        return robust_point(k, process_counts[k], plan, robust, recorder);
       },
       make_robust_point_record);
 }
@@ -176,12 +207,7 @@ std::vector<RobustSuitePoint> ParallelSweep::run_robust(
 std::vector<SuitePoint> ParallelSweep::run(
     const std::vector<std::size_t>& process_counts,
     obs::SweepTrace* trace) const {
-  return run_with(
-      process_counts,
-      [](SuiteRunner& runner, std::size_t processes) {
-        return runner.run_suite(processes);
-      },
-      trace);
+  return run_with(process_counts, standard_suite, trace);
 }
 
 std::vector<SuitePoint> ParallelSweep::run_extended(

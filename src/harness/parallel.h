@@ -77,14 +77,14 @@ struct ParallelSweepConfig {
   /// track). Explicitly NON-deterministic — it never feeds back into
   /// results or the deterministic trace. Must outlive the sweep calls.
   obs::WallProfiler* profiler = nullptr;
-  /// Optional checkpoint journal (harness/checkpoint.h, DESIGN.md §11).
-  /// When set, every completed point is journaled as it finishes, and
-  /// points the journal already holds are replayed instead of recomputed —
-  /// results land in the same preallocated slots, so a resumed sweep is
-  /// byte-identical to an uninterrupted one at any thread count. The
-  /// journal's mode must match the call (plain for run/run_extended/
-  /// run_with, robust for run_robust). Must outlive the sweep calls.
-  CheckpointJournal* checkpoint = nullptr;
+  /// Optional checkpoint (harness/checkpoint.h, DESIGN.md §11), already
+  /// published (fresh, or compacted by resume_checkpoint): its points are
+  /// replayed into their preallocated slots, every other point is appended
+  /// as it finishes, and the completed sweep is published in index order —
+  /// byte-identical to an uninterrupted run at any thread count. Its mode
+  /// must match the call (robust only for run_robust). Must outlive the
+  /// sweep calls.
+  PointStore* checkpoint = nullptr;
 };
 
 /// Maps sweep points to SuitePoint results concurrently; output is
@@ -129,10 +129,22 @@ class ParallelSweep {
       const RobustConfig& robust = {},
       obs::SweepTrace* trace = nullptr) const;
 
-  [[nodiscard]] const sim::ClusterSpec& cluster() const { return cluster_; }
-  [[nodiscard]] const ParallelSweepConfig& config() const { return config_; }
+  /// The point body every sweep above runs, for callers that compute part
+  /// of a sweep (campaign workers, the in-process heal): point `k` of the
+  /// standard suite over `values` (robust under `plan` when non-null) as
+  /// the traced record a checkpointed run/run_robust journals. Thread-safe.
+  [[nodiscard]] PointRecord record_point(
+      const std::vector<std::size_t>& values, std::size_t k,
+      const FaultPlan* plan, const RobustConfig& robust = {}) const;
 
  private:
+  [[nodiscard]] SuitePoint plain_point(std::size_t k, std::size_t value,
+                                       const SweepPointFn& fn,
+                                       obs::PointRecorder* recorder) const;
+  [[nodiscard]] RobustSuitePoint robust_point(
+      std::size_t k, std::size_t value, const FaultPlan& plan,
+      const RobustConfig& robust, obs::PointRecorder* recorder) const;
+
   sim::ClusterSpec cluster_;
   MeterFactory meter_factory_;
   ParallelSweepConfig config_;

@@ -1,9 +1,9 @@
 #include "serve/campaign.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <utility>
 
@@ -35,20 +35,6 @@ std::string join_indices(const std::vector<std::size_t>& indices) {
     text += std::to_string(index);
   }
   return text;
-}
-
-/// Reads a worker journal and returns its valid records for this spec.
-/// Damage (including a torn tail from a SIGKILLed worker, or a missing
-/// file from one that died before the header) is counted, WARNed, and
-/// treated as absence — the caller recomputes whatever is missing.
-std::map<std::size_t, PointRecord> merge_journal(
-    const std::string& journal_path, std::uint64_t hash,
-    const std::string& mode, const std::vector<std::size_t>& values,
-    CampaignStats& stats) {
-  harness::CacheLookup loaded = harness::load_journal(
-      journal_path, hash, mode, values, "serve: quarantined worker record");
-  stats.quarantined += loaded.damage.size();
-  return std::move(loaded.completed);
 }
 
 /// Computes the entry's reference point (reference_meter +
@@ -228,9 +214,16 @@ std::map<std::size_t, PointRecord> run_worker_shards(
           "threads=" + std::to_string(threads),
           "shard=" + std::to_string(s)};
     };
+    // Damage (including a torn tail from a SIGKILLed worker, or a missing
+    // file from one that died before the header) is counted, WARNed, and
+    // treated as absence — whatever is missing gets recomputed.
     job.merge = [hash, &mode, &spec,
                  &stats](const std::string& journal_path) {
-      return merge_journal(journal_path, hash, mode, spec.sweep, stats);
+      harness::StoreLoad loaded =
+          harness::PointStore(journal_path, hash, mode, spec.sweep)
+              .load("serve: quarantined worker record");
+      stats.quarantined += loaded.damage.size();
+      return std::move(loaded.completed);
     };
     jobs.push_back(std::move(job));
   }
@@ -327,47 +320,38 @@ CampaignStats CampaignEngine::run(const std::vector<CampaignSpec>& entries,
     // anything a dead worker left behind.
     std::map<std::size_t, PointRecord> records = std::move(cached.completed);
     if (!pending.empty()) {
-      // Private to this run: concurrent engines sharing the cache never
-      // see (or remove) each other's journals.
-      const std::string scratch = config_.cache_dir + "/work/" + entry.name +
-                                  "." + util::unique_token();
       if (config_.workers > 0) {
-        std::map<std::size_t, PointRecord> fresh = run_worker_shards(
-            config_, entry, hash, mode, pending, scratch, stats,
-            prov.shards);
-        for (auto& [index, record] : fresh) {
+        // Private to this run: concurrent engines sharing the cache never
+        // see (or remove) each other's journals.
+        const std::string scratch = config_.cache_dir + "/work/" +
+                                    entry.name + "." + util::unique_token();
+        for (auto& [index, record] :
+             run_worker_shards(config_, entry, hash, mode, pending, scratch,
+                               stats, prov.shards)) {
           records.emplace(index, std::move(record));
         }
+        std::error_code ec;
+        std::filesystem::remove_all(scratch, ec);
       }
       std::vector<std::size_t> missing;
       for (const std::size_t k : pending) {
         if (records.find(k) == records.end()) missing.push_back(k);
       }
       if (!missing.empty()) {
-        WorkerAssignment local;
-        local.indices = missing;
-        local.journal_dir = scratch + "/local";
-        local.threads = config_.threads;
-        (void)run_worker(entry, local);
-        std::map<std::size_t, PointRecord> fresh = merge_journal(
-            local.journal_dir + "/journal.tgij", hash, mode, entry.sweep,
-            stats);
-        for (auto& [index, record] : fresh) {
-          records.emplace(index, std::move(record));
-        }
+        std::mutex mu;
+        compute_points(entry, missing, config_.threads,
+                       [&records, &mu](PointRecord record) {
+                         const std::lock_guard<std::mutex> lock(mu);
+                         const std::size_t index = record.index;
+                         records.emplace(index, std::move(record));
+                       });
       }
       stats.computed += pending.size();
-      // TGI_SERVE_KEEP_SCRATCH (env, debugging): keep worker spec files,
-      // journals, and stderr captures instead of cleaning the scratch tree.
-      if (std::getenv("TGI_SERVE_KEEP_SCRATCH") == nullptr) {
-        std::error_code ec;
-        std::filesystem::remove_all(scratch, ec);
-      }
     }
 
     // 4. Publish, then re-read: emission consumes only decoded cache
     // bytes, so cold and warm runs emit from identical inputs.
-    cache.store(hash, mode, entry.sweep, records);
+    cache.store(hash, mode, entry.sweep, std::move(records));
     harness::CacheLookup final_state = cache.lookup(hash, mode, entry.sweep);
     for (std::size_t k = 0; k < entry.sweep.size(); ++k) {
       TGI_CHECK(final_state.hit(k), "campaign entry ["
@@ -389,7 +373,7 @@ CampaignStats CampaignEngine::run(const std::vector<CampaignSpec>& entries,
     } else {
       std::map<std::size_t, PointRecord> ref_records;
       ref_records.emplace(0, compute_reference_record(entry));
-      cache.store(ref_hash, "plain", ref_values, ref_records);
+      cache.store(ref_hash, "plain", ref_values, std::move(ref_records));
       ++stats.computed;
       ref_cached = cache.lookup(ref_hash, "plain", ref_values);
       stats.quarantined += ref_cached.damage.size();

@@ -6,8 +6,9 @@
 //   1. look the spec's shard up in the ResultCache — valid records are
 //      cache hits, damaged ones are quarantined (WARN) and become misses;
 //   2. shard the missing GLOBAL indices round-robin across `workers`
-//      `tgi_serve --worker` processes (0 = compute in-process), each
-//      journaling into its own scratch directory;
+//      `tgi_serve --worker` processes, each journaling into its own
+//      scratch directory under <cache>/work/ (0 = compute in-process
+//      through the same point body, records kept in memory — no scratch);
 //   3. supervise every shard through serve::Supervisor (DESIGN.md §15):
 //      a progress watchdog SIGTERM→SIGKILLs hung workers, failed attempts
 //      (signal / nonzero / hang / clean-but-incomplete journal) are WARNed
@@ -17,7 +18,8 @@
 //      valid record per index wins — order only matters for damage
 //      accounting, since a point's record bytes are identical whichever
 //      worker computed them); whatever a quarantined shard still owes is
-//      recomputed in-process — the campaign self-heals;
+//      recomputed in-process (serve::compute_points) — the campaign
+//      self-heals;
 //   4. publish hits ∪ fresh records back to the cache atomically, then
 //      re-read the shard and emit ONLY from the decoded records. Cold and
 //      warm runs therefore run the identical emission code on identical

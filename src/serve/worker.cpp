@@ -3,17 +3,13 @@
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include <unistd.h>
 
-#include "harness/checkpoint.h"
 #include "harness/parallel.h"
 #include "harness/robust.h"
-#include "harness/suite.h"
-#include "power/meter.h"
 #include "util/error.h"
 
 namespace tgi::serve {
@@ -55,67 +51,44 @@ void maybe_fire_fault_hook(const WorkerAssignment& a, std::size_t done) {
 
 }  // namespace
 
-std::size_t run_worker(const CampaignSpec& spec, const WorkerAssignment& a) {
-  const std::vector<std::size_t>& values = spec.sweep;
-  TGI_REQUIRE(!a.indices.empty(), "worker assignment is empty");
-  for (std::size_t i = 0; i < a.indices.size(); ++i) {
-    TGI_REQUIRE(a.indices[i] < values.size(),
-                "worker index " << a.indices[i] << " is outside the sweep");
-    TGI_REQUIRE(i == 0 || a.indices[i - 1] < a.indices[i],
+void compute_points(const CampaignSpec& spec,
+                    const std::vector<std::size_t>& indices,
+                    std::size_t threads,
+                    const std::function<void(harness::PointRecord)>& done) {
+  TGI_REQUIRE(!indices.empty(), "worker assignment is empty");
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    TGI_REQUIRE(indices[i] < spec.sweep.size(),
+                "worker index " << indices[i] << " is outside the sweep");
+    TGI_REQUIRE(i == 0 || indices[i - 1] < indices[i],
                 "worker indices must be strictly increasing");
   }
-  TGI_REQUIRE(!a.journal_dir.empty(), "worker needs a journal directory");
-
-  const std::string mode = spec_mode(spec);
-  harness::CheckpointConfig ccfg;
-  ccfg.directory = a.journal_dir;
-  ccfg.resume = false;
-  harness::CheckpointJournal journal(std::move(ccfg), spec_hash(spec), mode,
-                                     values);
-
-  // Full preallocation, global labels — exactly ParallelSweep's recorders,
-  // so a shard's trace section is byte-identical to the record an
-  // unsharded sweep would journal for the same point.
-  std::vector<obs::PointRecorder> recorders;
-  recorders.reserve(values.size());
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    recorders.emplace_back(k, std::to_string(values[k]));
-  }
-
-  const harness::SuiteConfig suite;
+  const harness::ParallelSweep engine(spec.cluster, spec_meter_factory(spec));
   const std::optional<harness::FaultPlan> plan =
       spec.faulted() ? std::optional<harness::FaultPlan>(spec.faults())
                      : std::nullopt;
   const harness::RobustConfig robust = spec_robust_config(spec);
-  const harness::MeterFactory factory = spec_meter_factory(spec);
-  const auto run_point = [&spec, &a, &values, &recorders, &plan, &robust,
-                          &suite, &factory, &journal](std::size_t i) {
-    const std::size_t k = a.indices[i];
-    const std::unique_ptr<power::PowerMeter> meter = factory(k);
-    if (plan) {
-      harness::RobustSuiteRunner runner(spec.cluster, *meter, *plan, robust,
-                                        suite, k);
-      runner.attach_recorder(&recorders[k]);
-      journal.record(harness::make_robust_point_record(
-          k, values[k], runner.run_suite(values[k]), &recorders[k]));
-    } else {
-      harness::SuiteRunner runner(spec.cluster, *meter, suite);
-      runner.attach_recorder(&recorders[k]);
-      journal.record(harness::make_point_record(
-          k, values[k], runner.run_suite(values[k]), &recorders[k]));
-    }
-  };
-  if (fault_hook_armed(a)) {
-    // Serial, in assignment order: "journaled N then faulted" must mean
-    // exactly the first N records are on disk.
-    for (std::size_t i = 0; i < a.indices.size(); ++i) {
-      run_point(i);
-      maybe_fire_fault_hook(a, i + 1);
-    }
-  } else {
-    harness::execute_points(a.indices.size(), a.threads, nullptr, run_point);
-  }
-  journal.finalize();
+  harness::execute_points(
+      indices.size(), threads, nullptr,
+      [&spec, &indices, &engine, &plan, &robust, &done](std::size_t i) {
+        done(engine.record_point(spec.sweep, indices[i],
+                                 plan ? &*plan : nullptr, robust));
+      });
+}
+
+std::size_t run_worker(const CampaignSpec& spec, const WorkerAssignment& a) {
+  TGI_REQUIRE(!a.journal_dir.empty(), "worker needs a journal directory");
+  harness::PointStore journal(a.journal_dir + "/journal.tgij",
+                              spec_hash(spec), spec_mode(spec), spec.sweep);
+  journal.publish({});
+  // An armed hook runs serially, in assignment order: "journaled N then
+  // faulted" must mean exactly the first N records are on disk.
+  const bool armed = fault_hook_armed(a);
+  std::size_t journaled = 0;
+  compute_points(spec, a.indices, armed ? 1 : a.threads,
+                 [&a, &journal, armed, &journaled](harness::PointRecord r) {
+                   journal.append(std::move(r));
+                   if (armed) maybe_fire_fault_hook(a, ++journaled);
+                 });
   return a.indices.size();
 }
 

@@ -1,24 +1,22 @@
 // The campaign worker: computes an assigned subset of one spec's sweep
-// points and journals them (DESIGN.md §13).
+// points (DESIGN.md §13).
 //
-// A worker — whether a `tgi_serve --worker` shard process or the engine's
-// in-process fallback — is handed GLOBAL point indices. It must reproduce
-// exactly the bytes ParallelSweep would have produced for those indices in
-// a full sweep: meters are built from the global index (WattsUp run_offset
-// = k * measurements_per_point), fault and robust streams key on the
-// global index, recorders carry the global index and label, and every
-// completed point is appended to a fresh CheckpointJournal in
-// `journal_dir` — the engine merges shard journals in fixed shard order
-// and banks the records in the result cache. Because the journal record
-// is the canonical byte representation, a worker's output is
-// thread-count-invariant by the same §3b argument the sweep engine
-// carries.
+// A worker — a `tgi_serve --worker` shard process or the engine's
+// in-process heal — is handed GLOBAL point indices and must reproduce
+// exactly the bytes ParallelSweep would produce for them in a full sweep,
+// so both run the sweep engine's own point body through compute_points
+// (meters, fault and robust streams keyed on the global index). run_worker
+// appends every record to a harness::PointStore at
+// `journal_dir`/journal.tgij, which the engine loads in fixed shard order;
+// the in-process heal keeps its records in memory.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "harness/checkpoint.h"
 #include "serve/spec.h"
 
 namespace tgi::serve {
@@ -50,8 +48,18 @@ struct WorkerAssignment {
   std::size_t garbage_after = 0;
 };
 
-/// Computes the assignment and returns the number of points journaled.
-/// With a process-fault hook armed this call may not return at all.
+/// Computes `indices` (global, strictly increasing) of the spec's sweep on
+/// `threads` through the sweep engine's point body, handing each finished
+/// record to `done` — concurrently when threads > 1, in index order
+/// otherwise.
+void compute_points(const CampaignSpec& spec,
+                    const std::vector<std::size_t>& indices,
+                    std::size_t threads,
+                    const std::function<void(harness::PointRecord)>& done);
+
+/// Computes the assignment into a fresh journal and returns the number of
+/// points journaled. With a process-fault hook armed this call may not
+/// return at all.
 std::size_t run_worker(const CampaignSpec& spec, const WorkerAssignment& a);
 
 }  // namespace tgi::serve

@@ -10,7 +10,7 @@
 //     the STAGING write; the temp file is removed and the destination is
 //     left byte-for-byte intact, so a failed publish can never tear a
 //     visible artifact;
-//   - harness::CheckpointJournal::record: an injected fault tears (short
+//   - harness::PointStore::append: an injected fault tears (short
 //     write) or aborts (ENOSPC/EIO) one append; the per-record CRC
 //     quarantines the torn tail on read, exactly like a SIGKILL mid-append.
 //

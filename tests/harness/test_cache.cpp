@@ -172,35 +172,37 @@ TEST_F(CacheTest, ForeignShardIsQuarantinedWholesaleNeverServed) {
 }
 
 TEST_F(CacheTest, CheckpointJournalIsTheCacheShardOfItsSpec) {
-  // One key, one format: a checkpoint journal that recorded every point in
-  // index order is byte for byte the shard the cache publishes for the
-  // same spec, and the one loader serves either.
+  // One key, one format, one store: a checkpoint that appended every point
+  // (here in reverse completion order) and was published on completion is
+  // byte for byte the shard the cache publishes for the same spec, and one
+  // load serves either.
   {
-    CheckpointConfig ccfg;
-    ccfg.directory = dir("ckpt");
-    CheckpointJournal journal(std::move(ccfg), kSpec, "plain", kSweep);
-    for (const auto& [index, record] : full_records()) journal.record(record);
+    PointStore journal(dir("ckpt") + "/journal.tgij", kSpec, "plain", kSweep);
+    journal.publish({});
+    const auto records = full_records();
+    for (auto it = records.rbegin(); it != records.rend(); ++it) {
+      journal.append(it->second);
+    }
+    journal.publish(journal.records());
   }
   const ResultCache cache(dir("cache"));
   cache.store(kSpec, "plain", kSweep, full_records());
   EXPECT_EQ(slurp(dir("ckpt") + "/journal.tgij"),
             slurp(cache.shard_path(kSpec)));
-  const CacheLookup loaded = load_journal(dir("ckpt") + "/journal.tgij",
-                                          kSpec, "plain", kSweep, "test");
+  const CacheLookup loaded =
+      PointStore(dir("ckpt") + "/journal.tgij", kSpec, "plain", kSweep)
+          .load("test");
   EXPECT_EQ(loaded.completed.size(), kSweep.size());
   EXPECT_TRUE(loaded.damage.empty());
 
   // Resuming that journal under another spec is a caller error and
   // throws; loading it as another spec's journal quarantines it instead.
-  CheckpointConfig resume;
-  resume.directory = dir("ckpt");
-  resume.resume = true;
-  EXPECT_THROW(CheckpointJournal(resume, kSpec + 1, "plain", kSweep),
-               util::TgiError);
-  const CacheLookup foreign = load_journal(dir("ckpt") + "/journal.tgij",
-                                           kSpec + 1, "plain", kSweep, "test");
+  PointStore other(dir("ckpt") + "/journal.tgij", kSpec + 1, "plain", kSweep);
+  EXPECT_THROW(resume_checkpoint(other), util::TgiError);
+  const CacheLookup foreign = other.load("test");
   EXPECT_TRUE(foreign.completed.empty());
   EXPECT_EQ(foreign.damage.size(), 1u);
+  EXPECT_FALSE(foreign.foreign.empty());
 }
 
 TEST_F(CacheTest, DamagedRecordsAreQuarantinedOthersStillServe) {

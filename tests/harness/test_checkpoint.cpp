@@ -1,5 +1,7 @@
-// Checkpoint/resume journal (DESIGN.md §11): record round-trips, kill-and-
-// resume determinism at every thread count, checksum quarantine of torn and
+// The point store and checkpoint/resume (DESIGN.md §11): pinned and
+// seeded-generated record round-trips, strict field decoding, kill-and-
+// resume determinism at every thread count, a completed journal that is the
+// same bytes at every thread count, checksum quarantine of torn and
 // corrupted records, and the fuzz-lite corruption sweep mirroring the
 // measurement_io tests — a damaged journal may cost recomputation, never
 // correctness.
@@ -8,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdio>
+#include <iterator>
+#include <map>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -22,6 +28,7 @@
 #include "obs/trace.h"
 #include "power/meter.h"
 #include "sim/catalog.h"
+#include "util/atomic_file.h"
 #include "util/error.h"
 #include "util/io_faults.h"
 #include "util/rng.h"
@@ -66,7 +73,7 @@ class CheckpointTest : public ::testing::Test {
 };
 
 ParallelSweep make_engine(std::size_t threads, std::size_t stride,
-                          CheckpointJournal* journal = nullptr) {
+                          PointStore* journal = nullptr) {
   power::WattsUpConfig base;
   base.seed = 0x0b5e7fULL;
   ParallelSweepConfig cfg;
@@ -76,6 +83,11 @@ ParallelSweep make_engine(std::size_t threads, std::size_t stride,
 }
 
 std::size_t plain_stride() { return suite_benchmarks({}).size(); }
+
+/// The test sweep's checkpoint store at <dir>/journal.tgij.
+PointStore store_at(const std::string& dir, const std::string& mode = "plain") {
+  return PointStore(dir + "/journal.tgij", kSpec, mode, kSweep);
+}
 
 FaultSpec hot_spec() {
   FaultSpec spec;
@@ -295,14 +307,286 @@ TEST(JournalQuarantine, MissingHeaderQuarantinesEverything) {
   EXPECT_FALSE(state.damage.empty());
 }
 
+/// `line` (one encoded record) with `from` replaced by `to` inside its
+/// payload and the CRC recomputed: damage only the schema can catch.
+std::string reseal(const std::string& line, const std::string& from,
+                   const std::string& to) {
+  // TGIJ1 <kind> <crc32-hex8> <payload>\n
+  const std::size_t kind_at = line.find(' ') + 1;
+  const std::size_t crc_at = line.find(' ', kind_at) + 1;
+  const std::string kind = line.substr(kind_at, crc_at - kind_at - 1);
+  std::string payload = line.substr(crc_at + 9, line.size() - crc_at - 10);
+  const std::size_t at = payload.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) payload.replace(at, from.size(), to);
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", util::crc32(kind + " " + payload));
+  return "TGIJ1 " + kind + " " + crc + " " + payload + "\n";
+}
+
+/// Asserts the record line is quarantined with exactly one damage entry.
+void expect_quarantined(const std::string& line, const std::string& what) {
+  const JournalContents contents = read_journal(line);
+  EXPECT_TRUE(contents.points.empty()) << what;
+  EXPECT_FALSE(contents.header_valid) << what;
+  EXPECT_EQ(contents.damage.size(), 1u) << what;
+}
+
+PointRecord robust_sample() {
+  PointRecord record = sample_record();
+  record.robust = true;
+  record.counters.attempts = 9;
+  record.counters.backoff = util::Seconds(35.0);
+  record.counters.stalled = util::Seconds(240.0);
+  return record;
+}
+
+TEST(JournalQuarantine, IntegersAreDigitsOnlyAndMustFit) {
+  const std::string line = encode_point_record(robust_sample());
+  ASSERT_EQ(read_journal(line).points.size(), 1u);
+  for (const char* bad : {"attempts= -1", "attempts=+9", "attempts= 9",
+                          "attempts=18446744073709551616"}) {
+    expect_quarantined(reseal(line, "attempts=9", bad), bad);
+  }
+}
+
+TEST(JournalQuarantine, HeaderValuesAreDigitsOnly) {
+  const std::string header = encode_header_record(kSpec, "plain", {16, 48});
+  ASSERT_TRUE(read_journal(header).header_valid);
+  expect_quarantined(reseal(header, "values=16,48", "values=16, -5"),
+                     "values=16, -5");
+}
+
+TEST(JournalQuarantine, RecorderClockMustBeFiniteAndNonNegative) {
+  for (const double now : {std::nan(""), HUGE_VAL, -1.0}) {
+    PointRecord record = sample_record();
+    record.trace_now = util::Seconds(now);
+    expect_quarantined(encode_point_record(record), std::to_string(now));
+  }
+}
+
+TEST(JournalQuarantine, RobustDurationsMustBeFiniteAndNonNegative) {
+  PointRecord backoff = robust_sample();
+  backoff.counters.backoff = util::Seconds(-HUGE_VAL);
+  expect_quarantined(encode_point_record(backoff), "backoff=-inf");
+  PointRecord stalled = robust_sample();
+  stalled.counters.stalled = util::Seconds(-2.5);
+  expect_quarantined(encode_point_record(stalled), "stalled=-2.5");
+}
+
+TEST(JournalQuarantine, TraceEventTimesMustBeFiniteAndNonNegative) {
+  PointRecord start = sample_record();
+  start.events[0].start = util::Seconds(-1.0);
+  expect_quarantined(encode_point_record(start), "start=-1");
+  PointRecord duration = sample_record();
+  duration.events[0].duration = util::Seconds(std::nan(""));
+  expect_quarantined(encode_point_record(duration), "duration=nan");
+}
+
+TEST(JournalQuarantine, MetricValuesMustBeFinite) {
+  PointRecord record = sample_record();
+  record.trace_metrics[0].value = HUGE_VAL;
+  expect_quarantined(encode_point_record(record), "metric=inf");
+}
+
+// ------------------------------------------------------ round-trip property
+
+/// A name built from pieces that need escaping (%, LF, CR, US, RS) mixed
+/// with ordinary text. Never empty: an empty list element and an empty
+/// list encode alike.
+std::string awkward_name(util::Xoshiro256& rng) {
+  static const char* const kPieces[] = {"HPL", "%",  "%25", "\x1f", "\x1e",
+                                        "\n",  "\r", "a=b", " ",    "x,y"};
+  std::string name;
+  const std::uint64_t pieces = 1 + rng.next() % 4;
+  for (std::uint64_t i = 0; i < pieces; ++i) {
+    name += kPieces[rng.next() % std::size(kPieces)];
+  }
+  return name;
+}
+
+/// A finite double >= 0, sometimes at the edges of the representable range.
+double awkward_seconds(util::Xoshiro256& rng) {
+  switch (rng.next() % 5) {
+    case 0:
+      return 0.0;
+    case 1:
+      return 5e-324;  // smallest subnormal
+    case 2:
+      return 1e300;
+    default:
+      return rng.uniform() * 1e4;
+  }
+}
+
+/// A seeded record for point `index` of `values`: plain or robust, with
+/// or without an observability section.
+PointRecord generated_record(util::Xoshiro256& rng,
+                             const std::vector<std::size_t>& values,
+                             std::size_t index, bool robust, bool traced) {
+  static const char* const kBenchmarks[] = {"HPL", "STREAM", "IOzone", "GUPS"};
+  PointRecord record;
+  record.index = index;
+  record.value = values[index];
+  record.point.processes = values[index];
+  record.point.nodes = 1 + rng.next() % 64;
+  const std::uint64_t measured = rng.next() % 4;
+  for (std::uint64_t i = 0; i < measured; ++i) {
+    core::BenchmarkMeasurement m;
+    m.benchmark = kBenchmarks[i];
+    m.performance = 1e-3 + rng.uniform() * 1e6;
+    m.metric_unit = "MFLOPS";
+    m.average_power = util::watts(1.0 + rng.uniform() * 1e4);
+    m.execution_time = util::seconds(1e-3 + rng.uniform() * 1e3);
+    m.energy = util::joules(m.average_power.value() *
+                            m.execution_time.value());
+    record.point.measurements.push_back(m);
+  }
+  record.robust = robust;
+  if (robust) {
+    const std::uint64_t missing = rng.next() % 3;
+    for (std::uint64_t i = 0; i < missing; ++i) {
+      record.missing.push_back(awkward_name(rng));
+    }
+    record.counters.attempts = rng.next();  // any 64-bit count
+    record.counters.retries = rng.next() % 100;
+    record.counters.run_faults = rng.next() % 10;
+    record.counters.meter_faults = rng.next() % 10;
+    record.counters.rejected_readings = rng.next() % 10;
+    record.counters.dropped_benchmarks = rng.next() % 4;
+    record.counters.backoff = util::Seconds(awkward_seconds(rng));
+    record.counters.stalled = util::Seconds(awkward_seconds(rng));
+  }
+  record.traced = traced;
+  if (traced) {
+    record.trace_now = util::Seconds(awkward_seconds(rng));
+    const std::uint64_t events = rng.next() % 4;
+    for (std::uint64_t i = 0; i < events; ++i) {
+      obs::TraceEvent e;
+      e.kind = rng.next() % 2 == 0 ? obs::TraceEvent::Kind::kSpan
+                                   : obs::TraceEvent::Kind::kInstant;
+      e.name = awkward_name(rng);
+      e.category = awkward_name(rng);
+      e.benchmark = rng.next() % 6;
+      e.attempt = rng.next() % 3;
+      e.start = util::Seconds(awkward_seconds(rng));
+      e.duration = util::Seconds(awkward_seconds(rng));
+      const std::uint64_t args = rng.next() % 3;
+      for (std::uint64_t a = 0; a < args; ++a) {
+        e.args.emplace_back(awkward_name(rng), awkward_name(rng));
+      }
+      record.events.push_back(std::move(e));
+    }
+    const std::uint64_t metrics = rng.next() % 4;
+    for (std::uint64_t i = 0; i < metrics; ++i) {
+      record.trace_metrics.push_back(obs::Metric{
+          awkward_name(rng),
+          rng.next() % 2 == 0 ? obs::MetricKind::kCounter
+                              : obs::MetricKind::kGauge,
+          (rng.uniform() - 0.5) * 1e9});
+    }
+  }
+  return record;
+}
+
+void expect_equal_records(const PointRecord& a, const PointRecord& b) {
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.point.processes, b.point.processes);
+  EXPECT_EQ(a.point.nodes, b.point.nodes);
+  ASSERT_EQ(a.point.measurements.size(), b.point.measurements.size());
+  for (std::size_t i = 0; i < a.point.measurements.size(); ++i) {
+    const auto& x = a.point.measurements[i];
+    const auto& y = b.point.measurements[i];
+    EXPECT_EQ(x.benchmark, y.benchmark);
+    EXPECT_EQ(x.performance, y.performance);
+    EXPECT_EQ(x.metric_unit, y.metric_unit);
+    EXPECT_EQ(x.average_power.value(), y.average_power.value());
+    EXPECT_EQ(x.execution_time.value(), y.execution_time.value());
+    EXPECT_EQ(x.energy.value(), y.energy.value());
+  }
+  EXPECT_EQ(a.robust, b.robust);
+  EXPECT_EQ(a.missing, b.missing);
+  EXPECT_EQ(a.counters.attempts, b.counters.attempts);
+  EXPECT_EQ(a.counters.retries, b.counters.retries);
+  EXPECT_EQ(a.counters.run_faults, b.counters.run_faults);
+  EXPECT_EQ(a.counters.meter_faults, b.counters.meter_faults);
+  EXPECT_EQ(a.counters.rejected_readings, b.counters.rejected_readings);
+  EXPECT_EQ(a.counters.dropped_benchmarks, b.counters.dropped_benchmarks);
+  EXPECT_EQ(a.counters.backoff.value(), b.counters.backoff.value());
+  EXPECT_EQ(a.counters.stalled.value(), b.counters.stalled.value());
+  EXPECT_EQ(a.traced, b.traced);
+  EXPECT_EQ(a.trace_now.value(), b.trace_now.value());
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_EQ(a.events[i].kind, b.events[i].kind);
+    EXPECT_EQ(a.events[i].name, b.events[i].name);
+    EXPECT_EQ(a.events[i].category, b.events[i].category);
+    EXPECT_EQ(a.events[i].benchmark, b.events[i].benchmark);
+    EXPECT_EQ(a.events[i].attempt, b.events[i].attempt);
+    EXPECT_EQ(a.events[i].start.value(), b.events[i].start.value());
+    EXPECT_EQ(a.events[i].duration.value(), b.events[i].duration.value());
+    EXPECT_EQ(a.events[i].args, b.events[i].args);
+  }
+  ASSERT_EQ(a.trace_metrics.size(), b.trace_metrics.size());
+  for (std::size_t i = 0; i < a.trace_metrics.size(); ++i) {
+    EXPECT_EQ(a.trace_metrics[i].name, b.trace_metrics[i].name);
+    EXPECT_EQ(a.trace_metrics[i].kind, b.trace_metrics[i].kind);
+    EXPECT_EQ(a.trace_metrics[i].value, b.trace_metrics[i].value);
+  }
+}
+
+TEST(JournalRoundTrip, EncodeReadEncodeIsByteIdentical) {
+  util::Xoshiro256 rng(0x70bd7e1bULL);
+  const std::vector<std::size_t> values = {1, 16, 48, 80, 128, 4096};
+  for (int trial = 0; trial < 300; ++trial) {
+    const PointRecord record =
+        generated_record(rng, values, rng.next() % values.size(),
+                         trial % 2 == 1, trial % 3 != 0);
+    const std::string line = encode_point_record(record);
+    const JournalContents contents = read_journal(line);
+    ASSERT_TRUE(contents.damage.empty())
+        << "trial " << trial << ": " << contents.damage[0].reason;
+    ASSERT_EQ(contents.points.size(), 1u) << "trial " << trial;
+    EXPECT_EQ(encode_point_record(contents.points[0]), line)
+        << "trial " << trial;
+    expect_equal_records(contents.points[0], record);
+  }
+}
+
+TEST_F(CheckpointTest, GeneratedRecordsSurvivePublishAndLoad) {
+  util::Xoshiro256 rng(0x5105eedULL);
+  const std::vector<std::size_t> values = {16, 32, 48, 64, 80, 96, 112, 128};
+  for (int trial = 0; trial < 24; ++trial) {
+    const bool robust = trial % 2 == 1;
+    PointStore store(dir("t" + std::to_string(trial)) + "/journal.tgij",
+                     kSpec + static_cast<std::uint64_t>(trial),
+                     robust ? "robust" : "plain", values);
+    std::map<std::size_t, PointRecord> published;
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      if (rng.next() % 4 == 0) continue;  // partial stores are allowed
+      published.emplace(k, generated_record(rng, values, k, robust, true));
+    }
+    store.publish(published);
+    const StoreLoad loaded = store.load("test");
+    EXPECT_TRUE(loaded.damage.empty()) << "trial " << trial;
+    EXPECT_TRUE(loaded.foreign.empty()) << "trial " << trial;
+    ASSERT_EQ(loaded.completed.size(), published.size()) << "trial " << trial;
+    for (const auto& [k, record] : published) {
+      ASSERT_TRUE(loaded.hit(k)) << "trial " << trial << " point " << k;
+      expect_equal_records(loaded.completed.at(k), record);
+    }
+  }
+}
+
 // ------------------------------------------------------- engine integration
 
 TEST_F(CheckpointTest, CheckpointingDoesNotPerturbResultsOrTrace) {
   obs::SweepTrace bare_trace;
   const auto bare =
       make_engine(2, plain_stride()).run(kSweep, &bare_trace);
-  CheckpointJournal journal(CheckpointConfig{dir("cp"), false}, kSpec,
-                            "plain", kSweep);
+  PointStore journal = store_at(dir("cp"));
+  journal.publish({});
   obs::SweepTrace checkpointed_trace;
   const auto checkpointed = make_engine(2, plain_stride(), &journal)
                                 .run(kSweep, &checkpointed_trace);
@@ -313,17 +597,41 @@ TEST_F(CheckpointTest, CheckpointingDoesNotPerturbResultsOrTrace) {
 TEST_F(CheckpointTest, FreshJournalReplaysCompletely) {
   const auto baseline = make_engine(1, plain_stride()).run(kSweep);
   {
-    CheckpointJournal journal(CheckpointConfig{dir("cp"), false}, kSpec,
-                              "plain", kSweep);
+    PointStore journal = store_at(dir("cp"));
+    journal.publish({});
     (void)make_engine(2, plain_stride(), &journal).run(kSweep);
   }
-  // Resume over a complete journal: every point replays, none recompute.
-  CheckpointJournal journal(CheckpointConfig{dir("cp"), true}, kSpec,
-                            "plain", kSweep);
-  EXPECT_EQ(journal.completed_count(), kSweep.size());
+  const std::string complete = slurp(dir("cp") + "/journal.tgij");
+  // Resume over a complete journal: every point replays, none recompute,
+  // and the republished journal keeps its bytes.
+  PointStore journal = store_at(dir("cp"));
+  EXPECT_TRUE(resume_checkpoint(journal).empty());
+  EXPECT_EQ(journal.records().size(), kSweep.size());
   const auto resumed = make_engine(4, plain_stride(), &journal).run(kSweep);
   expect_bitwise_equal(resumed, baseline);
-  EXPECT_TRUE(fs::exists(dir("cp") + "/resume.json"));
+  EXPECT_EQ(slurp(dir("cp") + "/journal.tgij"), complete);
+}
+
+TEST_F(CheckpointTest, CompletedJournalIsThreadCountInvariant) {
+  // Points append in completion order, but the completed sweep is
+  // published in index order: the same bytes at every thread count — the
+  // spec's cache shard.
+  std::string serial;
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    const std::string cp = dir("t" + std::to_string(threads));
+    PointStore journal = store_at(cp);
+    journal.publish({});
+    (void)make_engine(threads, plain_stride(), &journal).run(kSweep);
+    const std::string bytes = slurp(cp + "/journal.tgij");
+    if (threads == 1) serial = bytes;
+    EXPECT_EQ(bytes, serial) << "threads=" << threads;
+  }
+  std::string expected = encode_header_record(kSpec, "plain", kSweep);
+  for (const auto& [k, record] :
+       store_at(dir("t1")).load("test").completed) {
+    expected += encode_point_record(record);
+  }
+  EXPECT_EQ(serial, expected);
 }
 
 TEST_F(CheckpointTest, KillAndResumeIsByteIdenticalAtEveryThreadCount) {
@@ -333,8 +641,8 @@ TEST_F(CheckpointTest, KillAndResumeIsByteIdenticalAtEveryThreadCount) {
   const auto baseline_bytes = serialize(baseline_trace);
   // A full checkpointed run provides the journal we will truncate.
   {
-    CheckpointJournal journal(CheckpointConfig{dir("full"), false}, kSpec,
-                              "plain", kSweep);
+    PointStore journal = store_at(dir("full"));
+    journal.publish({});
     (void)make_engine(1, plain_stride(), &journal).run(kSweep);
   }
   const std::string full = slurp(dir("full") + "/journal.tgij");
@@ -353,14 +661,16 @@ TEST_F(CheckpointTest, KillAndResumeIsByteIdenticalAtEveryThreadCount) {
       for (std::size_t i = 0; i < keep; ++i) partial += lines[1 + i] + "\n";
       spill(cp + "/journal.tgij", partial);
 
-      CheckpointJournal journal(CheckpointConfig{cp, true}, kSpec, "plain",
-                                kSweep);
-      EXPECT_EQ(journal.completed_count(), keep);
+      PointStore journal = store_at(cp);
+      resume_checkpoint(journal);
+      EXPECT_EQ(journal.records().size(), keep);
       obs::SweepTrace trace;
       const auto resumed =
           make_engine(threads, plain_stride(), &journal).run(kSweep, &trace);
       expect_bitwise_equal(resumed, baseline);
       EXPECT_EQ(serialize(trace), baseline_bytes)
+          << "threads=" << threads << " keep=" << keep;
+      EXPECT_EQ(slurp(cp + "/journal.tgij"), full)
           << "threads=" << threads << " keep=" << keep;
     }
   }
@@ -373,8 +683,8 @@ TEST_F(CheckpointTest, RobustKillAndResumeIsByteIdentical) {
   const auto baseline = make_engine(1, stride).run_robust(
       kSweep, FaultPlan(hot_spec()), robust, &baseline_trace);
   {
-    CheckpointJournal journal(CheckpointConfig{dir("full"), false}, kSpec,
-                              "robust", kSweep);
+    PointStore journal = store_at(dir("full"), "robust");
+    journal.publish({});
     (void)make_engine(1, stride, &journal)
         .run_robust(kSweep, FaultPlan(hot_spec()), robust);
   }
@@ -389,9 +699,9 @@ TEST_F(CheckpointTest, RobustKillAndResumeIsByteIdentical) {
     fs::create_directories(cp);
     spill(cp + "/journal.tgij",
           lines[0] + "\n" + lines[1] + "\n" + lines[2] + "\n");
-    CheckpointJournal journal(CheckpointConfig{cp, true}, kSpec, "robust",
-                              kSweep);
-    EXPECT_EQ(journal.completed_count(), 2u);
+    PointStore journal = store_at(cp, "robust");
+    resume_checkpoint(journal);
+    EXPECT_EQ(journal.records().size(), 2u);
     obs::SweepTrace trace;
     const auto resumed =
         make_engine(threads, stride, &journal)
@@ -412,32 +722,33 @@ TEST_F(CheckpointTest, RobustKillAndResumeIsByteIdentical) {
     }
     EXPECT_EQ(serialize(trace), serialize(baseline_trace))
         << "threads=" << threads;
+    EXPECT_EQ(slurp(cp + "/journal.tgij"), full) << "threads=" << threads;
   }
 }
 
 TEST_F(CheckpointTest, TornRecordIsQuarantinedAndRecomputed) {
   const auto baseline = make_engine(1, plain_stride()).run(kSweep);
   {
-    CheckpointJournal journal(CheckpointConfig{dir("cp"), false}, kSpec,
-                              "plain", kSweep);
+    PointStore journal = store_at(dir("cp"));
+    journal.publish({});
     (void)make_engine(1, plain_stride(), &journal).run(kSweep);
   }
   // SIGKILL mid-append: chop the journal mid-record, no trailing newline.
   const std::string full = slurp(dir("cp") + "/journal.tgij");
   spill(dir("cp") + "/journal.tgij", full.substr(0, full.size() - 101));
-  CheckpointJournal journal(CheckpointConfig{dir("cp"), true}, kSpec,
-                            "plain", kSweep);
-  EXPECT_EQ(journal.completed_count(), kSweep.size() - 1);
-  ASSERT_FALSE(journal.damage().empty());
-  EXPECT_NE(journal.damage().back().reason.find("torn"), std::string::npos);
+  PointStore journal = store_at(dir("cp"));
+  const std::vector<JournalDamage> damage = resume_checkpoint(journal);
+  EXPECT_EQ(journal.records().size(), kSweep.size() - 1);
+  ASSERT_FALSE(damage.empty());
+  EXPECT_NE(damage.back().reason.find("torn"), std::string::npos);
   const auto resumed = make_engine(2, plain_stride(), &journal).run(kSweep);
   expect_bitwise_equal(resumed, baseline);
 }
 
 TEST_F(CheckpointTest, ResumeCompactsTheJournal) {
   {
-    CheckpointJournal journal(CheckpointConfig{dir("cp"), false}, kSpec,
-                              "plain", kSweep);
+    PointStore journal = store_at(dir("cp"));
+    journal.publish({});
     (void)make_engine(1, plain_stride(), &journal).run(kSweep);
   }
   // Corrupt one record, then resume twice: the first resume quarantines
@@ -446,15 +757,13 @@ TEST_F(CheckpointTest, ResumeCompactsTheJournal) {
   text[text.size() / 2] ^= 0x20;
   spill(dir("cp") + "/journal.tgij", text);
   {
-    CheckpointJournal journal(CheckpointConfig{dir("cp"), true}, kSpec,
-                              "plain", kSweep);
-    EXPECT_FALSE(journal.damage().empty());
+    PointStore journal = store_at(dir("cp"));
+    EXPECT_FALSE(resume_checkpoint(journal).empty());
     (void)make_engine(2, plain_stride(), &journal).run(kSweep);
   }
-  CheckpointJournal journal(CheckpointConfig{dir("cp"), true}, kSpec,
-                            "plain", kSweep);
-  EXPECT_TRUE(journal.damage().empty());
-  EXPECT_EQ(journal.completed_count(), kSweep.size());
+  PointStore journal = store_at(dir("cp"));
+  EXPECT_TRUE(resume_checkpoint(journal).empty());
+  EXPECT_EQ(journal.records().size(), kSweep.size());
 }
 
 TEST_F(CheckpointTest, ThrowingPointLeavesAResumableJournal) {
@@ -463,8 +772,8 @@ TEST_F(CheckpointTest, ThrowingPointLeavesAResumableJournal) {
   // and a resume completes the remaining points bit-identically.
   const auto baseline = make_engine(1, plain_stride()).run(kSweep);
   {
-    CheckpointJournal journal(CheckpointConfig{dir("cp"), false}, kSpec,
-                              "plain", kSweep);
+    PointStore journal = store_at(dir("cp"));
+    journal.publish({});
     auto engine = make_engine(4, plain_stride(), &journal);
     EXPECT_THROW(
         (void)engine.run_with(
@@ -475,12 +784,35 @@ TEST_F(CheckpointTest, ThrowingPointLeavesAResumableJournal) {
             }),
         util::TgiError);
   }
-  CheckpointJournal journal(CheckpointConfig{dir("cp"), true}, kSpec,
-                            "plain", kSweep);
-  EXPECT_TRUE(journal.damage().empty());
-  EXPECT_EQ(journal.completed_count(), kSweep.size() - 1);
+  PointStore journal = store_at(dir("cp"));
+  EXPECT_TRUE(resume_checkpoint(journal).empty());
+  EXPECT_EQ(journal.records().size(), kSweep.size() - 1);
   const auto resumed = make_engine(2, plain_stride(), &journal).run(kSweep);
   expect_bitwise_equal(resumed, baseline);
+}
+
+TEST_F(CheckpointTest, ResumeRefusesAJournalOfAnotherSpec) {
+  {
+    PointStore journal = store_at(dir("cp"));
+    journal.publish({});
+    (void)make_engine(1, plain_stride(), &journal).run(kSweep);
+  }
+  // Loading reports the foreign header and quarantines the whole file;
+  // resuming over it is a caller error and throws today's message.
+  PointStore other(dir("cp") + "/journal.tgij", kSpec + 1, "plain", kSweep);
+  const StoreLoad loaded = other.load("test");
+  EXPECT_TRUE(loaded.completed.empty());
+  EXPECT_NE(loaded.foreign.find("written for a different sweep spec"),
+            std::string::npos);
+  try {
+    resume_checkpoint(other);
+    ADD_FAILURE() << "resume over a foreign journal must throw";
+  } catch (const util::TgiError& e) {
+    EXPECT_NE(std::string(e.what()).find("written for a different sweep"),
+              std::string::npos);
+  }
+  PointStore robust(dir("cp") + "/journal.tgij", kSpec, "robust", kSweep);
+  EXPECT_THROW(resume_checkpoint(robust), util::TgiError);
 }
 
 // ------------------------------------------------------------- fuzz-lite
@@ -488,8 +820,8 @@ TEST_F(CheckpointTest, ThrowingPointLeavesAResumableJournal) {
 TEST_F(CheckpointTest, FuzzedJournalsNeverCorruptAResumedSweep) {
   const auto baseline = make_engine(1, plain_stride()).run(kSweep);
   {
-    CheckpointJournal journal(CheckpointConfig{dir("full"), false}, kSpec,
-                              "plain", kSweep);
+    PointStore journal = store_at(dir("full"));
+    journal.publish({});
     (void)make_engine(1, plain_stride(), &journal).run(kSweep);
   }
   const std::string pristine = slurp(dir("full") + "/journal.tgij");
@@ -538,8 +870,8 @@ TEST_F(CheckpointTest, FuzzedJournalsNeverCorruptAResumedSweep) {
     fs::create_directories(cp);
     spill(cp + "/journal.tgij", text);
     try {
-      CheckpointJournal journal(CheckpointConfig{cp, true}, kSpec, "plain",
-                                kSweep);
+      PointStore journal = store_at(cp);
+      resume_checkpoint(journal);
       const auto resumed =
           make_engine(2, plain_stride(), &journal).run(kSweep);
       // Damage may cost recomputation — never a different answer.
@@ -574,24 +906,23 @@ PointRecord record_for(std::size_t index) {
 
 TEST_F(CheckpointTest, InjectedShortWriteTearsOneAppendAndIsQuarantined) {
   {
-    CheckpointJournal journal(CheckpointConfig{dir("cp"), false}, kSpec,
-                              "plain", kSweep);
-    journal.record(record_for(0));
-    journal.record(record_for(1));
+    PointStore journal = store_at(dir("cp"));
+    journal.publish({});
+    journal.append(record_for(0));
+    journal.append(record_for(1));
     util::IoFaultSpec spec;
     spec.seed = seed_with_first(util::IoFaultKind::kShortWrite);
     spec.rate = 1.0;
     util::ScopedIoFaults scoped(spec);
-    EXPECT_THROW(journal.record(record_for(2)), util::TgiError);
+    EXPECT_THROW(journal.append(record_for(2)), util::TgiError);
   }
   // The torn half-record must read exactly like a SIGKILL mid-append:
   // quarantined tail, both earlier records intact.
-  CheckpointJournal reopened(CheckpointConfig{dir("cp"), true}, kSpec,
-                             "plain", kSweep);
-  EXPECT_EQ(reopened.completed_count(), 2u);
-  ASSERT_FALSE(reopened.damage().empty());
-  EXPECT_NE(reopened.damage().back().reason.find("torn"),
-            std::string::npos);
+  PointStore reopened = store_at(dir("cp"));
+  const std::vector<JournalDamage> damage = resume_checkpoint(reopened);
+  EXPECT_EQ(reopened.records().size(), 2u);
+  ASSERT_FALSE(damage.empty());
+  EXPECT_NE(damage.back().reason.find("torn"), std::string::npos);
 }
 
 TEST_F(CheckpointTest, InjectedEnospcAndEioAbortTheAppendCleanly) {
@@ -599,20 +930,20 @@ TEST_F(CheckpointTest, InjectedEnospcAndEioAbortTheAppendCleanly) {
        {util::IoFaultKind::kEnospc, util::IoFaultKind::kEio}) {
     const std::string cp = dir(std::string("cp_") + util::io_fault_name(kind));
     {
-      CheckpointJournal journal(CheckpointConfig{cp, false}, kSpec, "plain",
-                                kSweep);
-      journal.record(record_for(0));
+      PointStore journal = store_at(cp);
+      journal.publish({});
+      journal.append(record_for(0));
       util::IoFaultSpec spec;
       spec.seed = seed_with_first(kind);
       spec.rate = 1.0;
       util::ScopedIoFaults scoped(spec);
-      EXPECT_THROW(journal.record(record_for(1)), util::TgiError);
+      EXPECT_THROW(journal.append(record_for(1)), util::TgiError);
     }
     // Nothing was appended: one valid record, zero damage.
-    CheckpointJournal reopened(CheckpointConfig{cp, true}, kSpec, "plain",
-                               kSweep);
-    EXPECT_EQ(reopened.completed_count(), 1u) << util::io_fault_name(kind);
-    EXPECT_TRUE(reopened.damage().empty()) << util::io_fault_name(kind);
+    PointStore reopened = store_at(cp);
+    EXPECT_TRUE(resume_checkpoint(reopened).empty())
+        << util::io_fault_name(kind);
+    EXPECT_EQ(reopened.records().size(), 1u) << util::io_fault_name(kind);
   }
 }
 
@@ -623,20 +954,17 @@ TEST_F(CheckpointTest, FaultFuzzedJournalsAlwaysKeepTheBankedPrefix) {
   for (std::uint64_t seed = 0; seed < 24; ++seed) {
     const std::string cp = dir("fuzz" + std::to_string(seed));
     {
-      CheckpointJournal journal(CheckpointConfig{cp, false}, kSpec, "plain",
-                                kSweep);
-      journal.record(record_for(0));
-      journal.record(record_for(1));
+      PointStore journal = store_at(cp);
+      journal.publish({});
+      journal.append(record_for(0));
+      journal.append(record_for(1));
       util::IoFaultSpec spec;
       spec.seed = seed;
       spec.rate = 1.0;
       util::ScopedIoFaults scoped(spec);
-      EXPECT_THROW(journal.record(record_for(2)), util::TgiError)
+      EXPECT_THROW(journal.append(record_for(2)), util::TgiError)
           << "seed " << seed;
     }
-    CheckpointJournal reopened(CheckpointConfig{cp, true}, kSpec, "plain",
-                               kSweep);
-    EXPECT_EQ(reopened.completed_count(), 2u) << "seed " << seed;
     const JournalContents contents =
         read_journal_file(cp + "/journal.tgij");
     const JournalState state =
@@ -644,7 +972,30 @@ TEST_F(CheckpointTest, FaultFuzzedJournalsAlwaysKeepTheBankedPrefix) {
     EXPECT_EQ(state.completed.size(), 2u) << "seed " << seed;
     EXPECT_EQ(state.completed.count(0), 1u) << "seed " << seed;
     EXPECT_EQ(state.completed.count(1), 1u) << "seed " << seed;
+    PointStore reopened = store_at(cp);
+    resume_checkpoint(reopened);
+    EXPECT_EQ(reopened.records().size(), 2u) << "seed " << seed;
   }
+}
+
+// ------------------------------------------------------------ point store
+
+TEST_F(CheckpointTest, AppendsAfterARepublishLandInTheNewFile) {
+  // publish() renames a new file over the one an open append handle
+  // points at; later appends must reach the new file, not the unlinked one.
+  PointStore journal = store_at(dir("cp"));
+  journal.publish({});
+  journal.append(record_for(2));
+  journal.publish({{0, record_for(0)}});
+  journal.append(record_for(1));
+  const StoreLoad loaded = store_at(dir("cp")).load("test");
+  EXPECT_TRUE(loaded.damage.empty());
+  ASSERT_EQ(loaded.completed.size(), 2u);
+  EXPECT_TRUE(loaded.hit(0));
+  EXPECT_TRUE(loaded.hit(1));
+  EXPECT_EQ(journal.records().size(), 2u);
+  PointStore unpublished = store_at(dir("other"));
+  EXPECT_THROW(unpublished.append(record_for(0)), util::TgiError);
 }
 
 }  // namespace

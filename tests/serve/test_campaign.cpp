@@ -136,6 +136,8 @@ TEST_F(CampaignTest, WarmRerunIsAByteIdenticalNoOp) {
   EXPECT_EQ(cold.stats.cache_hits, 1u);
   EXPECT_EQ(cold.stats.quarantined, 0u);
   EXPECT_FALSE(cold.files.empty());
+  // In-process compute keeps its records in memory: no scratch at all.
+  EXPECT_FALSE(fs::exists(dir("cache") + "/work"));
 
   std::size_t tag = 0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},

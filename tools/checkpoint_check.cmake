@@ -10,8 +10,10 @@
 #      baseline byte for byte (journaling is observational).
 #   3. "Kill": truncate the journal after two records, tearing the third
 #      mid-line. Resume at threads=1/4/8 — stdout, CSVs, and trace.json
-#      must all match the baseline byte for byte, and stderr must report
-#      the torn record as quarantined.
+#      must all match the baseline byte for byte, stderr must report the
+#      torn record as quarantined, and the completed journal must equal
+#      the full run's byte for byte (published in index order at any
+#      thread count).
 #   4. Corruption: damage the last record of a complete journal. Resume
 #      must quarantine it (stderr says so), recompute, and still match.
 if(NOT DEFINED TGI_SWEEP OR NOT DEFINED OUT)
@@ -108,6 +110,7 @@ foreach(t 1 4 8)
   expect_matches_baseline("${OUT}/resume_t${t}")
   expect_stderr_mentions("${OUT}/resume_t${t}"
                          "checkpoint: quarantined journal record")
+  expect_identical("${journal}" "${ckpt}/journal.tgij")
   if(NOT EXISTS "${ckpt}/resume.json")
     message(FATAL_ERROR "resume left no resume.json in ${ckpt}")
   endif()

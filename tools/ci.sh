@@ -28,8 +28,10 @@
 #   8. tsan-resume: crash tolerance (DESIGN.md §11) under TSan — a traced
 #      faulted checkpointed sweep is SIGKILLed partway, then resumed at a
 #      different thread count and byte-diffed against an uninterrupted
-#      run; a second variant truncates the journal mid-record and checks
-#      the torn record is quarantined and recomputed, byte-identically;
+#      run, and its completed journal must equal an uninterrupted run's;
+#      then tools/checkpoint_check.cmake runs against the TSan binary (torn
+#      and corrupted journals quarantined and resumed at threads=1/4/8,
+#      byte-identically, each completed journal equal to the full run's);
 #   9. tsan-serve: the campaign engine + result cache (DESIGN.md §13)
 #      under TSan — a cold faulted traced campaign (worker processes),
 #      warm reruns at different worker/thread counts byte-diffed against
@@ -150,25 +152,15 @@ cmp "$CKPT_SCRATCH/base_trace/trace.json" \
     "$CKPT_SCRATCH/resumed_trace/trace.json"
 cmp "$CKPT_SCRATCH/base_trace/metrics.csv" \
     "$CKPT_SCRATCH/resumed_trace/metrics.csv"
-# Variant B: complete journal truncated mid-record (torn tail, no trailing
-# newline); the torn record must be quarantined and recomputed.
-./build-tsan/tools/tgi_sweep $CKPT_ARGS threads=2 --faults "$CKPT_FAULTS" \
-  outdir="$CKPT_SCRATCH/full" --checkpoint "$CKPT_SCRATCH/ckpt_torn" \
-  > /dev/null
-TORN="$CKPT_SCRATCH/ckpt_torn/journal.tgij"
-head -c "$(($(wc -c < "$TORN") - 37))" "$TORN" > "$TORN.tmp"
-mv "$TORN.tmp" "$TORN"
-./build-tsan/tools/tgi_sweep $CKPT_ARGS threads=1 --faults "$CKPT_FAULTS" \
-  outdir="$CKPT_SCRATCH/healed" trace="$CKPT_SCRATCH/healed_trace" \
-  --checkpoint "$CKPT_SCRATCH/ckpt_torn" --resume \
-  2> "$CKPT_SCRATCH/healed.stderr" \
-  | sed "s|$CKPT_SCRATCH/healed|OUT|g" > "$CKPT_SCRATCH/healed.stdout"
-grep -q "checkpoint: quarantined journal record" "$CKPT_SCRATCH/healed.stderr"
-cmp "$CKPT_SCRATCH/base.stdout" "$CKPT_SCRATCH/healed.stdout"
-cmp "$CKPT_SCRATCH/base/faults_summary.csv" \
-    "$CKPT_SCRATCH/healed/faults_summary.csv"
-cmp "$CKPT_SCRATCH/base_trace/trace.json" \
-    "$CKPT_SCRATCH/healed_trace/trace.json"
+# Torn and corrupted journals resumed at threads=1/4/8 through the CLI
+# (tools/checkpoint_check.cmake, same spec as above): each resume is
+# byte-identical to its baseline and leaves the full run's journal, which
+# the SIGKILLed-and-resumed run above must also have published.
+cmake -DTGI_SWEEP="$PWD/build-tsan/tools/tgi_sweep" \
+  -DOUT="$PWD/$CKPT_SCRATCH/cli" -DFAULTS="$CKPT_FAULTS" \
+  -P tools/checkpoint_check.cmake
+cmp "$CKPT_SCRATCH/ckpt_kill/journal.tgij" \
+    "$CKPT_SCRATCH/cli/ckpt_full/journal.tgij"
 
 echo "== [9/11] tsan-serve: campaign cache — warm rerun is a byte-identical no-op =="
 SERVE_SCRATCH="build-tsan/serve_gate"

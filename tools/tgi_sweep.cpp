@@ -35,10 +35,11 @@
 // output. `profile=DIR` writes DIR/profile.json, the wall-clock profile
 // channel — explicitly NON-deterministic, never byte-compared.
 //
-// `checkpoint=DIR` (or `--checkpoint DIR`) journals every completed sweep
-// point to DIR/journal.tgij as it finishes (DESIGN.md §11): one
-// checksummed append-only record carrying the point's measurements,
-// fault/robust accounting, and observability sections. After a crash (or
+// `checkpoint=DIR` (or `--checkpoint DIR`) makes DIR/journal.tgij a
+// harness::PointStore (DESIGN.md §11): every completed sweep point is
+// appended as it finishes — one checksummed record carrying the point's
+// measurements, fault/robust accounting, and observability sections — and
+// the completed sweep is published again in index order. After a crash (or
 // SIGKILL), rerunning the same command with `--resume` replays the
 // journaled points and recomputes only the missing ones — stdout, every
 // CSV, and trace.json come out byte-identical to an uninterrupted run, at
@@ -47,9 +48,9 @@
 // quarantined with a logged reason and recomputed. Resume provenance goes
 // to DIR/resume.json (`point_resumed` instants) and stderr, never stdout.
 // The arguments fill a serve::CampaignSpec, so the journal is keyed, and
-// its points metered, exactly like a one-entry `tgi_serve` campaign: at
-// threads=1 DIR/journal.tgij equals that campaign's cache shard byte for
-// byte.
+// its points metered, exactly like a one-entry `tgi_serve` campaign: a
+// completed DIR/journal.tgij equals that campaign's cache shard byte for
+// byte, at any thread count.
 //
 // Produces in `outdir`:
 //   fig2_hpl_ee.csv, fig3_stream_ee.csv, fig4_iozone_ee.csv,
@@ -165,18 +166,22 @@ int run(int argc, const char* const* argv) {
   sweep_cfg.threads = static_cast<std::size_t>(threads_raw);
   if (profile_dir) sweep_cfg.profiler = &profiler;
 
-  // Checkpoint journal (DESIGN.md §11), keyed exactly like the campaign
-  // cache shard of the same spec. reference_cluster is not part of the
-  // key: it only affects derived TGI output, which resume recomputes from
-  // the journaled raw measurements.
-  std::unique_ptr<harness::CheckpointJournal> journal;
+  // Checkpoint (DESIGN.md §11): a PointStore keyed exactly like the
+  // campaign cache shard of the same spec. reference_cluster is not part of
+  // the key: it only affects derived TGI output, which resume recomputes
+  // from the journaled raw measurements.
+  std::unique_ptr<harness::PointStore> journal;
+  std::map<std::size_t, harness::PointRecord> replayed;
   if (checkpoint_dir) {
-    harness::CheckpointConfig ccfg;
-    ccfg.directory = *checkpoint_dir;
-    ccfg.resume = resume;
-    journal = std::make_unique<harness::CheckpointJournal>(
-        std::move(ccfg), serve::spec_hash(spec), serve::spec_mode(spec),
-        sweep);
+    journal = std::make_unique<harness::PointStore>(
+        *checkpoint_dir + "/journal.tgij", serve::spec_hash(spec),
+        serve::spec_mode(spec), sweep);
+    if (resume) {
+      harness::resume_checkpoint(*journal);
+      replayed = journal->records();
+    } else {
+      journal->publish({});
+    }
     sweep_cfg.checkpoint = journal.get();
   }
   const harness::ParallelSweep engine(
@@ -205,6 +210,9 @@ int run(int argc, const char* const* argv) {
       records.emplace(
           k, harness::make_point_record(k, sweep[k], points[k], nullptr));
     }
+  }
+  if (resume) {
+    harness::write_resume_trace(*checkpoint_dir + "/resume.json", replayed);
   }
   if (trace_dir) {
     trace.write_files(*trace_dir);
