@@ -15,6 +15,13 @@ void BenchmarkMeasurement::validate(double tol) const {
   TGI_REQUIRE(execution_time.value() > 0.0,
               benchmark << ": execution time must be positive");
   TGI_REQUIRE(energy.value() > 0.0, benchmark << ": energy must be positive");
+  // inf passes every check above and would publish an infinite TGI.
+  TGI_REQUIRE(std::isfinite(performance) &&
+                  std::isfinite(average_power.value()) &&
+                  std::isfinite(execution_time.value()) &&
+                  std::isfinite(energy.value()),
+              benchmark << ": performance, power, time and energy must be "
+                           "finite");
   const double implied = average_power.value() * execution_time.value();
   TGI_REQUIRE(std::fabs(energy.value() - implied) <= tol * implied,
               benchmark << ": energy " << energy.value()

@@ -24,8 +24,9 @@ struct BenchmarkMeasurement {
   util::Seconds execution_time{0.0};
   util::Joules energy{0.0};
 
-  /// Throws unless the tuple is physically sensible (positive performance,
-  /// power, and time; energy consistent with power·time within `tol`).
+  /// Throws unless the tuple is physically sensible (positive, finite
+  /// performance, power, time and energy; energy consistent with power·time
+  /// within `tol`).
   void validate(double tol = 0.05) const;
 };
 

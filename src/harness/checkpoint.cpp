@@ -1,11 +1,11 @@
 #include "harness/checkpoint.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <system_error>
@@ -16,6 +16,7 @@
 #include "util/error.h"
 #include "util/io_faults.h"
 #include "util/log.h"
+#include "util/number.h"
 
 namespace tgi::harness {
 
@@ -69,26 +70,29 @@ int hex_digit(char ch) {
   return -1;
 }
 
-std::string unescape(std::string_view escaped) {
-  std::string out;
-  out.reserve(escaped.size());
-  for (std::size_t i = 0; i < escaped.size(); ++i) {
-    const char ch = escaped[i];
-    if (ch != '%') {
-      out += ch;
-      continue;
-    }
-    if (i + 2 >= escaped.size()) {
+/// Appends the unescaped bytes of `escaped` to `out`.
+void unescape_into(std::string_view escaped, std::string& out) {
+  std::size_t i = 0;
+  for (std::size_t pct = escaped.find('%'); pct != std::string_view::npos;
+       pct = escaped.find('%', i)) {
+    out.append(escaped.substr(i, pct - i));
+    if (pct + 2 >= escaped.size()) {
       throw util::TgiError("journal: truncated percent escape");
     }
-    const int hi = hex_digit(escaped[i + 1]);
-    const int lo = hex_digit(escaped[i + 2]);
+    const int hi = hex_digit(escaped[pct + 1]);
+    const int lo = hex_digit(escaped[pct + 2]);
     if (hi < 0 || lo < 0) {
       throw util::TgiError("journal: malformed percent escape");
     }
     out += static_cast<char>((hi << 4) | lo);
-    i += 2;
+    i = pct + 3;
   }
+  out.append(escaped.substr(i));
+}
+
+std::string unescape(std::string_view escaped) {
+  std::string out;
+  unescape_into(escaped, out);
   return out;
 }
 
@@ -99,33 +103,36 @@ std::string encode_double(double v) {
   return buf;
 }
 
-/// Strict: no leading whitespace, finite values only.
-double decode_double(const std::string& text) {
+/// strtod's grammar (util/number.h), but no leading whitespace and finite
+/// values only.
+double decode_double(std::string_view text) {
   if (text.empty()) throw util::TgiError("journal: empty double field");
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (std::isspace(static_cast<unsigned char>(text[0])) != 0 ||
-      end != text.c_str() + text.size() || !std::isfinite(v)) {
-    throw util::TgiError("journal: bad double '" + text + "'");
+  const util::ParsedDouble v = util::parse_double(text);
+  if (std::isspace(static_cast<unsigned char>(text[0])) != 0 || !v.complete ||
+      !std::isfinite(v.value)) {
+    throw util::TgiError("journal: bad double '" + std::string(text) + "'");
+  }
+  return v.value;
+}
+
+/// A simulated clock reading or duration: finite and >= 0.
+double decode_seconds(std::string_view text) {
+  const double v = decode_double(text);
+  if (v < 0.0) {
+    throw util::TgiError("journal: negative time '" + std::string(text) +
+                         "'");
   }
   return v;
 }
 
-/// A simulated clock reading or duration: finite and >= 0.
-double decode_seconds(const std::string& text) {
-  const double v = decode_double(text);
-  if (v < 0.0) throw util::TgiError("journal: negative time '" + text + "'");
-  return v;
-}
-
 /// Strict: decimal digits only (no whitespace, no sign) that fit a size_t.
-std::size_t decode_size(const std::string& text) {
+std::size_t decode_size(std::string_view text) {
   if (text.empty()) throw util::TgiError("journal: empty integer field");
   std::size_t v = 0;
   const char* const last = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), last, v);
   if (ec != std::errc() || ptr != last) {
-    throw util::TgiError("journal: bad integer '" + text + "'");
+    throw util::TgiError("journal: bad integer '" + std::string(text) + "'");
   }
   return v;
 }
@@ -136,7 +143,7 @@ std::string crc_hex(std::uint32_t crc) {
   return buf;
 }
 
-std::uint64_t decode_hash(const std::string& text) {
+std::uint64_t decode_hash(std::string_view text) {
   if (text.size() != 16) {
     throw util::TgiError("journal: spec hash must be 16 hex digits");
   }
@@ -149,16 +156,24 @@ std::uint64_t decode_hash(const std::string& text) {
   return hash;
 }
 
-std::vector<std::string> split(std::string_view text, char sep) {
-  std::vector<std::string> out;
+/// Calls fn(piece) for each `sep`-separated piece of `text`, in order; an
+/// empty text is one empty piece.
+template <typename Fn>
+void for_each_piece(std::string_view text, char sep, Fn&& fn) {
   std::size_t begin = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == sep) {
-      out.emplace_back(text.substr(begin, i - begin));
-      begin = i + 1;
-    }
+  for (std::size_t end = text.find(sep); end != std::string_view::npos;
+       end = text.find(sep, begin)) {
+    fn(text.substr(begin, end - begin));
+    begin = end + 1;
   }
-  return out;
+  fn(text.substr(begin));
+}
+
+/// `text` split at every `sep` into `pieces` (cleared first).
+void split_views(std::string_view text, char sep,
+                 std::vector<std::string_view>& pieces) {
+  pieces.clear();
+  for_each_piece(text, sep, [&](std::string_view p) { pieces.push_back(p); });
 }
 
 /// Ordered field list serializer: name=escape(value) joined by US.
@@ -182,44 +197,74 @@ class FieldWriter {
   std::string payload_;
 };
 
-/// Parsed field map with require-style accessors that throw TgiError.
+/// One record's name=value fields as views of its payload, with
+/// require-style accessors that throw TgiError. Values that hold a '%' are
+/// unescaped once, into one buffer the reader keeps; the rest are views.
+/// Reused across records, so a steady decode loop does not allocate.
 class FieldReader {
  public:
-  explicit FieldReader(const std::string& payload) {
-    for (const std::string& token : split(payload, kFieldSep)) {
+  /// Splits `payload`, which must outlive every get(); throws on a field
+  /// that is not name=value, a bad escape, or a duplicate name.
+  void parse(std::string_view payload) {
+    fields_.clear();
+    unescaped_.clear();
+    for_each_piece(payload, kFieldSep, [&](std::string_view token) {
       const std::size_t eq = token.find('=');
-      if (eq == std::string::npos || eq == 0) {
+      if (eq == std::string_view::npos || eq == 0) {
         throw util::TgiError("journal: field is not name=value");
       }
-      const std::string name = token.substr(0, eq);
-      if (!fields_.emplace(name, unescape(token.substr(eq + 1))).second) {
-        throw util::TgiError("journal: duplicate field '" + name + "'");
+      Field field{token.substr(0, eq), token.substr(eq + 1)};
+      if (field.value.find('%') != std::string_view::npos) {
+        const std::size_t at = unescaped_.size();
+        unescape_into(field.value, unescaped_);
+        field.escaped = true;
+        field.at = at;
+        field.size = unescaped_.size() - at;
       }
-    }
+      for (const Field& seen : fields_) {
+        if (seen.name == field.name) {
+          throw util::TgiError("journal: duplicate field '" +
+                               std::string(field.name) + "'");
+        }
+      }
+      fields_.push_back(field);
+    });
   }
 
-  [[nodiscard]] const std::string& get(const std::string& name) const {
-    const auto it = fields_.find(name);
-    if (it == fields_.end()) {
-      throw util::TgiError("journal: missing field '" + name + "'");
+  /// The unescaped value; valid until the next parse().
+  [[nodiscard]] std::string_view get(std::string_view name) const {
+    for (const Field& field : fields_) {
+      if (field.name != name) continue;
+      if (!field.escaped) return field.value;
+      return std::string_view(unescaped_).substr(field.at, field.size);
     }
-    return it->second;
+    throw util::TgiError("journal: missing field '" + std::string(name) +
+                         "'");
   }
-  [[nodiscard]] std::size_t get_size(const std::string& name) const {
+  [[nodiscard]] std::size_t get_size(std::string_view name) const {
     return decode_size(get(name));
   }
-  [[nodiscard]] double get_seconds(const std::string& name) const {
+  [[nodiscard]] double get_seconds(std::string_view name) const {
     return decode_seconds(get(name));
   }
-  [[nodiscard]] bool get_flag(const std::string& name) const {
-    const std::string& v = get(name);
+  [[nodiscard]] bool get_flag(std::string_view name) const {
+    const std::string_view v = get(name);
     if (v == "1") return true;
     if (v == "0") return false;
-    throw util::TgiError("journal: flag '" + name + "' must be 0 or 1");
+    throw util::TgiError("journal: flag '" + std::string(name) +
+                         "' must be 0 or 1");
   }
 
  private:
-  std::map<std::string, std::string> fields_;
+  struct Field {
+    std::string_view name;
+    std::string_view value;  ///< raw, as in the payload
+    bool escaped = false;    ///< then the value is unescaped_[at, at+size)
+    std::size_t at = 0;
+    std::size_t size = 0;
+  };
+  std::vector<Field> fields_;
+  std::string unescaped_;
 };
 
 std::string encode_record_line(const std::string& kind,
@@ -238,12 +283,12 @@ std::string encode_values(const std::vector<std::size_t>& values) {
   return out;
 }
 
-std::vector<std::size_t> decode_values(const std::string& text) {
+std::vector<std::size_t> decode_values(std::string_view text) {
   std::vector<std::size_t> out;
   if (text.empty()) return out;
-  for (const std::string& item : split(text, ',')) {
+  for_each_piece(text, ',', [&](std::string_view item) {
     out.push_back(decode_size(item));
-  }
+  });
   return out;
 }
 
@@ -256,10 +301,9 @@ std::string encode_measurements(
 }
 
 std::vector<core::BenchmarkMeasurement> decode_measurements(
-    const std::string& text) {
+    std::string_view text) {
   if (text.empty()) return {};
-  std::istringstream in(text);
-  return read_measurements(in);  // validates header, rows, physics
+  return read_measurements(text);  // validates header, rows, physics
 }
 
 std::string encode_events(const std::vector<obs::TraceEvent>& events) {
@@ -292,11 +336,12 @@ std::string encode_events(const std::vector<obs::TraceEvent>& events) {
   return out;
 }
 
-std::vector<obs::TraceEvent> decode_events(const std::string& text) {
+std::vector<obs::TraceEvent> decode_events(std::string_view text) {
   std::vector<obs::TraceEvent> out;
   if (text.empty()) return out;
-  for (const std::string& item : split(text, kListSep)) {
-    const std::vector<std::string> f = split(item, kFieldSep);
+  std::vector<std::string_view> f;
+  for_each_piece(text, kListSep, [&](std::string_view item) {
+    split_views(item, kFieldSep, f);
     if (f.size() < 7 || (f.size() - 7) % 2 != 0) {
       throw util::TgiError("journal: malformed trace event");
     }
@@ -306,8 +351,8 @@ std::vector<obs::TraceEvent> decode_events(const std::string& text) {
     } else if (f[0] == "I") {
       e.kind = obs::TraceEvent::Kind::kInstant;
     } else {
-      throw util::TgiError("journal: unknown trace event kind '" + f[0] +
-                           "'");
+      throw util::TgiError("journal: unknown trace event kind '" +
+                           std::string(f[0]) + "'");
     }
     e.name = unescape(f[1]);
     e.category = unescape(f[2]);
@@ -319,7 +364,7 @@ std::vector<obs::TraceEvent> decode_events(const std::string& text) {
       e.args.emplace_back(unescape(f[i]), unescape(f[i + 1]));
     }
     out.push_back(std::move(e));
-  }
+  });
   return out;
 }
 
@@ -337,11 +382,12 @@ std::string encode_metrics(const std::vector<obs::Metric>& metrics) {
   return out;
 }
 
-std::vector<obs::Metric> decode_metrics(const std::string& text) {
+std::vector<obs::Metric> decode_metrics(std::string_view text) {
   std::vector<obs::Metric> out;
   if (text.empty()) return out;
-  for (const std::string& item : split(text, kListSep)) {
-    const std::vector<std::string> f = split(item, kFieldSep);
+  std::vector<std::string_view> f;
+  for_each_piece(text, kListSep, [&](std::string_view item) {
+    split_views(item, kFieldSep, f);
     if (f.size() != 3) throw util::TgiError("journal: malformed metric");
     obs::Metric m;
     m.name = unescape(f[0]);
@@ -350,11 +396,12 @@ std::vector<obs::Metric> decode_metrics(const std::string& text) {
     } else if (f[1] == "g") {
       m.kind = obs::MetricKind::kGauge;
     } else {
-      throw util::TgiError("journal: unknown metric kind '" + f[1] + "'");
+      throw util::TgiError("journal: unknown metric kind '" +
+                           std::string(f[1]) + "'");
     }
     m.value = decode_double(f[2]);
     out.push_back(std::move(m));
-  }
+  });
   return out;
 }
 
@@ -367,17 +414,15 @@ std::string encode_missing(const std::vector<std::string>& missing) {
   return out;
 }
 
-std::vector<std::string> decode_missing(const std::string& text) {
+std::vector<std::string> decode_missing(std::string_view text) {
   std::vector<std::string> out;
   if (text.empty()) return out;
-  for (const std::string& item : split(text, kListSep)) {
-    out.push_back(unescape(item));
-  }
+  for_each_piece(text, kListSep,
+                 [&](std::string_view item) { out.push_back(unescape(item)); });
   return out;
 }
 
-PointRecord parse_point_payload(const std::string& payload) {
-  const FieldReader fields(payload);
+PointRecord parse_point_payload(const FieldReader& fields) {
   PointRecord record;
   record.index = fields.get_size("index");
   record.value = fields.get_size("value");
@@ -406,28 +451,29 @@ PointRecord parse_point_payload(const std::string& payload) {
 }
 
 struct ParsedLine {
-  std::string kind;
-  std::string payload;
+  std::string_view kind;
+  std::string_view payload;
 };
 
 /// Validates magic + tokenization + CRC of one journal line; throws
-/// TgiError with the quarantine reason on any defect.
-ParsedLine parse_record_line(const std::string& line) {
+/// TgiError with the quarantine reason on any defect. `checked` is scratch
+/// for the CRC input.
+ParsedLine parse_record_line(std::string_view line, std::string& checked) {
   const std::size_t s1 = line.find(' ');
-  if (s1 == std::string::npos || line.substr(0, s1) != kMagic) {
+  if (s1 == std::string_view::npos || line.substr(0, s1) != kMagic) {
     throw util::TgiError("not a journal record (bad magic)");
   }
   const std::size_t s2 = line.find(' ', s1 + 1);
-  if (s2 == std::string::npos) {
+  if (s2 == std::string_view::npos) {
     throw util::TgiError("truncated record (no checksum field)");
   }
   const std::size_t s3 = line.find(' ', s2 + 1);
-  if (s3 == std::string::npos) {
+  if (s3 == std::string_view::npos) {
     throw util::TgiError("truncated record (no payload)");
   }
   ParsedLine parsed;
   parsed.kind = line.substr(s1 + 1, s2 - s1 - 1);
-  const std::string crc_field = line.substr(s2 + 1, s3 - s2 - 1);
+  const std::string_view crc_field = line.substr(s2 + 1, s3 - s2 - 1);
   parsed.payload = line.substr(s3 + 1);
   if (crc_field.size() != 8) {
     throw util::TgiError("checksum field must be 8 hex digits");
@@ -438,8 +484,10 @@ ParsedLine parse_record_line(const std::string& line) {
     if (digit < 0) throw util::TgiError("bad checksum digit");
     expected = (expected << 4U) | static_cast<std::uint32_t>(digit);
   }
-  const std::uint32_t actual =
-      util::crc32(parsed.kind + " " + parsed.payload);
+  checked.assign(parsed.kind);
+  checked += ' ';
+  checked.append(parsed.payload);
+  const std::uint32_t actual = util::crc32(checked);
   if (actual != expected) {
     throw util::TgiError("checksum mismatch (want " + crc_hex(expected) +
                          ", record hashes to " + crc_hex(actual) + ")");
@@ -494,45 +542,49 @@ std::string encode_point_record(const PointRecord& record) {
 
 JournalContents read_journal(const std::string& text) {
   JournalContents contents;
-  if (text.empty()) return contents;
-  const bool torn_tail = text.back() != '\n';
-  const std::vector<std::string> lines = split(text, '\n');
-  // split() yields one trailing empty element when the text ends in '\n';
-  // drop it so line numbering matches the file.
-  std::size_t count = lines.size();
-  if (!torn_tail && count > 0 && lines[count - 1].empty()) --count;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t line_no = i + 1;
-    const std::string& line = lines[i];
+  FieldReader fields;
+  std::string checked;
+  // Lines are views of `text`; a last line without '\n' is a torn append.
+  std::size_t line_no = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    ++line_no;
+    const std::size_t newline = text.find('\n', pos);
+    const bool torn = newline == std::string::npos;
+    const std::size_t end = torn ? text.size() : newline;
+    const std::string_view line(text.data() + pos, end - pos);
+    pos = end + 1;
     if (line.empty()) continue;
     try {
-      if (i == count - 1 && torn_tail) {
+      if (torn) {
         throw util::TgiError(
             "torn record (no trailing newline — interrupted append)");
       }
-      const ParsedLine parsed = parse_record_line(line);
+      const ParsedLine parsed = parse_record_line(line, checked);
       if (parsed.kind == "header") {
         if (contents.header_valid) {
           throw util::TgiError("duplicate header record");
         }
-        const FieldReader fields(parsed.payload);
+        fields.parse(parsed.payload);
         if (fields.get("v") != "1") {
           throw util::TgiError("unsupported journal version '" +
-                               fields.get("v") + "'");
+                               std::string(fields.get("v")) + "'");
         }
-        const std::string& mode = fields.get("mode");
+        const std::string_view mode = fields.get("mode");
         if (mode != "plain" && mode != "robust") {
-          throw util::TgiError("unknown journal mode '" + mode + "'");
+          throw util::TgiError("unknown journal mode '" + std::string(mode) +
+                               "'");
         }
         contents.spec_hash = decode_hash(fields.get("spec"));
         contents.mode = mode;
         contents.values = decode_values(fields.get("values"));
         contents.header_valid = true;
       } else if (parsed.kind == "point") {
-        contents.points.push_back(parse_point_payload(parsed.payload));
+        fields.parse(parsed.payload);
+        contents.points.push_back(parse_point_payload(fields));
         contents.point_lines.push_back(line_no);
       } else {
-        throw util::TgiError("unknown record kind '" + parsed.kind + "'");
+        throw util::TgiError("unknown record kind '" +
+                             std::string(parsed.kind) + "'");
       }
     } catch (const util::TgiError& e) {
       contents.damage.push_back(JournalDamage{line_no, e.what()});
@@ -544,18 +596,38 @@ JournalContents read_journal(const std::string& text) {
 JournalContents read_journal_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   TGI_REQUIRE(in.good(), "cannot open journal '" << path << "' for reading");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return read_journal(buffer.str());
+  // One read sized by the path's size now, then on to the end of the open
+  // file, so a file renamed over the path meanwhile still reads whole. A
+  // read error (the path is a directory, say) ends the text there.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string text(ec ? 0 : static_cast<std::size_t>(size) + 1, '\0');
+  std::size_t got = 0;
+  while (true) {
+    in.read(text.data() + got,
+            static_cast<std::streamsize>(text.size() - got));
+    got += static_cast<std::size_t>(in.gcount());
+    if (!in) break;
+    text.resize(std::max<std::size_t>(2 * text.size(), 4096));
+  }
+  text.resize(got);
+  return read_journal(text);
 }
 
 JournalState reconcile_journal(const JournalContents& contents,
                                std::uint64_t spec_hash,
                                const std::string& mode,
                                const std::vector<std::size_t>& values) {
+  return reconcile_journal(JournalContents(contents), spec_hash, mode, values);
+}
+
+JournalState reconcile_journal(JournalContents&& contents,
+                               std::uint64_t spec_hash,
+                               const std::string& mode,
+                               const std::vector<std::size_t>& values) {
   JournalState state;
-  state.damage = contents.damage;
   if (!contents.header_valid) {
+    state.damage = std::move(contents.damage);
     state.damage.push_back(JournalDamage{
         0, "journal header missing or damaged; recomputing every point"});
     return state;
@@ -576,29 +648,30 @@ JournalState reconcile_journal(const JournalContents& contents,
     throw util::TgiError(
         "checkpoint journal sweep values do not match this sweep");
   }
+  state.damage = std::move(contents.damage);
   state.header_valid = true;
   const bool robust = (mode == "robust");
   for (std::size_t i = 0; i < contents.points.size(); ++i) {
-    const PointRecord& record = contents.points[i];
+    PointRecord& record = contents.points[i];
     const std::size_t line =
         i < contents.point_lines.size() ? contents.point_lines[i] : 0;
-    if (record.index >= values.size()) {
+    const std::size_t index = record.index;
+    if (index >= values.size()) {
       state.damage.push_back(
-          JournalDamage{line, "point index " + std::to_string(record.index) +
+          JournalDamage{line, "point index " + std::to_string(index) +
                                   " is outside this sweep"});
       continue;
     }
-    if (record.value != values[record.index]) {
+    if (record.value != values[index]) {
       state.damage.push_back(JournalDamage{
-          line, "point " + std::to_string(record.index) +
-                    " records sweep value " + std::to_string(record.value) +
-                    " but this sweep has " +
-                    std::to_string(values[record.index])});
+          line, "point " + std::to_string(index) + " records sweep value " +
+                    std::to_string(record.value) + " but this sweep has " +
+                    std::to_string(values[index])});
       continue;
     }
     if (record.robust != robust) {
       state.damage.push_back(JournalDamage{
-          line, "point " + std::to_string(record.index) +
+          line, "point " + std::to_string(index) +
                     " was journaled in the other sweep mode"});
       continue;
     }
@@ -606,14 +679,14 @@ JournalState reconcile_journal(const JournalContents& contents,
       // The engine always journals the observability section (resume must
       // be able to serve --trace); a record without one is foreign.
       state.damage.push_back(JournalDamage{
-          line, "point " + std::to_string(record.index) +
+          line, "point " + std::to_string(index) +
                     " lacks the observability section"});
       continue;
     }
-    if (!state.completed.emplace(record.index, record).second) {
+    if (!state.completed.try_emplace(index, std::move(record)).second) {
       state.damage.push_back(JournalDamage{
-          line, "duplicate record for point " +
-                    std::to_string(record.index) + " (first valid wins)"});
+          line, "duplicate record for point " + std::to_string(index) +
+                    " (first valid wins)"});
     }
   }
   return state;
@@ -679,8 +752,10 @@ StoreLoad PointStore::load(const char* warn_prefix) const {
   JournalContents contents;
   try {
     contents = read_journal_file(path_);
+    // Throws before it takes anything from `contents`, so the catch below
+    // still sees the structural damage.
     JournalState state =
-        reconcile_journal(contents, spec_hash_, mode_, values_);
+        reconcile_journal(std::move(contents), spec_hash_, mode_, values_);
     out.completed = std::move(state.completed);
     out.damage = std::move(state.damage);
   } catch (const util::TgiError& ex) {

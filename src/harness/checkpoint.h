@@ -30,6 +30,14 @@
 // Doubles ride the measurement_io interchange CSV (17 significant digits)
 // or C hexfloats, bit-exactly; integers are plain decimal digits.
 //
+// Decoding is one pass over views of the file, read with one sized read:
+// lines, US-separated fields and RS-separated list elements are
+// std::string_views, only a value holding a '%' is unescaped (once, into a
+// buffer reused across records), integers go through std::from_chars and
+// doubles through util::parse_double — strtod's grammar without strtod —
+// and the embedded CSV through the one measurement CSV parser
+// (harness/measurement_io.h). Reconciling moves the records out.
+//
 // Trust policy: a record is either fully valid — magic, CRC, schema,
 // strict numbers (digits-only integers that fit, finite doubles,
 // non-negative clocks and durations), every embedded measurement
@@ -131,6 +139,11 @@ struct JournalState {
 };
 [[nodiscard]] JournalState reconcile_journal(
     const JournalContents& contents, std::uint64_t spec_hash,
+    const std::string& mode, const std::vector<std::size_t>& values);
+/// The same, moving the records out of `contents` instead of copying them.
+/// Throws before it takes anything, so on a throw `contents` is intact.
+[[nodiscard]] JournalState reconcile_journal(
+    JournalContents&& contents, std::uint64_t spec_hash,
     const std::string& mode, const std::vector<std::size_t>& values);
 
 /// Builds the journal record for a freshly computed point. `recorder` may

@@ -1,10 +1,14 @@
 #include "harness/measurement_io.h"
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "util/atomic_file.h"
 #include "util/error.h"
+#include "util/number.h"
 #include "util/table.h"
 
 namespace tgi::harness {
@@ -43,70 +47,100 @@ void write_measurements_file(
   out.commit();
 }
 
-std::vector<std::string> split_csv_record(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
+namespace {
+
+/// Splits one CSV record into cells[0..n) and returns n, honoring RFC-4180
+/// double-quote escaping and dropping CR outside quotes. Reuses the strings
+/// already in `cells`, so a parse loop allocates only for its first rows.
+std::size_t split_csv_into(std::string_view line,
+                           std::vector<std::string>& cells) {
+  std::size_t n = 0;
+  const auto next_cell = [&]() -> std::string& {
+    if (n == cells.size()) cells.emplace_back();
+    std::string& cell = cells[n++];
+    cell.clear();
+    return cell;
+  };
+  std::string* cell = &next_cell();
   bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
-    if (in_quotes) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cell += ch;
-      }
-    } else if (ch == '"') {
-      in_quotes = true;
-    } else if (ch == ',') {
-      cells.push_back(std::move(cell));
-      cell.clear();
-    } else if (ch != '\r') {
-      cell += ch;
+  std::size_t i = 0;
+  while (i < line.size()) {
+    // Copy the run of plain bytes up to the next quote (in quotes) or the
+    // next quote, comma or CR (outside), then handle that byte.
+    std::size_t stop = i;
+    while (stop < line.size() && line[stop] != '"' &&
+           (in_quotes || (line[stop] != ',' && line[stop] != '\r'))) {
+      ++stop;
     }
+    cell->append(line.substr(i, stop - i));
+    if (stop == line.size()) break;
+    const char ch = line[stop];
+    i = stop + 1;
+    if (ch == ',') {
+      cell = &next_cell();
+    } else if (ch == '"') {
+      if (!in_quotes) {
+        in_quotes = true;
+      } else if (i < line.size() && line[i] == '"') {
+        *cell += '"';
+        ++i;
+      } else {
+        in_quotes = false;
+      }
+    }  // else a CR outside quotes: dropped
   }
   TGI_REQUIRE(!in_quotes, "unterminated quote in CSV record: " << line);
-  cells.push_back(std::move(cell));
+  return n;
+}
+
+}  // namespace
+
+std::vector<std::string> split_csv_record(const std::string& line) {
+  std::vector<std::string> cells;
+  cells.resize(split_csv_into(line, cells));
   return cells;
 }
 
-std::vector<core::BenchmarkMeasurement> read_measurements(std::istream& in) {
-  std::string line;
-  TGI_REQUIRE(std::getline(in, line), "empty measurement CSV");
+std::vector<core::BenchmarkMeasurement> read_measurements(
+    std::string_view text) {
+  TGI_REQUIRE(!text.empty(), "empty measurement CSV");
+  std::size_t pos = 0;
+  const auto next_line = [&] {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
+    return line;
+  };
+  std::vector<std::string> cells;
   {
-    const auto header = split_csv_record(line);
-    const std::vector<std::string> expected{"benchmark", "performance",
-                                            "unit",      "watts",
-                                            "seconds",   "joules"};
-    TGI_REQUIRE(header == expected,
+    static constexpr std::string_view kExpected[] = {
+        "benchmark", "performance", "unit", "watts", "seconds", "joules"};
+    const std::size_t n = split_csv_into(next_line(), cells);
+    TGI_REQUIRE(n == std::size(kExpected) &&
+                    std::equal(std::begin(kExpected), std::end(kExpected),
+                               cells.begin()),
                 "unexpected CSV header (want '" << kMeasurementCsvHeader
                                                 << "')");
   }
   std::vector<core::BenchmarkMeasurement> out;
   int row = 1;
+  // std::stod's acceptance: strtod's grammar, any leading white space, the
+  // whole cell, and no range error.
   auto parse_double = [&](const std::string& cell, const char* what) {
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(cell, &pos);
-      TGI_REQUIRE(pos == cell.size(), "trailing characters");
-      return v;
-    } catch (const std::exception&) {
+    const util::ParsedDouble v = util::parse_double(cell);
+    if (!v.complete || v.range_error) {
       throw util::PreconditionError("row " + std::to_string(row) +
                                     ": bad " + what + " value '" + cell +
                                     "'");
     }
+    return v.value;
   };
-  while (std::getline(in, line)) {
+  while (pos < text.size()) {
+    const std::string_view line = next_line();
     ++row;
     if (line.empty()) continue;
-    const auto cells = split_csv_record(line);
-    TGI_REQUIRE(cells.size() == 6,
-                "row " << row << " has " << cells.size()
-                       << " cells, expected 6");
+    const std::size_t n = split_csv_into(line, cells);
+    TGI_REQUIRE(n == 6, "row " << row << " has " << n << " cells, expected 6");
     core::BenchmarkMeasurement m;
     m.benchmark = cells[0];
     m.performance = parse_double(cells[1], "performance");
@@ -119,6 +153,12 @@ std::vector<core::BenchmarkMeasurement> read_measurements(std::istream& in) {
   }
   TGI_REQUIRE(!out.empty(), "measurement CSV has no data rows");
   return out;
+}
+
+std::vector<core::BenchmarkMeasurement> read_measurements(std::istream& in) {
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  return read_measurements(std::string_view(text));
 }
 
 std::vector<core::BenchmarkMeasurement> read_measurements_file(

@@ -9,6 +9,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/measurement.h"
@@ -26,9 +27,13 @@ void write_measurements_file(
     const std::string& path,
     const std::vector<core::BenchmarkMeasurement>& ms);
 
-/// Parses measurements from a stream / file. Validates every row (throws
-/// TgiError on malformed rows, wrong header, or physically inconsistent
-/// tuples).
+/// Parses measurements from text / a stream / a file: the one CSV parser,
+/// shared by the tools and by journal records (harness/checkpoint.h).
+/// Number cells take what std::stod takes, read by util::parse_double.
+/// Validates every row (throws TgiError on malformed rows, wrong header, or
+/// physically inconsistent tuples).
+[[nodiscard]] std::vector<core::BenchmarkMeasurement> read_measurements(
+    std::string_view text);
 [[nodiscard]] std::vector<core::BenchmarkMeasurement> read_measurements(
     std::istream& in);
 [[nodiscard]] std::vector<core::BenchmarkMeasurement> read_measurements_file(

@@ -89,6 +89,18 @@ TEST(MeasurementIo, RejectsInconsistentEnergy) {
   EXPECT_THROW(read_measurements(buffer), util::PreconditionError);
 }
 
+TEST(MeasurementIo, RejectsInfiniteValues) {
+  // Every cell passes the positivity and power x time checks; an infinite
+  // performance would publish an infinite TGI.
+  for (const char* perf : {"inf", "Infinity", "+INF", "1e400"}) {
+    std::stringstream buffer(
+        std::string("benchmark,performance,unit,watts,seconds,joules\n"
+                    "HPL,") +
+        perf + ",MFLOPS,100,10,1000\n");
+    EXPECT_THROW(read_measurements(buffer), util::PreconditionError) << perf;
+  }
+}
+
 TEST(MeasurementIo, RejectsEmptyFile) {
   std::stringstream empty;
   EXPECT_THROW(read_measurements(empty), util::PreconditionError);

@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -65,6 +66,31 @@ TEST(Crc32, MatchesIeeeTestVectors) {
   EXPECT_EQ(crc32(""), 0x00000000u);
   EXPECT_EQ(crc32("a"), 0xE8B7BE43u);
   EXPECT_EQ(crc32(std::string(1, '\0')), 0xD202EF8Du);
+}
+
+TEST(Crc32, SlicedMatchesTheBytewiseReference) {
+  // The one-byte-at-a-time loop the sliced version replaced, at every
+  // length around the 8-byte block size and at every start offset.
+  const auto bytewise = [](std::string_view data) {
+    std::uint32_t crc = 0xFFFFFFFFU;
+    for (const char ch : data) {
+      crc ^= static_cast<unsigned char>(ch);
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1U) != 0 ? 0xEDB88320U ^ (crc >> 1U) : crc >> 1U;
+      }
+    }
+    return crc ^ 0xFFFFFFFFU;
+  };
+  std::string bytes;
+  for (int i = 0; i < 300; ++i) {
+    bytes += static_cast<char>((i * 167 + 13) % 256);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; start + len <= bytes.size(); ++len) {
+      const std::string_view data(bytes.data() + start, len);
+      ASSERT_EQ(crc32(data), bytewise(data)) << start << "+" << len;
+    }
+  }
 }
 
 TEST(Crc32, SensitiveToSingleBitFlips) {

@@ -44,7 +44,12 @@
 #      a microbench without its JSON emitter, or one printing a
 #      `[check] ... FAILED` line (nonzero exit), fails the gate, and
 #      BENCH_kernels.json must record the >= 1.5x kernel-lane speedup
-#      ("speedup_ok": true) from the DESIGN.md §14 SIMD pass;
+#      ("speedup_ok": true) from the DESIGN.md §14 SIMD pass; then
+#      `perfbench/run.py --selftest` checks the benchmark of record's own
+#      instrument (both gated workloads report every BENCHMARK.json metric
+#      with 0 failed ops, a corrupted warm cache counts a failed op, and a
+#      doubled meter cost shows up in sweep_cold) on its Release build
+#      under .bench_build/;
 #  11. tsan-supervise: the worker supervisor + process/I-O fault plane
 #      (DESIGN.md §15) under TSan — a fault-free campaign baseline, then a
 #      hung worker (progress-watchdog SIGTERM->SIGKILL), a zero-progress
@@ -235,7 +240,7 @@ for r in 1 2; do
   diff -r -x provenance.json "$SERVE_SCRATCH/cold" "$SERVE_SCRATCH/race$r"
 done
 
-echo "== [10/11] bench-trajectory: every microbench emits its BENCH_*.json =="
+echo "== [10/11] bench-trajectory: every microbench emits its BENCH_*.json; perfbench selftest =="
 TRAJ="build/bench_trajectory"
 rm -rf "$TRAJ"
 mkdir -p "$TRAJ"
@@ -249,6 +254,8 @@ for bin in build/bench/micro_*; do
 done
 # The §14 SIMD pass must keep its recorded lane speedup.
 grep -qF '"speedup_ok": true' "$TRAJ/BENCH_kernels.json"
+# The benchmark of record must still see what it claims to measure.
+python3 perfbench/run.py --selftest
 
 echo "== [11/11] tsan-supervise: worker supervisor + process/I-O fault plane =="
 SUP_SCRATCH="build-tsan/supervise_gate"
