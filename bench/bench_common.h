@@ -30,7 +30,6 @@
 #include "sim/catalog.h"
 #include "stats/correlation.h"
 #include "stats/regression.h"
-#include "util/atomic_file.h"
 #include "util/config.h"
 #include "util/error.h"
 #include "util/format.h"

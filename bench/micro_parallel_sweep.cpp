@@ -7,10 +7,6 @@
 // threaded run is just faster. The speedup check needs real cores, so it
 // reports "skipped" unless a spin probe (bench::effective_cores) measures
 // at least 4 — nproc alone overstates what a shared VM delivers.
-//
-// Results land in BENCH_parallel_sweep.json (out=PATH to move it),
-// written via util::AtomicFile — part of the recorded perf trajectory
-// (BENCH_*.json series) that ci.sh collects into build/bench_trajectory/.
 #include "bench_common.h"
 
 #include <algorithm>
@@ -93,36 +89,12 @@ int main(int argc, char** argv) {
     std::cout << "effective cores (spin probe, up to " << threads
               << " threads): " << util::fixed(effective, 2) << " of "
               << cores << " visible\n";
-    const bool speedup_checked = effective >= 4.0 && threads >= 4;
-    if (speedup_checked) {
+    if (effective >= 4.0 && threads >= 4) {
       bench::print_check("speedup >= 2x on >= 4 effective cores",
                          speedup >= 2.0);
     } else {
       std::cout << "[check] speedup >= 2x on >= 4 effective cores: skipped ("
                 << util::fixed(effective, 2) << " measured)\n";
     }
-
-    const std::string out_path =
-        e.config.get_string("out", "BENCH_parallel_sweep.json");
-    util::AtomicFile json(out_path);
-    json.stream() << "{\n"
-                  << "  \"bench\": \"micro_parallel_sweep\",\n"
-                  << "  \"threads\": " << threads << ",\n"
-                  << "  \"cores\": " << cores << ",\n"
-                  << "  \"effective_cores\": " << util::fixed(effective, 2)
-                  << ",\n"
-                  << "  \"points\": " << grid.size() << ",\n"
-                  << "  \"serial_s\": " << util::fixed(t_serial, 6) << ",\n"
-                  << "  \"parallel_1_s\": " << util::fixed(t_one, 6) << ",\n"
-                  << "  \"parallel_n_s\": " << util::fixed(t_many, 6)
-                  << ",\n"
-                  << "  \"speedup\": " << util::fixed(speedup, 3) << ",\n"
-                  << "  \"speedup_checked\": "
-                  << (speedup_checked ? "true" : "false") << ",\n"
-                  << "  \"identical\": "
-                  << (identical_1 && identical_n ? "true" : "false") << "\n"
-                  << "}\n";
-    json.commit();
-    std::cout << "wrote " << out_path << "\n";
-  }, {"repeat", "out"});
+  }, {"repeat"});
 }

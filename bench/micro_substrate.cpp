@@ -1,11 +1,10 @@
-// Microbench: the substrates under every sweep point — meter sampling, the
-// simulated filesystem's write path, the page cache, the cluster
-// simulator's pricing loop, and mpisim collectives.
+// Microbench: the substrates only the native path (tgi_native) runs on —
+// the simulated filesystem's write path, the page cache, and mpisim
+// collectives. The meter and the cluster simulator are timed by
+// perfbench's power.* and sim.* spans instead.
 //
 // Each operation runs in a repeat loop doubled until one pass takes >= 2 ms;
-// the best of `trials` passes gives its time per call. Results land in
-// BENCH_substrate.json (out=PATH to move it), written via util::AtomicFile
-// — part of the BENCH_*.json perf trajectory ci.sh collects.
+// the best of `trials` passes gives its time per call.
 #include "bench_common.h"
 
 #include <cstdint>
@@ -14,23 +13,16 @@
 #include <vector>
 
 #include "fs/filesystem.h"
-#include "kernels/hpl_model.h"
 #include "mpisim/runtime.h"
-#include "power/meter.h"
-#include "sim/catalog.h"
-#include "sim/simulator.h"
 
 int main(int argc, char** argv) {
   using namespace tgi;
   return bench::run_harness(argc, argv, [](bench::Experiment& e) {
     harness::print_banner(std::cout, "Microbench",
-                          "substrates: meter, filesystem, simulator, mpisim");
+                          "substrates: filesystem, page cache, mpisim");
     const auto trials =
         static_cast<std::size_t>(e.config.get_int("trials", 5));
-    const std::string out_path =
-        e.config.get_string("out", "BENCH_substrate.json");
     util::TextTable table({"substrate", "arg", "reps", "ns per call"});
-    std::string json_rows;
     const auto time = [&](const std::string& name, std::uint64_t arg,
                           const std::function<void()>& op) {
       std::size_t reps = 1;
@@ -46,25 +38,9 @@ int main(int argc, char** argv) {
           bench::best_seconds(trials, pass) * 1e9 / static_cast<double>(reps),
           1);
       table.add_row({name, std::to_string(arg), std::to_string(reps), ns});
-      json_rows += std::string(json_rows.empty() ? "" : ",\n") +
-                   "    {\"name\": \"" + name + "\", \"arg\": " +
-                   std::to_string(arg) + ", \"reps\": " +
-                   std::to_string(reps) + ", \"ns_per_call\": " + ns + "}";
     };
     using Args = std::vector<std::uint64_t>;
 
-    // Meter sampling: one measure() of a `length`-second run at 1 Hz.
-    power::WattsUpMeter meter;
-    const power::PowerSource source = [](util::Seconds t) {
-      return util::watts(t.value() > 10.0 ? 1050.0 : 1000.0);
-    };
-    for (const std::uint64_t length : Args{60, 600, 3600}) {
-      time("wattsup_measure", length, [&] {
-        auto reading =
-            meter.measure(source, util::seconds(static_cast<double>(length)));
-        bench::keep(reading);
-      });
-    }
     // Filesystem write path: `bytes` of 64 KiB records into a fresh file.
     const std::vector<std::uint8_t> record(64 * 1024, 0xAB);
     for (const std::uint64_t bytes : Args{1 << 20, 16 << 20}) {
@@ -86,18 +62,6 @@ int main(int argc, char** argv) {
       auto hit = cache.access({1, page++ % 2048}, true);
       bench::keep(hit);
     });
-    // Simulator pricing loop: one HPL workload on Fire.
-    const sim::ClusterSpec fire = sim::fire_cluster();
-    const sim::ExecutionSimulator simulator(fire);
-    for (const std::uint64_t processes : Args{16, 128}) {
-      kernels::HplModelParams params;
-      params.processes = processes;
-      const sim::Workload wl = kernels::make_hpl_workload(fire, params);
-      time("simulate_hpl", processes, [&] {
-        auto run = simulator.run(wl);
-        bench::keep(run);
-      });
-    }
     // mpisim: an allreduce of 1024 doubles, and a two-rank ping-pong.
     for (const std::uint64_t procs : Args{2, 4, 8}) {
       time("mpisim_allreduce", procs, [procs] {
@@ -121,11 +85,5 @@ int main(int argc, char** argv) {
     }
 
     std::cout << table << "\nbest of " << trials << " passes\n";
-    util::AtomicFile json(out_path);
-    json.stream() << "{\n  \"bench\": \"micro_substrate\",\n  \"trials\": "
-                  << trials << ",\n  \"timings\": [\n"
-                  << json_rows << "\n  ]\n}\n";
-    json.commit();
-    std::cout << "wrote " << out_path << "\n";
-  }, {"trials", "out"});
+  }, {"trials"});
 }

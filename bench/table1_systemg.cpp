@@ -6,6 +6,8 @@
 // the magnitudes (TFLOPS class, kW class) rather than digits.
 #include "bench_common.h"
 
+#include "util/atomic_file.h"
+
 int main(int argc, char** argv) {
   using namespace tgi;
   return bench::run_harness(argc, argv, [](bench::Experiment& e) {

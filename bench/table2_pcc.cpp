@@ -12,6 +12,7 @@
 #include <map>
 
 #include "stats/bootstrap.h"
+#include "util/atomic_file.h"
 
 int main(int argc, char** argv) {
   using namespace tgi;

@@ -4,7 +4,6 @@
 #include <barrier>
 #include <chrono>
 #include <cmath>
-#include <type_traits>
 #include <vector>
 
 #include "util/error.h"
@@ -14,8 +13,6 @@
 namespace tgi::kernels {
 
 namespace {
-
-using util::simd::Real;
 
 double now_seconds() {
   // Native kernels time real execution, not the simulated timeline —
@@ -42,8 +39,8 @@ Slice slice_for(std::size_t total, int thread, int threads) {
 
 }  // namespace
 
-StreamExpected stream_closed_form(Real scalar, int iterations) {
-  StreamExpected e{Real{1}, Real{2}, Real{0}};
+StreamExpected stream_closed_form(double scalar, int iterations) {
+  StreamExpected e{1.0, 2.0, 0.0};
   for (int it = 0; it < iterations; ++it) {
     e.c = e.a;
     e.b = scalar * e.c;
@@ -53,20 +50,16 @@ StreamExpected stream_closed_form(Real scalar, int iterations) {
   return e;
 }
 
-Real stream_validation_epsilon() {
-  // The reference STREAM tolerances: one rounding per kernel per
-  // iteration accumulates, so the bound scales with the element width.
-  if constexpr (std::is_same_v<Real, double>) {
-    return 1e-8;
-  } else {
-    return 1e-4f;
-  }
+double stream_validation_epsilon() {
+  // The reference STREAM tolerance for double arrays: one rounding per
+  // kernel per iteration accumulates.
+  return 1e-8;
 }
 
-bool stream_error_within(Real abs_err, Real expected) {
-  const Real eps = stream_validation_epsilon();
-  const Real mag = std::fabs(expected);
-  return mag > Real{0} ? abs_err <= eps * mag : abs_err <= eps;
+bool stream_error_within(double abs_err, double expected) {
+  const double eps = stream_validation_epsilon();
+  const double mag = std::fabs(expected);
+  return mag > 0.0 ? abs_err <= eps * mag : abs_err <= eps;
 }
 
 StreamResult run_stream(const StreamConfig& config) {
@@ -79,12 +72,12 @@ StreamResult run_stream(const StreamConfig& config) {
   const int threads = config.threads;
   // Aligned, lane-padded arrays (DESIGN.md §14): the kernels compute over
   // [0, n) and never touch the padding.
-  util::simd::Lane<Real> a = util::simd::make_lane<Real>(n, Real{1});
-  util::simd::Lane<Real> b = util::simd::make_lane<Real>(n, Real{2});
-  util::simd::Lane<Real> c = util::simd::make_lane<Real>(n, Real{0});
-  Real* const pa = util::simd::assume_aligned(a.data());
-  Real* const pb = util::simd::assume_aligned(b.data());
-  Real* const pc = util::simd::assume_aligned(c.data());
+  util::simd::Lane<double> a = util::simd::make_lane<double>(n, 1.0);
+  util::simd::Lane<double> b = util::simd::make_lane<double>(n, 2.0);
+  util::simd::Lane<double> c = util::simd::make_lane<double>(n, 0.0);
+  double* const pa = util::simd::assume_aligned(a.data());
+  double* const pb = util::simd::assume_aligned(b.data());
+  double* const pc = util::simd::assume_aligned(c.data());
 
   // One timing per (kernel, iteration); workers sync on a barrier and
   // thread 0 reads the clock at the sync points.
@@ -93,7 +86,7 @@ StreamResult run_stream(const StreamConfig& config) {
       kKernels, std::vector<double>(static_cast<std::size_t>(
                     config.iterations)));
   std::barrier sync(threads);
-  const Real scalar = static_cast<Real>(config.scalar);
+  const double scalar = config.scalar;
   const double t_start = now_seconds();
 
   {
@@ -107,9 +100,9 @@ StreamResult run_stream(const StreamConfig& config) {
         // The three arrays are distinct allocations, so the worker-local
         // restrict views are exact — gcc drops the overlap-check versions
         // it would otherwise guard the vectorized kernels with.
-        Real* TGI_SIMD_RESTRICT va = pa;
-        Real* TGI_SIMD_RESTRICT vb = pb;
-        Real* TGI_SIMD_RESTRICT vc = pc;
+        double* TGI_SIMD_RESTRICT va = pa;
+        double* TGI_SIMD_RESTRICT vb = pb;
+        double* TGI_SIMD_RESTRICT vc = pc;
         const Slice s = slice_for(n, t, threads);
         for (int it = 0; it < iterations; ++it) {
           const auto iu = static_cast<std::size_t>(it);
@@ -176,14 +169,14 @@ StreamResult run_stream(const StreamConfig& config) {
   // |a| >> |b| and exactly zero (wrongly tight) when a's closed form
   // vanishes, e.g. scalar = -2 after one iteration.
   const StreamExpected expect = stream_closed_form(scalar, config.iterations);
-  auto average_error = [n](const Real* base, Real expected) {
-    const Real* TGI_SIMD_RESTRICT p = util::simd::assume_aligned(base);
-    return util::simd::tree_transform_sum<Real>(
+  auto average_error = [n](const double* base, double expected) {
+    const double* TGI_SIMD_RESTRICT p = util::simd::assume_aligned(base);
+    return util::simd::tree_transform_sum<double>(
                n,
                [p, expected](std::size_t i) {
                  return std::fabs(p[i] - expected);
                }) /
-           static_cast<Real>(n);
+           static_cast<double>(n);
   };
   result.validated =
       stream_error_within(average_error(pa, expect.a), expect.a) &&

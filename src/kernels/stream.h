@@ -2,17 +2,15 @@
 // kernels (Copy, Scale, Add, Triad), the paper's memory benchmark.
 //
 // Byte accounting follows the original: Copy/Scale move 2 words per
-// iteration, Add/Triad move 3 — where a word is sizeof(util::simd::Real),
-// because the STREAM arrays are the DTYPE-toggleable lanes of DESIGN.md
-// §14 (bandwidth is what is measured; the arithmetic only has to
-// validate). The paper uses Triad ("multiply and accumulate is the most
+// iteration, Add/Triad move 3 — where a word is one 8-byte double, the
+// element type of the aligned STREAM lanes (DESIGN.md §14). The paper
+// uses Triad ("multiply and accumulate is the most
 // commonly used computation in scientific computing") — run_stream
 // reports all four, and the suite consumes Triad.
 #pragma once
 
 #include <cstddef>
 
-#include "util/simd.h"
 #include "util/units.h"
 
 namespace tgi::kernels {
@@ -41,41 +39,38 @@ struct StreamResult {
 /// Runs the four kernels on host memory and reports best rates.
 [[nodiscard]] StreamResult run_stream(const StreamConfig& config);
 
-/// Bytes moved per element by each kernel, in words of the configured
-/// lane element type (sizeof(util::simd::Real)).
+/// Bytes moved per element by each kernel, in words of sizeof(double).
 [[nodiscard]] constexpr double stream_bytes_per_element_copy() {
-  return 2.0 * static_cast<double>(sizeof(util::simd::Real));
+  return 2.0 * static_cast<double>(sizeof(double));
 }
 [[nodiscard]] constexpr double stream_bytes_per_element_scale() {
-  return 2.0 * static_cast<double>(sizeof(util::simd::Real));
+  return 2.0 * static_cast<double>(sizeof(double));
 }
 [[nodiscard]] constexpr double stream_bytes_per_element_add() {
-  return 3.0 * static_cast<double>(sizeof(util::simd::Real));
+  return 3.0 * static_cast<double>(sizeof(double));
 }
 [[nodiscard]] constexpr double stream_bytes_per_element_triad() {
-  return 3.0 * static_cast<double>(sizeof(util::simd::Real));
+  return 3.0 * static_cast<double>(sizeof(double));
 }
 
 /// Closed-form values of every a[i] / b[i] / c[i] after `iterations`
 /// rounds of the four kernels from the initial a=1, b=2, c=0.
 struct StreamExpected {
-  util::simd::Real a{};
-  util::simd::Real b{};
-  util::simd::Real c{};
+  double a{};
+  double b{};
+  double c{};
 };
-[[nodiscard]] StreamExpected stream_closed_form(util::simd::Real scalar,
-                                                int iterations);
+[[nodiscard]] StreamExpected stream_closed_form(double scalar, int iterations);
 
-/// Validation epsilon for the configured lane element width (the
-/// reference STREAM tolerances: 1e-8 for double lanes, 1e-4 for float).
-[[nodiscard]] util::simd::Real stream_validation_epsilon();
+/// Validation epsilon of the double lanes (the reference STREAM
+/// tolerance, 1e-8).
+[[nodiscard]] double stream_validation_epsilon();
 
 /// True when an array's average absolute error is within tolerance for a
 /// variable whose closed-form value is `expected`. The tolerance scales
 /// with the variable's *own* magnitude — never another array's — and an
 /// exactly-zero expected value falls back to the absolute epsilon (a
 /// relative tolerance of zero would reject legitimate rounding).
-[[nodiscard]] bool stream_error_within(util::simd::Real abs_err,
-                                       util::simd::Real expected);
+[[nodiscard]] bool stream_error_within(double abs_err, double expected);
 
 }  // namespace tgi::kernels

@@ -6,12 +6,11 @@ namespace tgi::kernels {
 
 namespace {
 
-// The *modeled* machine always runs the reference double-precision STREAM
-// (8-byte words; Triad reads b and c and writes a = 24 bytes/element) —
-// deliberately not kernels/stream.h's byte constants, which track the
-// native lanes' TGI_DTYPE toggle. Figure-feeding arithmetic never follows
-// that toggle (DESIGN.md §14), so the simulated workload is identical in
-// float and double builds and the goldens pin one shape.
+// The *modeled* machine runs the reference double-precision STREAM
+// (8-byte words; Triad reads b and c and writes a = 24 bytes/element),
+// spelled out here rather than borrowed from kernels/stream.h's native
+// byte constants, so the simulated workload the goldens pin never follows
+// the native lanes.
 constexpr double kModelWordBytes = 8.0;
 constexpr double kModelTriadBytesPerElement = 3.0 * kModelWordBytes;
 

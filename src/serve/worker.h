@@ -30,7 +30,7 @@ struct WorkerAssignment {
   /// Sweep threads (0 = ThreadPool default, 1 = serial).
   std::size_t threads = 1;
 
-  // Deterministic process-fault hooks (DESIGN.md §15, ci.sh stages 9/11):
+  // Deterministic process-fault hooks (DESIGN.md §15, serve_check.cmake):
   // each fires after journaling exactly that many points, so "N points
   // then the fault" is a precise statement about what's on disk. Any armed
   // hook forces serial execution in assignment order (records are

@@ -16,13 +16,6 @@
 //     vectorized loop may always read a whole final vector. Padding
 //     elements are value-initialized and must never be *written* by
 //     kernels (results are defined over [0, n)).
-//   * A compile-time precision toggle. `Real` is `double`, or `float`
-//     when the build sets `-DTGI_DTYPE=float` (macro TGI_DTYPE_FLOAT) —
-//     the H2Pack DTYPE idiom, for lanes where double precision is not
-//     load-bearing (the native STREAM arrays: bandwidth is what is
-//     measured, the arithmetic only has to validate). The simulator and
-//     every figure-feeding path stay `double` unconditionally; goldens
-//     are pinned on the default-`double` build only.
 //   * Fixed-shape reductions. Vectorizing an FP reduction reorders it;
 //     a serial left fold forbids vectorization. `tree_sum` /
 //     `tree_transform_sum` pin one explicit reduction shape —
@@ -53,16 +46,6 @@
 #define TGI_SIMD_RESTRICT __restrict__
 
 namespace tgi::util::simd {
-
-/// Element type of the DTYPE-toggleable kernel lanes. `double` by
-/// default; `float` when the build is configured with -DTGI_DTYPE=float.
-/// Only lanes documented DTYPE-toggleable (DESIGN.md §14) may use it —
-/// figure-feeding arithmetic is double, unconditionally.
-#if defined(TGI_DTYPE_FLOAT)
-using Real = float;
-#else
-using Real = double;
-#endif
 
 /// Base-address alignment of every Lane, in bytes: one cache line, one
 /// AVX-512 vector. Alignment guarantee: `lane.data()` from any Lane (or

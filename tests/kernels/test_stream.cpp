@@ -10,8 +10,6 @@
 namespace tgi::kernels {
 namespace {
 
-using util::simd::Real;
-
 StreamConfig small_config() {
   StreamConfig cfg;
   cfg.array_elements = 100000;
@@ -50,9 +48,8 @@ TEST(Stream, UnevenSliceStillValidates) {
 }
 
 TEST(Stream, ByteAccountingConstants) {
-  // 2 words for Copy/Scale, 3 for Add/Triad — in words of the configured
-  // lane element type (16/24 bytes on the default double build).
-  const double word = static_cast<double>(sizeof(Real));
+  // 2 words for Copy/Scale, 3 for Add/Triad, in 8-byte double words.
+  const double word = static_cast<double>(sizeof(double));
   EXPECT_DOUBLE_EQ(stream_bytes_per_element_copy(), 2.0 * word);
   EXPECT_DOUBLE_EQ(stream_bytes_per_element_scale(), 2.0 * word);
   EXPECT_DOUBLE_EQ(stream_bytes_per_element_add(), 3.0 * word);
@@ -60,12 +57,12 @@ TEST(Stream, ByteAccountingConstants) {
 }
 
 TEST(Stream, ClosedFormMatchesKernelRecurrence) {
-  const StreamExpected e = stream_closed_form(Real{3}, 2);
+  const StreamExpected e = stream_closed_form(3.0, 2);
   // One round from a=1, b=2, c=0: c=1, b=3, c=4, a=15; second round:
-  // c=15, b=45, c=60, a=225 — exact in either Real width.
-  EXPECT_EQ(e.a, Real{225});
-  EXPECT_EQ(e.b, Real{45});
-  EXPECT_EQ(e.c, Real{60});
+  // c=15, b=45, c=60, a=225 — exact in double.
+  EXPECT_EQ(e.a, 225.0);
+  EXPECT_EQ(e.b, 45.0);
+  EXPECT_EQ(e.c, 60.0);
 }
 
 TEST(Stream, ToleranceScalesWithEachArraysOwnMagnitude) {
@@ -73,15 +70,15 @@ TEST(Stream, ToleranceScalesWithEachArraysOwnMagnitude) {
   // historical check scaled every array's tolerance by |a|, accepting a
   // corruption of b two orders of magnitude above b's own bound; the
   // fixed check scales by each array's own closed form.
-  const StreamExpected e = stream_closed_form(Real{100}, 1);
-  EXPECT_EQ(e.a, Real{10200});
-  EXPECT_EQ(e.b, Real{100});
-  EXPECT_EQ(e.c, Real{101});
-  const Real eps = stream_validation_epsilon();
-  const Real err_b = eps * std::fabs(e.b) * Real{2};  // 2x b's own bound
+  const StreamExpected e = stream_closed_form(100.0, 1);
+  EXPECT_EQ(e.a, 10200.0);
+  EXPECT_EQ(e.b, 100.0);
+  EXPECT_EQ(e.c, 101.0);
+  const double eps = stream_validation_epsilon();
+  const double err_b = eps * std::fabs(e.b) * 2.0;  // 2x b's own bound
   EXPECT_LT(err_b, eps * std::fabs(e.a));  // ...the old bound passed it
   EXPECT_FALSE(stream_error_within(err_b, e.b));
-  EXPECT_TRUE(stream_error_within(eps * std::fabs(e.b) / Real{2}, e.b));
+  EXPECT_TRUE(stream_error_within(eps * std::fabs(e.b) / 2.0, e.b));
 
   StreamConfig cfg = small_config();
   cfg.scalar = 100.0;
@@ -93,13 +90,13 @@ TEST(Stream, ToleranceZeroClosedFormFallsBackToAbsolute) {
   // c = -1). The historical tolerance 1e-8 * |a| was exactly zero, so any
   // rounding in a[] failed validation; a zero expectation now falls back
   // to the absolute epsilon.
-  const StreamExpected e = stream_closed_form(Real{-2}, 1);
-  EXPECT_EQ(e.a, Real{0});
-  EXPECT_EQ(e.b, Real{-2});
-  EXPECT_EQ(e.c, Real{-1});
-  const Real eps = stream_validation_epsilon();
-  EXPECT_TRUE(stream_error_within(eps / Real{2}, e.a));
-  EXPECT_FALSE(stream_error_within(eps * Real{2}, e.a));
+  const StreamExpected e = stream_closed_form(-2.0, 1);
+  EXPECT_EQ(e.a, 0.0);
+  EXPECT_EQ(e.b, -2.0);
+  EXPECT_EQ(e.c, -1.0);
+  const double eps = stream_validation_epsilon();
+  EXPECT_TRUE(stream_error_within(eps / 2.0, e.a));
+  EXPECT_FALSE(stream_error_within(eps * 2.0, e.a));
 
   StreamConfig cfg = small_config();
   cfg.scalar = -2.0;

@@ -102,8 +102,7 @@ TEST(StreamModel, TriadByteAccounting) {
   const sim::Workload wl = make_stream_workload(fire, params);
   const double elements =
       fire.node.memory.value() * 0.3 / (3.0 * 8.0);
-  // 24.0 = the reference double-precision Triad's bytes/element: the
-  // modeled workload never tracks the native lanes' TGI_DTYPE toggle.
+  // 24.0 = the reference double-precision Triad's bytes/element.
   EXPECT_NEAR(wl.phases[0].memory_bytes_per_node.value(),
               elements * 24.0 * 10.0, 1.0);
   EXPECT_EQ(wl.benchmark, "STREAM");

@@ -1,5 +1,5 @@
 // util/simd.h: alignment and padding invariants of the aligned lanes,
-// the TGI_DTYPE toggle, and — the load-bearing property — the fixed-shape
+// and — the load-bearing property — the fixed-shape
 // reduction tree reducing in one pinned order: byte-identical at every
 // thread count, byte-identical to an independently-coded replay of the
 // documented shape, and *not* the serial left fold.
@@ -50,14 +50,6 @@ TEST(SimdLayout, AlignmentSurvivesReallocation) {
     ASSERT_EQ(reinterpret_cast<std::uintptr_t>(grown.data()) % kAlignment,
               0u);
   }
-}
-
-TEST(SimdReal, TracksTheConfiguredDtype) {
-#if defined(TGI_DTYPE_FLOAT)
-  EXPECT_EQ(sizeof(Real), sizeof(float));
-#else
-  EXPECT_EQ(sizeof(Real), sizeof(double));
-#endif
 }
 
 // Independent replay of the documented reduction shape (DESIGN.md §14):
@@ -156,8 +148,8 @@ TEST(SimdTree, IsNotTheSerialLeftFold) {
 }
 
 TEST(SimdTree, FloatLanesReduceInTheSameShape) {
-  // The tree is type-generic: pin the float instantiation too (the
-  // TGI_DTYPE=float build reduces STREAM validation through it).
+  // The tree is type-generic: pin the float instantiation too, so a
+  // float caller reduces in the same shape as the double lanes.
   std::vector<float> x(1000);
   Xoshiro256 rng(42);
   for (auto& v : x) v = static_cast<float>(rng.uniform(-100.0, 100.0));

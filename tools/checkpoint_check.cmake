@@ -16,6 +16,10 @@
 #      thread count).
 #   4. Corruption: damage the last record of a complete journal. Resume
 #      must quarantine it (stderr says so), recompute, and still match.
+#   5. A real SIGKILL: a checkpointed run at threads=1 is stepped with
+#      SIGSTOP/SIGCONT until its journal holds a point record, then killed
+#      with SIGKILL while still running. Resume at threads=8 must match the
+#      baseline, and its completed journal the full run's, byte for byte.
 if(NOT DEFINED TGI_SWEEP OR NOT DEFINED OUT)
   message(FATAL_ERROR "usage: cmake -DTGI_SWEEP=<exe> -DOUT=<dir> "
                       "[-DFAULTS=<spec>] -P checkpoint_check.cmake")
@@ -132,5 +136,44 @@ run_sweep("${OUT}/resume_corrupt" 2 "checkpoint=${ckpt}" "resume=1")
 expect_matches_baseline("${OUT}/resume_corrupt")
 expect_stderr_mentions("${OUT}/resume_corrupt"
                        "checkpoint: quarantined journal record")
+
+# 5. SIGKILL a running sweep. CMake cannot signal a child, so a POSIX shell
+# does: it stops the sweep at once, then lets it run in short slices until
+# a point record is journaled, and kills it stopped, so the shell's wait
+# reports signal 9 (status 137). On a loaded host the sweep can outrun the
+# shell and finish first (status 0); that attempt is discarded and retried.
+set(ckpt "${OUT}/ckpt_kill")
+foreach(attempt RANGE 1 10)
+  file(REMOVE_RECURSE "${ckpt}")
+  execute_process(
+    COMMAND sh -c [[
+      journal="$1"; shift
+      "$@" > /dev/null 2>&1 &
+      pid=$!
+      kill -STOP "$pid"
+      i=0
+      until grep -qs '^TGIJ1 point' "$journal" || [ "$i" -ge 50000 ]; do
+        i=$((i + 1))
+        kill -CONT "$pid"
+        n=0; while [ "$n" -lt 20 ]; do n=$((n + 1)); done
+        kill -STOP "$pid"
+      done
+      kill -KILL "$pid"
+      wait "$pid"
+    ]] sh "${ckpt}/journal.tgij" ${TGI_SWEEP} ${common} threads=1
+       outdir=${OUT}/killed trace=${OUT}/killed_trace checkpoint=${ckpt}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    break()
+  endif()
+endforeach()
+file(STRINGS "${ckpt}/journal.tgij" killed_points REGEX "^TGIJ1 point")
+if(NOT rc EQUAL 137 OR killed_points STREQUAL "")
+  message(FATAL_ERROR "expected tgi_sweep SIGKILLed (status 137) after a "
+                      "journaled point; got status ${rc}")
+endif()
+run_sweep("${OUT}/resume_killed" 8 "checkpoint=${ckpt}" "resume=1")
+expect_matches_baseline("${OUT}/resume_killed")
+expect_identical("${journal}" "${ckpt}/journal.tgij")
 
 message(STATUS "checkpoint kill-and-resume determinism OK (${OUT})")

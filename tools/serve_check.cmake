@@ -8,9 +8,10 @@
 #   1. Cold campaign (workers=2, threads=2, traced) — the truth. Its
 #      stderr must report zero cache hits and zero worker failures.
 #   2. Warm reruns against the same cache at (workers=0, threads=1),
-#      (workers=1, threads=4), (workers=4, threads=8): stdout, every CSV,
-#      and trace.json must match the cold run byte for byte, and stderr
-#      must report computed=0 — a cache hit is a byte-identical no-op.
+#      (workers=1, threads=4), (workers=4, threads=8): stdout and the whole
+#      output tree (the same file list, every file's bytes) must match the
+#      cold run, and stderr must report computed=0 — a cache hit is a
+#      byte-identical no-op.
 #   3. Corruption: bit-flip one cached record. The next run must
 #      quarantine it (WARN on stderr), recompute, and still match.
 #   4. Worker kill: against a fresh cache, TGI_SERVE_WORKER_DIE_AFTER
@@ -27,6 +28,10 @@
 #   7. Garbage tail: TGI_SERVE_WORKER_GARBAGE_TAIL appends a torn record
 #      and exits 0; trust is journal-driven, so the clean exit still
 #      counts as a strike and the torn record is quarantined.
+#   Scenarios 4-7 each heal a fresh cache; a warm rerun over it must then
+#   report computed=0 and match the cold run.
+#   8. Two processes race on one fresh cache: each stages in its own
+#      scratch, so both exit 0 with the cold run's bytes.
 #
 # Every run passes stall_polls=2000 so a hung worker is detected in a few
 # seconds even under TSan; the knob never reaches stdout, so the byte
@@ -39,8 +44,10 @@ endif()
 file(REMOVE_RECURSE "${OUT}")
 file(MAKE_DIRECTORY "${OUT}")
 
-# Two entries over the same cluster/seed but different sweep lists and
-# granularities — distinct cache keys, both execution paths.
+# Two entries over the same cluster/seed but different sweep lists —
+# distinct cache keys, one shared reference. beta's `granularity = point`
+# is inert (there is one execution path); it stays parseable until the key
+# is deleted.
 set(campaign_text "# serve_check campaign\n[alpha]\ncluster = fire\nsweep = 16,48,80\nseed = 7\nmeter = wattsup\n")
 if(DEFINED FAULTS AND NOT FAULTS STREQUAL "")
   string(APPEND campaign_text "faults = ${FAULTS}\n")
@@ -80,19 +87,34 @@ function(expect_identical a b)
   endif()
 endfunction()
 
-# Asserts outdir's stdout and every cold-run artifact (CSVs + traces,
-# excluding provenance.json) match the cold campaign byte for byte.
+# Asserts outdir's stdout matches the cold campaign's, and its output tree
+# has the cold tree's file list with every file byte-identical.
+# provenance.json records this run's cache and supervision stats by design
+# and is the one exempt file.
 function(expect_matches_cold outdir)
   expect_identical("${OUT}/cold.stdout" "${outdir}.stdout")
-  file(GLOB_RECURSE artifacts RELATIVE "${OUT}/cold"
-       "${OUT}/cold/*.csv" "${OUT}/cold/*.json")
-  list(REMOVE_ITEM artifacts provenance.json)
-  if(artifacts STREQUAL "")
+  file(GLOB_RECURSE cold_files RELATIVE "${OUT}/cold" "${OUT}/cold/*")
+  file(GLOB_RECURSE files RELATIVE "${outdir}" "${outdir}/*")
+  list(REMOVE_ITEM cold_files provenance.json)
+  list(REMOVE_ITEM files provenance.json)
+  if(cold_files STREQUAL "")
     message(FATAL_ERROR "no artifacts under ${OUT}/cold")
   endif()
-  foreach(a ${artifacts})
+  if(NOT files STREQUAL cold_files)
+    message(FATAL_ERROR "file list of ${outdir} differs from the cold run's:"
+                        "\n  ${files}\nvs\n  ${cold_files}")
+  endif()
+  foreach(a ${cold_files})
     expect_identical("${OUT}/cold/${a}" "${outdir}/${a}")
   endforeach()
+endfunction()
+
+# A warm rerun over `cache` at (workers=0, threads=1) recomputes nothing
+# and matches the cold campaign.
+function(expect_warm_noop name cache)
+  run_campaign("${OUT}/${name}_warm" "${cache}" 0 1)
+  expect_matches_cold("${OUT}/${name}_warm")
+  expect_stderr_mentions("${OUT}/${name}_warm" " computed=0")
 endfunction()
 
 function(expect_stderr_mentions outdir needle)
@@ -152,6 +174,7 @@ run_campaign("${OUT}/killed" "${OUT}/cache_killed" 2 2
 expect_matches_cold("${OUT}/killed")
 expect_stderr_mentions("${OUT}/killed" "died (signal 9")
 expect_stderr_mentions("${OUT}/killed" "merging its partial journal")
+expect_warm_noop(killed "${OUT}/cache_killed")
 
 # 5. Worker hang: shard 0 stops journaling after one point and ignores
 # SIGTERM; the progress watchdog must escalate to SIGKILL and the restart
@@ -162,6 +185,7 @@ expect_matches_cold("${OUT}/hung")
 expect_stderr_mentions("${OUT}/hung" "hung (no journal growth")
 expect_stderr_mentions("${OUT}/hung" "SIGTERM escalated to SIGKILL")
 expect_stderr_mentions("${OUT}/hung" "restarting (attempt 2")
+expect_warm_noop(hung "${OUT}/cache_hung")
 
 # 6. Crash loop: every attempt's journal write faults (attempts=99 covers
 # the whole restart budget), so shard 0 makes zero progress, is
@@ -171,10 +195,7 @@ run_campaign("${OUT}/looped" "${OUT}/cache_looped" 2 2
 expect_matches_cold("${OUT}/looped")
 expect_stderr_mentions("${OUT}/looped" "quarantined after")
 expect_stderr_mentions("${OUT}/looped" "fall back to in-process compute")
-# The heal published complete shards: a warm rerun recomputes nothing.
-run_campaign("${OUT}/looped_warm" "${OUT}/cache_looped" 0 1)
-expect_matches_cold("${OUT}/looped_warm")
-expect_stderr_mentions("${OUT}/looped_warm" " computed=0")
+expect_warm_noop(looped "${OUT}/cache_looped")
 
 # 7. Garbage tail: shard 0 appends a torn record and exits 0. Trust is
 # journal-driven — the clean exit with an incomplete journal is a strike,
@@ -184,5 +205,27 @@ run_campaign("${OUT}/garbage" "${OUT}/cache_garbage" 2 2
 expect_matches_cold("${OUT}/garbage")
 expect_stderr_mentions("${OUT}/garbage" "quarantined worker record")
 expect_stderr_mentions("${OUT}/garbage" "clean exit but")
+expect_warm_noop(garbage "${OUT}/cache_garbage")
+
+# 8. Two processes race on one fresh cache. execute_process can only pipe
+# children into each other, so a POSIX shell starts both and waits for
+# each.
+execute_process(
+  COMMAND sh -c [[
+    out="$1"; shift
+    "$@" outdir="$out/race1" > "$out/race1.stdout" 2> "$out/race1.stderr" &
+    first=$!
+    "$@" outdir="$out/race2" > "$out/race2.stdout" 2> "$out/race2.stderr"
+    second=$?
+    wait "$first" && [ "$second" -eq 0 ]
+  ]] sh "${OUT}" ${TGI_SERVE} campaign=${OUT}/campaign.conf
+     cache=${OUT}/cache_race workers=0 threads=2 trace=1 stall_polls=2000
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "racing campaigns on one cache failed (rc=${rc})")
+endif()
+foreach(r race1 race2)
+  expect_matches_cold("${OUT}/${r}")
+endforeach()
 
 message(STATUS "campaign cache-hit determinism OK (${OUT})")

@@ -30,7 +30,7 @@
 // Computes the GLOBAL sweep-point indices of the handoff spec and journals
 // them into DIR/journal.tgij, one whole sweep point per unit of work.
 //
-// Deterministic worker fault plane (DESIGN.md §15, ci.sh stages 9/11) —
+// Deterministic worker fault plane (DESIGN.md §15, serve_check.cmake) —
 // env hooks of the form <shard>:<n>[:<attempts>], firing only in the named
 // shard and only while the supervisor's attempt counter
 // (TGI_SERVE_WORKER_ATTEMPT, 1-based) is <= <attempts> (default 1, so a

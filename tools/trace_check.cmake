@@ -4,10 +4,11 @@
 #   cmake -DTGI_SWEEP=<exe> -DOUT=<scratch-dir> [-DFAULTS=<spec>]
 #         -P trace_check.cmake
 #
-# Runs the same traced sweep at threads=1/2/8 and asserts:
-#   1. trace.json and metrics.csv are byte-identical across thread counts;
-#   2. the sweep's result CSVs are byte-identical to an untraced run
-#      (tracing is observational).
+# Runs the same traced and profiled sweep at threads=1/2/8 and asserts:
+#   1. trace.json and metrics.csv are byte-identical across thread counts
+#      (profile.json is wall clock: it must exist, but is never compared);
+#   2. every result CSV is byte-identical across thread counts and to an
+#      untraced, unprofiled run (tracing and profiling are observational).
 if(NOT DEFINED TGI_SWEEP OR NOT DEFINED OUT)
   message(FATAL_ERROR "usage: cmake -DTGI_SWEEP=<exe> -DOUT=<dir> "
                       "[-DFAULTS=<spec>] -P trace_check.cmake")
@@ -33,7 +34,11 @@ function(run_sweep outdir trace_args threads)
 endfunction()
 
 foreach(t 1 2 8)
-  run_sweep("${OUT}/results_t${t}" "trace=${OUT}/trace_t${t}" ${t})
+  run_sweep("${OUT}/results_t${t}"
+            "trace=${OUT}/trace_t${t};profile=${OUT}/profile_t${t}" ${t})
+  if(NOT EXISTS "${OUT}/profile_t${t}/profile.json")
+    message(FATAL_ERROR "profiled run left no ${OUT}/profile_t${t}/profile.json")
+  endif()
 endforeach()
 run_sweep("${OUT}/results_plain" "" 2)
 
@@ -52,13 +57,16 @@ foreach(f trace.json metrics.csv)
   endforeach()
 endforeach()
 
-# 2. Tracing never changes what the sweep computes.
+# 2. Neither the thread count nor tracing and profiling change what the
+# sweep computes.
 file(GLOB csvs RELATIVE "${OUT}/results_plain" "${OUT}/results_plain/*.csv")
 if(csvs STREQUAL "")
   message(FATAL_ERROR "no result CSVs under ${OUT}/results_plain")
 endif()
 foreach(c ${csvs})
-  expect_identical("${OUT}/results_plain/${c}" "${OUT}/results_t2/${c}")
+  foreach(t 1 2 8)
+    expect_identical("${OUT}/results_plain/${c}" "${OUT}/results_t${t}/${c}")
+  endforeach()
 endforeach()
 
 message(STATUS "trace determinism OK (${OUT})")
