@@ -1,9 +1,10 @@
 // Ablation: crash-tolerant checkpointing (DESIGN.md §11). Runs the paper
 // sweep through the checksummed journal and reports what the checkpoint
 // plane costs and guarantees: journaling is a bit-exact no-op on results,
-// a killed sweep resumes at a different thread count byte-for-byte, a
-// corrupted record is quarantined and recomputed instead of trusted, and
-// resume provenance (resume.json) names exactly the replayed points.
+// a killed sweep rerun over its checkpoint at a different thread count is
+// byte-for-byte the same, a corrupted record is quarantined and recomputed
+// instead of trusted, and the cache lookup replays exactly the banked
+// points.
 #include "bench_common.h"
 
 #include <algorithm>
@@ -40,41 +41,41 @@ std::size_t count_occurrences(const std::string& text,
   return count;
 }
 
-/// The experiment's plain-sweep journal at <dir>/journal.tgij, keyed by the
-/// one canonical spec text.
+/// The experiment's plain-sweep spec hash: the one canonical spec text.
+std::uint64_t sweep_hash(const bench::Experiment& e) {
+  return harness::journal_spec_hash(
+      harness::cache_spec_text(e.system_under_test, e.seed,
+                               e.meter_kind == "model", {}, nullptr, 0,
+                               e.sweep));
+}
+
+/// The experiment's plain-sweep checkpoint in `dir`: its cache shard.
 harness::PointStore journal_store(const bench::Experiment& e,
                                   const std::string& dir) {
-  return harness::PointStore(
-      dir + "/journal.tgij",
-      harness::journal_spec_hash(harness::cache_spec_text(
-          e.system_under_test, e.seed, e.meter_kind == "model", {}, nullptr,
-          0, e.sweep)),
-      "plain", e.sweep);
+  const std::uint64_t hash = sweep_hash(e);
+  return harness::PointStore(harness::ResultCache(dir).shard_path(hash), hash,
+                             "plain", e.sweep);
 }
 
 /// The experiment's plain sweep checkpointed into `dir` the way `tgi_sweep
-/// checkpoint=DIR [--resume]` does it, resume.json included.
+/// checkpoint=DIR` does it: the shard's valid points are replayed (their
+/// count lands in `replayed`), the rest computed and appended.
 std::vector<harness::SuitePoint> run_journaled(const bench::Experiment& e,
                                                const std::string& dir,
-                                               bool resume,
-                                               std::size_t threads) {
+                                               std::size_t threads,
+                                               std::size_t& replayed) {
+  harness::CacheLookup banked =
+      harness::ResultCache(dir).lookup(sweep_hash(e), "plain", e.sweep);
+  replayed = banked.completed.size();
   harness::PointStore journal = journal_store(e, dir);
-  std::map<std::size_t, harness::PointRecord> replayed;
-  if (resume) {
-    harness::resume_checkpoint(journal);
-    replayed = journal.records();
-  } else {
-    journal.publish({});
-  }
+  journal.publish(std::move(banked.completed));
   harness::ParallelSweepConfig cfg;
   cfg.threads = threads;
   cfg.checkpoint = &journal;
   const harness::ParallelSweep sweep(
       e.system_under_test,
       bench::sweep_meter_factory(e, bench::suite_measurements({})), cfg);
-  std::vector<harness::SuitePoint> points = sweep.run(e.sweep);
-  if (resume) harness::write_resume_trace(dir + "/resume.json", replayed);
-  return points;
+  return sweep.run(e.sweep);
 }
 
 /// An I/O fault policy (util/io_faults.h) whose first draw is a short
@@ -113,9 +114,10 @@ int main(int argc, char** argv) {
     const double plain_ms = elapsed_ms(t0);
 
     // Journaled full run: checkpointing must be observational.
+    std::size_t replayed = 0;
     t0 = std::chrono::steady_clock::now();
     const std::vector<harness::SuitePoint> journaled =
-        run_journaled(e, dir, false, e.threads);
+        run_journaled(e, dir, e.threads, replayed);
     const double journaled_ms = elapsed_ms(t0);
     bench::print_check(
         "checkpointed sweep is bit-identical to the plain sweep",
@@ -125,14 +127,14 @@ int main(int argc, char** argv) {
         journal_store(e, dir).load("ablation_checkpoint").completed;
     bench::print_check(
         "journal holds a header plus one record per sweep point",
-        count_occurrences(slurp(dir + "/journal.tgij"), "\n") ==
+        replayed == 0 &&
+            count_occurrences(slurp(journal_store(e, dir).path()), "\n") ==
                 e.sweep.size() + 1 &&
             full.size() == e.sweep.size());
 
-    // Kill-and-resume: keep the first three records (as if the process
-    // died mid-sweep), then resume at a different thread count. Results
-    // must be byte-identical and resume.json must name exactly the
-    // replayed points.
+    // Kill and rerun: keep the first three records (as if the process
+    // died mid-sweep), then rerun at a different thread count. Results
+    // must be byte-identical and exactly the kept points replayed.
     const std::size_t keep = std::min<std::size_t>(3, full.size());
     {
       journal_store(e, dir).publish(
@@ -140,16 +142,14 @@ int main(int argc, char** argv) {
            std::next(full.begin(), static_cast<std::ptrdiff_t>(keep))});
       t0 = std::chrono::steady_clock::now();
       const std::vector<harness::SuitePoint> resumed =
-          run_journaled(e, dir, true, e.threads == 1 ? 2 : 1);
+          run_journaled(e, dir, e.threads == 1 ? 2 : 1, replayed);
       const double resumed_ms = elapsed_ms(t0);
       bench::print_check(
-          "kill-and-resume at a different thread count reproduces every "
+          "kill and rerun at a different thread count reproduces every "
           "point",
           bench::same_points(truth, resumed));
-      const std::string resume_json = slurp(dir + "/resume.json");
-      bench::print_check(
-          "resume.json records exactly the replayed points",
-          count_occurrences(resume_json, "point_resumed") == keep);
+      bench::print_check("the rerun replays exactly the banked points",
+                         replayed == keep);
       util::TextTable table({"sweep", "wall ms"});
       table.add_row({"plain", util::fixed(plain_ms, 1)});
       table.add_row({"journaled", util::fixed(journaled_ms, 1)});
@@ -177,20 +177,17 @@ int main(int argc, char** argv) {
         journal.append(it->second);
       }
       const std::vector<harness::SuitePoint> resumed =
-          run_journaled(e, dir, true, e.threads);
+          run_journaled(e, dir, e.threads, replayed);
       bench::print_check(
           "a corrupted record is quarantined and recomputed bit-identically",
           bench::same_points(truth, resumed));
-      // The resume compacted the journal: every record is valid again, so
-      // a second resume replays the full sweep.
-      const std::vector<harness::SuitePoint> replayed =
-          run_journaled(e, dir, true, e.threads);
-      const std::string resume_json = slurp(dir + "/resume.json");
+      // The rerun republished the journal: every record is valid again,
+      // so a second rerun replays the full sweep.
+      const std::vector<harness::SuitePoint> again =
+          run_journaled(e, dir, e.threads, replayed);
       bench::print_check(
-          "after compaction a complete journal replays every point",
-          bench::same_points(truth, replayed) &&
-              count_occurrences(resume_json, "point_resumed") ==
-                  e.sweep.size());
+          "after the republish a complete journal replays every point",
+          bench::same_points(truth, again) && replayed == e.sweep.size());
     }
 
     fs::remove_all(scratch);

@@ -3,10 +3,9 @@
 // The campaign engine (DESIGN.md §13) deduplicates sweep points across
 // many requests: a point is keyed by (spec_hash, point_index), where the
 // spec hash is journal_spec_hash() over cache_spec_text — the one
-// canonical text of a sweep's identity. The checkpoint journal of
-// `tgi_sweep checkpoint=DIR`, a campaign worker's journal and a cache
-// shard all carry this same key, so a completed checkpoint is byte for
-// byte the cache shard of its spec, at any thread count.
+// canonical text of a sweep's identity. A campaign worker's journal and a
+// cache shard carry this same key, and a `tgi_sweep checkpoint=DIR`
+// directory is a cache directory: its checkpoint is the spec's shard.
 // The text includes the sweep values: a point's RNG streams are keyed on
 // its *index* in the value list, so two sweeps with different value lists
 // must never collide. tests/harness/test_cache_key.cpp pins its digests
@@ -15,8 +14,8 @@
 //
 // On-disk representation: one journal file per spec at
 // <dir>/<hash16>.tgij — a harness::PointStore (harness/checkpoint.h,
-// DESIGN.md §11) that the cache only ever loads and publishes whole, never
-// appends to. Loads inherit the store's trust policy: a record is fully
+// DESIGN.md §11) that the cache only ever loads and publishes whole (a
+// checkpointed tgi_sweep also appends to it as points finish). Loads inherit the store's trust policy: a record is fully
 // valid or it is quarantined with a reason and its point recomputed; a
 // shard whose header names another spec is foreign or tampered and is
 // quarantined wholesale. A lookup never throws on damaged bytes — damage

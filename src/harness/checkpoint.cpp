@@ -633,20 +633,17 @@ JournalState reconcile_journal(JournalContents&& contents,
     return state;
   }
   if (contents.spec_hash != spec_hash) {
-    throw util::TgiError(
-        "checkpoint journal was written for a different sweep spec (journal "
-        "spec " +
-        spec_hash_hex(contents.spec_hash) + ", current spec " +
-        spec_hash_hex(spec_hash) +
-        "); delete the checkpoint directory or rerun without resume");
+    throw util::TgiError("journal was written for a different sweep spec "
+                         "(journal spec " +
+                         spec_hash_hex(contents.spec_hash) +
+                         ", current spec " + spec_hash_hex(spec_hash) + ")");
   }
   if (contents.mode != mode) {
-    throw util::TgiError("checkpoint journal mode is '" + contents.mode +
+    throw util::TgiError("journal mode is '" + contents.mode +
                          "' but this sweep runs '" + mode + "'");
   }
   if (contents.values != values) {
-    throw util::TgiError(
-        "checkpoint journal sweep values do not match this sweep");
+    throw util::TgiError("journal sweep values do not match this sweep");
   }
   state.damage = std::move(contents.damage);
   state.header_valid = true;
@@ -676,8 +673,8 @@ JournalState reconcile_journal(JournalContents&& contents,
       continue;
     }
     if (!record.traced) {
-      // The engine always journals the observability section (resume must
-      // be able to serve --trace); a record without one is foreign.
+      // The engine always journals the observability section (a replay
+      // must be able to serve trace=); a record without one is foreign.
       state.damage.push_back(JournalDamage{
           line, "point " + std::to_string(index) +
                     " lacks the observability section"});
@@ -761,7 +758,6 @@ StoreLoad PointStore::load(const char* warn_prefix) const {
   } catch (const util::TgiError& ex) {
     // Unreadable (raced away), or a VALID header that contradicts this
     // binding: the file is foreign or tampered — quarantine it wholesale.
-    if (contents.header_valid) out.foreign = ex.what();
     out.damage = std::move(contents.damage);
     out.damage.push_back(
         JournalDamage{0, std::string("shard rejected: ") + ex.what()});
@@ -829,44 +825,6 @@ void PointStore::append(PointRecord record) {
   TGI_CHECK(out_.good(), "journal append failed for '" << path_ << "'");
   const std::size_t index = record.index;
   records_.insert_or_assign(index, std::move(record));
-}
-
-std::vector<JournalDamage> resume_checkpoint(PointStore& store) {
-  std::error_code ec;
-  if (!std::filesystem::exists(store.path(), ec)) {
-    TGI_LOG_WARN("checkpoint: no journal at " << store.path()
-                                              << "; starting fresh");
-    store.publish({});
-    return {};
-  }
-  StoreLoad loaded = store.load("checkpoint: quarantined journal record");
-  if (!loaded.foreign.empty()) throw util::TgiError(loaded.foreign);
-  TGI_LOG_INFO("checkpoint: resuming with "
-               << loaded.completed.size() << "/" << store.values().size()
-               << " points from " << store.path());
-  // Atomic — a crash here leaves the old journal intact.
-  store.publish(std::move(loaded.completed));
-  return std::move(loaded.damage);
-}
-
-void write_resume_trace(const std::string& path,
-                        const std::map<std::size_t, PointRecord>& replayed) {
-  // Built with the same obs machinery as trace.json but written to a
-  // separate file, so it never leaks into the byte-compared trace channel.
-  std::vector<obs::PointRecorder> recorders;
-  recorders.reserve(replayed.size());
-  for (const auto& [index, record] : replayed) {
-    const std::string value = std::to_string(record.value);
-    obs::PointRecorder recorder(index, value);
-    recorder.instant("point_resumed", "resume",
-                     {{"value", value}, {"source", "journal"}});
-    recorder.metrics().add("points_resumed");
-    recorders.push_back(std::move(recorder));
-  }
-  const obs::SweepTrace trace = obs::SweepTrace::merge(std::move(recorders));
-  util::AtomicFile out(path);
-  trace.write_chrome_trace(out.stream());
-  out.commit();
 }
 
 }  // namespace tgi::harness

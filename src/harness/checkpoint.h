@@ -5,18 +5,18 @@
 // Every measured sweep point is banked as one checksummed record. A
 // PointStore is one journal file bound to one sweep (spec hash, mode,
 // values) with three operations: `load` (never throws on bad bytes;
-// quarantines damage, reports a foreign header), `append` (locked, flushed,
-// I/O-fault-injected — it must survive a SIGKILL *mid-sweep*, so it cannot
-// use temp+rename), and `publish` (header plus records in index order,
-// atomically). A checkpoint (`tgi_sweep checkpoint=DIR`) is published
-// (fresh header, or the resume compaction), appended to as points finish,
-// and published again when the sweep completes — so a completed
-// checkpoint is byte for byte the cache shard of its spec at any thread
-// count. A worker journal is published and appended to; a cache shard
-// (harness/cache.h) is loaded and published whole. Resume replays
-// completed points with the per-point RNG offsets the determinism contract
-// (DESIGN.md §3b) keys on the point index, so a killed-and-resumed sweep
-// is byte-identical to an uninterrupted one at any thread count.
+// quarantines damage), `append` (locked, flushed, I/O-fault-injected — it
+// must survive a SIGKILL *mid-sweep*, so it cannot use temp+rename), and
+// `publish` (header plus records in index order, atomically). A checkpoint
+// (`tgi_sweep checkpoint=DIR`) is the cache shard of its spec
+// (harness/cache.h): looked up, its surviving records published, appended
+// to as points finish, and published again when the sweep completes — so
+// a completed checkpoint is the same bytes at any thread count. A worker
+// journal is published and appended to; a campaign loads and publishes a
+// shard whole. Replayed points keep the per-point RNG offsets the
+// determinism contract (DESIGN.md §3b) keys on the point index, so a
+// killed sweep rerun over its checkpoint is byte-identical to an
+// uninterrupted one at any thread count.
 //
 // Journal format: one record per line,
 //
@@ -43,9 +43,10 @@
 // non-negative clocks and durations), every embedded measurement
 // re-validated — or it is quarantined with a logged reason and its point
 // recomputed. A torn tail, a flipped bit, a duplicated or reordered record
-// cannot silently corrupt a resumed figure. A valid header that names
-// another spec makes the file foreign: `load` quarantines it wholesale,
-// and resuming a checkpoint over it throws — a caller error, not damage.
+// cannot silently corrupt a replayed figure. A valid header that names
+// another spec, mode or value list makes the file foreign — since the file
+// name is the spec hash, only tampering gets it there — and `load`
+// quarantines it wholesale.
 #pragma once
 
 #include <cstddef>
@@ -67,10 +68,10 @@
 namespace tgi::harness {
 
 /// FNV-1a 64-bit hash of a canonical spec string — the key a PointStore
-/// is bound to: the guard against resuming a sweep under a different
-/// cluster/seed/fault/suite configuration, and the result cache's key. The canonical string is
-/// harness::cache_spec_text (harness/cache.h), built for a sweep by
-/// serve::spec_hash.
+/// is bound to and the result cache's shard name, so a sweep never replays
+/// points of another cluster/seed/fault/suite configuration. The canonical
+/// string is harness::cache_spec_text (harness/cache.h), built for a sweep
+/// by serve::spec_hash.
 [[nodiscard]] std::uint64_t journal_spec_hash(std::string_view canonical_spec);
 
 /// A spec hash as 16 lowercase hex digits: the journal header field, the
@@ -130,8 +131,9 @@ struct JournalContents {
 /// deduplicated completed points (first valid record per index wins) plus
 /// structural and semantic damage. Throws TgiError when the journal's
 /// valid header disagrees with the current spec hash, mode, or sweep
-/// values — that is a caller error, not quarantine. A missing or damaged
-/// header quarantines the whole journal (every point recomputed).
+/// values (PointStore::load turns that into wholesale quarantine). A
+/// missing or damaged header quarantines the whole journal (every point
+/// recomputed).
 struct JournalState {
   std::map<std::size_t, PointRecord> completed;
   std::vector<JournalDamage> damage;
@@ -157,7 +159,7 @@ struct JournalState {
     const obs::PointRecorder* recorder);
 
 /// Replays a record's observability section into a fresh recorder: events
-/// verbatim, metrics by kind, clock to the journaled value — so a resumed
+/// verbatim, metrics by kind, clock to the journaled value — so a replayed
 /// trace merges byte-identically to the uninterrupted one. Requires
 /// record.traced.
 void restore_recorder(const PointRecord& record, obs::PointRecorder& recorder);
@@ -168,9 +170,6 @@ void restore_recorder(const PointRecord& record, obs::PointRecorder& recorder);
 struct StoreLoad {
   std::map<std::size_t, PointRecord> completed;
   std::vector<JournalDamage> damage;
-  /// Set when the file's valid header names another spec, mode or value
-  /// list: why. The whole file is quarantined (the last damage entry).
-  std::string foreign;
 
   [[nodiscard]] bool hit(std::size_t index) const {
     return completed.find(index) != completed.end();
@@ -195,7 +194,7 @@ class PointStore {
   /// missing file is an empty load; damaged records, an unreadable file and
   /// a valid header for another spec, mode or value list are quarantined
   /// into `damage`, each logged at WARN as "<warn_prefix> (<path> line N):
-  /// <reason>"; a foreign header also sets `foreign`.
+  /// <reason>".
   [[nodiscard]] StoreLoad load(const char* warn_prefix) const;
 
   /// Atomically replaces the file (util::AtomicFile; the directory is
@@ -229,19 +228,5 @@ class PointStore {
   // crash can only tear the final record, never the published prefix.
   std::ofstream out_;  // tgi-lint: allow(nonatomic-output-write)
 };
-
-/// The resume step of a checkpoint (`tgi_sweep --resume`): loads `store`
-/// (WARN "checkpoint: quarantined journal record"), throws TgiError on a
-/// foreign header, and compacts — publishes the surviving records, which
-/// become store.records(). A missing file starts fresh (WARN). Returns the
-/// quarantined records.
-std::vector<JournalDamage> resume_checkpoint(PointStore& store);
-
-/// Writes a resumed sweep's provenance to `path` (resume.json): one
-/// `point_resumed` Chrome-trace instant per replayed record. A SEPARATE
-/// file because trace.json must stay byte-identical to an uninterrupted
-/// run, and which points resumed depends on where the previous run died.
-void write_resume_trace(const std::string& path,
-                        const std::map<std::size_t, PointRecord>& replayed);
 
 }  // namespace tgi::harness

@@ -85,8 +85,8 @@ PointStore* checked_store(const ParallelSweepConfig& config, const char* mode,
 /// the remainder is executed, each appended to the checkpoint as it
 /// finishes, and the completed sweep is published in index order.
 /// Checkpointing always attaches recorders (attaching is observational):
-/// each record carries its observability section so a later resume can
-/// serve --trace.
+/// each record carries its observability section so a later replay can
+/// serve trace=.
 template <typename Point, typename Restore, typename Compute,
           typename MakeRecord>
 std::vector<Point> sweep_points(const ParallelSweepConfig& config,

@@ -78,7 +78,7 @@ struct ParallelSweepConfig {
   /// results or the deterministic trace. Must outlive the sweep calls.
   obs::WallProfiler* profiler = nullptr;
   /// Optional checkpoint (harness/checkpoint.h, DESIGN.md §11), already
-  /// published (fresh, or compacted by resume_checkpoint): its points are
+  /// published (empty, or the survivors of a cache lookup): its points are
   /// replayed into their preallocated slots, every other point is appended
   /// as it finishes, and the completed sweep is published in index order —
   /// byte-identical to an uninterrupted run at any thread count. Its mode

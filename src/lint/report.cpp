@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/error.h"
+#include "util/format.h"
 
 namespace tgi::lint {
 
@@ -45,40 +46,6 @@ std::string render_text(const ScanReport& report) {
   return out.str();
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string render_json(const ScanReport& report) {
   std::ostringstream out;
   out << "{\n";
@@ -88,9 +55,10 @@ std::string render_json(const ScanReport& report) {
   out << "  \"violations\": [";
   const char* sep = "\n";
   for (const Violation& v : report.violations) {
-    out << sep << "    {\"file\": \"" << json_escape(v.file)
-        << "\", \"line\": " << v.line << ", \"rule\": \"" << json_escape(v.rule)
-        << "\", \"message\": \"" << json_escape(v.message) << "\"}";
+    out << sep << "    {\"file\": \"" << util::json_escape(v.file)
+        << "\", \"line\": " << v.line << ", \"rule\": \""
+        << util::json_escape(v.rule) << "\", \"message\": \""
+        << util::json_escape(v.message) << "\"}";
     sep = ",\n";
   }
   if (!report.violations.empty()) out << "\n  ";

@@ -42,7 +42,4 @@ std::string render_text(const ScanReport& report);
 /// Deterministic: violations keep the report's (file, line, rule) order.
 std::string render_json(const ScanReport& report);
 
-/// JSON string-literal escaping (quotes, backslashes, control characters).
-std::string json_escape(std::string_view text);
-
 }  // namespace tgi::lint

@@ -1,9 +1,10 @@
 // Minimal deterministic JSON emission helpers for the trace writers.
 //
 // The trace/profile writers need exactly two things a formatting library
-// would give them — string escaping and stable number rendering — and
-// nothing else; keeping them here avoids a dependency and guarantees the
-// byte-level determinism the golden trace comparisons rely on.
+// would give them — string escaping (util::json_escape) and stable number
+// rendering — and nothing else; keeping them here avoids a dependency and
+// guarantees the byte-level determinism the golden trace comparisons rely
+// on.
 #pragma once
 
 #include <string>
@@ -11,10 +12,6 @@
 #include "util/units.h"
 
 namespace tgi::obs {
-
-/// Escapes a string for inclusion inside a JSON string literal (quotes,
-/// backslashes, and control characters; everything else passes through).
-[[nodiscard]] std::string json_escape(const std::string& text);
 
 /// Renders a simulated-time instant/extent as Chrome-trace microseconds
 /// with fixed 3-digit precision ("1234567.890") — deterministic for

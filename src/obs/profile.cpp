@@ -69,7 +69,7 @@ void WallProfiler::write_chrome_trace(std::ostream& out) const {
   out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
          "\"args\":{\"name\":\"tgi sweep (wall clock, non-deterministic)\"}}";
   for (const WallSpan& span : spans) {
-    out << ",\n{\"name\":\"" << json_escape(span.name)
+    out << ",\n{\"name\":\"" << util::json_escape(span.name)
         << "\",\"cat\":\"wall\",\"ph\":\"X\",\"pid\":0,\"tid\":" << span.track
         << ",\"ts\":" << util::fixed(span.start_us, 3)
         << ",\"dur\":" << util::fixed(span.end_us - span.start_us, 3)

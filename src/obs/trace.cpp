@@ -6,6 +6,7 @@
 #include "obs/json.h"
 #include "util/atomic_file.h"
 #include "util/error.h"
+#include "util/format.h"
 #include "util/table.h"
 
 namespace tgi::obs {
@@ -75,7 +76,8 @@ void write_args(std::ostream& out, std::size_t benchmark, std::size_t attempt,
                 const ArgList& args) {
   out << "\"args\":{\"benchmark\":" << benchmark << ",\"attempt\":" << attempt;
   for (const auto& [key, value] : args) {
-    out << ",\"" << json_escape(key) << "\":\"" << json_escape(value) << "\"";
+    out << ",\"" << util::json_escape(key) << "\":\""
+        << util::json_escape(value) << "\"";
   }
   out << "}";
 }
@@ -84,8 +86,8 @@ void write_event(std::ostream& out, std::size_t tid, const TraceEvent& e,
                  bool& first) {
   if (!first) out << ",\n";
   first = false;
-  out << "{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\""
-      << json_escape(e.category) << "\",\"ph\":\""
+  out << "{\"name\":\"" << util::json_escape(e.name) << "\",\"cat\":\""
+      << util::json_escape(e.category) << "\",\"ph\":\""
       << (e.kind == TraceEvent::Kind::kSpan ? "X" : "i") << "\"";
   if (e.kind == TraceEvent::Kind::kInstant) out << ",\"s\":\"t\"";
   out << ",\"pid\":0,\"tid\":" << tid << ",\"ts\":"
@@ -111,7 +113,9 @@ void SweepTrace::write_chrome_trace(std::ostream& out) const {
     out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
         << point.point_index() << ",\"args\":{\"name\":\"point "
         << point.point_index();
-    if (!point.label().empty()) out << " (" << json_escape(point.label()) << ")";
+    if (!point.label().empty()) {
+      out << " (" << util::json_escape(point.label()) << ")";
+    }
     out << "\"}}";
   }
   for (const PointRecorder& point : points_) {

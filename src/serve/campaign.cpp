@@ -37,21 +37,6 @@ std::string join_indices(const std::vector<std::size_t>& indices) {
   return text;
 }
 
-/// Computes the entry's reference point (reference_meter +
-/// reference_measurements, wrapped as a journal record so it can ride the
-/// cache like any sweep point).
-PointRecord compute_reference_record(const CampaignSpec& spec) {
-  const std::unique_ptr<power::PowerMeter> meter = reference_meter(spec);
-  const std::size_t cores = spec.reference.total_cores();
-  obs::PointRecorder recorder(0, std::to_string(cores));
-  harness::SuitePoint point;
-  point.processes = cores;
-  point.nodes = spec.reference.nodes;
-  point.measurements =
-      harness::reference_measurements(spec.reference, *meter, {}, &recorder);
-  return harness::make_point_record(0, cores, point, &recorder);
-}
-
 }  // namespace
 
 std::size_t write_sweep_summary(
@@ -156,18 +141,92 @@ CampaignEngine::CampaignEngine(CampaignConfig config)
               "workers > 0 needs a worker executable");
 }
 
-namespace {
+PointRecord reference_point(const CampaignSpec& spec,
+                            const harness::ResultCache* cache,
+                            CampaignStats& stats) {
+  ++stats.points;
+  const std::vector<std::size_t> values{spec.reference.total_cores()};
+  const std::uint64_t hash = reference_spec_hash(spec);
+  harness::CacheLookup cached;
+  if (cache != nullptr) {
+    cached = cache->lookup(hash, "plain", values);
+    stats.quarantined += cached.damage.size();
+  }
+  if (cached.hit(0)) {
+    ++stats.cache_hits;
+    return std::move(cached.completed.at(0));
+  }
+  ++stats.computed;
+  // The reference run as a journal record, so it rides the cache like any
+  // sweep point.
+  const std::unique_ptr<power::PowerMeter> meter = reference_meter(spec);
+  obs::PointRecorder recorder(0, std::to_string(values[0]));
+  harness::SuitePoint point;
+  point.processes = values[0];
+  point.nodes = spec.reference.nodes;
+  point.measurements =
+      harness::reference_measurements(spec.reference, *meter, {}, &recorder);
+  PointRecord record = harness::make_point_record(0, values[0], point,
+                                                  &recorder);
+  if (cache == nullptr) return record;
+  // Bank it, then serve the decoded bytes like every other cache read.
+  cache->store(hash, "plain", values, {{0, std::move(record)}});
+  cached = cache->lookup(hash, "plain", values);
+  stats.quarantined += cached.damage.size();
+  TGI_CHECK(cached.hit(0),
+            "[" << spec.name << "] reference missing after compute");
+  return std::move(cached.completed.at(0));
+}
 
-/// Per-entry provenance, accumulated for outdir/provenance.json.
-struct EntryProvenance {
-  std::string name;
-  std::uint64_t spec;
-  std::uint64_t reference_spec;
-  std::size_t points;
-  std::size_t hits;
-  std::size_t computed;
-  std::vector<ShardReport> shards;  ///< supervision taxonomy, workers > 0
-};
+void write_provenance(const std::string& outdir, const CampaignStats& stats,
+                      const std::vector<EntryProvenance>& entries) {
+  std::filesystem::create_directories(outdir);
+  util::AtomicFile json(outdir + "/provenance.json");
+  json.stream() << "{\n  \"campaign\": {\"entries\": " << stats.entries
+                << ", \"points\": " << stats.points << ", \"cache_hits\": "
+                << stats.cache_hits << ", \"computed\": " << stats.computed
+                << ", \"quarantined\": " << stats.quarantined
+                << ", \"worker_failures\": " << stats.worker_failures
+                << ", \"worker_restarts\": " << stats.worker_restarts
+                << ", \"worker_hangs\": " << stats.worker_hangs
+                << ", \"worker_quarantined\": " << stats.worker_quarantined
+                << "},\n  \"entries\": [";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const EntryProvenance& p = entries[i];
+    json.stream() << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
+                  << util::json_escape(p.name) << "\", \"spec\": \""
+                  << harness::spec_hash_hex(p.spec)
+                  << "\", \"reference_spec\": \""
+                  << harness::spec_hash_hex(p.reference_spec)
+                  << "\", \"points\": " << p.points << ", \"hits\": " << p.hits
+                  << ", \"computed\": " << p.computed;
+    // The supervision taxonomy (DESIGN.md §15) — like every other
+    // cache/worker-dependent fact, it lives here and on stderr only.
+    json.stream() << ", \"shards\": [";
+    for (std::size_t s = 0; s < p.shards.size(); ++s) {
+      const ShardReport& r = p.shards[s];
+      json.stream() << (s == 0 ? "" : ", ") << "{\"shard\": " << r.shard
+                    << ", \"outcome\": \""
+                    << util::json_escape(outcome_name(r.outcome))
+                    << "\", \"restarts\": " << r.restarts
+                    << ", \"backoff_s\": " << util::fixed(r.backoff.value(), 1)
+                    << ", \"attempts\": [";
+      for (std::size_t a = 0; a < r.attempts.size(); ++a) {
+        const ShardAttempt& att = r.attempts[a];
+        json.stream() << (a == 0 ? "" : ", ") << "{\"outcome\": \""
+                      << util::json_escape(outcome_name(att.outcome))
+                      << "\", \"detail\": \"" << util::json_escape(att.detail)
+                      << "\", \"banked\": " << att.banked << "}";
+      }
+      json.stream() << "]}";
+    }
+    json.stream() << "]}";
+  }
+  json.stream() << "\n  ]\n}\n";
+  json.commit();
+}
+
+namespace {
 
 /// Shards `pending` round-robin and runs one supervised `tgi_serve
 /// --worker` per non-empty shard (serve::Supervisor, DESIGN.md §15):
@@ -360,79 +419,19 @@ CampaignStats CampaignEngine::run(const std::vector<CampaignSpec>& entries,
     }
 
     // 5. Reference run, cached under its own key.
-    const std::uint64_t ref_hash = reference_spec_hash(entry);
-    prov.reference_spec = ref_hash;
-    const std::vector<std::size_t> ref_values{
-        entry.reference.total_cores()};
-    ++stats.points;
-    harness::CacheLookup ref_cached =
-        cache.lookup(ref_hash, "plain", ref_values);
-    stats.quarantined += ref_cached.damage.size();
-    if (ref_cached.hit(0)) {
-      ++stats.cache_hits;
-    } else {
-      std::map<std::size_t, PointRecord> ref_records;
-      ref_records.emplace(0, compute_reference_record(entry));
-      cache.store(ref_hash, "plain", ref_values, std::move(ref_records));
-      ++stats.computed;
-      ref_cached = cache.lookup(ref_hash, "plain", ref_values);
-      stats.quarantined += ref_cached.damage.size();
-    }
-    TGI_CHECK(ref_cached.hit(0), "campaign entry ["
-                                     << entry.name
-                                     << "] reference missing after compute");
+    prov.reference_spec = reference_spec_hash(entry);
+    const PointRecord reference = reference_point(entry, &cache, stats);
 
-    emit_entry(config_, entry, final_state.completed,
-               ref_cached.completed.at(0), out);
+    emit_entry(config_, entry, final_state.completed, reference, out);
     prov.points = entry.sweep.size() + 1;
     prov.hits = stats.cache_hits - hits_before;
     prov.computed = stats.computed - computed_before;
     provenance.push_back(prov);
   }
 
-  // Provenance: cache-dependent facts live here and on stderr, never in
-  // the report stream (mirrors checkpoint resume.json).
-  util::AtomicFile json(config_.outdir + "/provenance.json");
-  json.stream() << "{\n  \"campaign\": {\"entries\": " << stats.entries
-                << ", \"points\": " << stats.points << ", \"cache_hits\": "
-                << stats.cache_hits << ", \"computed\": " << stats.computed
-                << ", \"quarantined\": " << stats.quarantined
-                << ", \"worker_failures\": " << stats.worker_failures
-                << ", \"worker_restarts\": " << stats.worker_restarts
-                << ", \"worker_hangs\": " << stats.worker_hangs
-                << ", \"worker_quarantined\": " << stats.worker_quarantined
-                << "},\n  \"entries\": [";
-  for (std::size_t i = 0; i < provenance.size(); ++i) {
-    const EntryProvenance& p = provenance[i];
-    json.stream() << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << p.name
-                  << "\", \"spec\": \"" << harness::spec_hash_hex(p.spec)
-                  << "\", \"reference_spec\": \""
-                  << harness::spec_hash_hex(p.reference_spec)
-                  << "\", \"points\": " << p.points << ", \"hits\": " << p.hits
-                  << ", \"computed\": " << p.computed;
-    // The supervision taxonomy (DESIGN.md §15) — like every other
-    // cache/worker-dependent fact, it lives here and on stderr only.
-    json.stream() << ", \"shards\": [";
-    for (std::size_t s = 0; s < p.shards.size(); ++s) {
-      const ShardReport& r = p.shards[s];
-      json.stream() << (s == 0 ? "" : ", ") << "{\"shard\": " << r.shard
-                    << ", \"outcome\": \"" << outcome_name(r.outcome)
-                    << "\", \"restarts\": " << r.restarts
-                    << ", \"backoff_s\": " << util::fixed(r.backoff.value(), 1)
-                    << ", \"attempts\": [";
-      for (std::size_t a = 0; a < r.attempts.size(); ++a) {
-        const ShardAttempt& att = r.attempts[a];
-        json.stream() << (a == 0 ? "" : ", ") << "{\"outcome\": \""
-                      << outcome_name(att.outcome) << "\", \"detail\": \""
-                      << att.detail << "\", \"banked\": " << att.banked
-                      << "}";
-      }
-      json.stream() << "]}";
-    }
-    json.stream() << "]}";
-  }
-  json.stream() << "\n  ]\n}\n";
-  json.commit();
+  // Cache-dependent facts live in provenance.json and on stderr, never in
+  // the report stream.
+  write_provenance(config_.outdir, stats, provenance);
   return stats;
 }
 

@@ -26,24 +26,26 @@
 //      bytes — byte-identical stdout/CSVs/trace.json is structural, not
 //      incidental;
 //   5. the entry's reference run is cached the same way under its own key
-//      (reference_spec_text), so repeated reference machines across
-//      entries and campaigns are hits too.
+//      (reference_point, reference_spec_text), so repeated reference
+//      machines across entries and campaigns are hits too.
 //
 // Cache-dependent facts (hit/miss counts, worker failures, quarantines)
 // never reach the report stream: they go to stderr and to
-// outdir/provenance.json, which — like checkpoint resume.json — is
-// excluded from all byte comparisons.
+// outdir/provenance.json (write_provenance), which is excluded from all
+// byte comparisons. tgi_sweep shares steps 1 and 5 and the provenance
+// writer: its checkpoint directory is a result cache.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/tgi.h"
+#include "harness/cache.h"
 #include "harness/checkpoint.h"
-
 #include "serve/spec.h"
 #include "serve/supervisor.h"
 
@@ -84,6 +86,29 @@ struct CampaignStats {
 
   [[nodiscard]] std::string summary() const;
 };
+
+/// One entry's line in provenance.json.
+struct EntryProvenance {
+  std::string name;
+  std::uint64_t spec = 0;            ///< spec_hash: the sweep's shard
+  std::uint64_t reference_spec = 0;  ///< reference_spec_hash
+  std::size_t points = 0;            ///< sweep points + the reference run
+  std::size_t hits = 0;
+  std::size_t computed = 0;
+  std::vector<ShardReport> shards;  ///< supervision taxonomy, workers > 0
+};
+
+/// Writes <outdir>/provenance.json: `stats` and one object per entry, every
+/// string JSON-escaped. tgi_serve and tgi_sweep both write it.
+void write_provenance(const std::string& outdir, const CampaignStats& stats,
+                      const std::vector<EntryProvenance>& entries);
+
+/// The entry's reference run, counted into `stats`: served from `cache`
+/// under reference_spec_hash(spec), else computed (and, with a cache,
+/// banked and read back). `cache` may be null.
+harness::PointRecord reference_point(const CampaignSpec& spec,
+                                     const harness::ResultCache* cache,
+                                     CampaignStats& stats);
 
 /// Writes one sweep's summary — faults_summary.csv for a faulted spec,
 /// sweep_summary.csv otherwise — plus <dir>/<point_prefix><value>.csv for

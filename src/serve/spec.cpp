@@ -86,13 +86,8 @@ CampaignSpec build_entry(const std::string& name, const util::Config& cfg,
                              "campaign entry [" + name + "]");
   spec.seed = static_cast<std::uint64_t>(
       cfg.get_int("seed", static_cast<long long>(spec.seed)));
-  const std::string meter = cfg.get_string("meter", "wattsup");
-  TGI_REQUIRE(meter == "wattsup" || meter == "model",
-              "campaign entry [" << name
-                                 << "]: meter must be 'wattsup' or 'model', "
-                                    "got '"
-                                 << meter << "'");
-  spec.exact_meter = (meter == "model");
+  spec.exact_meter = checked_exact_meter(cfg.get_string("meter", "wattsup"),
+                                         "campaign entry [" + name + "]");
   if (cfg.has("faults")) {
     spec.fault_text = *cfg.get("faults");
     (void)spec.faults();  // validate now, at parse time
@@ -123,6 +118,14 @@ std::vector<std::size_t> checked_sweep(const std::vector<long long>& values,
     sweep.push_back(static_cast<std::size_t>(value));
   }
   return sweep;
+}
+
+bool checked_exact_meter(const std::string& meter,
+                         const std::string& context) {
+  TGI_REQUIRE(meter == "wattsup" || meter == "model",
+              context << ": meter must be 'wattsup' or 'model', got '"
+                      << meter << "'");
+  return meter == "model";
 }
 
 const char* spec_mode(const CampaignSpec& spec) {

@@ -71,6 +71,12 @@ struct CampaignSpec {
     const std::vector<long long>& values, const sim::ClusterSpec& cluster,
     const std::string& context);
 
+/// Reads a `meter=` value: true for "model" (the exact ModelMeter), false
+/// for "wattsup"; anything else throws a PreconditionError naming
+/// `context`. Every front end reads the meter through this one check.
+[[nodiscard]] bool checked_exact_meter(const std::string& meter,
+                                       const std::string& context);
+
 /// "plain" or "robust" — the journal/cache mode this entry runs under.
 [[nodiscard]] const char* spec_mode(const CampaignSpec& spec);
 

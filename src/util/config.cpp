@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <sstream>
+#include <string_view>
 
 #include "util/error.h"
+#include "util/number.h"
 
 namespace tgi::util {
 
@@ -30,14 +33,15 @@ long long parse_int(const std::string& text, const std::string& what) {
 }
 
 double parse_double(const std::string& text, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(text, &pos);
-    TGI_REQUIRE(pos == text.size(), "trailing characters");
-    return v;
-  } catch (const std::exception&) {
+  const ParsedDouble v = parse_double(std::string_view(text));
+  if (!v.complete || v.range_error) {
     throw PreconditionError(what + " is not a number: '" + text + "'");
   }
+  if (!std::isfinite(v.value)) {
+    throw PreconditionError(what + " is not a finite number: '" + text +
+                            "'");
+  }
+  return v.value;
 }
 
 std::vector<double> parse_double_list(const std::string& text,
@@ -79,23 +83,18 @@ Config Config::parse(const std::string& text) {
 }
 
 Config Config::from_args(int argc, const char* const* argv,
-                         const std::vector<std::string>& flag_keys,
-                         const std::vector<std::string>& switches) {
-  const auto listed = [](const std::vector<std::string>& names,
-                         const std::string& name) {
-    return std::find(names.begin(), names.end(), name) != names.end();
-  };
+                         const std::vector<std::string>& flag_keys) {
   Config cfg;
   for (int i = 1; i < argc; ++i) {
     std::string token = argv[i];
     if (token.rfind("--", 0) == 0) {
       const std::string body = token.substr(2);
       const std::string name = body.substr(0, body.find('='));
-      if (name == body && listed(switches, name)) {
-        token = name + "=1";
-      } else if (name != body && listed(flag_keys, name)) {
+      const bool listed = std::find(flag_keys.begin(), flag_keys.end(),
+                                    name) != flag_keys.end();
+      if (listed && name != body) {
         token = body;
-      } else if (listed(flag_keys, name) && i + 1 < argc) {
+      } else if (listed && i + 1 < argc) {
         token = name + "=" + argv[++i];
       }
     }

@@ -17,6 +17,10 @@ namespace tgi::util {
 /// the same way. The WHOLE string must parse: empty strings and trailing
 /// garbage ("0.5x", "12abc") throw PreconditionError naming `what` (e.g.
 /// "config key 'pue'", "weight 2"), never a bare std::invalid_argument.
+/// parse_double reads strtod's grammar through util::parse_double
+/// (util/number.h) and refuses what the measurement CSV refuses (a range
+/// error such as "1e400") plus any non-finite value ("inf", "nan"): no
+/// configured quantity is meaningful at infinity.
 [[nodiscard]] long long parse_int(const std::string& text,
                                   const std::string& what);
 [[nodiscard]] double parse_double(const std::string& text,
@@ -41,12 +45,10 @@ class Config {
   static Config parse(const std::string& text);
 
   /// Parses `key=value` command-line tokens (argv[1..)). Every key in
-  /// `flag_keys` may also be spelled `--key VALUE` or `--key=VALUE`, and a
-  /// bare `--name` for a name in `switches` means `name=1`. Any other
-  /// token without '=' is rejected.
+  /// `flag_keys` may also be spelled `--key VALUE` or `--key=VALUE`. Any
+  /// other token without '=' is rejected.
   static Config from_args(int argc, const char* const* argv,
-                          const std::vector<std::string>& flag_keys = {},
-                          const std::vector<std::string>& switches = {});
+                          const std::vector<std::string>& flag_keys = {});
 
   /// Sets or overwrites a key.
   void set(const std::string& key, const std::string& value);

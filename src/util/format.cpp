@@ -75,4 +75,38 @@ std::string with_commas(long long v) {
   return std::string(out.rbegin(), out.rend());
 }
 
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
+          out += kHex[static_cast<unsigned char>(c) & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace tgi::util

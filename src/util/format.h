@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "util/units.h"
 
@@ -29,5 +30,10 @@ std::string format(ByteRate r, int precision = 2);
 
 /// Groups thousands in an integer, e.g. 1234567 -> "1,234,567".
 std::string with_commas(long long v);
+
+/// Escapes a string for inclusion inside a JSON string literal: quotes,
+/// backslashes and control characters; everything else passes through.
+/// The one escaper behind every JSON file the project writes.
+std::string json_escape(std::string_view text);
 
 }  // namespace tgi::util

@@ -176,8 +176,9 @@ TEST_F(CacheTest, CheckpointJournalIsTheCacheShardOfItsSpec) {
   // (here in reverse completion order) and was published on completion is
   // byte for byte the shard the cache publishes for the same spec, and one
   // load serves either.
+  const std::string checkpoint = ResultCache(dir("ckpt")).shard_path(kSpec);
   {
-    PointStore journal(dir("ckpt") + "/journal.tgij", kSpec, "plain", kSweep);
+    PointStore journal(checkpoint, kSpec, "plain", kSweep);
     journal.publish({});
     const auto records = full_records();
     for (auto it = records.rbegin(); it != records.rend(); ++it) {
@@ -187,22 +188,19 @@ TEST_F(CacheTest, CheckpointJournalIsTheCacheShardOfItsSpec) {
   }
   const ResultCache cache(dir("cache"));
   cache.store(kSpec, "plain", kSweep, full_records());
-  EXPECT_EQ(slurp(dir("ckpt") + "/journal.tgij"),
-            slurp(cache.shard_path(kSpec)));
-  const CacheLookup loaded =
-      PointStore(dir("ckpt") + "/journal.tgij", kSpec, "plain", kSweep)
-          .load("test");
+  EXPECT_EQ(slurp(checkpoint), slurp(cache.shard_path(kSpec)));
+  const CacheLookup loaded = ResultCache(dir("ckpt")).lookup(kSpec, "plain",
+                                                             kSweep);
   EXPECT_EQ(loaded.completed.size(), kSweep.size());
   EXPECT_TRUE(loaded.damage.empty());
 
-  // Resuming that journal under another spec is a caller error and
-  // throws; loading it as another spec's journal quarantines it instead.
-  PointStore other(dir("ckpt") + "/journal.tgij", kSpec + 1, "plain", kSweep);
-  EXPECT_THROW(resume_checkpoint(other), util::TgiError);
-  const CacheLookup foreign = other.load("test");
+  // Loading that file as another spec's quarantines it wholesale.
+  const CacheLookup foreign =
+      PointStore(checkpoint, kSpec + 1, "plain", kSweep).load("test");
   EXPECT_TRUE(foreign.completed.empty());
-  EXPECT_EQ(foreign.damage.size(), 1u);
-  EXPECT_FALSE(foreign.foreign.empty());
+  ASSERT_EQ(foreign.damage.size(), 1u);
+  EXPECT_NE(foreign.damage[0].reason.find("written for a different sweep"),
+            std::string::npos);
 }
 
 TEST_F(CacheTest, DamagedRecordsAreQuarantinedOthersStillServe) {

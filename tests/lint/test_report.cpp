@@ -7,9 +7,12 @@
 #include <string>
 
 #include "util/error.h"
+#include "util/format.h"
 
 namespace tgi::lint {
 namespace {
+
+using util::json_escape;
 
 ScanReport sample_report() {
   ScanReport report;

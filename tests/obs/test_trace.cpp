@@ -8,10 +8,12 @@
 
 #include "obs/json.h"
 #include "util/error.h"
+#include "util/format.h"
 
 namespace tgi::obs {
 namespace {
 
+using util::json_escape;
 using util::Seconds;
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {

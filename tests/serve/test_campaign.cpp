@@ -382,6 +382,27 @@ TEST_F(CampaignTest, ReportNamesEntriesNeverPaths) {
   EXPECT_NE(cold.report.find("[beta]"), std::string::npos);
 }
 
+TEST_F(CampaignTest, ProvenanceEscapesEveryString) {
+  // tgi_serve and tgi_sweep share one provenance writer: quotes,
+  // backslashes and control characters in a name or a worker failure
+  // detail must still leave valid JSON string literals.
+  EntryProvenance entry;
+  entry.name = "a\"b\\c";
+  ShardAttempt attempt;
+  attempt.detail = "killed by \"signal\" 9\n";
+  ShardReport report;
+  report.attempts.push_back(attempt);
+  entry.shards.push_back(report);
+  CampaignStats stats;
+  stats.entries = 1;
+  write_provenance(dir("out"), stats, {entry});
+  const std::string json = slurp(dir("out") + "/provenance.json");
+  EXPECT_NE(json.find(R"("name": "a\"b\\c")"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("detail": "killed by \"signal\" 9\n")"),
+            std::string::npos)
+      << json;
+}
+
 TEST_F(CampaignTest, RejectsMisconfiguration) {
   CampaignConfig no_cache;
   no_cache.outdir = dir("out");

@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "sim/catalog.h"
 #include "util/error.h"
@@ -65,6 +67,26 @@ TEST(SpecIo, RejectsUnknownFabric) {
   EXPECT_THROW(
       cluster_from_config(util::Config::parse("interconnect = token-ring\n")),
       util::PreconditionError);
+}
+
+TEST(SpecIo, NonFiniteNumbersAreRejected) {
+  // A quantity set to inf, nan or past the double range must fail where
+  // the number is read, before it can price a TGI.
+  const std::string fire = cluster_to_config(fire_cluster());
+  ASSERT_NO_THROW(cluster_from_config(util::Config::parse(fire)));
+  for (const auto& [key, value] :
+       {std::pair<std::string, std::string>{"memory_bandwidth_gbps", "inf"},
+        {"storage.contention", "nan"},
+        {"cpu.ghz", "1e400"}}) {
+    std::string text = fire;
+    const std::size_t start = text.find("\n" + key + " = ");
+    ASSERT_NE(start, std::string::npos) << key;
+    const std::size_t end = text.find('\n', start + 1);
+    text.replace(start, end - start, "\n" + key + " = " + value);
+    EXPECT_THROW(cluster_from_config(util::Config::parse(text)),
+                 util::PreconditionError)
+        << key << " = " << value;
+  }
 }
 
 TEST(SpecIo, RoundTripsCatalogMachines) {

@@ -38,15 +38,15 @@ TEST(Config, FromArgs) {
   EXPECT_EQ(cfg.get_string("name", ""), "fire");
 }
 
-TEST(Config, FromArgsAcceptsFlagAliasesAndSwitches) {
-  const char* argv[] = {"prog", "--threads", "4", "--trace=out",
-                        "--resume", "seed=7"};
-  const Config cfg = Config::from_args(6, argv, {"threads", "trace"},
-                                       {"resume"});
+TEST(Config, FromArgsAcceptsFlagAliasesAndRejectsBareFlags) {
+  const char* argv[] = {"prog", "--threads", "4", "--trace=out", "seed=7"};
+  const Config cfg = Config::from_args(5, argv, {"threads", "trace"});
   EXPECT_EQ(cfg.get_int("threads", 0), 4);
   EXPECT_EQ(cfg.get_string("trace", ""), "out");
-  EXPECT_TRUE(cfg.get_bool("resume", false));
   EXPECT_EQ(cfg.get_int("seed", 0), 7);
+  // A bare --name is never a key: there are no switches.
+  const char* bare[] = {"prog", "--resume"};
+  EXPECT_THROW(Config::from_args(2, bare, {"threads"}), PreconditionError);
   // Unlisted --flags and a trailing flag with no value stay malformed.
   const char* unknown[] = {"prog", "--frobnicate", "3"};
   EXPECT_THROW(Config::from_args(3, unknown, {"threads"}),
@@ -128,6 +128,30 @@ TEST(ParseNumber, WholeStringDiscipline) {
   EXPECT_THROW((void)parse_double("0.5x", "x"), PreconditionError);
   EXPECT_THROW((void)parse_double("abc", "x"), PreconditionError);
   EXPECT_THROW((void)parse_double("", "x"), PreconditionError);
+}
+
+TEST(ParseNumber, NonFiniteAndOutOfRangeDoublesAreRejected) {
+  // strtod reads every one of these; none is a usable configured quantity.
+  for (const char* text : {"nan", "NaN", "-nan", "nan(0x1)", "inf", "-inf",
+                           "Infinity", "1e400", "-1e400"}) {
+    EXPECT_THROW((void)parse_double(text, "x"), PreconditionError) << text;
+    Config cfg;
+    cfg.set("k", text);
+    EXPECT_THROW((void)cfg.get_double("k", 0.0), PreconditionError) << text;
+  }
+  EXPECT_THROW((void)parse_double_list("0.5,inf", "weights"),
+               PreconditionError);
+  try {
+    (void)parse_double("inf", "config key 'pue'");
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("config key 'pue' is not a finite"),
+              std::string::npos)
+        << e.what();
+  }
+  // strtod's grammar otherwise: hexfloats and leading white space.
+  EXPECT_DOUBLE_EQ(parse_double("0x1.8p1", "x"), 3.0);
+  EXPECT_DOUBLE_EQ(parse_double(" 2.5", "x"), 2.5);
 }
 
 TEST(ParseNumber, ErrorNamesTheOffendingValue) {

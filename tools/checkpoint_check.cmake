@@ -1,25 +1,31 @@
-# Kill-and-resume determinism check for tgi_sweep --checkpoint/--resume
+# Kill-and-rerun determinism check for tgi_sweep checkpoint=DIR
 # (DESIGN.md §11), run as a CTest script:
 #
 #   cmake -DTGI_SWEEP=<exe> -DOUT=<scratch-dir> [-DFAULTS=<spec>]
 #         -P checkpoint_check.cmake
 #
+# A checkpoint directory is a result cache: the sweep's points live in
+# DIR/<spec>.tgij, <spec> being entries[0].spec of the run's
+# provenance.json (the reference run has a shard of its own beside it).
 # Scenario:
 #   1. Uninterrupted baseline run (threads=2, traced) — the truth.
 #   2. Checkpointed full run — stdout and every CSV must match the
-#      baseline byte for byte (journaling is observational).
-#   3. "Kill": truncate the journal after two records, tearing the third
-#      mid-line. Resume at threads=1/4/8 — stdout, CSVs, and trace.json
+#      baseline byte for byte (journaling is observational). Rerun over the
+#      same directory, it must compute nothing (computed=0 on stderr),
+#      match the baseline again and leave the shard as it was.
+#   3. "Kill": truncate the shard after two records, tearing the third
+#      mid-line. Rerun at threads=1/4/8 — stdout, CSVs, and trace.json
 #      must all match the baseline byte for byte, stderr must report the
-#      torn record as quarantined, and the completed journal must equal
-#      the full run's byte for byte (published in index order at any
-#      thread count).
-#   4. Corruption: damage the last record of a complete journal. Resume
-#      must quarantine it (stderr says so), recompute, and still match.
+#      torn record as quarantined and two points served, and the completed
+#      shard must equal the full run's byte for byte.
+#   4. Corruption: damage the FIRST point record. The rerun must quarantine
+#      it (stderr says so), recompute it — appended after the three
+#      survivors — and still match; only the republish in index order makes
+#      the completed shard equal the full run's, which is required.
 #   5. A real SIGKILL: a checkpointed run at threads=1 is stepped with
-#      SIGSTOP/SIGCONT until its journal holds a point record, then killed
-#      with SIGKILL while still running. Resume at threads=8 must match the
-#      baseline, and its completed journal the full run's, byte for byte.
+#      SIGSTOP/SIGCONT until its shard holds a point record, then killed
+#      with SIGKILL while still running. A rerun at threads=8 must match
+#      the baseline, and its completed shard the full run's, byte for byte.
 if(NOT DEFINED TGI_SWEEP OR NOT DEFINED OUT)
   message(FATAL_ERROR "usage: cmake -DTGI_SWEEP=<exe> -DOUT=<dir> "
                       "[-DFAULTS=<spec>] -P checkpoint_check.cmake")
@@ -90,16 +96,24 @@ endfunction()
 # 1. Uninterrupted baseline.
 run_sweep("${OUT}/base" 2)
 
-# 2. Checkpointed full run is observational.
+# 2. Checkpointed full run is observational, and a rerun replays it whole.
 run_sweep("${OUT}/full" 2 "checkpoint=${OUT}/ckpt_full")
 expect_matches_baseline("${OUT}/full")
-set(journal "${OUT}/ckpt_full/journal.tgij")
+file(READ "${OUT}/full/provenance.json" provenance)
+string(JSON spec GET "${provenance}" entries 0 spec)
+set(journal "${OUT}/ckpt_full/${spec}.tgij")
 if(NOT EXISTS "${journal}")
-  message(FATAL_ERROR "checkpointed run left no journal at ${journal}")
+  message(FATAL_ERROR "checkpointed run left no shard at ${journal}")
 endif()
 file(READ "${journal}" full_journal)
+execute_process(COMMAND ${CMAKE_COMMAND} -E copy "${journal}"
+                "${OUT}/full.tgij")
+run_sweep("${OUT}/replay" 4 "checkpoint=${OUT}/ckpt_full")
+expect_matches_baseline("${OUT}/replay")
+expect_stderr_mentions("${OUT}/replay" " computed=0 ")
+expect_identical("${OUT}/full.tgij" "${journal}")
 
-# 3. Kill-and-resume: header + two records + the third torn mid-line.
+# 3. Kill-and-rerun: header + two records + the third torn mid-line.
 string(REGEX MATCH "^[^\n]*\n[^\n]*\n[^\n]*\n" keep "${full_journal}")
 if(keep STREQUAL "")
   message(FATAL_ERROR "journal has fewer than three lines")
@@ -109,39 +123,38 @@ string(SUBSTRING "${full_journal}" ${keep_len} 40 torn_tail)
 foreach(t 1 4 8)
   set(ckpt "${OUT}/ckpt_t${t}")
   file(MAKE_DIRECTORY "${ckpt}")
-  file(WRITE "${ckpt}/journal.tgij" "${keep}${torn_tail}")
-  run_sweep("${OUT}/resume_t${t}" ${t} "checkpoint=${ckpt}" "resume=1")
+  file(WRITE "${ckpt}/${spec}.tgij" "${keep}${torn_tail}")
+  run_sweep("${OUT}/resume_t${t}" ${t} "checkpoint=${ckpt}")
   expect_matches_baseline("${OUT}/resume_t${t}")
-  expect_stderr_mentions("${OUT}/resume_t${t}"
-                         "checkpoint: quarantined journal record")
-  expect_identical("${journal}" "${ckpt}/journal.tgij")
-  if(NOT EXISTS "${ckpt}/resume.json")
-    message(FATAL_ERROR "resume left no resume.json in ${ckpt}")
-  endif()
+  expect_stderr_mentions("${OUT}/resume_t${t}" "cache: quarantined entry")
+  expect_stderr_mentions("${OUT}/resume_t${t}" " hits=2 computed=3 ")
+  expect_identical("${OUT}/full.tgij" "${ckpt}/${spec}.tgij")
 endforeach()
 
-# 4. Corrupted record: inject a stray byte into the last record so its
-# line no longer parses; resume must quarantine and recompute it.
-string(FIND "${full_journal}" "\nTGIJ1 point" last_rec REVERSE)
-if(last_rec EQUAL -1)
+# 4. Corrupted record: inject a stray byte into the first point record so
+# its line no longer parses; the rerun must quarantine and recompute it.
+string(FIND "${full_journal}" "\nTGIJ1 point" first_rec)
+if(first_rec EQUAL -1)
   message(FATAL_ERROR "journal has no point records")
 endif()
-math(EXPR split "${last_rec} + 1")
-string(SUBSTRING "${full_journal}" 0 ${split} prefix)
-string(SUBSTRING "${full_journal}" ${split} -1 last_line)
+math(EXPR split "${first_rec} + 1")
+string(SUBSTRING "${full_journal}" 0 ${split} header)
+string(SUBSTRING "${full_journal}" ${split} -1 points)
 set(ckpt "${OUT}/ckpt_corrupt")
 file(MAKE_DIRECTORY "${ckpt}")
-file(WRITE "${ckpt}/journal.tgij" "${prefix}x${last_line}")
-run_sweep("${OUT}/resume_corrupt" 2 "checkpoint=${ckpt}" "resume=1")
+file(WRITE "${ckpt}/${spec}.tgij" "${header}x${points}")
+run_sweep("${OUT}/resume_corrupt" 2 "checkpoint=${ckpt}")
 expect_matches_baseline("${OUT}/resume_corrupt")
-expect_stderr_mentions("${OUT}/resume_corrupt"
-                       "checkpoint: quarantined journal record")
+expect_stderr_mentions("${OUT}/resume_corrupt" "cache: quarantined entry")
+expect_stderr_mentions("${OUT}/resume_corrupt" " hits=3 computed=2 ")
+expect_identical("${OUT}/full.tgij" "${ckpt}/${spec}.tgij")
 
 # 5. SIGKILL a running sweep. CMake cannot signal a child, so a POSIX shell
 # does: it stops the sweep at once, then lets it run in short slices until
-# a point record is journaled, and kills it stopped, so the shell's wait
-# reports signal 9 (status 137). On a loaded host the sweep can outrun the
-# shell and finish first (status 0); that attempt is discarded and retried.
+# a point record is in the sweep's shard, and kills it stopped, so the
+# shell's wait reports signal 9 (status 137). On a loaded host the sweep
+# can outrun the shell and finish first (status 0); that attempt is
+# discarded and retried.
 set(ckpt "${OUT}/ckpt_kill")
 foreach(attempt RANGE 1 10)
   file(REMOVE_RECURSE "${ckpt}")
@@ -160,20 +173,20 @@ foreach(attempt RANGE 1 10)
       done
       kill -KILL "$pid"
       wait "$pid"
-    ]] sh "${ckpt}/journal.tgij" ${TGI_SWEEP} ${common} threads=1
+    ]] sh "${ckpt}/${spec}.tgij" ${TGI_SWEEP} ${common} threads=1
        outdir=${OUT}/killed trace=${OUT}/killed_trace checkpoint=${ckpt}
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     break()
   endif()
 endforeach()
-file(STRINGS "${ckpt}/journal.tgij" killed_points REGEX "^TGIJ1 point")
+file(STRINGS "${ckpt}/${spec}.tgij" killed_points REGEX "^TGIJ1 point")
 if(NOT rc EQUAL 137 OR killed_points STREQUAL "")
   message(FATAL_ERROR "expected tgi_sweep SIGKILLed (status 137) after a "
                       "journaled point; got status ${rc}")
 endif()
-run_sweep("${OUT}/resume_killed" 8 "checkpoint=${ckpt}" "resume=1")
+run_sweep("${OUT}/resume_killed" 8 "checkpoint=${ckpt}")
 expect_matches_baseline("${OUT}/resume_killed")
-expect_identical("${journal}" "${ckpt}/journal.tgij")
+expect_identical("${OUT}/full.tgij" "${ckpt}/${spec}.tgij")
 
-message(STATUS "checkpoint kill-and-resume determinism OK (${OUT})")
+message(STATUS "checkpoint kill-and-rerun determinism OK (${OUT})")

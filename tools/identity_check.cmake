@@ -1,12 +1,17 @@
-# Cross-front-end identity check (CTest script):
+# One store layout, two front ends (CTest script):
 #
 #   cmake -DTGI_SWEEP=<exe> -DTGI_SERVE=<exe> -DOUT=<dir> [-DFAULTS=<spec>]
 #         -P identity_check.cmake
 #
-# `tgi_sweep ... checkpoint=C` and a one-entry campaign with the same keys
-# are one sweep spec, so at threads=1 and threads=4 they write equal point,
-# reference and summary CSVs, and the completed C/journal.tgij equals the
-# cache shard cache/<hash>.tgij.
+# A tgi_sweep checkpoint directory is a result cache, and `tgi_sweep ...
+# checkpoint=C` and a one-entry campaign with the same keys are one sweep
+# spec. So at threads=1 and threads=4:
+#   1. a campaign over C computes nothing (computed=0 on stderr), writes
+#      point, reference and summary CSVs equal to tgi_sweep's, and leaves
+#      C's sweep and reference shards byte for byte as they were;
+#   2. a cold campaign over a fresh cache banks the same shard bytes.
+# The shards are found through the spec hashes in tgi_sweep's
+# provenance.json.
 file(REMOVE_RECURSE "${OUT}")
 file(MAKE_DIRECTORY "${OUT}")
 set(sweep_args sweep=16,48,80 seed=7)
@@ -19,32 +24,47 @@ if(FAULTS)
 endif()
 file(WRITE "${OUT}/campaign.conf" "${campaign}")
 
-foreach(t 1 4)
-  foreach(cmd "${TGI_SWEEP};${sweep_args};threads=${t};outdir=${OUT}/t${t}/sweep;checkpoint=${OUT}/t${t}/C"
-              "${TGI_SERVE};campaign=${OUT}/campaign.conf;cache=${OUT}/t${t}/cache;outdir=${OUT}/t${t}/campaign;threads=${t}")
-    execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_QUIET
-                    ERROR_VARIABLE err)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "${cmd} failed (rc=${rc}): ${err}")
-    endif()
-  endforeach()
+# Runs one command; its stderr lands in ${err}.
+macro(run)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${ARGN} failed (rc=${rc}): ${err}")
+  endif()
+endmacro()
 
-  # provenance.json names the entry's spec hash, i.e. its cache shard.
-  file(READ "${OUT}/t${t}/campaign/provenance.json" provenance)
+foreach(t 1 4)
+  set(dir "${OUT}/t${t}")
+  run(${TGI_SWEEP} ${sweep_args} threads=${t} outdir=${dir}/sweep
+      checkpoint=${dir}/C)
+  file(COPY "${dir}/C/" DESTINATION "${dir}/C_after_sweep")
+  run(${TGI_SERVE} campaign=${OUT}/campaign.conf cache=${dir}/C
+      outdir=${dir}/campaign threads=${t})
+  if(NOT err MATCHES " hits=4 computed=0 ")
+    message(FATAL_ERROR "campaign over ${dir}/C recomputed points: ${err}")
+  endif()
+  run(${TGI_SERVE} campaign=${OUT}/campaign.conf cache=${dir}/cold
+      outdir=${dir}/cold_campaign threads=${t})
+
+  file(READ "${dir}/sweep/provenance.json" provenance)
   string(JSON spec GET "${provenance}" entries 0 spec)
+  string(JSON ref GET "${provenance}" entries 0 reference_spec)
   set(pairs
     sweep/fire_16.csv campaign/entry/point_16.csv
     sweep/fire_48.csv campaign/entry/point_48.csv
     sweep/fire_80.csv campaign/entry/point_80.csv
     sweep/reference_systemg.csv campaign/entry/reference.csv
     sweep/${summary} campaign/entry/${summary}
-    C/journal.tgij cache/${spec}.tgij)
+    C_after_sweep/${spec}.tgij C/${spec}.tgij
+    C_after_sweep/${ref}.tgij C/${ref}.tgij
+    C/${spec}.tgij cold/${spec}.tgij
+    C/${ref}.tgij cold/${ref}.tgij)
   while(pairs)
     list(POP_FRONT pairs a b)
     execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                    "${OUT}/t${t}/${a}" "${OUT}/t${t}/${b}" RESULT_VARIABLE rc)
+                    "${dir}/${a}" "${dir}/${b}" RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "byte mismatch: ${OUT}/t${t}/${a} vs ${OUT}/t${t}/${b}")
+      message(FATAL_ERROR "byte mismatch: ${dir}/${a} vs ${dir}/${b}")
     endif()
   endwhile()
 endforeach()

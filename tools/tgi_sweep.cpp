@@ -2,10 +2,11 @@
 // sweep and writes every figure/table CSV plus the measurement CSVs that
 // tgi_calc consumes.
 //
-//   tgi_sweep outdir=results [sweep=16,32,...,128] [seed=N] [meter=model]
-//             [cluster=my.conf] [reference_cluster=ref.conf] [threads=N]
+//   tgi_sweep outdir=results [sweep=16,32,...,128] [seed=N]
+//             [meter=wattsup|model] [cluster=my.conf]
+//             [reference_cluster=ref.conf] [threads=N]
 //             [faults=dropout=0.2,stuck=0.1,failure=0.05]
-//             [trace=DIR] [profile=DIR] [checkpoint=DIR] [--resume]
+//             [trace=DIR] [profile=DIR] [checkpoint=DIR]
 //
 // Sweep points run on harness::ParallelSweep: `threads=N` (or `--threads
 // N`, or the TGI_THREADS environment variable; default hardware
@@ -35,44 +36,40 @@
 // output. `profile=DIR` writes DIR/profile.json, the wall-clock profile
 // channel — explicitly NON-deterministic, never byte-compared.
 //
-// `checkpoint=DIR` (or `--checkpoint DIR`) makes DIR/journal.tgij a
-// harness::PointStore (DESIGN.md §11): every completed sweep point is
-// appended as it finishes — one checksummed record carrying the point's
-// measurements, fault/robust accounting, and observability sections — and
-// the completed sweep is published again in index order. After a crash (or
-// SIGKILL), rerunning the same command with `--resume` replays the
-// journaled points and recomputes only the missing ones — stdout, every
-// CSV, and trace.json come out byte-identical to an uninterrupted run, at
-// any thread count. A journal written under a different spec (cluster,
-// seed, meter, sweep, faults) is rejected; corrupted or torn records are
-// quarantined with a logged reason and recomputed. Resume provenance goes
-// to DIR/resume.json (`point_resumed` instants) and stderr, never stdout.
-// The arguments fill a serve::CampaignSpec, so the journal is keyed, and
-// its points metered, exactly like a one-entry `tgi_serve` campaign: a
-// completed DIR/journal.tgij equals that campaign's cache shard byte for
-// byte, at any thread count.
+// `checkpoint=DIR` (or `--checkpoint DIR`) makes DIR a result cache
+// (harness/cache.h, DESIGN.md §11), the one a one-entry `tgi_serve`
+// campaign with the same keys uses: the sweep's shard DIR/<spec hash>.tgij
+// is replayed (damaged records are quarantined with a WARN and
+// recomputed), each computed point is appended as it finishes, and the
+// completed sweep is published again in index order; the reference run is
+// banked beside it. After a crash (or SIGKILL), rerunning the same
+// command computes only the missing points — stdout, every CSV, and
+// trace.json come out byte-identical to an uninterrupted run, at any
+// thread count. Like `cache=`, the key is the spec, not the model code:
+// use a fresh directory after changing the model. Replayed and computed
+// counts go to stderr and outdir/provenance.json, never stdout.
 //
 // Produces in `outdir`:
 //   fig2_hpl_ee.csv, fig3_stream_ee.csv, fig4_iozone_ee.csv,
 //   fig5_tgi_am.csv, fig6_tgi_weighted.csv, table2_pcc.csv,
 //   reference_systemg.csv, fire_<cores>.csv (one measurement set per
-//   sweep point), and sweep_summary.csv.
+//   sweep point), sweep_summary.csv, and provenance.json.
 #include <filesystem>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <optional>
 
 #include "core/tgi.h"
+#include "harness/cache.h"
 #include "harness/checkpoint.h"
 #include "harness/faults.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
 #include "harness/measurement_io.h"
 #include "harness/parallel.h"
 #include "harness/robust.h"
 #include "harness/report.h"
 #include "harness/suite.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 #include "serve/campaign.h"
 #include "serve/spec.h"
 #include "sim/catalog.h"
@@ -90,16 +87,15 @@ using namespace tgi;
 
 /// Accepts `--threads N` / `--threads=N` (and the same for `--faults`,
 /// `--trace`, `--profile`, `--checkpoint`) as aliases for the `key=value`
-/// forms, plus the bare `--resume` flag. Unknown keys and unknown --flags
-/// are rejected with the full list of valid options.
+/// forms. Unknown keys and unknown --flags are rejected with the full list
+/// of valid options.
 util::Config parse_args(int argc, const char* const* argv) {
   util::Config cfg = util::Config::from_args(
-      argc, argv, {"threads", "faults", "trace", "profile", "checkpoint"},
-      {"resume"});
+      argc, argv, {"threads", "faults", "trace", "profile", "checkpoint"});
   util::require_known_keys(
       cfg,
       {"outdir", "sweep", "seed", "meter", "cluster", "reference_cluster",
-       "threads", "faults", "trace", "profile", "checkpoint", "resume"},
+       "threads", "faults", "trace", "profile", "checkpoint"},
       "tgi_sweep");
   return cfg;
 }
@@ -121,7 +117,9 @@ serve::CampaignSpec sweep_spec(const util::Config& cfg) {
       spec.cluster, "tgi_sweep");
   spec.seed = static_cast<std::uint64_t>(
       cfg.get_int("seed", static_cast<long long>(spec.seed)));
-  spec.exact_meter = cfg.get_string("meter", "wattsup") == "model";
+  spec.exact_meter =
+      serve::checked_exact_meter(cfg.get_string("meter", "wattsup"),
+                                 "tgi_sweep");
   if (cfg.has("faults")) {
     spec.fault_text = *cfg.get("faults");
     (void)spec.faults();  // validate now, before any output
@@ -135,10 +133,6 @@ int run(int argc, const char* const* argv) {
   const std::vector<std::size_t>& sweep = spec.sweep;
   const long long threads_raw = cfg.get_int("threads", 0);
   TGI_REQUIRE(threads_raw >= 0, "threads must be >= 0 (0 = default)");
-  const auto checkpoint_dir = cfg.get("checkpoint");
-  const bool resume = cfg.get_bool("resume", false);
-  TGI_REQUIRE(!resume || checkpoint_dir,
-              "resume requires checkpoint=DIR (nothing to resume from)");
 
   const std::string outdir = cfg.get_string("outdir", "tgi_results");
   std::filesystem::create_directories(outdir);
@@ -147,11 +141,19 @@ int run(int argc, const char* const* argv) {
             << spec.cluster.total_cores() << " cores), reference: "
             << spec.reference.name << "\n";
 
+  // Checkpoint (DESIGN.md §11): DIR is a result cache, read and filled as
+  // a one-entry campaign would.
+  std::optional<harness::ResultCache> cache;
+  if (const auto dir = cfg.get("checkpoint")) cache.emplace(*dir);
+  serve::CampaignStats stats;
+  stats.entries = 1;
+
   // Reference.
-  const auto reference = harness::reference_measurements(
-      spec.reference, *serve::reference_meter(spec));
-  harness::write_measurements_file(path("reference_systemg.csv"), reference);
-  const core::TgiCalculator calc(reference);
+  const harness::PointRecord reference =
+      serve::reference_point(spec, cache ? &*cache : nullptr, stats);
+  harness::write_measurements_file(path("reference_systemg.csv"),
+                                   reference.point.measurements);
+  const core::TgiCalculator calc(reference.point.measurements);
 
   // Observability knobs (DESIGN.md §10). The deterministic trace and the
   // wall profile are independent channels; either may be enabled alone.
@@ -166,24 +168,21 @@ int run(int argc, const char* const* argv) {
   sweep_cfg.threads = static_cast<std::size_t>(threads_raw);
   if (profile_dir) sweep_cfg.profiler = &profiler;
 
-  // Checkpoint (DESIGN.md §11): a PointStore keyed exactly like the
-  // campaign cache shard of the same spec. reference_cluster is not part of
-  // the key: it only affects derived TGI output, which resume recomputes
-  // from the journaled raw measurements.
-  std::unique_ptr<harness::PointStore> journal;
-  std::map<std::size_t, harness::PointRecord> replayed;
-  if (checkpoint_dir) {
-    journal = std::make_unique<harness::PointStore>(
-        *checkpoint_dir + "/journal.tgij", serve::spec_hash(spec),
-        serve::spec_mode(spec), sweep);
-    if (resume) {
-      harness::resume_checkpoint(*journal);
-      replayed = journal->records();
-    } else {
-      journal->publish({});
-    }
-    sweep_cfg.checkpoint = journal.get();
+  // The checkpoint is the spec's shard, republished with its valid points
+  // (reference_cluster is not in the key: it only affects derived TGI).
+  const std::uint64_t hash = serve::spec_hash(spec);
+  const std::string mode = serve::spec_mode(spec);
+  std::optional<harness::PointStore> checkpoint;
+  if (cache) {
+    harness::CacheLookup cached = cache->lookup(hash, mode, sweep);
+    stats.quarantined += cached.damage.size();
+    stats.cache_hits += cached.completed.size();
+    checkpoint.emplace(cache->shard_path(hash), hash, mode, sweep);
+    checkpoint->publish(std::move(cached.completed));
+    sweep_cfg.checkpoint = &*checkpoint;
   }
+  stats.points += sweep.size();
+  stats.computed = stats.points - stats.cache_hits;
   const harness::ParallelSweep engine(
       spec.cluster, serve::spec_meter_factory(spec), sweep_cfg);
   obs::SweepTrace trace;
@@ -211,9 +210,6 @@ int run(int argc, const char* const* argv) {
           k, harness::make_point_record(k, sweep[k], points[k], nullptr));
     }
   }
-  if (resume) {
-    harness::write_resume_trace(*checkpoint_dir + "/resume.json", replayed);
-  }
   if (trace_dir) {
     trace.write_files(*trace_dir);
     std::cout << "wrote " << *trace_dir << "/trace.json ("
@@ -229,6 +225,11 @@ int run(int argc, const char* const* argv) {
   }
   (void)serve::write_sweep_summary(spec, records, calc, outdir, "fire_", "",
                                    std::cout);
+  serve::write_provenance(
+      outdir, stats,
+      {{spec.name, hash, serve::reference_spec_hash(spec), stats.points,
+        stats.cache_hits, stats.computed, {}}});
+  std::cerr << "tgi_sweep: " << stats.summary() << "\n";
   if (spec.faulted()) {
     std::cout << "wrote " << outdir
               << "/ (faults_summary.csv and measurement CSVs; figure CSVs "
