@@ -30,17 +30,6 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-std::size_t count_occurrences(const std::string& text,
-                              const std::string& needle) {
-  std::size_t count = 0;
-  std::size_t pos = 0;
-  while ((pos = text.find(needle, pos)) != std::string::npos) {
-    ++count;
-    pos += needle.size();
-  }
-  return count;
-}
-
 /// The experiment's plain-sweep spec hash: the one canonical spec text.
 std::uint64_t sweep_hash(const bench::Experiment& e) {
   return harness::journal_spec_hash(
@@ -58,24 +47,32 @@ harness::PointStore journal_store(const bench::Experiment& e,
 }
 
 /// The experiment's plain sweep checkpointed into `dir` the way `tgi_sweep
-/// checkpoint=DIR` does it: the shard's valid points are replayed (their
-/// count lands in `replayed`), the rest computed and appended.
+/// checkpoint=DIR` does it — ResultCache::fill over the sweep engine's
+/// point body: the shard's valid points are replayed (their count lands in
+/// `replayed`), the rest computed and appended.
 std::vector<harness::SuitePoint> run_journaled(const bench::Experiment& e,
                                                const std::string& dir,
                                                std::size_t threads,
                                                std::size_t& replayed) {
-  harness::CacheLookup banked =
-      harness::ResultCache(dir).lookup(sweep_hash(e), "plain", e.sweep);
-  replayed = banked.completed.size();
-  harness::PointStore journal = journal_store(e, dir);
-  journal.publish(std::move(banked.completed));
-  harness::ParallelSweepConfig cfg;
-  cfg.threads = threads;
-  cfg.checkpoint = &journal;
   const harness::ParallelSweep sweep(
       e.system_under_test,
-      bench::sweep_meter_factory(e, bench::suite_measurements({})), cfg);
-  return sweep.run(e.sweep);
+      bench::sweep_meter_factory(e, bench::suite_measurements({})));
+  replayed = e.sweep.size();
+  const harness::CacheLookup filled = harness::ResultCache(dir).fill(
+      sweep_hash(e), "plain", e.sweep,
+      [&sweep, &e, threads, &replayed](const std::vector<std::size_t>& pending,
+                                       const harness::RecordSink& done) {
+        replayed -= pending.size();
+        harness::execute_points(
+            pending.size(), threads, nullptr,
+            [&sweep, &e, &pending, &done](std::size_t i) {
+              done(sweep.record_point(e.sweep, pending[i], nullptr));
+            });
+      });
+  std::vector<harness::SuitePoint> points;
+  for (const auto& [k, record] : filled.completed)
+    points.push_back(record.point);
+  return points;
 }
 
 /// An I/O fault policy (util/io_faults.h) whose first draw is a short
@@ -128,8 +125,8 @@ int main(int argc, char** argv) {
     bench::print_check(
         "journal holds a header plus one record per sweep point",
         replayed == 0 &&
-            count_occurrences(slurp(journal_store(e, dir).path()), "\n") ==
-                e.sweep.size() + 1 &&
+            std::ranges::count(slurp(journal_store(e, dir).path()), '\n') ==
+                static_cast<std::ptrdiff_t>(e.sweep.size() + 1) &&
             full.size() == e.sweep.size());
 
     // Kill and rerun: keep the first three records (as if the process

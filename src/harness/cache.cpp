@@ -7,6 +7,7 @@
 
 namespace tgi::harness {
 
+
 std::string cache_spec_text(const sim::ClusterSpec& cluster,
                             std::uint64_t seed, bool exact_meter,
                             const SuiteConfig& suite, const FaultSpec* faults,
@@ -58,6 +59,31 @@ void ResultCache::store(std::uint64_t spec_hash, const std::string& mode,
                         std::map<std::size_t, PointRecord> records) const {
   PointStore(shard_path(spec_hash), spec_hash, mode, values)
       .publish(std::move(records));
+}
+
+CacheLookup ResultCache::fill(std::uint64_t spec_hash,
+                              const std::string& mode,
+                              const std::vector<std::size_t>& values,
+                              const PointCompute& compute) const {
+  CacheLookup cached = lookup(spec_hash, mode, values);
+  std::vector<std::size_t> pending;
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    if (!cached.hit(k)) pending.push_back(k);
+  }
+  if (pending.empty() && cached.damage.empty()) return cached;
+  PointStore store(shard_path(spec_hash), spec_hash, mode, values);
+  if (!pending.empty()) {
+    // Appends land after a valid prefix: the survivors, republished.
+    store.publish(std::move(cached.completed));
+    compute(pending, [&store](PointRecord record) {
+      store.append(std::move(record));
+    });
+    cached.completed = store.records();
+    TGI_CHECK(cached.completed.size() == values.size(),
+              "cache fill: points missing after compute");
+  }
+  store.publish(cached.completed);
+  return cached;
 }
 
 }  // namespace tgi::harness

@@ -14,15 +14,15 @@
 //
 // On-disk representation: one journal file per spec at
 // <dir>/<hash16>.tgij — a harness::PointStore (harness/checkpoint.h,
-// DESIGN.md §11) that the cache only ever loads and publishes whole (a
-// checkpointed tgi_sweep also appends to it as points finish). Loads inherit the store's trust policy: a record is fully
-// valid or it is quarantined with a reason and its point recomputed; a
-// shard whose header names another spec is foreign or tampered and is
-// quarantined wholesale. A lookup never throws on damaged bytes — damage
-// is data, not an error.
+// DESIGN.md §11) that only fill() reads, fills and republishes. Loads
+// inherit the store's trust policy: a record is fully valid or it is
+// quarantined with a reason and its point recomputed; a shard whose header
+// names another spec is foreign or tampered and is quarantined wholesale.
+// A lookup never throws on damaged bytes — damage is data, not an error.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,6 +49,12 @@ namespace tgi::harness {
 /// One lookup's outcome: a PointStore load of the spec's shard.
 using CacheLookup = StoreLoad;
 
+/// Computes the points `pending` (increasing indices), handing each record
+/// to `done` — a sink safe to call from any thread, in any order.
+using RecordSink = std::function<void(PointRecord)>;
+using PointCompute = std::function<void(
+    const std::vector<std::size_t>& pending, const RecordSink& done)>;
+
 /// A persistent, content-addressed store of completed sweep points.
 class ResultCache {
  public:
@@ -68,14 +74,22 @@ class ResultCache {
       const std::vector<std::size_t>& values) const;
 
   /// Publishes the spec's shard atomically (PointStore::publish): header +
-  /// `records` in index order. `records` may be partial (a campaign cut
-  /// short by a worker failure still banks what finished); the next lookup
-  /// simply misses the rest. Callers pass the union of prior hits and fresh computes — the
-  /// cache itself never merges, so a store is a deterministic function of
-  /// its arguments.
+  /// `records` in index order. `records` may be partial; the next lookup
+  /// simply misses the rest. A store is a deterministic function of its
+  /// arguments — the cache itself never merges.
   void store(std::uint64_t spec_hash, const std::string& mode,
              const std::vector<std::size_t>& values,
              std::map<std::size_t, PointRecord> records) const;
+
+  /// The one shard policy: looks the shard up (as lookup()) and, unless
+  /// every point hit cleanly, publishes the survivors, hands the misses to
+  /// `compute`, appends each record `done` receives (a SIGKILL or throw
+  /// loses only points in flight) and publishes the shard in index order.
+  /// Returns every record plus the damage.
+  [[nodiscard]] CacheLookup fill(std::uint64_t spec_hash,
+                                 const std::string& mode,
+                                 const std::vector<std::size_t>& values,
+                                 const PointCompute& compute) const;
 
  private:
   std::string directory_;

@@ -733,6 +733,17 @@ void restore_recorder(const PointRecord& record,
   recorder.advance(record.trace_now);  // exact: clock starts at 0.0
 }
 
+obs::SweepTrace replay_trace(
+    const std::map<std::size_t, PointRecord>& records) {
+  std::vector<obs::PointRecorder> recorders;
+  recorders.reserve(records.size());
+  for (const auto& [k, record] : records) {
+    recorders.emplace_back(k, std::to_string(record.value));
+    restore_recorder(record, recorders.back());
+  }
+  return obs::SweepTrace::merge(std::move(recorders));
+}
+
 PointStore::PointStore(std::string path, std::uint64_t spec_hash,
                        std::string mode, std::vector<std::size_t> values)
     : path_(std::move(path)),
@@ -769,20 +780,24 @@ StoreLoad PointStore::load(const char* warn_prefix) const {
   return out;
 }
 
-void PointStore::check(std::size_t index, const PointRecord& record) const {
-  TGI_REQUIRE(index < values_.size(),
-              "point store: point index " << index << " is outside the sweep");
+std::string PointStore::encode_checked(std::size_t index,
+                                       const PointRecord& record) const {
   TGI_REQUIRE(record.index == index,
               "point store: record index mismatch at " << index);
-  TGI_REQUIRE(record.robust == (mode_ == "robust"),
-              "point store: record mode does not match the store");
+  std::string line = encode_point_record(record);
+  const JournalState state = reconcile_journal(
+      read_journal(encode_header_record(spec_hash_, mode_, values_) + line),
+      spec_hash_, mode_, values_);
+  TGI_REQUIRE(state.damage.empty(), "point store: refusing point "
+                                         << index << " for '" << path_ << "': "
+                                         << state.damage.front().reason);
+  return line;
 }
 
 void PointStore::publish(std::map<std::size_t, PointRecord> records) {
   std::string text = encode_header_record(spec_hash_, mode_, values_);
   for (const auto& [index, record] : records) {
-    check(index, record);
-    text += encode_point_record(record);
+    text += encode_checked(index, record);
   }
   const std::filesystem::path parent =
       std::filesystem::path(path_).parent_path();
@@ -796,8 +811,7 @@ void PointStore::publish(std::map<std::size_t, PointRecord> records) {
 }
 
 void PointStore::append(PointRecord record) {
-  check(record.index, record);
-  const std::string line = encode_point_record(record);
+  const std::string line = encode_checked(record.index, record);
   const std::lock_guard<std::mutex> lock(mu_);
   TGI_REQUIRE(published_, "point store: append before publish ('" << path_
                                                                   << "')");

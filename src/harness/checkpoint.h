@@ -7,16 +7,15 @@
 // values) with three operations: `load` (never throws on bad bytes;
 // quarantines damage), `append` (locked, flushed, I/O-fault-injected — it
 // must survive a SIGKILL *mid-sweep*, so it cannot use temp+rename), and
-// `publish` (header plus records in index order, atomically). A checkpoint
-// (`tgi_sweep checkpoint=DIR`) is the cache shard of its spec
-// (harness/cache.h): looked up, its surviving records published, appended
-// to as points finish, and published again when the sweep completes — so
-// a completed checkpoint is the same bytes at any thread count. A worker
-// journal is published and appended to; a campaign loads and publishes a
-// shard whole. Replayed points keep the per-point RNG offsets the
-// determinism contract (DESIGN.md §3b) keys on the point index, so a
-// killed sweep rerun over its checkpoint is byte-identical to an
-// uninterrupted one at any thread count.
+// `publish` (header plus records in index order, atomically). Both writes
+// refuse a record the decoder would quarantine, so a store never banks a
+// point its own load would not serve back. A cache shard — which a
+// `tgi_sweep checkpoint=DIR` directory holds too — is read, filled and
+// republished only by harness::ResultCache::fill (harness/cache.h); a
+// campaign worker publishes an empty journal and appends to it. Replayed
+// points keep the per-point RNG offsets the determinism contract
+// (DESIGN.md §3b) keys on the point index, so a killed sweep rerun over its
+// shard is byte-identical to an uninterrupted one at any thread count.
 //
 // Journal format: one record per line,
 //
@@ -164,6 +163,11 @@ struct JournalState {
 /// record.traced.
 void restore_recorder(const PointRecord& record, obs::PointRecorder& recorder);
 
+/// A sweep's trace rebuilt from its (traced) records, merged by index —
+/// byte-identical to the live sweep's; tgi_sweep and campaigns emit it.
+[[nodiscard]] obs::SweepTrace replay_trace(
+    const std::map<std::size_t, PointRecord>& records);
+
 /// One load of a PointStore: the valid completed points (first valid
 /// record per index wins) and every quarantined record with its reason,
 /// already logged at WARN.
@@ -176,19 +180,16 @@ struct StoreLoad {
   }
 };
 
-/// One `.tgij` file bound to one sweep: spec hash, mode ("plain" for
-/// run/run_extended/run_with, "robust" for run_robust) and sweep values.
-/// Only a PointStore writes journal-format files.
+/// One `.tgij` file bound to one sweep: spec hash, mode ("plain", or
+/// "robust" for a faulted sweep) and sweep values. Only a PointStore
+/// writes journal-format files; neither write banks a record load would
+/// quarantine (the write throws first).
 class PointStore {
  public:
   PointStore(std::string path, std::uint64_t spec_hash, std::string mode,
              std::vector<std::size_t> values);
 
   [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] const std::string& mode() const { return mode_; }
-  [[nodiscard]] const std::vector<std::size_t>& values() const {
-    return values_;
-  }
 
   /// Reads the file against this binding. Never throws on bad bytes: a
   /// missing file is an empty load; damaged records, an unreadable file and
@@ -215,7 +216,10 @@ class PointStore {
   }
 
  private:
-  void check(std::size_t index, const PointRecord& record) const;
+  /// The record's journal line; throws for any damage load would
+  /// quarantine it for — the read side's own rule, run on the line.
+  [[nodiscard]] std::string encode_checked(std::size_t index,
+                                           const PointRecord& record) const;
 
   std::string path_;
   std::uint64_t spec_hash_ = 0;

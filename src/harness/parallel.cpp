@@ -61,73 +61,28 @@ ParallelSweep::ParallelSweep(sim::ClusterSpec cluster,
 
 namespace {
 
-/// Validates the checkpoint store against the call and returns it (null
-/// when checkpointing is off).
-PointStore* checked_store(const ParallelSweepConfig& config, const char* mode,
-                          const std::vector<std::size_t>& values) {
-  PointStore* store = config.checkpoint;
-  if (store == nullptr) return nullptr;
-  TGI_REQUIRE(store->mode() == mode,
-              "checkpoint journal mode '" << store->mode()
-                                          << "' does not match this sweep ('"
-                                          << mode << "')");
-  TGI_REQUIRE(store->values() == values,
-              "checkpoint journal sweep values do not match this sweep");
-  return store;
-}
-
 /// The one sweep body behind run_with and run_robust. Each point is fully
 /// self-contained: `compute(k, recorder)` builds point k's own meter and
-/// runner (recorder is null unless tracing or checkpointing). Results and
-/// recorders land in preallocated slots, so completion order cannot
-/// reorder the output. Points the checkpoint holds are replayed serially,
-/// in index order (`restore` rebuilds the result from its record); only
-/// the remainder is executed, each appended to the checkpoint as it
-/// finishes, and the completed sweep is published in index order.
-/// Checkpointing always attaches recorders (attaching is observational):
-/// each record carries its observability section so a later replay can
-/// serve trace=.
-template <typename Point, typename Restore, typename Compute,
-          typename MakeRecord>
+/// runner (recorder is null unless tracing). Results and recorders land in
+/// preallocated slots, so completion order cannot reorder the output.
+template <typename Point, typename Compute>
 std::vector<Point> sweep_points(const ParallelSweepConfig& config,
-                                const char* mode,
                                 const std::vector<std::size_t>& values,
-                                obs::SweepTrace* trace, const Restore& restore,
-                                const Compute& compute,
-                                const MakeRecord& make_record) {
-  PointStore* store = checked_store(config, mode, values);
+                                obs::SweepTrace* trace,
+                                const Compute& compute) {
   std::vector<obs::PointRecorder> recorders;
-  if (trace != nullptr || store != nullptr) {
+  if (trace != nullptr) {
     recorders.reserve(values.size());
     for (std::size_t k = 0; k < values.size(); ++k) {
       recorders.emplace_back(k, std::to_string(values[k]));
     }
   }
   std::vector<Point> results(values.size());
-  std::vector<std::size_t> pending;
-  pending.reserve(values.size());
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    if (store != nullptr && store->records().count(k) != 0) {
-      const PointRecord& record = store->records().at(k);
-      results[k] = restore(record);
-      restore_recorder(record, recorders[k]);
-    } else {
-      pending.push_back(k);
-    }
-  }
-  execute_points(
-      pending.size(), config.threads, config.profiler,
-      [&pending, &recorders, &results, &values, &compute, &make_record,
-       store](std::size_t i) {
-        const std::size_t k = pending[i];
-        obs::PointRecorder* recorder =
-            recorders.empty() ? nullptr : &recorders[k];
-        results[k] = compute(k, recorder);
-        if (store != nullptr) {
-          store->append(make_record(k, values[k], results[k], recorder));
-        }
-      });
-  if (store != nullptr) store->publish(store->records());
+  execute_points(values.size(), config.threads, nullptr,
+                 [&recorders, &results, &compute](std::size_t k) {
+                   results[k] = compute(
+                       k, recorders.empty() ? nullptr : &recorders[k]);
+                 });
   if (trace != nullptr) *trace = obs::SweepTrace::merge(std::move(recorders));
   return results;
 }
@@ -181,27 +136,21 @@ std::vector<SuitePoint> ParallelSweep::run_with(
     obs::SweepTrace* trace) const {
   TGI_REQUIRE(static_cast<bool>(fn), "ParallelSweep::run_with: empty fn");
   return sweep_points<SuitePoint>(
-      config_, "plain", values, trace,
-      [](const PointRecord& record) { return record.point; },
+      config_, values, trace,
       [this, &fn, &values](std::size_t k, obs::PointRecorder* recorder) {
         return plain_point(k, values[k], fn, recorder);
-      },
-      make_point_record);
+      });
 }
 
 std::vector<RobustSuitePoint> ParallelSweep::run_robust(
     const std::vector<std::size_t>& process_counts, const FaultPlan& plan,
     const RobustConfig& robust, obs::SweepTrace* trace) const {
   return sweep_points<RobustSuitePoint>(
-      config_, "robust", process_counts, trace,
-      [](const PointRecord& record) {
-        return RobustSuitePoint{record.point, record.missing, record.counters};
-      },
+      config_, process_counts, trace,
       [this, &plan, &robust, &process_counts](std::size_t k,
                                               obs::PointRecorder* recorder) {
         return robust_point(k, process_counts[k], plan, robust, recorder);
-      },
-      make_robust_point_record);
+      });
 }
 
 std::vector<SuitePoint> ParallelSweep::run(

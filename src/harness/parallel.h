@@ -15,6 +15,8 @@
 // the output is bit-identical for every thread count — threads=1
 // reproduces today's serial execution exactly, and threads=N reproduces
 // threads=1.
+// The engine does no I/O: banking points is ResultCache::fill's job
+// (harness/cache.h), fed through record_point.
 #pragma once
 
 #include <cstddef>
@@ -72,19 +74,6 @@ struct ParallelSweepConfig {
   /// TGI_THREADS environment variable, else hardware concurrency), 1 =
   /// inline serial execution on the calling thread.
   std::size_t threads = 0;
-  /// Optional wall-clock profiler (obs/profile.h): when set, every sweep
-  /// point is bracketed with a wall span ("point <k>" on the worker's
-  /// track). Explicitly NON-deterministic — it never feeds back into
-  /// results or the deterministic trace. Must outlive the sweep calls.
-  obs::WallProfiler* profiler = nullptr;
-  /// Optional checkpoint (harness/checkpoint.h, DESIGN.md §11), already
-  /// published (empty, or the survivors of a cache lookup): its points are
-  /// replayed into their preallocated slots, every other point is appended
-  /// as it finishes, and the completed sweep is published in index order —
-  /// byte-identical to an uninterrupted run at any thread count. Its mode
-  /// must match the call (robust only for run_robust). Must outlive the
-  /// sweep calls.
-  PointStore* checkpoint = nullptr;
 };
 
 /// Maps sweep points to SuitePoint results concurrently; output is
@@ -130,9 +119,9 @@ class ParallelSweep {
       obs::SweepTrace* trace = nullptr) const;
 
   /// The point body every sweep above runs, for callers that compute part
-  /// of a sweep (campaign workers, the in-process heal): point `k` of the
-  /// standard suite over `values` (robust under `plan` when non-null) as
-  /// the traced record a checkpointed run/run_robust journals. Thread-safe.
+  /// of a sweep (serve::compute_points): point `k` of the standard suite
+  /// over `values` (robust under `plan` when non-null) as the traced
+  /// record a cache shard banks. Thread-safe.
   [[nodiscard]] PointRecord record_point(
       const std::vector<std::size_t>& values, std::size_t k,
       const FaultPlan* plan, const RobustConfig& robust = {}) const;

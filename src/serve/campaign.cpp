@@ -141,41 +141,61 @@ CampaignEngine::CampaignEngine(CampaignConfig config)
               "workers > 0 needs a worker executable");
 }
 
+std::map<std::size_t, PointRecord> fill_points(
+    const harness::ResultCache* cache, std::uint64_t hash,
+    const std::string& mode, const std::vector<std::size_t>& values,
+    const harness::PointCompute& compute, CampaignStats& stats) {
+  std::size_t computed = cache == nullptr ? values.size() : 0;
+  std::map<std::size_t, PointRecord> records;
+  if (cache != nullptr) {
+    harness::CacheLookup filled = cache->fill(
+        hash, mode, values,
+        [&compute, &computed](const std::vector<std::size_t>& pending,
+                              const harness::RecordSink& done) {
+          computed = pending.size();
+          compute(pending, done);
+        });
+    stats.quarantined += filled.damage.size();
+    records = std::move(filled.completed);
+  } else {
+    std::vector<std::size_t> all(values.size());
+    for (std::size_t k = 0; k < all.size(); ++k) all[k] = k;
+    std::mutex mu;
+    compute(all, [&records, &mu](PointRecord record) {
+      const std::lock_guard<std::mutex> lock(mu);
+      const std::size_t k = record.index;
+      records.emplace(k, std::move(record));
+    });
+  }
+  stats.points += values.size();
+  stats.cache_hits += values.size() - computed;
+  stats.computed += computed;
+  return records;
+}
+
 PointRecord reference_point(const CampaignSpec& spec,
                             const harness::ResultCache* cache,
                             CampaignStats& stats) {
-  ++stats.points;
   const std::vector<std::size_t> values{spec.reference.total_cores()};
-  const std::uint64_t hash = reference_spec_hash(spec);
-  harness::CacheLookup cached;
-  if (cache != nullptr) {
-    cached = cache->lookup(hash, "plain", values);
-    stats.quarantined += cached.damage.size();
-  }
-  if (cached.hit(0)) {
-    ++stats.cache_hits;
-    return std::move(cached.completed.at(0));
-  }
-  ++stats.computed;
   // The reference run as a journal record, so it rides the cache like any
   // sweep point.
-  const std::unique_ptr<power::PowerMeter> meter = reference_meter(spec);
-  obs::PointRecorder recorder(0, std::to_string(values[0]));
-  harness::SuitePoint point;
-  point.processes = values[0];
-  point.nodes = spec.reference.nodes;
-  point.measurements =
-      harness::reference_measurements(spec.reference, *meter, {}, &recorder);
-  PointRecord record = harness::make_point_record(0, values[0], point,
-                                                  &recorder);
-  if (cache == nullptr) return record;
-  // Bank it, then serve the decoded bytes like every other cache read.
-  cache->store(hash, "plain", values, {{0, std::move(record)}});
-  cached = cache->lookup(hash, "plain", values);
-  stats.quarantined += cached.damage.size();
-  TGI_CHECK(cached.hit(0),
-            "[" << spec.name << "] reference missing after compute");
-  return std::move(cached.completed.at(0));
+  return std::move(
+      fill_points(
+          cache, reference_spec_hash(spec), "plain", values,
+          [&spec, &values](const std::vector<std::size_t>& /*pending*/,
+                           const harness::RecordSink& done) {
+            const std::unique_ptr<power::PowerMeter> meter =
+                reference_meter(spec);
+            obs::PointRecorder recorder(0, std::to_string(values[0]));
+            harness::SuitePoint point;
+            point.processes = values[0];
+            point.nodes = spec.reference.nodes;
+            point.measurements = harness::reference_measurements(
+                spec.reference, *meter, {}, &recorder);
+            done(harness::make_point_record(0, values[0], point, &recorder));
+          },
+          stats)
+          .at(0));
 }
 
 void write_provenance(const std::string& outdir, const CampaignStats& stats,
@@ -229,16 +249,18 @@ void write_provenance(const std::string& outdir, const CampaignStats& stats,
 namespace {
 
 /// Shards `pending` round-robin and runs one supervised `tgi_serve
-/// --worker` per non-empty shard (serve::Supervisor, DESIGN.md §15):
-/// hung workers are killed, failed attempts are restarted over the
-/// still-missing indices, crash-looping shards are quarantined. Attempt
-/// journals merge per shard in attempt order; shards fold in fixed shard
-/// order (first valid record per index wins).
-std::map<std::size_t, PointRecord> run_worker_shards(
+/// --worker` per non-empty shard (serve::Supervisor, DESIGN.md §15) in a
+/// scratch directory private to this run: hung workers are killed, failed
+/// attempts are restarted over the still-missing indices, crash-looping
+/// shards are quarantined. Shards fold in fixed shard order (first valid
+/// record per index wins) into `done`; returns the indices none banked.
+std::vector<std::size_t> run_worker_shards(
     const CampaignConfig& config, const CampaignSpec& spec,
     std::uint64_t hash, const std::string& mode,
-    const std::vector<std::size_t>& pending, const std::string& scratch,
-    CampaignStats& stats, std::vector<ShardReport>& reports) {
+    const std::vector<std::size_t>& pending, CampaignStats& stats,
+    std::vector<ShardReport>& reports, const harness::RecordSink& done) {
+  const std::string scratch = config.cache_dir + "/work/" + spec.name + "." +
+                              util::unique_token();
   std::vector<std::vector<std::size_t>> shards(config.workers);
   for (std::size_t i = 0; i < pending.size(); ++i) {
     shards[i % config.workers].push_back(pending[i]);
@@ -290,10 +312,11 @@ std::map<std::size_t, PointRecord> run_worker_shards(
   Supervisor supervisor(config.supervisor);
   std::vector<SupervisedShard> supervised = supervisor.run(jobs);
 
-  std::map<std::size_t, PointRecord> merged;
+  std::vector<bool> banked(spec.sweep.size(), false);
   for (SupervisedShard& shard : supervised) {
     for (auto& [index, record] : shard.records) {
-      merged.emplace(index, std::move(record));
+      if (!banked[index]) done(std::move(record));
+      banked[index] = true;
     }
     for (const ShardAttempt& attempt : shard.report.attempts) {
       if (attempt.failed) ++stats.worker_failures;
@@ -303,13 +326,19 @@ std::map<std::size_t, PointRecord> run_worker_shards(
     if (shard.report.quarantined()) ++stats.worker_quarantined;
     reports.push_back(std::move(shard.report));
   }
-  return merged;
+  std::vector<std::size_t> missing;
+  for (const std::size_t k : pending) {
+    if (!banked[k]) missing.push_back(k);
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(scratch, ec);
+  return missing;
 }
 
-/// Writes one entry's artifacts and report lines from DECODED cache
-/// records only — the single emission path both cold and warm runs share.
-/// Report lines carry the entry name, never a filesystem path, so the
-/// report stream is byte-stable across output directories.
+/// Writes one entry's artifacts and report lines from its records — the
+/// single emission path cold and warm runs share. Report lines carry the
+/// entry name, never a filesystem path, so the report stream is
+/// byte-stable across output directories.
 void emit_entry(const CampaignConfig& config, const CampaignSpec& entry,
                 const std::map<std::size_t, PointRecord>& records,
                 const PointRecord& reference, std::ostream& out) {
@@ -327,15 +356,7 @@ void emit_entry(const CampaignConfig& config, const CampaignSpec& entry,
                               "[" + entry.name + "] ", out);
 
   if (config.trace) {
-    std::vector<obs::PointRecorder> recorders;
-    recorders.reserve(entry.sweep.size());
-    for (std::size_t k = 0; k < entry.sweep.size(); ++k) {
-      obs::PointRecorder recorder(k, std::to_string(entry.sweep[k]));
-      harness::restore_recorder(records.at(k), recorder);
-      recorders.push_back(std::move(recorder));
-    }
-    const obs::SweepTrace trace =
-        obs::SweepTrace::merge(std::move(recorders));
+    const obs::SweepTrace trace = harness::replay_trace(records);
     trace.write_files(dir + "/trace");
     out << "[" << entry.name << "] wrote trace (" << trace.event_count()
         << " events) and metrics\n";
@@ -365,64 +386,29 @@ CampaignStats CampaignEngine::run(const std::vector<CampaignSpec>& entries,
     const std::size_t hits_before = stats.cache_hits;
     const std::size_t computed_before = stats.computed;
 
-    // 1. Cache lookup: valid records are hits, damage becomes misses.
-    harness::CacheLookup cached = cache.lookup(hash, mode, entry.sweep);
-    stats.quarantined += cached.damage.size();
-    std::vector<std::size_t> pending;
-    for (std::size_t k = 0; k < entry.sweep.size(); ++k) {
-      if (!cached.hit(k)) pending.push_back(k);
-    }
-    stats.points += entry.sweep.size();
-    stats.cache_hits += entry.sweep.size() - pending.size();
-
-    // 2+3. Compute the misses: worker shards, then an in-process pass for
-    // anything a dead worker left behind.
-    std::map<std::size_t, PointRecord> records = std::move(cached.completed);
-    if (!pending.empty()) {
-      if (config_.workers > 0) {
-        // Private to this run: concurrent engines sharing the cache never
-        // see (or remove) each other's journals.
-        const std::string scratch = config_.cache_dir + "/work/" +
-                                    entry.name + "." + util::unique_token();
-        for (auto& [index, record] :
-             run_worker_shards(config_, entry, hash, mode, pending, scratch,
-                               stats, prov.shards)) {
-          records.emplace(index, std::move(record));
-        }
-        std::error_code ec;
-        std::filesystem::remove_all(scratch, ec);
-      }
-      std::vector<std::size_t> missing;
-      for (const std::size_t k : pending) {
-        if (records.find(k) == records.end()) missing.push_back(k);
-      }
-      if (!missing.empty()) {
-        std::mutex mu;
-        compute_points(entry, missing, config_.threads,
-                       [&records, &mu](PointRecord record) {
-                         const std::lock_guard<std::mutex> lock(mu);
-                         const std::size_t index = record.index;
-                         records.emplace(index, std::move(record));
-                       });
-      }
-      stats.computed += pending.size();
-    }
-
-    // 4. Publish, then re-read: emission consumes only decoded cache
-    // bytes, so cold and warm runs emit from identical inputs.
-    cache.store(hash, mode, entry.sweep, std::move(records));
-    harness::CacheLookup final_state = cache.lookup(hash, mode, entry.sweep);
-    for (std::size_t k = 0; k < entry.sweep.size(); ++k) {
-      TGI_CHECK(final_state.hit(k), "campaign entry ["
-                                        << entry.name << "] point " << k
-                                        << " missing after compute");
-    }
+    // 1-4. ResultCache::fill serves the hits and banks each miss steps
+    // 2-3 compute as it arrives.
+    const std::map<std::size_t, PointRecord> records = fill_points(
+        &cache, hash, mode, entry.sweep,
+        [this, &entry, hash, &mode, &stats, &prov](
+            const std::vector<std::size_t>& pending,
+            const harness::RecordSink& done) {
+          const std::vector<std::size_t> missing =
+              config_.workers > 0
+                  ? run_worker_shards(config_, entry, hash, mode, pending,
+                                      stats, prov.shards, done)
+                  : pending;
+          if (!missing.empty()) {
+            compute_points(entry, missing, config_.threads, done);
+          }
+        },
+        stats);
 
     // 5. Reference run, cached under its own key.
     prov.reference_spec = reference_spec_hash(entry);
     const PointRecord reference = reference_point(entry, &cache, stats);
 
-    emit_entry(config_, entry, final_state.completed, reference, out);
+    emit_entry(config_, entry, records, reference, out);
     prov.points = entry.sweep.size() + 1;
     prov.hits = stats.cache_hits - hits_before;
     prov.computed = stats.computed - computed_before;

@@ -2,13 +2,14 @@
 // through the content-addressed result cache, cache misses sharded across
 // worker processes, every artifact byte-identical to a cold serial run.
 //
-// Execution of one entry:
-//   1. look the spec's shard up in the ResultCache — valid records are
-//      cache hits, damaged ones are quarantined (WARN) and become misses;
+// Execution of one entry — steps 1-4 are one harness::ResultCache::fill:
+//   1. look the spec's shard up — valid records are cache hits, damaged
+//      ones are quarantined (WARN) and become misses; a clean all-hit
+//      shard is served and never rewritten;
 //   2. shard the missing GLOBAL indices round-robin across `workers`
 //      `tgi_serve --worker` processes, each journaling into its own
 //      scratch directory under <cache>/work/ (0 = compute in-process
-//      through the same point body, records kept in memory — no scratch);
+//      through the same point body, serve::compute_points — no scratch);
 //   3. supervise every shard through serve::Supervisor (DESIGN.md §15):
 //      a progress watchdog SIGTERM→SIGKILLs hung workers, failed attempts
 //      (signal / nonzero / hang / clean-but-incomplete journal) are WARNed
@@ -20,20 +21,18 @@
 //      worker computed them); whatever a quarantined shard still owes is
 //      recomputed in-process (serve::compute_points) — the campaign
 //      self-heals;
-//   4. publish hits ∪ fresh records back to the cache atomically, then
-//      re-read the shard and emit ONLY from the decoded records. Cold and
-//      warm runs therefore run the identical emission code on identical
-//      bytes — byte-identical stdout/CSVs/trace.json is structural, not
-//      incidental;
-//   5. the entry's reference run is cached the same way under its own key
+//   4. append each fresh record to the shard as it arrives, publish it in
+//      index order, and emit from the records — byte-identical cold or
+//      warm, since the store refuses a record its load would quarantine;
+//   5. the entry's reference run is filled the same way under its own key
 //      (reference_point, reference_spec_text), so repeated reference
 //      machines across entries and campaigns are hits too.
 //
 // Cache-dependent facts (hit/miss counts, worker failures, quarantines)
 // never reach the report stream: they go to stderr and to
 // outdir/provenance.json (write_provenance), which is excluded from all
-// byte comparisons. tgi_sweep shares steps 1 and 5 and the provenance
-// writer: its checkpoint directory is a result cache.
+// byte comparisons. tgi_sweep shares fill_points, reference_point and the
+// provenance writer: its checkpoint directory is a result cache.
 #pragma once
 
 #include <cstddef>
@@ -103,9 +102,15 @@ struct EntryProvenance {
 void write_provenance(const std::string& outdir, const CampaignStats& stats,
                       const std::vector<EntryProvenance>& entries);
 
-/// The entry's reference run, counted into `stats`: served from `cache`
-/// under reference_spec_hash(spec), else computed (and, with a cache,
-/// banked and read back). `cache` may be null.
+/// Every point of `values` by index, counted into `stats`: ResultCache::fill
+/// under `hash`, or all computed when `cache` is null.
+std::map<std::size_t, harness::PointRecord> fill_points(
+    const harness::ResultCache* cache, std::uint64_t hash,
+    const std::string& mode, const std::vector<std::size_t>& values,
+    const harness::PointCompute& compute, CampaignStats& stats);
+
+/// The entry's reference run, counted into `stats`: fill_points under
+/// reference_spec_hash(spec). `cache` may be null.
 harness::PointRecord reference_point(const CampaignSpec& spec,
                                      const harness::ResultCache* cache,
                                      CampaignStats& stats);

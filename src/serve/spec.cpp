@@ -34,6 +34,11 @@ std::string trim(const std::string& text) {
 
 void validate_entry_name(const std::string& name) {
   TGI_REQUIRE(!name.empty(), "campaign entry name must not be empty");
+  TGI_REQUIRE(name != "." && name != "..",
+              "campaign entry name '"
+                  << name
+                  << "' must not be '.' or '..' (it names an output "
+                     "directory)");
   for (const char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '.' || c == '_' ||

@@ -54,7 +54,8 @@ void maybe_fire_fault_hook(const WorkerAssignment& a, std::size_t done) {
 void compute_points(const CampaignSpec& spec,
                     const std::vector<std::size_t>& indices,
                     std::size_t threads,
-                    const std::function<void(harness::PointRecord)>& done) {
+                    const std::function<void(harness::PointRecord)>& done,
+                    obs::WallProfiler* profiler) {
   TGI_REQUIRE(!indices.empty(), "worker assignment is empty");
   for (std::size_t i = 0; i < indices.size(); ++i) {
     TGI_REQUIRE(indices[i] < spec.sweep.size(),
@@ -68,7 +69,7 @@ void compute_points(const CampaignSpec& spec,
                      : std::nullopt;
   const harness::RobustConfig robust = spec_robust_config(spec);
   harness::execute_points(
-      indices.size(), threads, nullptr,
+      indices.size(), threads, profiler,
       [&spec, &indices, &engine, &plan, &robust, &done](std::size_t i) {
         done(engine.record_point(spec.sweep, indices[i],
                                  plan ? &*plan : nullptr, robust));

@@ -1,14 +1,12 @@
 // The campaign worker: computes an assigned subset of one spec's sweep
 // points (DESIGN.md §13).
 //
-// A worker — a `tgi_serve --worker` shard process or the engine's
-// in-process heal — is handed GLOBAL point indices and must reproduce
-// exactly the bytes ParallelSweep would produce for them in a full sweep,
-// so both run the sweep engine's own point body through compute_points
-// (meters, fault and robust streams keyed on the global index). run_worker
-// appends every record to a harness::PointStore at
-// `journal_dir`/journal.tgij, which the engine loads in fixed shard order;
-// the in-process heal keeps its records in memory.
+// tgi_sweep, a campaign entry and a `tgi_serve --worker` shard process all
+// run the sweep engine's point body through compute_points on GLOBAL point
+// indices (meters, fault and robust streams keyed on the global index),
+// reproducing exactly the bytes ParallelSweep would produce in a full
+// sweep. run_worker appends every record to a harness::PointStore at
+// `journal_dir`/journal.tgij, which the engine loads in fixed shard order.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +15,7 @@
 #include <vector>
 
 #include "harness/checkpoint.h"
+#include "obs/profile.h"
 #include "serve/spec.h"
 
 namespace tgi::serve {
@@ -51,11 +50,12 @@ struct WorkerAssignment {
 /// Computes `indices` (global, strictly increasing) of the spec's sweep on
 /// `threads` through the sweep engine's point body, handing each finished
 /// record to `done` — concurrently when threads > 1, in index order
-/// otherwise.
+/// otherwise. A non-null `profiler` only brackets each point in wall time.
 void compute_points(const CampaignSpec& spec,
                     const std::vector<std::size_t>& indices,
                     std::size_t threads,
-                    const std::function<void(harness::PointRecord)>& done);
+                    const std::function<void(harness::PointRecord)>& done,
+                    obs::WallProfiler* profiler = nullptr);
 
 /// Computes the assignment into a fresh journal and returns the number of
 /// points journaled. With a process-fault hook armed this call may not

@@ -1,12 +1,14 @@
 // The content-addressed result cache (DESIGN.md §13): store/lookup
-// round-trips, partial shards, wholesale rejection of foreign shards, and
-// the fuzz-lite corruption sweep mirroring the checkpoint tests — a
-// damaged cache may cost recomputation, never a wrong record, a served
-// quarantine, or a crash.
+// round-trips, partial shards, wholesale rejection of foreign shards, the
+// fill policy (no write over a clean complete shard, misses only, each
+// record banked as it arrives), and the fuzz-lite corruption sweep
+// mirroring the checkpoint tests — a damaged cache may cost
+// recomputation, never a wrong record, a served quarantine, or a crash.
 #include "harness/cache.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -256,6 +258,98 @@ TEST_F(CacheTest, RestoreHealsDamageOnTheNextStore) {
   const CacheLookup healed = cache.lookup(kSpec, "plain", kSweep);
   EXPECT_TRUE(healed.damage.empty());
   EXPECT_EQ(healed.completed.size(), kSweep.size());
+}
+
+// --------------------------------------------------------------- fill policy
+
+/// A fill compute that serves record_for(k) for every pending k and counts
+/// what it was asked for.
+PointCompute serve_records(std::vector<std::size_t>& asked) {
+  return [&asked](const std::vector<std::size_t>& pending,
+                  const RecordSink& done) {
+    asked.insert(asked.end(), pending.begin(), pending.end());
+    for (const std::size_t k : pending) done(record_for(k));
+  };
+}
+
+TEST_F(CacheTest, FillOverACleanCompleteShardWritesNothing) {
+  const ResultCache cache(dir("cache"));
+  cache.store(kSpec, "plain", kSweep, full_records());
+  const std::string path = cache.shard_path(kSpec);
+  const fs::file_time_type past =
+      fs::last_write_time(path) - std::chrono::hours(24 * 365);
+  fs::last_write_time(path, past);
+  const std::string bytes = slurp(path);
+  std::vector<std::size_t> asked;
+  const CacheLookup filled =
+      cache.fill(kSpec, "plain", kSweep, serve_records(asked));
+  EXPECT_TRUE(asked.empty());
+  EXPECT_TRUE(filled.damage.empty());
+  EXPECT_EQ(filled.completed.size(), kSweep.size());
+  EXPECT_EQ(slurp(path), bytes);
+  EXPECT_EQ(fs::last_write_time(path), past);
+}
+
+TEST_F(CacheTest, FillComputesOnlyMissesAndPublishesInIndexOrder) {
+  const ResultCache cache(dir("cache"));
+  cache.store(kSpec, "plain", kSweep, {{3, record_for(3)}, {1, record_for(1)}});
+  std::vector<std::size_t> asked;
+  const CacheLookup filled =
+      cache.fill(kSpec, "plain", kSweep, serve_records(asked));
+  EXPECT_EQ(asked, (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(filled.completed.size(), kSweep.size());
+  const ResultCache reference(dir("reference"));
+  reference.store(kSpec, "plain", kSweep, full_records());
+  EXPECT_EQ(slurp(cache.shard_path(kSpec)),
+            slurp(reference.shard_path(kSpec)));
+}
+
+TEST_F(CacheTest, FillBanksEachRecordAsItArrives) {
+  // What a SIGKILL mid-compute finds on disk: every point `done` received
+  // so far, already in the shard.
+  const ResultCache cache(dir("cache"));
+  std::vector<std::size_t> banked_before_next;
+  EXPECT_THROW(
+      (void)cache.fill(
+          kSpec, "plain", kSweep,
+          [&cache, &banked_before_next](const std::vector<std::size_t>& pending,
+                                        const RecordSink& done) {
+            for (const std::size_t k : pending) {
+              banked_before_next.push_back(
+                  cache.lookup(kSpec, "plain", kSweep).completed.size());
+              if (k == 2) throw util::TgiError("killed");
+              done(record_for(k));
+            }
+          }),
+      util::TgiError);
+  EXPECT_EQ(banked_before_next, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(cache.lookup(kSpec, "plain", kSweep).completed.size(), 2u);
+}
+
+TEST_F(CacheTest, FillCompactsADamagedCompleteShardWithoutComputing) {
+  const ResultCache cache(dir("cache"));
+  cache.store(kSpec, "plain", kSweep, full_records());
+  const std::string pristine = slurp(cache.shard_path(kSpec));
+  // A duplicated record: every point still hits, but the shard is damaged.
+  spill(cache.shard_path(kSpec),
+        pristine + encode_point_record(record_for(0)));
+  std::vector<std::size_t> asked;
+  const CacheLookup filled =
+      cache.fill(kSpec, "plain", kSweep, serve_records(asked));
+  EXPECT_TRUE(asked.empty());
+  EXPECT_EQ(filled.damage.size(), 1u);
+  EXPECT_EQ(slurp(cache.shard_path(kSpec)), pristine);
+}
+
+TEST_F(CacheTest, FillThrowsWhenComputeSkipsAPoint) {
+  const ResultCache cache(dir("cache"));
+  EXPECT_THROW((void)cache.fill(kSpec, "plain", kSweep,
+                                [](const std::vector<std::size_t>& pending,
+                                   const RecordSink& done) {
+                                  done(record_for(pending.front()));
+                                }),
+               util::TgiError);
+  EXPECT_EQ(cache.lookup(kSpec, "plain", kSweep).completed.size(), 1u);
 }
 
 // ---------------------------------------------------------------- fuzz-lite

@@ -2,14 +2,17 @@
 // seeded-generated record round-trips, strict field decoding, kill-and-
 // rerun determinism at every thread count, a completed journal that is the
 // same bytes at every thread count, checksum quarantine of torn and
-// corrupted records, and the fuzz-lite corruption sweep mirroring the
+// corrupted records, the store's refusal to write a record its load would
+// quarantine, and the fuzz-lite corruption sweep mirroring the
 // measurement_io tests — a damaged journal may cost recomputation, never
-// correctness.
+// correctness. Every checkpointed sweep here is filled the way tgi_sweep
+// fills one: ResultCache::fill over the sweep engine's point body.
 #include "harness/checkpoint.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
@@ -74,13 +77,11 @@ class CheckpointTest : public ::testing::Test {
   fs::path root_;
 };
 
-ParallelSweep make_engine(std::size_t threads, std::size_t stride,
-                          PointStore* journal = nullptr) {
+ParallelSweep make_engine(std::size_t threads, std::size_t stride) {
   power::WattsUpConfig base;
   base.seed = 0x0b5e7fULL;
   ParallelSweepConfig cfg;
   cfg.threads = threads;
-  cfg.checkpoint = journal;
   return {sim::fire_cluster(), wattsup_meter_factory(base, stride), cfg};
 }
 
@@ -97,13 +98,53 @@ PointStore store_at(const std::string& dir, const std::string& mode = "plain") {
   return PointStore(shard(dir), kSpec, mode, kSweep);
 }
 
-/// Reopens a checkpoint the way `tgi_sweep checkpoint=DIR` does: the
-/// shard's surviving records are published again. Returns the damage the
-/// load quarantined.
-std::vector<JournalDamage> reopen(PointStore& store) {
-  StoreLoad loaded = store.load("cache: quarantined entry");
-  store.publish(std::move(loaded.completed));
-  return std::move(loaded.damage);
+/// How fill_sweep runs the test sweep.
+struct SweepRun {
+  std::size_t threads = 1;
+  std::uint64_t spec = kSpec;
+  const FaultPlan* plan = nullptr;  ///< robust sweep when set
+  std::size_t crash_value = 0;      ///< this sweep value's point throws
+};
+
+struct Filled {
+  CacheLookup shard;          ///< every record, plus the quarantined damage
+  std::size_t computed = 0;   ///< points handed to compute
+};
+
+/// The test sweep checkpointed into `dir` the way `tgi_sweep checkpoint=DIR`
+/// runs it: ResultCache::fill over the sweep engine's point body.
+Filled fill_sweep(const std::string& dir, const SweepRun& run = {}) {
+  const RobustConfig robust;
+  const ParallelSweep engine = make_engine(
+      run.threads, run.plan != nullptr
+                       ? robust_measurements_per_point({}, robust)
+                       : plain_stride());
+  Filled filled;
+  filled.shard = ResultCache(dir).fill(
+      run.spec, run.plan != nullptr ? "robust" : "plain", kSweep,
+      [&engine, &run, &robust, &filled](const std::vector<std::size_t>& pending,
+                                        const RecordSink& done) {
+        filled.computed = pending.size();
+        execute_points(
+            pending.size(), run.threads, nullptr,
+            [&engine, &run, &robust, &pending, &done](std::size_t i) {
+              const std::size_t k = pending[i];
+              if (kSweep[k] == run.crash_value) {
+                throw util::TgiError("injected point crash");
+              }
+              done(engine.record_point(kSweep, k, run.plan, robust));
+            });
+      });
+  return filled;
+}
+
+/// The sweep's points as a sweep returns them.
+std::vector<SuitePoint> points_of(const Filled& filled) {
+  std::vector<SuitePoint> points;
+  for (const auto& [k, record] : filled.shard.completed) {
+    points.push_back(record.point);
+  }
+  return points;
 }
 
 FaultSpec hot_spec() {
@@ -468,31 +509,27 @@ TEST_F(CheckpointTest, CheckpointingDoesNotPerturbResultsOrTrace) {
   obs::SweepTrace bare_trace;
   const auto bare =
       make_engine(2, plain_stride()).run(kSweep, &bare_trace);
-  PointStore journal = store_at(dir("cp"));
-  journal.publish({});
-  obs::SweepTrace checkpointed_trace;
-  const auto checkpointed = make_engine(2, plain_stride(), &journal)
-                                .run(kSweep, &checkpointed_trace);
-  expect_bitwise_equal(checkpointed, bare);
-  EXPECT_EQ(serialize(checkpointed_trace), serialize(bare_trace));
+  const Filled filled = fill_sweep(dir("cp"), {.threads = 2});
+  expect_bitwise_equal(points_of(filled), bare);
+  EXPECT_EQ(serialize(replay_trace(filled.shard.completed)),
+            serialize(bare_trace));
 }
 
 TEST_F(CheckpointTest, FreshJournalReplaysCompletely) {
   const auto baseline = make_engine(1, plain_stride()).run(kSweep);
-  {
-    PointStore journal = store_at(dir("cp"));
-    journal.publish({});
-    (void)make_engine(2, plain_stride(), &journal).run(kSweep);
-  }
+  EXPECT_EQ(fill_sweep(dir("cp"), {.threads = 2}).computed, kSweep.size());
   const std::string complete = slurp(shard(dir("cp")));
-  // Resume over a complete journal: every point replays, none recompute,
-  // and the republished journal keeps its bytes.
-  PointStore journal = store_at(dir("cp"));
-  EXPECT_TRUE(reopen(journal).empty());
-  EXPECT_EQ(journal.records().size(), kSweep.size());
-  const auto resumed = make_engine(4, plain_stride(), &journal).run(kSweep);
-  expect_bitwise_equal(resumed, baseline);
+  // A rerun over a complete shard: every point replays, none recompute,
+  // and the shard is not even rewritten.
+  const fs::file_time_type past =
+      fs::last_write_time(shard(dir("cp"))) - std::chrono::hours(24 * 365);
+  fs::last_write_time(shard(dir("cp")), past);
+  const Filled resumed = fill_sweep(dir("cp"), {.threads = 4});
+  EXPECT_TRUE(resumed.shard.damage.empty());
+  EXPECT_EQ(resumed.computed, 0u);
+  expect_bitwise_equal(points_of(resumed), baseline);
   EXPECT_EQ(slurp(shard(dir("cp"))), complete);
+  EXPECT_EQ(fs::last_write_time(shard(dir("cp"))), past);
 }
 
 TEST_F(CheckpointTest, CompletedJournalIsThreadCountInvariant) {
@@ -502,9 +539,7 @@ TEST_F(CheckpointTest, CompletedJournalIsThreadCountInvariant) {
   std::string serial;
   for (const std::size_t threads : {1u, 4u, 8u}) {
     const std::string cp = dir("t" + std::to_string(threads));
-    PointStore journal = store_at(cp);
-    journal.publish({});
-    (void)make_engine(threads, plain_stride(), &journal).run(kSweep);
+    (void)fill_sweep(cp, {.threads = threads});
     const std::string bytes = slurp(shard(cp));
     if (threads == 1) serial = bytes;
     EXPECT_EQ(bytes, serial) << "threads=" << threads;
@@ -517,21 +552,23 @@ TEST_F(CheckpointTest, CompletedJournalIsThreadCountInvariant) {
   EXPECT_EQ(serial, expected);
 }
 
+/// The journal's lines, newline-stripped.
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 TEST_F(CheckpointTest, KillAndResumeIsByteIdenticalAtEveryThreadCount) {
   obs::SweepTrace baseline_trace;
   const auto baseline =
       make_engine(1, plain_stride()).run(kSweep, &baseline_trace);
   const auto baseline_bytes = serialize(baseline_trace);
   // A full checkpointed run provides the journal we will truncate.
-  {
-    PointStore journal = store_at(dir("full"));
-    journal.publish({});
-    (void)make_engine(1, plain_stride(), &journal).run(kSweep);
-  }
+  (void)fill_sweep(dir("full"));
   const std::string full = slurp(shard(dir("full")));
-  std::vector<std::string> lines;
-  std::istringstream in(full);
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const std::vector<std::string> lines = lines_of(full);
   ASSERT_EQ(lines.size(), 1 + kSweep.size());
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -544,14 +581,11 @@ TEST_F(CheckpointTest, KillAndResumeIsByteIdenticalAtEveryThreadCount) {
       for (std::size_t i = 0; i < keep; ++i) partial += lines[1 + i] + "\n";
       spill(shard(cp), partial);
 
-      PointStore journal = store_at(cp);
-      reopen(journal);
-      EXPECT_EQ(journal.records().size(), keep);
-      obs::SweepTrace trace;
-      const auto resumed =
-          make_engine(threads, plain_stride(), &journal).run(kSweep, &trace);
-      expect_bitwise_equal(resumed, baseline);
-      EXPECT_EQ(serialize(trace), baseline_bytes)
+      const Filled resumed = fill_sweep(cp, {.threads = threads});
+      EXPECT_EQ(resumed.computed, kSweep.size() - keep);
+      expect_bitwise_equal(points_of(resumed), baseline);
+      EXPECT_EQ(serialize(replay_trace(resumed.shard.completed)),
+                baseline_bytes)
           << "threads=" << threads << " keep=" << keep;
       EXPECT_EQ(slurp(shard(cp)), full)
           << "threads=" << threads << " keep=" << keep;
@@ -562,48 +596,41 @@ TEST_F(CheckpointTest, KillAndResumeIsByteIdenticalAtEveryThreadCount) {
 TEST_F(CheckpointTest, RobustKillAndResumeIsByteIdentical) {
   const RobustConfig robust;
   const std::size_t stride = robust_measurements_per_point({}, robust);
+  const FaultPlan plan(hot_spec());
   obs::SweepTrace baseline_trace;
-  const auto baseline = make_engine(1, stride).run_robust(
-      kSweep, FaultPlan(hot_spec()), robust, &baseline_trace);
-  {
-    PointStore journal = store_at(dir("full"), "robust");
-    journal.publish({});
-    (void)make_engine(1, stride, &journal)
-        .run_robust(kSweep, FaultPlan(hot_spec()), robust);
-  }
+  const auto baseline =
+      make_engine(1, stride).run_robust(kSweep, plan, robust, &baseline_trace);
+  (void)fill_sweep(dir("full"), {.plan = &plan});
   const std::string full = slurp(shard(dir("full")));
   // Keep header + first two records: two points replay, two recompute.
-  std::vector<std::string> lines;
-  std::istringstream in(full);
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const std::vector<std::string> lines = lines_of(full);
   ASSERT_EQ(lines.size(), 1 + kSweep.size());
   for (const std::size_t threads : {1u, 8u}) {
     const std::string cp = dir("r" + std::to_string(threads));
     fs::create_directories(cp);
     spill(shard(cp),
           lines[0] + "\n" + lines[1] + "\n" + lines[2] + "\n");
-    PointStore journal = store_at(cp, "robust");
-    reopen(journal);
-    EXPECT_EQ(journal.records().size(), 2u);
-    obs::SweepTrace trace;
-    const auto resumed =
-        make_engine(threads, stride, &journal)
-            .run_robust(kSweep, FaultPlan(hot_spec()), robust, &trace);
-    ASSERT_EQ(resumed.size(), baseline.size());
+    const Filled resumed =
+        fill_sweep(cp, {.threads = threads, .plan = &plan});
+    EXPECT_EQ(resumed.computed, 2u);
+    ASSERT_EQ(resumed.shard.completed.size(), baseline.size());
     for (std::size_t k = 0; k < baseline.size(); ++k) {
-      EXPECT_EQ(resumed[k].missing, baseline[k].missing);
-      EXPECT_EQ(resumed[k].counters.attempts, baseline[k].counters.attempts);
-      EXPECT_EQ(resumed[k].counters.backoff.value(),
+      const PointRecord& got = resumed.shard.completed.at(k);
+      EXPECT_TRUE(got.robust);
+      EXPECT_EQ(got.missing, baseline[k].missing);
+      EXPECT_EQ(got.counters.attempts, baseline[k].counters.attempts);
+      EXPECT_EQ(got.counters.backoff.value(),
                 baseline[k].counters.backoff.value());
-      ASSERT_EQ(resumed[k].point.measurements.size(),
+      ASSERT_EQ(got.point.measurements.size(),
                 baseline[k].point.measurements.size());
       for (std::size_t i = 0; i < baseline[k].point.measurements.size();
            ++i) {
-        EXPECT_EQ(resumed[k].point.measurements[i].energy.value(),
+        EXPECT_EQ(got.point.measurements[i].energy.value(),
                   baseline[k].point.measurements[i].energy.value());
       }
     }
-    EXPECT_EQ(serialize(trace), serialize(baseline_trace))
+    EXPECT_EQ(serialize(replay_trace(resumed.shard.completed)),
+              serialize(baseline_trace))
         << "threads=" << threads;
     EXPECT_EQ(slurp(shard(cp)), full) << "threads=" << threads;
   }
@@ -611,91 +638,63 @@ TEST_F(CheckpointTest, RobustKillAndResumeIsByteIdentical) {
 
 TEST_F(CheckpointTest, TornRecordIsQuarantinedAndRecomputed) {
   const auto baseline = make_engine(1, plain_stride()).run(kSweep);
-  {
-    PointStore journal = store_at(dir("cp"));
-    journal.publish({});
-    (void)make_engine(1, plain_stride(), &journal).run(kSweep);
-  }
+  (void)fill_sweep(dir("cp"));
   // SIGKILL mid-append: chop the journal mid-record, no trailing newline.
   const std::string full = slurp(shard(dir("cp")));
   spill(shard(dir("cp")), full.substr(0, full.size() - 101));
-  PointStore journal = store_at(dir("cp"));
-  const std::vector<JournalDamage> damage = reopen(journal);
-  EXPECT_EQ(journal.records().size(), kSweep.size() - 1);
-  ASSERT_FALSE(damage.empty());
-  EXPECT_NE(damage.back().reason.find("torn"), std::string::npos);
-  const auto resumed = make_engine(2, plain_stride(), &journal).run(kSweep);
-  expect_bitwise_equal(resumed, baseline);
+  const Filled resumed = fill_sweep(dir("cp"), {.threads = 2});
+  EXPECT_EQ(resumed.computed, 1u);
+  ASSERT_FALSE(resumed.shard.damage.empty());
+  EXPECT_NE(resumed.shard.damage.back().reason.find("torn"),
+            std::string::npos);
+  expect_bitwise_equal(points_of(resumed), baseline);
 }
 
 TEST_F(CheckpointTest, ResumeCompactsTheJournal) {
-  {
-    PointStore journal = store_at(dir("cp"));
-    journal.publish({});
-    (void)make_engine(1, plain_stride(), &journal).run(kSweep);
-  }
-  // Corrupt one record, then reopen twice: the first rerun quarantines
-  // and recomputes; the journal it leaves behind must be fully valid.
+  (void)fill_sweep(dir("cp"));
+  // Corrupt one record, then rerun twice: the first rerun quarantines and
+  // recomputes; the shard it leaves behind must be fully valid.
   std::string text = slurp(shard(dir("cp")));
   text[text.size() / 2] ^= 0x20;
   spill(shard(dir("cp")), text);
-  {
-    PointStore journal = store_at(dir("cp"));
-    EXPECT_FALSE(reopen(journal).empty());
-    (void)make_engine(2, plain_stride(), &journal).run(kSweep);
-  }
-  PointStore journal = store_at(dir("cp"));
-  EXPECT_TRUE(reopen(journal).empty());
-  EXPECT_EQ(journal.records().size(), kSweep.size());
+  EXPECT_FALSE(fill_sweep(dir("cp"), {.threads = 2}).shard.damage.empty());
+  const Filled again = fill_sweep(dir("cp"));
+  EXPECT_TRUE(again.shard.damage.empty());
+  EXPECT_EQ(again.computed, 0u);
+  EXPECT_EQ(again.shard.completed.size(), kSweep.size());
 }
 
 TEST_F(CheckpointTest, ThrowingPointLeavesAResumableJournal) {
-  // A point that dies after others journaled (satellite: ThreadPool
-  // failure paths): the sweep rethrows, the journal stays checksum-valid,
+  // A point that dies after others journaled (the ThreadPool failure
+  // path): the fill rethrows, the journal stays checksum-valid,
   // and a resume completes the remaining points bit-identically.
   const auto baseline = make_engine(1, plain_stride()).run(kSweep);
-  {
-    PointStore journal = store_at(dir("cp"));
-    journal.publish({});
-    auto engine = make_engine(4, plain_stride(), &journal);
-    EXPECT_THROW(
-        (void)engine.run_with(
-            kSweep,
-            [](SuiteRunner& runner, std::size_t value) {
-              if (value == 128) throw util::TgiError("injected point crash");
-              return runner.run_suite(value);
-            }),
-        util::TgiError);
-  }
-  PointStore journal = store_at(dir("cp"));
-  EXPECT_TRUE(reopen(journal).empty());
-  EXPECT_EQ(journal.records().size(), kSweep.size() - 1);
-  const auto resumed = make_engine(2, plain_stride(), &journal).run(kSweep);
-  expect_bitwise_equal(resumed, baseline);
+  EXPECT_THROW((void)fill_sweep(dir("cp"), {.threads = 4, .crash_value = 128}),
+               util::TgiError);
+  const CacheLookup banked =
+      ResultCache(dir("cp")).lookup(kSpec, "plain", kSweep);
+  EXPECT_TRUE(banked.damage.empty());
+  EXPECT_EQ(banked.completed.size(), kSweep.size() - 1);
+  const Filled resumed = fill_sweep(dir("cp"), {.threads = 2});
+  EXPECT_EQ(resumed.computed, 1u);
+  expect_bitwise_equal(points_of(resumed), baseline);
 }
 
 TEST_F(CheckpointTest, ReplayRepublishesTheShardInIndexOrder) {
   // Survivors from the end of the sweep: points 0 and 1 are recomputed and
   // appended AFTER points 2 and 3, so only the final publish puts the
   // shard back in index order — the bytes of an uninterrupted run.
-  {
-    PointStore journal = store_at(dir("full"));
-    journal.publish({});
-    (void)make_engine(1, plain_stride(), &journal).run(kSweep);
-  }
+  (void)fill_sweep(dir("full"));
   const std::string full = slurp(shard(dir("full")));
-  std::vector<std::string> lines;
-  std::istringstream in(full);
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const std::vector<std::string> lines = lines_of(full);
   ASSERT_EQ(lines.size(), 1 + kSweep.size());
   for (const std::size_t threads : {1u, 4u}) {
     const std::string cp = dir("t" + std::to_string(threads));
     fs::create_directories(cp);
     spill(shard(cp), lines[0] + "\n" + lines[3] + "\n" + lines[4] + "\n");
-    PointStore journal = store_at(cp);
-    EXPECT_TRUE(reopen(journal).empty());
-    EXPECT_EQ(journal.records().size(), 2u);
-    (void)make_engine(threads, plain_stride(), &journal).run(kSweep);
+    const Filled resumed = fill_sweep(cp, {.threads = threads});
+    EXPECT_TRUE(resumed.shard.damage.empty());
+    EXPECT_EQ(resumed.computed, 2u);
     EXPECT_EQ(slurp(shard(cp)), full) << "threads=" << threads;
   }
 }
@@ -706,19 +705,14 @@ TEST_F(CheckpointTest, AnotherSpecInOneDirectoryGetsItsOwnShard) {
   // directory gets a shard of its own and leaves the first byte-identical.
   const auto baseline = make_engine(1, plain_stride()).run(kSweep);
   const ResultCache cache(dir("cp"));
-  {
-    PointStore journal = store_at(dir("cp"));
-    EXPECT_TRUE(reopen(journal).empty());
-    (void)make_engine(1, plain_stride(), &journal).run(kSweep);
-  }
+  EXPECT_TRUE(fill_sweep(dir("cp")).shard.damage.empty());
   const std::string first = slurp(cache.shard_path(kSpec));
   {
-    PointStore other(cache.shard_path(kSpec + 1), kSpec + 1, "plain",
-                     kSweep);
-    EXPECT_TRUE(reopen(other).empty());
-    EXPECT_TRUE(other.records().empty());
-    expect_bitwise_equal(make_engine(2, plain_stride(), &other).run(kSweep),
-                         baseline);
+    const Filled other =
+        fill_sweep(dir("cp"), {.threads = 2, .spec = kSpec + 1});
+    EXPECT_TRUE(other.shard.damage.empty());
+    EXPECT_EQ(other.computed, kSweep.size());
+    expect_bitwise_equal(points_of(other), baseline);
   }
   EXPECT_EQ(slurp(cache.shard_path(kSpec)), first);
   EXPECT_EQ(cache.lookup(kSpec + 1, "plain", kSweep).completed.size(),
@@ -727,15 +721,14 @@ TEST_F(CheckpointTest, AnotherSpecInOneDirectoryGetsItsOwnShard) {
   // Only tampering puts one spec's bytes under another's name: the load
   // quarantines the whole file and the sweep is recomputed, never served.
   spill(cache.shard_path(kSpec + 1), first);
-  PointStore tampered(cache.shard_path(kSpec + 1), kSpec + 1, "plain",
-                      kSweep);
-  const std::vector<JournalDamage> damage = reopen(tampered);
-  EXPECT_TRUE(tampered.records().empty());
-  ASSERT_FALSE(damage.empty());
-  EXPECT_NE(damage.back().reason.find("written for a different sweep spec"),
+  const Filled tampered =
+      fill_sweep(dir("cp"), {.threads = 2, .spec = kSpec + 1});
+  EXPECT_EQ(tampered.computed, kSweep.size());
+  ASSERT_FALSE(tampered.shard.damage.empty());
+  EXPECT_NE(tampered.shard.damage.back().reason.find(
+                "written for a different sweep spec"),
             std::string::npos);
-  expect_bitwise_equal(make_engine(2, plain_stride(), &tampered).run(kSweep),
-                       baseline);
+  expect_bitwise_equal(points_of(tampered), baseline);
   // The same holds for another mode under the right name.
   const StoreLoad robust =
       PointStore(cache.shard_path(kSpec), kSpec, "robust", kSweep)
@@ -750,11 +743,7 @@ TEST_F(CheckpointTest, AnotherSpecInOneDirectoryGetsItsOwnShard) {
 
 TEST_F(CheckpointTest, FuzzedJournalsNeverCorruptAResumedSweep) {
   const auto baseline = make_engine(1, plain_stride()).run(kSweep);
-  {
-    PointStore journal = store_at(dir("full"));
-    journal.publish({});
-    (void)make_engine(1, plain_stride(), &journal).run(kSweep);
-  }
+  (void)fill_sweep(dir("full"));
   const std::string pristine = slurp(shard(dir("full")));
   util::Xoshiro256 rng(0xfa22edULL);
   const auto rand_index = [&](std::size_t n) {
@@ -771,10 +760,7 @@ TEST_F(CheckpointTest, FuzzedJournalsNeverCorruptAResumedSweep) {
             static_cast<char>(1u << rand_index(8));
         break;
       case 2: {  // duplicate a random line
-        std::vector<std::string> lines;
-        std::istringstream in(text);
-        for (std::string line; std::getline(in, line);)
-          lines.push_back(line);
+        std::vector<std::string> lines = lines_of(text);
         lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(
                                          rand_index(lines.size())),
                      lines[rand_index(lines.size())]);
@@ -783,10 +769,7 @@ TEST_F(CheckpointTest, FuzzedJournalsNeverCorruptAResumedSweep) {
         break;
       }
       case 3: {  // reverse the record order
-        std::vector<std::string> lines;
-        std::istringstream in(text);
-        for (std::string line; std::getline(in, line);)
-          lines.push_back(line);
+        std::vector<std::string> lines = lines_of(text);
         std::reverse(lines.begin(), lines.end());
         text.clear();
         for (const std::string& line : lines) text += line + "\n";
@@ -802,10 +785,8 @@ TEST_F(CheckpointTest, FuzzedJournalsNeverCorruptAResumedSweep) {
     spill(shard(cp), text);
     // Damage may cost recomputation — never a different answer, and never
     // an error.
-    PointStore journal = store_at(cp);
-    reopen(journal);
-    const auto resumed = make_engine(2, plain_stride(), &journal).run(kSweep);
-    expect_bitwise_equal(resumed, baseline);
+    expect_bitwise_equal(points_of(fill_sweep(cp, {.threads = 2})),
+                         baseline);
   }
 }
 
@@ -844,11 +825,10 @@ TEST_F(CheckpointTest, InjectedShortWriteTearsOneAppendAndIsQuarantined) {
   }
   // The torn half-record must read exactly like a SIGKILL mid-append:
   // quarantined tail, both earlier records intact.
-  PointStore reopened = store_at(dir("cp"));
-  const std::vector<JournalDamage> damage = reopen(reopened);
-  EXPECT_EQ(reopened.records().size(), 2u);
-  ASSERT_FALSE(damage.empty());
-  EXPECT_NE(damage.back().reason.find("torn"), std::string::npos);
+  const StoreLoad reopened = store_at(dir("cp")).load("test");
+  EXPECT_EQ(reopened.completed.size(), 2u);
+  ASSERT_FALSE(reopened.damage.empty());
+  EXPECT_NE(reopened.damage.back().reason.find("torn"), std::string::npos);
 }
 
 TEST_F(CheckpointTest, InjectedEnospcAndEioAbortTheAppendCleanly) {
@@ -866,10 +846,9 @@ TEST_F(CheckpointTest, InjectedEnospcAndEioAbortTheAppendCleanly) {
       EXPECT_THROW(journal.append(record_for(1)), util::TgiError);
     }
     // Nothing was appended: one valid record, zero damage.
-    PointStore reopened = store_at(cp);
-    EXPECT_TRUE(reopen(reopened).empty())
-        << util::io_fault_name(kind);
-    EXPECT_EQ(reopened.records().size(), 1u) << util::io_fault_name(kind);
+    const StoreLoad reopened = store_at(cp).load("test");
+    EXPECT_TRUE(reopened.damage.empty()) << util::io_fault_name(kind);
+    EXPECT_EQ(reopened.completed.size(), 1u) << util::io_fault_name(kind);
   }
 }
 
@@ -898,9 +877,8 @@ TEST_F(CheckpointTest, FaultFuzzedJournalsAlwaysKeepTheBankedPrefix) {
     EXPECT_EQ(state.completed.size(), 2u) << "seed " << seed;
     EXPECT_EQ(state.completed.count(0), 1u) << "seed " << seed;
     EXPECT_EQ(state.completed.count(1), 1u) << "seed " << seed;
-    PointStore reopened = store_at(cp);
-    reopen(reopened);
-    EXPECT_EQ(reopened.records().size(), 2u) << "seed " << seed;
+    EXPECT_EQ(store_at(cp).load("test").completed.size(), 2u)
+        << "seed " << seed;
   }
 }
 
@@ -922,6 +900,44 @@ TEST_F(CheckpointTest, AppendsAfterARepublishLandInTheNewFile) {
   EXPECT_EQ(journal.records().size(), 2u);
   PointStore unpublished = store_at(dir("other"));
   EXPECT_THROW(unpublished.append(record_for(0)), util::TgiError);
+}
+
+TEST_F(CheckpointTest, StoreRefusesARecordItsLoadWouldQuarantine) {
+  // The write side runs the read side's rule: a record a load would
+  // quarantine is refused by append and publish alike, before a byte is
+  // written.
+  PointRecord inf_hpl = record_for(1);
+  inf_hpl.point.measurements[0].performance = HUGE_VAL;
+  PointRecord negative_clock = record_for(1);
+  negative_clock.trace_now = util::Seconds(-1.0);
+  PointRecord nan_metric = record_for(1);
+  nan_metric.trace_metrics[0].value = std::nan("");
+  PointRecord wrong_value = record_for(1);
+  wrong_value.value = 81;
+  PointRecord untraced = record_for(1);
+  untraced.traced = false;
+  const std::pair<const char*, PointRecord> bad[] = {
+      {"HPL performance inf", inf_hpl},
+      {"negative trace_now", negative_clock},
+      {"NaN metric", nan_metric},
+      {"sweep value mismatch", wrong_value},
+      {"untraced", untraced}};
+  PointStore journal = store_at(dir("cp"));
+  journal.publish({{0, record_for(0)}});
+  const std::string banked = slurp(shard(dir("cp")));
+  for (const auto& [what, record] : bad) {
+    EXPECT_THROW(journal.append(record), util::TgiError) << what;
+    EXPECT_EQ(slurp(shard(dir("cp"))), banked) << what;
+    EXPECT_THROW(journal.publish({{0, record_for(0)}, {1, record}}),
+                 util::TgiError)
+        << what;
+    EXPECT_EQ(slurp(shard(dir("cp"))), banked) << what;
+  }
+  EXPECT_EQ(journal.records().size(), 1u);
+  // The good record still goes through both paths.
+  journal.append(record_for(1));
+  journal.publish(journal.records());
+  EXPECT_EQ(store_at(dir("cp")).load("test").completed.size(), 2u);
 }
 
 TEST_F(CheckpointTest, ADirectoryAtTheStorePathIsDamageNotAThrow) {

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "harness/checkpoint.h"
 #include "harness/parallel.h"
 #include "harness/robust.h"
 #include "harness/suite.h"
@@ -24,13 +27,11 @@ namespace {
 const std::vector<std::size_t> kSweep = {16, 48, 80, 128};
 
 ParallelSweep make_engine(std::size_t threads,
-                          std::size_t measurements_per_point,
-                          obs::WallProfiler* profiler = nullptr) {
+                          std::size_t measurements_per_point) {
   power::WattsUpConfig base;
   base.seed = 0x0b5e7fULL;
   ParallelSweepConfig cfg;
   cfg.threads = threads;
-  cfg.profiler = profiler;
   return {sim::fire_cluster(),
           wattsup_meter_factory(base, measurements_per_point), cfg};
 }
@@ -160,10 +161,26 @@ TEST(SweepTrace, RecordsTheSuiteTimelinePerPoint) {
             static_cast<double>(kSweep.size() * plain_stride()));
 }
 
+/// The sweep's records computed point by point on `threads`, as
+/// serve::compute_points runs them, bracketed by `profiler` when non-null.
+std::map<std::size_t, PointRecord> profiled_records(
+    std::size_t threads, obs::WallProfiler* profiler) {
+  const ParallelSweep engine = make_engine(threads, plain_stride());
+  std::map<std::size_t, PointRecord> records;
+  std::mutex mu;
+  execute_points(kSweep.size(), threads, profiler,
+                 [&engine, &records, &mu](std::size_t k) {
+                   PointRecord record = engine.record_point(kSweep, k, nullptr);
+                   const std::lock_guard<std::mutex> lock(mu);
+                   records.emplace(k, std::move(record));
+                 });
+  return records;
+}
+
 TEST(WallProfilerIntegration, BracketsEverySweepPoint) {
   for (const std::size_t threads : {1u, 2u}) {
     obs::WallProfiler profiler;
-    (void)make_engine(threads, plain_stride(), &profiler).run(kSweep);
+    (void)profiled_records(threads, &profiler);
     EXPECT_EQ(profiler.span_count(), kSweep.size()) << "threads=" << threads;
   }
 }
@@ -172,10 +189,8 @@ TEST(WallProfilerIntegration, ProfilingLeavesTheDeterministicTraceAlone) {
   obs::SweepTrace bare_trace;
   (void)make_engine(2, plain_stride()).run(kSweep, &bare_trace);
   obs::WallProfiler profiler;
-  obs::SweepTrace profiled_trace;
-  (void)make_engine(2, plain_stride(), &profiler).run(kSweep,
-                                                      &profiled_trace);
-  EXPECT_EQ(serialize(profiled_trace), serialize(bare_trace));
+  EXPECT_EQ(serialize(replay_trace(profiled_records(2, &profiler))),
+            serialize(bare_trace));
 }
 
 }  // namespace

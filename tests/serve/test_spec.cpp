@@ -90,6 +90,15 @@ TEST(CampaignSpec, RejectsMalformedCampaigns) {
                util::TgiError);
 }
 
+TEST(CampaignSpec, RejectsDotEntryNames) {
+  // "." and ".." use only allowed characters, but as an entry's output
+  // directory they name outdir itself or its parent.
+  EXPECT_THROW(parse("[.]\nsweep = 16\n"), util::TgiError);
+  EXPECT_THROW(parse("[..]\nsweep = 16\n"), util::TgiError);
+  EXPECT_EQ(parse("[...]\nsweep = 16\n").at(0).name, "...");
+  EXPECT_EQ(parse("[.a]\nsweep = 16\n").at(0).name, ".a");
+}
+
 TEST(CampaignSpec, RobustConfigMirrorsTgiSweep) {
   const auto wattsup = parse("[a]\nsweep = 16\n")[0];
   EXPECT_EQ(spec_robust_config(wattsup).stuck_run_limit, 8u);

@@ -12,7 +12,9 @@
 #   2. Checkpointed full run — stdout and every CSV must match the
 #      baseline byte for byte (journaling is observational). Rerun over the
 #      same directory, it must compute nothing (computed=0 on stderr),
-#      match the baseline again and leave the shard as it was.
+#      match the baseline again and write no shard: every shard's mtime is
+#      pinned to a fixed past time before the rerun and still reads it
+#      after.
 #   3. "Kill": truncate the shard after two records, tearing the third
 #      mid-line. Rerun at threads=1/4/8 — stdout, CSVs, and trace.json
 #      must all match the baseline byte for byte, stderr must report the
@@ -31,8 +33,7 @@ if(NOT DEFINED TGI_SWEEP OR NOT DEFINED OUT)
                       "[-DFAULTS=<spec>] -P checkpoint_check.cmake")
 endif()
 
-file(REMOVE_RECURSE "${OUT}")
-file(MAKE_DIRECTORY "${OUT}")
+include(${CMAKE_CURRENT_LIST_DIR}/check_common.cmake)
 
 set(common sweep=16,48,80,128 meter=wattsup seed=7)
 if(DEFINED FAULTS AND NOT FAULTS STREQUAL "")
@@ -59,14 +60,6 @@ function(run_sweep outdir threads)
   file(WRITE "${outdir}.stderr" "${err}")
 endfunction()
 
-function(expect_identical a b)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${a}" "${b}"
-                  RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "byte mismatch: ${a} vs ${b}")
-  endif()
-endfunction()
-
 # Asserts outdir's stdout, every baseline CSV, and trace.json match the
 # uninterrupted baseline byte for byte.
 function(expect_matches_baseline outdir)
@@ -81,16 +74,6 @@ function(expect_matches_baseline outdir)
   foreach(f trace.json metrics.csv)
     expect_identical("${OUT}/base_trace/${f}" "${outdir}_trace/${f}")
   endforeach()
-endfunction()
-
-function(expect_stderr_mentions outdir needle)
-  file(READ "${outdir}.stderr" err)
-  string(FIND "${err}" "${needle}" pos)
-  if(pos EQUAL -1)
-    message(FATAL_ERROR
-            "expected stderr of ${outdir} to mention '${needle}', got: "
-            "${err}")
-  endif()
 endfunction()
 
 # 1. Uninterrupted baseline.
@@ -108,10 +91,12 @@ endif()
 file(READ "${journal}" full_journal)
 execute_process(COMMAND ${CMAKE_COMMAND} -E copy "${journal}"
                 "${OUT}/full.tgij")
+pin_shard_mtimes("${OUT}/ckpt_full")
 run_sweep("${OUT}/replay" 4 "checkpoint=${OUT}/ckpt_full")
 expect_matches_baseline("${OUT}/replay")
 expect_stderr_mentions("${OUT}/replay" " computed=0 ")
 expect_identical("${OUT}/full.tgij" "${journal}")
+expect_shards_unwritten("${OUT}/ckpt_full")
 
 # 3. Kill-and-rerun: header + two records + the third torn mid-line.
 string(REGEX MATCH "^[^\n]*\n[^\n]*\n[^\n]*\n" keep "${full_journal}")
@@ -149,33 +134,14 @@ expect_stderr_mentions("${OUT}/resume_corrupt" "cache: quarantined entry")
 expect_stderr_mentions("${OUT}/resume_corrupt" " hits=3 computed=2 ")
 expect_identical("${OUT}/full.tgij" "${ckpt}/${spec}.tgij")
 
-# 5. SIGKILL a running sweep. CMake cannot signal a child, so a POSIX shell
-# does: it stops the sweep at once, then lets it run in short slices until
-# a point record is in the sweep's shard, and kills it stopped, so the
-# shell's wait reports signal 9 (status 137). On a loaded host the sweep
-# can outrun the shell and finish first (status 0); that attempt is
-# discarded and retried.
+# 5. SIGKILL a running sweep once its shard holds a point record
+# (kill_after_first_record); an attempt the sweep outran is retried.
 set(ckpt "${OUT}/ckpt_kill")
 foreach(attempt RANGE 1 10)
   file(REMOVE_RECURSE "${ckpt}")
-  execute_process(
-    COMMAND sh -c [[
-      journal="$1"; shift
-      "$@" > /dev/null 2>&1 &
-      pid=$!
-      kill -STOP "$pid"
-      i=0
-      until grep -qs '^TGIJ1 point' "$journal" || [ "$i" -ge 50000 ]; do
-        i=$((i + 1))
-        kill -CONT "$pid"
-        n=0; while [ "$n" -lt 20 ]; do n=$((n + 1)); done
-        kill -STOP "$pid"
-      done
-      kill -KILL "$pid"
-      wait "$pid"
-    ]] sh "${ckpt}/${spec}.tgij" ${TGI_SWEEP} ${common} threads=1
-       outdir=${OUT}/killed trace=${OUT}/killed_trace checkpoint=${ckpt}
-    RESULT_VARIABLE rc)
+  kill_after_first_record(rc "${ckpt}/${spec}.tgij" ${TGI_SWEEP} ${common}
+    threads=1 outdir=${OUT}/killed trace=${OUT}/killed_trace
+    checkpoint=${ckpt})
   if(NOT rc EQUAL 0)
     break()
   endif()

@@ -12,8 +12,7 @@
 #   2. a cold campaign over a fresh cache banks the same shard bytes.
 # The shards are found through the spec hashes in tgi_sweep's
 # provenance.json.
-file(REMOVE_RECURSE "${OUT}")
-file(MAKE_DIRECTORY "${OUT}")
+include(${CMAKE_CURRENT_LIST_DIR}/check_common.cmake)
 set(sweep_args sweep=16,48,80 seed=7)
 set(campaign "[entry]\ncluster = fire\nsweep = 16,48,80\nseed = 7\n")
 set(summary sweep_summary.csv)
@@ -61,10 +60,6 @@ foreach(t 1 4)
     C/${ref}.tgij cold/${ref}.tgij)
   while(pairs)
     list(POP_FRONT pairs a b)
-    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                    "${dir}/${a}" "${dir}/${b}" RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "byte mismatch: ${dir}/${a} vs ${dir}/${b}")
-    endif()
+    expect_identical("${dir}/${a}" "${dir}/${b}")
   endwhile()
 endforeach()

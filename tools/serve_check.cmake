@@ -29,9 +29,12 @@
 #      and exits 0; trust is journal-driven, so the clean exit still
 #      counts as a strike and the torn record is quarantined.
 #   Scenarios 4-7 each heal a fresh cache; a warm rerun over it must then
-#   report computed=0 and match the cold run.
+#   report computed=0 and match the cold run. No warm rerun may write a
+#   shard: each shard's mtime is pinned to a past time and checked after.
 #   8. Two processes race on one fresh cache: each stages in its own
 #      scratch, so both exit 0 with the cold run's bytes.
+#   9. A workers=0 campaign SIGKILLed mid-entry banked its finished points:
+#      the rerun computes only the rest and matches the cold run.
 #
 # Every run passes stall_polls=2000 so a hung worker is detected in a few
 # seconds even under TSan; the knob never reaches stdout, so the byte
@@ -41,8 +44,7 @@ if(NOT DEFINED TGI_SERVE OR NOT DEFINED OUT)
                       "[-DFAULTS=<spec>] -P serve_check.cmake")
 endif()
 
-file(REMOVE_RECURSE "${OUT}")
-file(MAKE_DIRECTORY "${OUT}")
+include(${CMAKE_CURRENT_LIST_DIR}/check_common.cmake)
 
 # Two entries over the same cluster/seed but different sweep lists —
 # distinct cache keys, one shared reference. beta's `granularity = point`
@@ -79,14 +81,6 @@ function(run_campaign outdir cache workers threads)
   file(WRITE "${outdir}.stderr" "${err}")
 endfunction()
 
-function(expect_identical a b)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${a}" "${b}"
-                  RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "byte mismatch: ${a} vs ${b}")
-  endif()
-endfunction()
-
 # Asserts outdir's stdout matches the cold campaign's, and its output tree
 # has the cold tree's file list with every file byte-identical.
 # provenance.json records this run's cache and supervision stats by design
@@ -109,22 +103,14 @@ function(expect_matches_cold outdir)
   endforeach()
 endfunction()
 
-# A warm rerun over `cache` at (workers=0, threads=1) recomputes nothing
-# and matches the cold campaign.
-function(expect_warm_noop name cache)
-  run_campaign("${OUT}/${name}_warm" "${cache}" 0 1)
-  expect_matches_cold("${OUT}/${name}_warm")
-  expect_stderr_mentions("${OUT}/${name}_warm" " computed=0")
-endfunction()
-
-function(expect_stderr_mentions outdir needle)
-  file(READ "${outdir}.stderr" err)
-  string(FIND "${err}" "${needle}" pos)
-  if(pos EQUAL -1)
-    message(FATAL_ERROR
-            "expected stderr of ${outdir} to mention '${needle}', got: "
-            "${err}")
-  endif()
+# A warm rerun over `cache` recomputes nothing, writes no shard, and
+# matches the cold campaign.
+function(expect_warm_noop outdir cache workers threads)
+  pin_shard_mtimes("${cache}")
+  run_campaign("${outdir}" "${cache}" ${workers} ${threads})
+  expect_matches_cold("${outdir}")
+  expect_stderr_mentions("${outdir}" " computed=0")
+  expect_shards_unwritten("${cache}")
 endfunction()
 
 # 1. Cold campaign: all 5 sweep points and alpha's reference computed;
@@ -138,14 +124,12 @@ if(NOT EXISTS "${OUT}/cold/provenance.json")
 endif()
 
 # 2. Warm reruns: zero recomputation, byte-identical at every worker and
-# thread count.
+# thread count, and not one shard rewritten.
 foreach(wt "0;1" "1;4" "4;8")
   list(GET wt 0 workers)
   list(GET wt 1 threads)
-  set(outdir "${OUT}/warm_w${workers}_t${threads}")
-  run_campaign("${outdir}" "${OUT}/cache" ${workers} ${threads})
-  expect_matches_cold("${outdir}")
-  expect_stderr_mentions("${outdir}" " computed=0")
+  expect_warm_noop("${OUT}/warm_w${workers}_t${threads}" "${OUT}/cache"
+                   ${workers} ${threads})
 endforeach()
 
 # 3. Corruption: flip a byte inside the last record of one cache shard;
@@ -174,7 +158,7 @@ run_campaign("${OUT}/killed" "${OUT}/cache_killed" 2 2
 expect_matches_cold("${OUT}/killed")
 expect_stderr_mentions("${OUT}/killed" "died (signal 9")
 expect_stderr_mentions("${OUT}/killed" "merging its partial journal")
-expect_warm_noop(killed "${OUT}/cache_killed")
+expect_warm_noop("${OUT}/killed_warm" "${OUT}/cache_killed" 0 1)
 
 # 5. Worker hang: shard 0 stops journaling after one point and ignores
 # SIGTERM; the progress watchdog must escalate to SIGKILL and the restart
@@ -185,7 +169,7 @@ expect_matches_cold("${OUT}/hung")
 expect_stderr_mentions("${OUT}/hung" "hung (no journal growth")
 expect_stderr_mentions("${OUT}/hung" "SIGTERM escalated to SIGKILL")
 expect_stderr_mentions("${OUT}/hung" "restarting (attempt 2")
-expect_warm_noop(hung "${OUT}/cache_hung")
+expect_warm_noop("${OUT}/hung_warm" "${OUT}/cache_hung" 0 1)
 
 # 6. Crash loop: every attempt's journal write faults (attempts=99 covers
 # the whole restart budget), so shard 0 makes zero progress, is
@@ -195,7 +179,7 @@ run_campaign("${OUT}/looped" "${OUT}/cache_looped" 2 2
 expect_matches_cold("${OUT}/looped")
 expect_stderr_mentions("${OUT}/looped" "quarantined after")
 expect_stderr_mentions("${OUT}/looped" "fall back to in-process compute")
-expect_warm_noop(looped "${OUT}/cache_looped")
+expect_warm_noop("${OUT}/looped_warm" "${OUT}/cache_looped" 0 1)
 
 # 7. Garbage tail: shard 0 appends a torn record and exits 0. Trust is
 # journal-driven — the clean exit with an incomplete journal is a strike,
@@ -205,7 +189,7 @@ run_campaign("${OUT}/garbage" "${OUT}/cache_garbage" 2 2
 expect_matches_cold("${OUT}/garbage")
 expect_stderr_mentions("${OUT}/garbage" "quarantined worker record")
 expect_stderr_mentions("${OUT}/garbage" "clean exit but")
-expect_warm_noop(garbage "${OUT}/cache_garbage")
+expect_warm_noop("${OUT}/garbage_warm" "${OUT}/cache_garbage" 0 1)
 
 # 8. Two processes race on one fresh cache. execute_process can only pipe
 # children into each other, so a POSIX shell starts both and waits for
@@ -227,5 +211,39 @@ endif()
 foreach(r race1 race2)
   expect_matches_cold("${OUT}/${r}")
 endforeach()
+
+# 9. An attempt the campaign outran (it finished, or alpha's shard held
+# all 3 points before the kill) is retried.
+file(READ "${OUT}/cold/provenance.json" provenance)
+string(JSON alpha_spec GET "${provenance}" entries 0 spec)
+set(cache "${OUT}/cache_inproc")
+set(shard "${cache}/${alpha_spec}.tgij")
+foreach(attempt RANGE 1 10)
+  file(REMOVE_RECURSE "${cache}")
+  kill_after_first_record(rc "${shard}" ${TGI_SERVE}
+    campaign=${OUT}/campaign.conf cache=${cache} outdir=${OUT}/inproc_killed
+    workers=0 threads=1 trace=1 stall_polls=2000)
+  set(banked 0)
+  if(EXISTS "${shard}")
+    # Complete point lines only: a record torn by the kill has no newline.
+    file(READ "${shard}" shard_text)
+    string(REGEX MATCHALL "TGIJ1 point[^\n]*\n" lines "${shard_text}")
+    list(LENGTH lines banked)
+  endif()
+  if(rc EQUAL 137 AND banked GREATER 0 AND banked LESS 3)
+    break()
+  endif()
+endforeach()
+if(NOT rc EQUAL 137 OR banked EQUAL 0 OR NOT banked LESS 3)
+  message(FATAL_ERROR "expected tgi_serve SIGKILLed (status 137) with 1-2 "
+                      "points banked, got status ${rc} with ${banked}")
+endif()
+# Cold: 5 sweep points + alpha's reference computed, beta's reference a hit.
+math(EXPR computed "6 - ${banked}")
+math(EXPR hits "1 + ${banked}")
+run_campaign("${OUT}/inproc_resumed" "${cache}" 0 1)
+expect_matches_cold("${OUT}/inproc_resumed")
+expect_stderr_mentions("${OUT}/inproc_resumed"
+                       " hits=${hits} computed=${computed} ")
 
 message(STATUS "campaign cache-hit determinism OK (${OUT})")

@@ -8,11 +8,11 @@
 //             [faults=dropout=0.2,stuck=0.1,failure=0.05]
 //             [trace=DIR] [profile=DIR] [checkpoint=DIR]
 //
-// Sweep points run on harness::ParallelSweep: `threads=N` (or `--threads
-// N`, or the TGI_THREADS environment variable; default hardware
-// concurrency) picks the worker count, and every value of it writes
-// byte-identical CSVs — threads=1 is today's serial execution. A sweep
-// point (the whole suite at one scale) is the one unit of work.
+// Sweep points run on serve::compute_points, the campaign's point body:
+// `threads=N` (or `--threads N`, or the TGI_THREADS environment variable;
+// default hardware concurrency) picks the worker count, and every value of
+// it writes byte-identical CSVs. Every artifact is written from the
+// points' records.
 //
 // `cluster`/`reference_cluster` load machine descriptions from spec files
 // (see sim/spec_io.h and clusters/*.conf); defaults are the paper's Fire
@@ -31,23 +31,23 @@
 // observability record (DESIGN.md §10): DIR/trace.json (Chrome
 // trace-event format on the SIMULATED timeline, spans keyed by
 // point/benchmark/attempt) and DIR/metrics.csv (per-point and merged
-// counters/gauges). Both files are bit-identical for every thread count,
-// for plain and faulted sweeps alike, and tracing never changes the sweep
-// output. `profile=DIR` writes DIR/profile.json, the wall-clock profile
-// channel — explicitly NON-deterministic, never byte-compared.
+// counters/gauges), rebuilt from the records (harness::replay_trace). Both
+// files are bit-identical for every thread count, for plain and faulted
+// sweeps alike. `profile=DIR` writes DIR/profile.json, the wall-clock
+// profile channel — explicitly NON-deterministic, never byte-compared.
 //
 // `checkpoint=DIR` (or `--checkpoint DIR`) makes DIR a result cache
 // (harness/cache.h, DESIGN.md §11), the one a one-entry `tgi_serve`
-// campaign with the same keys uses: the sweep's shard DIR/<spec hash>.tgij
-// is replayed (damaged records are quarantined with a WARN and
-// recomputed), each computed point is appended as it finishes, and the
-// completed sweep is published again in index order; the reference run is
-// banked beside it. After a crash (or SIGKILL), rerunning the same
-// command computes only the missing points — stdout, every CSV, and
-// trace.json come out byte-identical to an uninterrupted run, at any
-// thread count. Like `cache=`, the key is the spec, not the model code:
-// use a fresh directory after changing the model. Replayed and computed
-// counts go to stderr and outdir/provenance.json, never stdout.
+// campaign with the same keys uses, filled by ResultCache::fill: damaged
+// records of the shard DIR/<spec hash>.tgij are quarantined with a WARN and
+// recomputed, each computed point is appended as it finishes, the
+// completed sweep is published in index order, and a clean complete shard
+// is not rewritten; the reference run is banked beside it. After a crash
+// (or SIGKILL), rerunning the same command computes only the missing
+// points — byte-identical output at any thread count. Like `cache=`, the
+// key is the spec, not the model code: use a fresh directory after
+// changing the model. Replayed and computed counts go to stderr and
+// outdir/provenance.json, never stdout.
 //
 // Produces in `outdir`:
 //   fig2_hpl_ee.csv, fig3_stream_ee.csv, fig4_iozone_ee.csv,
@@ -58,20 +58,19 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "core/tgi.h"
 #include "harness/cache.h"
 #include "harness/checkpoint.h"
 #include "harness/faults.h"
 #include "harness/measurement_io.h"
-#include "harness/parallel.h"
-#include "harness/robust.h"
 #include "harness/report.h"
-#include "harness/suite.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "serve/campaign.h"
 #include "serve/spec.h"
+#include "serve/worker.h"
 #include "sim/catalog.h"
 #include "sim/spec_io.h"
 #include "stats/correlation.h"
@@ -160,57 +159,26 @@ int run(int argc, const char* const* argv) {
   const auto trace_dir = cfg.get("trace");
   const auto profile_dir = cfg.get("profile");
   obs::WallProfiler profiler;
-
-  // Sweep: points run concurrently on the deterministic engine; the
-  // per-point meters replay the exact RNG streams of one meter shared
-  // across a serial sweep, so the CSVs are thread-count-invariant.
-  harness::ParallelSweepConfig sweep_cfg;
-  sweep_cfg.threads = static_cast<std::size_t>(threads_raw);
-  if (profile_dir) sweep_cfg.profiler = &profiler;
-
-  // The checkpoint is the spec's shard, republished with its valid points
-  // (reference_cluster is not in the key: it only affects derived TGI).
-  const std::uint64_t hash = serve::spec_hash(spec);
-  const std::string mode = serve::spec_mode(spec);
-  std::optional<harness::PointStore> checkpoint;
-  if (cache) {
-    harness::CacheLookup cached = cache->lookup(hash, mode, sweep);
-    stats.quarantined += cached.damage.size();
-    stats.cache_hits += cached.completed.size();
-    checkpoint.emplace(cache->shard_path(hash), hash, mode, sweep);
-    checkpoint->publish(std::move(cached.completed));
-    sweep_cfg.checkpoint = &*checkpoint;
-  }
-  stats.points += sweep.size();
-  stats.computed = stats.points - stats.cache_hits;
-  const harness::ParallelSweep engine(
-      spec.cluster, serve::spec_meter_factory(spec), sweep_cfg);
-  obs::SweepTrace trace;
-
-  // Fault mode: same sweep, but through the fault plane and recovery
-  // policy. Kept strictly separate from the plain path so a fault-free
-  // invocation reproduces today's CSVs byte-for-byte.
-  std::map<std::size_t, harness::PointRecord> records;
   if (spec.faulted()) {
-    const harness::FaultSpec fspec = spec.faults();
-    std::cout << "fault plane: " << harness::fault_spec_summary(fspec)
+    std::cout << "fault plane: " << harness::fault_spec_summary(spec.faults())
               << "\n";
-    const std::vector<harness::RobustSuitePoint> points = engine.run_robust(
-        sweep, harness::FaultPlan(fspec), serve::spec_robust_config(spec),
-        trace_dir ? &trace : nullptr);
-    for (std::size_t k = 0; k < sweep.size(); ++k) {
-      records.emplace(k, harness::make_robust_point_record(k, sweep[k],
-                                                           points[k], nullptr));
-    }
-  } else {
-    const std::vector<harness::SuitePoint> points =
-        engine.run(sweep, trace_dir ? &trace : nullptr);
-    for (std::size_t k = 0; k < sweep.size(); ++k) {
-      records.emplace(
-          k, harness::make_point_record(k, sweep[k], points[k], nullptr));
-    }
   }
+
+  // Sweep (reference_cluster is not in its key: it only affects TGI).
+  const std::uint64_t hash = serve::spec_hash(spec);
+  const std::size_t threads = static_cast<std::size_t>(threads_raw);
+  obs::WallProfiler* const wall = profile_dir ? &profiler : nullptr;
+  const std::map<std::size_t, harness::PointRecord> records =
+      serve::fill_points(
+          cache ? &*cache : nullptr, hash, serve::spec_mode(spec), sweep,
+          [&spec, threads, wall](const std::vector<std::size_t>& pending,
+                                 const harness::RecordSink& done) {
+            serve::compute_points(spec, pending, threads, done, wall);
+          },
+          stats);
+
   if (trace_dir) {
+    const obs::SweepTrace trace = harness::replay_trace(records);
     trace.write_files(*trace_dir);
     std::cout << "wrote " << *trace_dir << "/trace.json ("
               << trace.event_count() << " events) and metrics.csv\n";

@@ -14,8 +14,7 @@ if(NOT DEFINED TGI_SWEEP OR NOT DEFINED OUT)
                       "[-DFAULTS=<spec>] -P trace_check.cmake")
 endif()
 
-file(REMOVE_RECURSE "${OUT}")
-file(MAKE_DIRECTORY "${OUT}")
+include(${CMAKE_CURRENT_LIST_DIR}/check_common.cmake)
 
 set(common sweep=16,48,80 meter=wattsup seed=7)
 if(DEFINED FAULTS AND NOT FAULTS STREQUAL "")
@@ -41,14 +40,6 @@ foreach(t 1 2 8)
   endif()
 endforeach()
 run_sweep("${OUT}/results_plain" "" 2)
-
-function(expect_identical a b)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${a}" "${b}"
-                  RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "byte mismatch: ${a} vs ${b}")
-  endif()
-endfunction()
 
 # 1. Trace output is thread-count invariant, byte for byte.
 foreach(f trace.json metrics.csv)
