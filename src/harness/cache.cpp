@@ -7,33 +7,38 @@
 
 namespace tgi::harness {
 
-
 std::string cache_spec_text(const sim::ClusterSpec& cluster,
                             std::uint64_t seed, bool exact_meter,
                             const SuiteConfig& suite, const FaultSpec* faults,
                             std::size_t stuck_run_limit,
                             const std::vector<std::size_t>& values) {
   std::string text;
-  text += "meter=" + std::string(exact_meter ? "model" : "wattsup") + "\n";
-  text += "seed=" + std::to_string(seed) + "\n";
-  std::string roster;
+  text += exact_meter ? "meter=model\n" : "meter=wattsup\n";
+  text += "seed=";
+  text += std::to_string(seed);
+  text += "\nsuite=";
+  bool first = true;
   for (const std::string& name : suite_benchmarks(suite)) {
-    if (!roster.empty()) roster += ',';
-    roster += name;
+    if (!first) text += ',';
+    first = false;
+    text += name;
   }
-  text += "suite=" + roster + "\n";
+  text += '\n';
   if (faults != nullptr) {
-    text += "faults=" + fault_spec_summary(*faults) + "\n";
-    text += "stuck_run_limit=" + std::to_string(stuck_run_limit) + "\n";
+    text += "faults=";
+    text += fault_spec_summary(*faults);
+    text += "\nstuck_run_limit=";
+    text += std::to_string(stuck_run_limit);
+    text += '\n';
   }
   // Point k's RNG streams are keyed on k's position in THIS list, so the
   // list is part of the point's identity.
-  std::string sweep;
-  for (const std::size_t value : values) {
-    if (!sweep.empty()) sweep += ',';
-    sweep += std::to_string(value);
+  text += "sweep=";
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    if (k != 0) text += ',';
+    text += std::to_string(values[k]);
   }
-  text += "sweep=" + sweep + "\n";
+  text += '\n';
   text += sim::cluster_to_config(cluster);
   return text;
 }
@@ -72,17 +77,20 @@ CacheLookup ResultCache::fill(std::uint64_t spec_hash,
   }
   if (pending.empty() && cached.damage.empty()) return cached;
   PointStore store(shard_path(spec_hash), spec_hash, mode, values);
-  if (!pending.empty()) {
-    // Appends land after a valid prefix: the survivors, republished.
-    store.publish(std::move(cached.completed));
-    compute(pending, [&store](PointRecord record) {
-      store.append(std::move(record));
-    });
-    cached.completed = store.records();
-    TGI_CHECK(cached.completed.size() == values.size(),
-              "cache fill: points missing after compute");
+  if (pending.empty()) {
+    // Every point survived, but damage was quarantined: compact.
+    store.publish(cached.completed);
+    return cached;
   }
-  store.publish(cached.completed);
+  // Appends land after a valid prefix: the survivors, republished.
+  store.publish(std::move(cached.completed));
+  compute(pending, [&store](PointRecord record) {
+    store.append(std::move(record));
+  });
+  cached.completed = store.records();
+  TGI_CHECK(cached.completed.size() == values.size(),
+            "cache fill: points missing after compute");
+  store.republish();
   return cached;
 }
 

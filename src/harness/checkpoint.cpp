@@ -7,8 +7,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <sstream>
-#include <system_error>
 #include <utility>
 
 #include "harness/measurement_io.h"
@@ -267,11 +267,15 @@ class FieldReader {
   std::string unescaped_;
 };
 
+/// The CRC-32 of "<kind> <payload>", without building that string.
+std::uint32_t record_crc(std::string_view kind, std::string_view payload) {
+  return util::crc32(payload, util::crc32(" ", util::crc32(kind)));
+}
+
 std::string encode_record_line(const std::string& kind,
                                const std::string& payload) {
-  const std::string checked = kind + " " + payload;
   return std::string(kMagic) + " " + kind + " " +
-         crc_hex(util::crc32(checked)) + " " + payload + "\n";
+         crc_hex(record_crc(kind, payload)) + " " + payload + "\n";
 }
 
 std::string encode_values(const std::vector<std::size_t>& values) {
@@ -456,9 +460,8 @@ struct ParsedLine {
 };
 
 /// Validates magic + tokenization + CRC of one journal line; throws
-/// TgiError with the quarantine reason on any defect. `checked` is scratch
-/// for the CRC input.
-ParsedLine parse_record_line(std::string_view line, std::string& checked) {
+/// TgiError with the quarantine reason on any defect.
+ParsedLine parse_record_line(std::string_view line) {
   const std::size_t s1 = line.find(' ');
   if (s1 == std::string_view::npos || line.substr(0, s1) != kMagic) {
     throw util::TgiError("not a journal record (bad magic)");
@@ -484,10 +487,7 @@ ParsedLine parse_record_line(std::string_view line, std::string& checked) {
     if (digit < 0) throw util::TgiError("bad checksum digit");
     expected = (expected << 4U) | static_cast<std::uint32_t>(digit);
   }
-  checked.assign(parsed.kind);
-  checked += ' ';
-  checked.append(parsed.payload);
-  const std::uint32_t actual = util::crc32(checked);
+  const std::uint32_t actual = record_crc(parsed.kind, parsed.payload);
   if (actual != expected) {
     throw util::TgiError("checksum mismatch (want " + crc_hex(expected) +
                          ", record hashes to " + crc_hex(actual) + ")");
@@ -543,7 +543,6 @@ std::string encode_point_record(const PointRecord& record) {
 JournalContents read_journal(const std::string& text) {
   JournalContents contents;
   FieldReader fields;
-  std::string checked;
   // Lines are views of `text`; a last line without '\n' is a torn append.
   std::size_t line_no = 0;
   for (std::size_t pos = 0; pos < text.size();) {
@@ -559,7 +558,7 @@ JournalContents read_journal(const std::string& text) {
         throw util::TgiError(
             "torn record (no trailing newline — interrupted append)");
       }
-      const ParsedLine parsed = parse_record_line(line, checked);
+      const ParsedLine parsed = parse_record_line(line);
       if (parsed.kind == "header") {
         if (contents.header_valid) {
           throw util::TgiError("duplicate header record");
@@ -594,24 +593,10 @@ JournalContents read_journal(const std::string& text) {
 }
 
 JournalContents read_journal_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  TGI_REQUIRE(in.good(), "cannot open journal '" << path << "' for reading");
-  // One read sized by the path's size now, then on to the end of the open
-  // file, so a file renamed over the path meanwhile still reads whole. A
-  // read error (the path is a directory, say) ends the text there.
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  std::string text(ec ? 0 : static_cast<std::size_t>(size) + 1, '\0');
-  std::size_t got = 0;
-  while (true) {
-    in.read(text.data() + got,
-            static_cast<std::streamsize>(text.size() - got));
-    got += static_cast<std::size_t>(in.gcount());
-    if (!in) break;
-    text.resize(std::max<std::size_t>(2 * text.size(), 4096));
-  }
-  text.resize(got);
-  return read_journal(text);
+  const std::optional<std::string> text = util::read_file_if_exists(path);
+  TGI_REQUIRE(text.has_value(),
+              "cannot open journal '" << path << "' for reading");
+  return read_journal(*text);
 }
 
 JournalState reconcile_journal(const JournalContents& contents,
@@ -755,11 +740,11 @@ PointStore::PointStore(std::string path, std::uint64_t spec_hash,
 
 StoreLoad PointStore::load(const char* warn_prefix) const {
   StoreLoad out;
-  std::error_code ec;
-  if (!std::filesystem::exists(path_, ec) || ec) return out;
   JournalContents contents;
   try {
-    contents = read_journal_file(path_);
+    const std::optional<std::string> text = util::read_file_if_exists(path_);
+    if (!text) return out;  // no shard yet: every point misses
+    contents = read_journal(*text);
     // Throws before it takes anything from `contents`, so the catch below
     // still sees the structural damage.
     JournalState state =
@@ -767,8 +752,9 @@ StoreLoad PointStore::load(const char* warn_prefix) const {
     out.completed = std::move(state.completed);
     out.damage = std::move(state.damage);
   } catch (const util::TgiError& ex) {
-    // Unreadable (raced away), or a VALID header that contradicts this
-    // binding: the file is foreign or tampered — quarantine it wholesale.
+    // Unreadable (a directory, say), or a VALID header that contradicts
+    // this binding: the file is foreign or tampered — quarantine it
+    // wholesale.
     out.damage = std::move(contents.damage);
     out.damage.push_back(
         JournalDamage{0, std::string("shard rejected: ") + ex.what()});
@@ -795,19 +781,33 @@ std::string PointStore::encode_checked(std::size_t index,
 }
 
 void PointStore::publish(std::map<std::size_t, PointRecord> records) {
-  std::string text = encode_header_record(spec_hash_, mode_, values_);
+  std::map<std::size_t, std::string> lines;
   for (const auto& [index, record] : records) {
-    text += encode_checked(index, record);
+    lines.emplace_hint(lines.end(), index, encode_checked(index, record));
   }
+  const std::lock_guard<std::mutex> lock(mu_);
+  write_lines(lines);
+  lines_ = std::move(lines);
+  records_ = std::move(records);
+  published_ = true;
+}
+
+void PointStore::republish() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  TGI_REQUIRE(published_, "point store: republish before publish ('"
+                              << path_ << "')");
+  write_lines(lines_);
+}
+
+void PointStore::write_lines(const std::map<std::size_t, std::string>& lines) {
+  std::string text = encode_header_record(spec_hash_, mode_, values_);
+  for (const auto& [index, line] : lines) text += line;
   const std::filesystem::path parent =
       std::filesystem::path(path_).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
-  const std::lock_guard<std::mutex> lock(mu_);
   // The rename replaces the file an open append handle points at.
   if (out_.is_open()) out_.close();
   util::atomic_write_file(path_, text);
-  records_ = std::move(records);
-  published_ = true;
 }
 
 void PointStore::append(PointRecord record) {
@@ -838,6 +838,7 @@ void PointStore::append(PointRecord record) {
   out_.flush();
   TGI_CHECK(out_.good(), "journal append failed for '" << path_ << "'");
   const std::size_t index = record.index;
+  lines_.insert_or_assign(index, line);
   records_.insert_or_assign(index, std::move(record));
 }
 

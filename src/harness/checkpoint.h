@@ -22,20 +22,22 @@
 //   TGIJ1 <kind> <crc32-hex8> <payload>\n
 //
 // where <kind> is `header` or `point`, the CRC-32 (util/atomic_file.h)
-// covers "<kind> <payload>", and the payload is `name=value` fields joined
-// by US (0x1f). Values are percent-escaped (%, LF, CR, RS, US), so a
-// record is always exactly one line; nested lists (trace events, metrics)
-// join their escaped elements with RS (0x1e) before the field-level escape.
+// covers "<kind> <payload>" (computed piece by piece, never over a copy),
+// and the payload is `name=value` fields joined by US (0x1f). Values are
+// percent-escaped (%, LF, CR, RS, US), so a record is always exactly one
+// line; nested lists (trace events, metrics) join their escaped elements
+// with RS (0x1e) before the field-level escape.
 // Doubles ride the measurement_io interchange CSV (17 significant digits)
 // or C hexfloats, bit-exactly; integers are plain decimal digits.
 //
-// Decoding is one pass over views of the file, read with one sized read:
-// lines, US-separated fields and RS-separated list elements are
-// std::string_views, only a value holding a '%' is unescaped (once, into a
-// buffer reused across records), integers go through std::from_chars and
-// doubles through util::parse_double — strtod's grammar without strtod —
-// and the embedded CSV through the one measurement CSV parser
-// (harness/measurement_io.h). Reconciling moves the records out.
+// Decoding is one pass over views of the file, read by one open, fstat and
+// read loop (util::read_file_if_exists; a missing file is a miss): lines,
+// US-separated fields and RS-separated list elements are std::string_views,
+// only a value holding a '%' is unescaped (once, into a buffer reused
+// across records), integers go through std::from_chars and doubles through
+// util::parse_double — strtod's grammar without strtod — and the embedded
+// CSV through the one measurement CSV parser (harness/measurement_io.h).
+// Reconciling moves the records out.
 //
 // Trust policy: a record is either fully valid — magic, CRC, schema,
 // strict numbers (digits-only integers that fit, finite doubles,
@@ -209,6 +211,12 @@ class PointStore {
   /// tail on the next load. The record joins records().
   void append(PointRecord record);
 
+  /// Publishes records() again, atomically and in index order, from the
+  /// lines publish and append already encoded and checked: the bytes
+  /// publish(records()) would write, without encoding anything twice.
+  /// Needs a prior publish; not safe while appends are in flight.
+  void republish();
+
   /// Every record this handle has published or appended since, by index.
   /// Not safe to call while appends are in flight.
   [[nodiscard]] const std::map<std::size_t, PointRecord>& records() const {
@@ -220,12 +228,15 @@ class PointStore {
   /// quarantine it for — the read side's own rule, run on the line.
   [[nodiscard]] std::string encode_checked(std::size_t index,
                                            const PointRecord& record) const;
+  /// Atomically replaces the file with the header plus `lines`. Needs mu_.
+  void write_lines(const std::map<std::size_t, std::string>& lines);
 
   std::string path_;
   std::uint64_t spec_hash_ = 0;
   std::string mode_;
   std::vector<std::size_t> values_;
   std::map<std::size_t, PointRecord> records_;
+  std::map<std::size_t, std::string> lines_;  ///< records_' checked lines
   bool published_ = false;
   std::mutex mu_;
   // Append-mode on purpose: per-record CRCs replace rename atomicity so a

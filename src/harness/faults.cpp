@@ -1,10 +1,10 @@
 #include "harness/faults.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/config.h"
 #include "util/error.h"
+#include "util/format.h"
 #include "util/rng.h"
 
 namespace tgi::harness {
@@ -112,9 +112,13 @@ FaultSpec parse_fault_spec(const std::string& text) {
 }
 
 std::string fault_spec_summary(const FaultSpec& spec) {
-  std::ostringstream out;
-  auto emit = [&](const char* key, double value) {
-    if (value > 0.0) out << key << "=" << value << " ";
+  std::string out;
+  auto emit = [&out](const char* key, double value) {
+    if (value <= 0.0) return;
+    out += key;
+    out += '=';
+    util::append_shortest(out, value);
+    out += ' ';
   };
   emit("dropout", spec.dropout_burst_rate);
   emit("stuck", spec.stuck_rate);
@@ -122,8 +126,9 @@ std::string fault_spec_summary(const FaultSpec& spec) {
   emit("failure", spec.failure_rate);
   emit("timeout", spec.timeout_rate);
   emit("truncation", spec.truncation_rate);
-  out << "seed=" << spec.seed;
-  return out.str();
+  out += "seed=";
+  out += std::to_string(spec.seed);
+  return out;
 }
 
 FaultPlan::FaultPlan(FaultSpec spec) : spec_(spec) { spec_.validate(); }

@@ -81,7 +81,9 @@ struct FaultSpec {
 /// Throws PreconditionError on unknown keys or malformed values.
 [[nodiscard]] FaultSpec parse_fault_spec(const std::string& text);
 
-/// One-line human-readable summary ("dropout=0.2 stuck=0.1 seed=7").
+/// One-line summary of the active rates and the seed ("dropout=0.2
+/// stuck=0.1 seed=7"), each rate in shortest round-trip form, so it is
+/// exact: it is the `faults=` line of the cache key (harness/cache.h).
 [[nodiscard]] std::string fault_spec_summary(const FaultSpec& spec);
 
 /// A concrete meter fault: kind plus its drawn window/gain parameters

@@ -174,6 +174,7 @@ std::map<std::size_t, PointRecord> fill_points(
 }
 
 PointRecord reference_point(const CampaignSpec& spec,
+                            std::uint64_t reference_hash,
                             const harness::ResultCache* cache,
                             CampaignStats& stats) {
   const std::vector<std::size_t> values{spec.reference.total_cores()};
@@ -181,7 +182,7 @@ PointRecord reference_point(const CampaignSpec& spec,
   // sweep point.
   return std::move(
       fill_points(
-          cache, reference_spec_hash(spec), "plain", values,
+          cache, reference_hash, "plain", values,
           [&spec, &values](const std::vector<std::size_t>& /*pending*/,
                            const harness::RecordSink& done) {
             const std::unique_ptr<power::PowerMeter> meter =
@@ -406,7 +407,8 @@ CampaignStats CampaignEngine::run(const std::vector<CampaignSpec>& entries,
 
     // 5. Reference run, cached under its own key.
     prov.reference_spec = reference_spec_hash(entry);
-    const PointRecord reference = reference_point(entry, &cache, stats);
+    const PointRecord reference =
+        reference_point(entry, prov.reference_spec, &cache, stats);
 
     emit_entry(config_, entry, records, reference, out);
     prov.points = entry.sweep.size() + 1;

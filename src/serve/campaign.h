@@ -110,8 +110,10 @@ std::map<std::size_t, harness::PointRecord> fill_points(
     const harness::PointCompute& compute, CampaignStats& stats);
 
 /// The entry's reference run, counted into `stats`: fill_points under
-/// reference_spec_hash(spec). `cache` may be null.
+/// `reference_hash`, which is reference_spec_hash(spec) (the caller keeps
+/// it for provenance). `cache` may be null.
 harness::PointRecord reference_point(const CampaignSpec& spec,
+                                     std::uint64_t reference_hash,
                                      const harness::ResultCache* cache,
                                      CampaignStats& stats);
 

@@ -190,10 +190,10 @@ std::string reference_spec_text(const CampaignSpec& spec) {
   const harness::SuiteConfig suite;
   // Reference meters get the +1 seed salt (reference_meter), and the
   // marker line separates the reference keyspace from plain sweeps.
-  return "reference=1\n" +
-         harness::cache_spec_text(
-             spec.reference, spec.seed + 1, spec.exact_meter, suite, nullptr,
-             0, {spec.reference.total_cores()});
+  return harness::cache_spec_text(spec.reference, spec.seed + 1,
+                                  spec.exact_meter, suite, nullptr, 0,
+                                  {spec.reference.total_cores()})
+      .insert(0, "reference=1\n");
 }
 
 std::uint64_t reference_spec_hash(const CampaignSpec& spec) {

@@ -1,5 +1,8 @@
 #include "sim/spec_io.h"
 
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -119,51 +122,123 @@ ClusterSpec load_cluster_file(const std::string& path) {
   return cluster_from_config(util::Config::parse(text.str()));
 }
 
+namespace {
+
+/// Appends `key = value\n` lines for cluster_to_config.
+class ConfigWriter {
+ public:
+  explicit ConfigWriter(std::string& out) : out_(out) {}
+
+  void text(const char* key, const std::string& value) {
+    start(key);
+    out_ += value;
+    out_ += '\n';
+  }
+  void count(const char* key, std::size_t value) {
+    start(key);
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    out_ += '\n';
+  }
+  /// A quantity the reader takes as-is.
+  void number(const char* key, double value) {
+    start(key);
+    util::append_shortest(out_, value);
+    out_ += '\n';
+  }
+  /// A quantity the reader scales into SI as `x * scale`: written as the x
+  /// with the shortest text among those that reproduce `si` exactly (the
+  /// rounded si / scale, or a neighbour within two ulps). When none does —
+  /// an SI value no config number reaches — the nearest x is written with
+  /// `si` itself in a trailing comment, so the text still names exactly
+  /// this spec while the file reads back as the nearest expressible one.
+  void scaled(const char* key, double si, double scale) {
+    start(key);
+    const double nearest = si / scale;
+    std::array<char, 32> best{};
+    std::size_t best_size = 0;
+    auto consider = [&](double x) {
+      if (x * scale != si) return;
+      std::array<char, 32> buf{};
+      const auto size = static_cast<std::size_t>(
+          std::to_chars(buf.data(), buf.data() + buf.size(), x).ptr -
+          buf.data());
+      if (best_size == 0 || size < best_size) {
+        best = buf;
+        best_size = size;
+      }
+    };
+    consider(nearest);
+    const double below = std::nextafter(nearest, -HUGE_VAL);
+    const double above = std::nextafter(nearest, HUGE_VAL);
+    for (const double x : {below, std::nextafter(below, -HUGE_VAL), above,
+                           std::nextafter(above, HUGE_VAL)}) {
+      consider(x);
+    }
+    if (best_size != 0) {
+      out_.append(best.data(), best_size);
+    } else {
+      util::append_shortest(out_, nearest);
+      out_ += "  # exact SI value ";
+      util::append_shortest(out_, si);
+    }
+    out_ += '\n';
+  }
+
+ private:
+  void start(const char* key) {
+    out_ += key;
+    out_ += " = ";
+  }
+  std::string& out_;
+};
+
+}  // namespace
+
 std::string cluster_to_config(const ClusterSpec& c) {
-  std::ostringstream out;
-  auto kv = [&](const char* key, const std::string& value) {
-    out << key << " = " << value << "\n";
-  };
-  auto kd = [&](const char* key, double value) {
-    kv(key, util::fixed(value, 6));
-  };
-  kv("name", c.name);
-  kv("nodes", std::to_string(c.nodes));
-  kv("cpu.model", c.node.cpu.model);
-  kv("cpu.cores", std::to_string(c.node.cpu.cores));
-  kd("cpu.ghz", c.node.cpu.ghz);
-  kd("cpu.flops_per_cycle", c.node.cpu.flops_per_cycle);
-  kv("sockets", std::to_string(c.node.sockets));
-  kd("memory_gib", c.node.memory.value() / 1073741824.0);
-  kd("memory_bandwidth_gbps", c.node.memory_bandwidth.value() / 1e9);
-  kd("disk.seek_ms", c.node.disk.avg_seek.value() * 1e3);
-  kd("disk.rpm", c.node.disk.rpm);
-  kd("disk.transfer_mbps", c.node.disk.transfer_rate.value() / 1e6);
-  kd("disk.capacity_gib", c.node.disk.capacity.value() / 1073741824.0);
-  kv("disks", std::to_string(c.node.disks));
-  kd("power.cpu_idle_w", c.node.power.cpu.idle.value());
-  kd("power.cpu_max_w", c.node.power.cpu.max_load.value());
-  kd("power.memory_background_w", c.node.power.memory.background.value());
-  kd("power.memory_max_w", c.node.power.memory.max_active.value());
-  kd("power.disk_idle_w", c.node.power.disk.idle.value());
-  kd("power.disk_active_w", c.node.power.disk.active.value());
-  kd("power.nic_idle_w", c.node.power.nic.idle.value());
-  kd("power.nic_active_w", c.node.power.nic.active.value());
-  kd("power.board_w", c.node.power.board_overhead.value());
-  kd("power.psu_rated_w", c.node.power.psu.rated_dc.value());
-  kd("power.psu_eff_20", c.node.power.psu.efficiency_at_20pct);
-  kd("power.psu_eff_50", c.node.power.psu.efficiency_at_50pct);
-  kd("power.psu_eff_100", c.node.power.psu.efficiency_at_100pct);
-  kv("interconnect.name", c.interconnect.name);
-  kd("interconnect.latency_us", c.interconnect.latency.value() * 1e6);
-  kd("interconnect.bandwidth_mbps", c.interconnect.bandwidth.value() / 1e6);
-  kd("interconnect.congestion", c.interconnect.congestion_factor);
-  kd("storage.backend_mbps", c.storage.backend_bandwidth.value() / 1e6);
-  kd("storage.per_client_mbps",
-     c.storage.per_client_bandwidth.value() / 1e6);
-  kd("storage.contention", c.storage.contention);
-  kd("switch_power_w", c.switch_power.value());
-  return out.str();
+  std::string out;
+  ConfigWriter w(out);
+  // Each scale is the one cluster_from_config multiplies by (util/units.h).
+  constexpr double kGib = 1073741824.0;
+  w.text("name", c.name);
+  w.count("nodes", c.nodes);
+  w.text("cpu.model", c.node.cpu.model);
+  w.count("cpu.cores", c.node.cpu.cores);
+  w.number("cpu.ghz", c.node.cpu.ghz);
+  w.number("cpu.flops_per_cycle", c.node.cpu.flops_per_cycle);
+  w.count("sockets", c.node.sockets);
+  w.scaled("memory_gib", c.node.memory.value(), kGib);
+  w.scaled("memory_bandwidth_gbps", c.node.memory_bandwidth.value(), 1e9);
+  w.scaled("disk.seek_ms", c.node.disk.avg_seek.value(), 1e-3);
+  w.number("disk.rpm", c.node.disk.rpm);
+  w.scaled("disk.transfer_mbps", c.node.disk.transfer_rate.value(), 1e6);
+  w.scaled("disk.capacity_gib", c.node.disk.capacity.value(), kGib);
+  w.count("disks", c.node.disks);
+  w.number("power.cpu_idle_w", c.node.power.cpu.idle.value());
+  w.number("power.cpu_max_w", c.node.power.cpu.max_load.value());
+  w.number("power.memory_background_w",
+           c.node.power.memory.background.value());
+  w.number("power.memory_max_w", c.node.power.memory.max_active.value());
+  w.number("power.disk_idle_w", c.node.power.disk.idle.value());
+  w.number("power.disk_active_w", c.node.power.disk.active.value());
+  w.number("power.nic_idle_w", c.node.power.nic.idle.value());
+  w.number("power.nic_active_w", c.node.power.nic.active.value());
+  w.number("power.board_w", c.node.power.board_overhead.value());
+  w.number("power.psu_rated_w", c.node.power.psu.rated_dc.value());
+  w.number("power.psu_eff_20", c.node.power.psu.efficiency_at_20pct);
+  w.number("power.psu_eff_50", c.node.power.psu.efficiency_at_50pct);
+  w.number("power.psu_eff_100", c.node.power.psu.efficiency_at_100pct);
+  w.text("interconnect.name", c.interconnect.name);
+  w.scaled("interconnect.latency_us", c.interconnect.latency.value(), 1e-6);
+  w.scaled("interconnect.bandwidth_mbps", c.interconnect.bandwidth.value(),
+           1e6);
+  w.number("interconnect.congestion", c.interconnect.congestion_factor);
+  w.scaled("storage.backend_mbps", c.storage.backend_bandwidth.value(), 1e6);
+  w.scaled("storage.per_client_mbps", c.storage.per_client_bandwidth.value(),
+           1e6);
+  w.number("storage.contention", c.storage.contention);
+  w.number("switch_power_w", c.switch_power.value());
+  return out;
 }
 
 }  // namespace tgi::sim

@@ -44,8 +44,15 @@ namespace tgi::sim {
 /// Convenience: parse a spec file from disk.
 [[nodiscard]] ClusterSpec load_cluster_file(const std::string& path);
 
-/// Serializes a spec into the same key=value format (round-trips through
-/// cluster_from_config).
+/// Serializes a spec into the same key=value format. Every double is
+/// written exactly (shortest round-trip digits; a unit-scaled quantity as
+/// the config number whose scaling reproduces it), so
+/// cluster_from_config(Config::parse(text)) reproduces each double bit for
+/// bit — the engine→worker cluster handoff relies on it — and the text,
+/// part of every cache key (harness::cache_spec_text), tells apart specs a
+/// single ulp apart. An SI value no config number reaches keeps its exact
+/// value in a trailing comment (still a distinct key; the file then reads
+/// back as the nearest expressible spec).
 [[nodiscard]] std::string cluster_to_config(const ClusterSpec& spec);
 
 }  // namespace tgi::sim

@@ -1,10 +1,15 @@
 #include "util/atomic_file.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "util/error.h"
@@ -50,8 +55,8 @@ std::uint32_t le32(const unsigned char* p) {
 
 }  // namespace
 
-std::uint32_t crc32(std::string_view data) {
-  std::uint32_t crc = 0xFFFFFFFFU;
+std::uint32_t crc32(std::string_view data, std::uint32_t prior) {
+  std::uint32_t crc = prior ^ 0xFFFFFFFFU;
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());
   std::size_t n = data.size();
   for (; n >= 8; p += 8, n -= 8) {
@@ -65,6 +70,64 @@ std::uint32_t crc32(std::string_view data) {
     crc = kCrc32[0][(crc ^ *p) & 0xFFU] ^ (crc >> 8U);
   }
   return crc ^ 0xFFFFFFFFU;
+}
+
+namespace {
+
+/// Closes a descriptor on every path out of a scope.
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  ~FdCloser() { ::close(fd_); }
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+
+ private:
+  int fd_;
+};
+
+}  // namespace
+
+std::string read_to_end(int fd, std::size_t size_hint) {
+  // One byte past the hint, so a file of exactly that size ends in a
+  // zero-byte read rather than a grow.
+  std::string text(size_hint + 1, '\0');
+  std::size_t got = 0;
+  while (true) {
+    if (got == text.size()) text.resize(std::max<std::size_t>(2 * got, 4096));
+    const ::ssize_t n = ::read(fd, text.data() + got, text.size() - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      throw TgiError(std::string("read failed: ") + std::strerror(errno));
+    }
+  }
+  text.resize(got);
+  return text;
+}
+
+std::optional<std::string> read_file_if_exists(const std::string& path) {
+  int fd = -1;
+  do {
+    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) {
+    if (errno == ENOENT) return std::nullopt;
+    throw TgiError("cannot open '" + path + "': " + std::strerror(errno));
+  }
+  const FdCloser closer(fd);
+  struct ::stat st {};
+  const std::size_t size =
+      ::fstat(fd, &st) == 0 && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size)
+          : 0;
+  try {
+    return read_to_end(fd, size);
+  } catch (const TgiError& e) {
+    throw TgiError("cannot read '" + path + "': " + e.what());
+  }
 }
 
 std::string unique_token() {

@@ -1,5 +1,6 @@
 // Crash-consistent file output: temp-file + rename atomic writes, plus the
-// CRC-32 checksum the checkpoint journal stamps on its records.
+// CRC-32 checksum the checkpoint journal stamps on its records and the
+// whole-file read that loads what these writes publish.
 //
 // Every artifact this repository publishes (figure CSVs, measurement
 // interchange files, trace.json, the sweep summaries) used to be written
@@ -26,7 +27,9 @@
 // may not have written the data, or the rename, to disk yet.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -35,7 +38,23 @@ namespace tgi::util {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320 — the zip/PNG
 /// checksum). Deterministic across platforms; used for journal records.
-[[nodiscard]] std::uint32_t crc32(std::string_view data);
+/// `prior` continues a checksum zlib-style: crc32(b, crc32(a)) equals
+/// crc32 of a followed by b, so pieces need not be concatenated first.
+[[nodiscard]] std::uint32_t crc32(std::string_view data,
+                                  std::uint32_t prior = 0);
+
+/// Reads an open descriptor (a file, a pipe) to end of file, retrying
+/// EINTR and short reads; `size_hint` sizes the first read (a file's fstat
+/// size) and the buffer grows past it for as long as bytes keep coming.
+/// Throws TgiError on a read error (EISDIR for a directory, say).
+[[nodiscard]] std::string read_to_end(int fd, std::size_t size_hint = 0);
+
+/// The whole file at `path`: one open, one fstat, then read_to_end. The
+/// bytes are the opened file's, whole, even when another file is renamed
+/// over `path` meanwhile. std::nullopt when nothing exists at `path`
+/// (ENOENT); any other failure throws TgiError.
+[[nodiscard]] std::optional<std::string> read_file_if_exists(
+    const std::string& path);
 
 /// "<pid>.<n>", with n a process-wide counter: no two calls in one
 /// process, and no two live processes, return the same token. Names built

@@ -1,6 +1,7 @@
 #include "util/format.h"
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -9,14 +10,26 @@ namespace tgi::util {
 
 namespace {
 std::string printf_format(const char* fmt, double v, int precision) {
-  std::array<char, 64> buf{};
-  std::snprintf(buf.data(), buf.size(), fmt, precision, v);
-  return std::string(buf.data());
+  // Sized from the value: "%.6f" of 1e300 takes 308 characters.
+  std::string out(64, '\0');
+  int n = std::snprintf(out.data(), out.size(), fmt, precision, v);
+  if (n >= static_cast<int>(out.size())) {
+    out.resize(static_cast<std::size_t>(n) + 1);
+    n = std::snprintf(out.data(), out.size(), fmt, precision, v);
+  }
+  out.resize(n > 0 ? static_cast<std::size_t>(n) : 0);
+  return out;
 }
 }  // namespace
 
 std::string fixed(double v, int precision) {
   return printf_format("%.*f", v, precision);
+}
+
+void append_shortest(std::string& out, double v) {
+  std::array<char, 32> buf{};  // the longest shortest form is 24 characters
+  const auto printed = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+  out.append(buf.data(), printed.ptr);
 }
 
 std::string scientific(double v, int precision) {

@@ -11,6 +11,12 @@ namespace tgi::util {
 /// Fixed-point formatting with `precision` fractional digits.
 std::string fixed(double v, int precision = 2);
 
+/// Appends `v` in shortest round-trip form (std::to_chars): the fewest
+/// digits that read back, through util::parse_double or strtod, as exactly
+/// `v` — "0.85", "1e+300", "0.8500004". The one double writer behind cache
+/// key text and generated cluster files.
+void append_shortest(std::string& out, double v);
+
 /// Scientific formatting with `precision` significant fractional digits.
 std::string scientific(double v, int precision = 3);
 

@@ -1,12 +1,14 @@
 // Cache-key canonicalization (DESIGN.md §13): cache_spec_text is the one
 // canonicalizer keying checkpoint journals and the result cache, so its
 // FNV-1a digests are pinned — accidental drift silently invalidates every
-// cache on disk — and near-miss specs (seed±1, a fault-rate tick, a
-// reordered or extended sweep list) must always map to distinct keys.
+// cache on disk — and near-miss specs (seed±1, a fault-rate tick or ulp, a
+// cluster double past 6 decimals or one ulp off, a reordered or extended
+// sweep list) must always map to distinct keys.
 #include "harness/cache.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -66,15 +68,19 @@ TEST(CacheKey, DigestsArePinned) {
   // tuning, so these digests only move when the canonicalizer (or the
   // spec serialization it embeds) changes — which is exactly the drift
   // this test exists to catch. Regenerate deliberately, never casually:
-  // every cache on disk dies with the old constants.
+  // every cache on disk dies with the old constants. Their last change
+  // made the key exact (shortest round-trip doubles instead of 6 decimals
+  // for the cluster and 6 significant digits for fault rates): a shard
+  // under an old key is never looked up again, so it misses — it is never
+  // served for a spec it does not describe.
   const sim::ClusterSpec generic;
   EXPECT_EQ(key(generic, 7, false, nullptr, 0, kSweep),
-            0xa3dd66e0c6a451aaULL);
+            0xb6aa09b09ac1f564ULL);
   EXPECT_EQ(key(generic, 7, true, nullptr, 0, kSweep),
-            0x97cc146abfca7b17ULL);
+            0xde2bbf86576f7eddULL);
   const FaultSpec faults = mild_faults();
   EXPECT_EQ(key(generic, 7, false, &faults, 8, kSweep),
-            0xa804ee6cb801329aULL);
+            0x11ad107e75c01454ULL);
 }
 
 TEST(CacheKey, SameSpecAlwaysProducesTheSameKey) {
@@ -89,6 +95,15 @@ TEST(CacheKey, NearMissSpecsAreAlwaysDistinct) {
   const FaultSpec faults = mild_faults();
   FaultSpec ticked = faults;
   ticked.dropout_burst_rate = 0.25;  // one fault-rate tick
+  FaultSpec seventh = faults;
+  seventh.failure_rate = 0.0500001;  // past a 6-significant-digit summary
+  FaultSpec ulp = faults;
+  ulp.failure_rate = std::nextafter(faults.failure_rate, 1.0);
+  sim::ClusterSpec ghz = sim::fire_cluster();
+  ghz.node.cpu.ghz = 2.3000004;  // past 6 decimals
+  sim::ClusterSpec bandwidth = sim::fire_cluster();
+  bandwidth.node.memory_bandwidth = util::ByteRate(
+      std::nextafter(bandwidth.node.memory_bandwidth.value(), 0.0));
   std::vector<std::uint64_t> keys;
   keys.push_back(key(sim::fire_cluster(), 7, false, nullptr, 0, kSweep));
   keys.push_back(key(sim::fire_cluster(), 6, false, nullptr, 0, kSweep));
@@ -98,6 +113,10 @@ TEST(CacheKey, NearMissSpecsAreAlwaysDistinct) {
   keys.push_back(key(sim::fire_cluster(), 7, false, &faults, 8, kSweep));
   keys.push_back(key(sim::fire_cluster(), 7, false, &faults, 0, kSweep));
   keys.push_back(key(sim::fire_cluster(), 7, false, &ticked, 8, kSweep));
+  keys.push_back(key(sim::fire_cluster(), 7, false, &seventh, 8, kSweep));
+  keys.push_back(key(sim::fire_cluster(), 7, false, &ulp, 8, kSweep));
+  keys.push_back(key(ghz, 7, false, nullptr, 0, kSweep));
+  keys.push_back(key(bandwidth, 7, false, nullptr, 0, kSweep));
   const std::set<std::uint64_t> distinct(keys.begin(), keys.end());
   EXPECT_EQ(distinct.size(), keys.size());
 }

@@ -5,7 +5,7 @@
 // so they get past the CRC, and are then mutated by bit flips, truncations
 // and inserted or deleted bytes, inside the checksummed payload or across
 // the raw text. Both decoders must agree on every record, point line and
-// damage entry. The one intended difference, non-finite measurements, is
+// damage entry — on text in memory and read back from a real file. The one intended difference, non-finite measurements, is
 // in core::BenchmarkMeasurement::validate, which both decoders call.
 #include "harness/checkpoint.h"
 
@@ -13,11 +13,15 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "harness/measurement_io.h"
 #include "journal_oracle.h"
@@ -402,6 +406,72 @@ TEST(JournalDecoder, MeasurementCsvAgreesWithTheReferenceParser) {
   }
   EXPECT_GT(accepted, 500u);
   EXPECT_GT(rejected, 500u);
+}
+
+/// A per-test scratch directory under the system temp dir, emptied first.
+std::filesystem::path scratch_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      (std::string("tgi_journal_decoder_") + info->name());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(JournalDecoder, FileReadsAgreeWithTheReferenceDecoder) {
+  // The same damaged journals, read back from a real file the way a cache
+  // lookup reads a shard.
+  const std::filesystem::path dir = scratch_dir();
+  const std::string path = (dir / "shard.tgij").string();
+  util::Xoshiro256 rng(0xf11e5eedULL);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string text = generated_journal(rng);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << ": " << text);
+    util::atomic_write_file(path, text);
+    expect_same_contents(oracle::read_journal(text), read_journal_file(path));
+    if (::testing::Test::HasFailure()) return;
+  }
+  // A zero-length shard decodes like empty text; a store loading it
+  // quarantines the missing header and serves nothing.
+  util::atomic_write_file(path, "");
+  expect_same_contents(oracle::read_journal(""), read_journal_file(path));
+  const StoreLoad empty = PointStore(path, kSpec, "plain", kValues)
+                              .load("test: quarantined entry");
+  EXPECT_TRUE(empty.completed.empty());
+  ASSERT_EQ(empty.damage.size(), 1u);
+  EXPECT_NE(empty.damage[0].reason.find("header missing"), std::string::npos);
+  // A missing shard is a miss for the store and an error for the reader.
+  const std::string missing = (dir / "absent.tgij").string();
+  const StoreLoad none =
+      PointStore(missing, kSpec, "plain", kValues).load("test");
+  EXPECT_TRUE(none.completed.empty());
+  EXPECT_TRUE(none.damage.empty());
+  EXPECT_THROW((void)read_journal_file(missing), util::TgiError);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JournalDecoder, AShardRenamedOverAfterTheOpenIsReadWhole) {
+  // A concurrent writer publishes by rename: a reader that opened the old
+  // shard reads the old bytes whole, never a mix of the two files.
+  const std::filesystem::path dir = scratch_dir();
+  const std::string path = (dir / "shard.tgij").string();
+  util::Xoshiro256 rng(0x2e4a3e5ULL);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::string before = generated_journal(rng);
+    const std::string after = generated_journal(rng);
+    util::atomic_write_file(path, before);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    ASSERT_GE(fd, 0);
+    util::atomic_write_file(path, after);
+    const std::string text = util::read_to_end(fd, before.size() / 2);
+    ::close(fd);
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    ASSERT_EQ(text, before);
+    expect_same_contents(oracle::read_journal(before), read_journal(text));
+    expect_same_contents(oracle::read_journal(after), read_journal_file(path));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

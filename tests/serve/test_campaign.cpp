@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "serve/spec.h"
+#include "sim/catalog.h"
+#include "sim/spec_io.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -204,6 +206,30 @@ TEST_F(CampaignTest, WorkerProcessShardsMatchInProcessByteForByte) {
     EXPECT_EQ(warm.stats.computed, 0u) << "workers=" << workers;
     expect_same_bytes(warm.files, in_process.files);
   }
+}
+
+TEST_F(CampaignTest, WorkersComputeTheExactClusterOfTheirEntry) {
+  // A cluster file with a 7th decimal: the engine hands its workers the
+  // cluster as text, which must carry every digit, or the workers price a
+  // different machine under the entry's key.
+  const std::string cluster =
+      sim::cluster_to_config(sim::low_power_cluster());
+  const std::string ghz = "\ncpu.ghz = ";
+  const std::size_t at = cluster.find(ghz);
+  ASSERT_NE(at, std::string::npos);
+  spill(dir("b.conf"), cluster.substr(0, at) + ghz + "0.8500004" +
+                           cluster.substr(cluster.find('\n', at + 1)));
+  const auto entries = parse_campaign(
+      "[seventh]\ncluster = b.conf\nsweep = 16,48,80\nseed = 7\n",
+      root_.string());
+  ASSERT_EQ(entries[0].cluster.node.cpu.ghz, 0.8500004);
+  const auto in_process = run(entries, config("cache_ip", "ip", 0, 2));
+  const auto sharded = run(entries, config("cache_w", "w", 2, 2));
+  // The workers' journals were served as they are, not healed in-process.
+  EXPECT_EQ(sharded.stats.worker_failures, 0u);
+  EXPECT_EQ(sharded.stats.quarantined, 0u);
+  EXPECT_EQ(sharded.report, in_process.report);
+  expect_same_bytes(sharded.files, in_process.files);
 }
 
 TEST_F(CampaignTest, FaultedCampaignIsCachedAndByteStable) {

@@ -1,16 +1,19 @@
 // Campaign spec parsing (DESIGN.md §13): the [entry] grammar, its
 // defaults, loud failures on malformed input, the engine→worker handoff
 // round-trip, and the key-space separation between sweep, faulted, and
-// reference runs.
+// reference runs, down to one ulp of any cluster double.
 #include "serve/spec.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "generated_cluster.h"
 #include "harness/cache.h"
 #include "harness/checkpoint.h"
 #include "harness/robust.h"
@@ -19,6 +22,7 @@
 #include "sim/catalog.h"
 #include "sim/spec_io.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace tgi::serve {
 namespace {
@@ -257,6 +261,35 @@ TEST(CampaignSpec, WorkerSpecRejectsTheGranularityKey) {
                 .find("granularity"),
             std::string::npos);
   fs::remove_all(root);
+}
+
+TEST(CampaignSpec, AOneUlpChangeToAnyClusterDoubleChangesTheKey) {
+  // The key text holds every double exactly, so two specs one ulp apart in
+  // any field — of the system under test or of the reference — never share
+  // a shard, at any magnitude.
+  util::Xoshiro256 rng(0x5eedcafeULL);
+  for (int trial = 0; trial < 60; ++trial) {
+    CampaignSpec spec;
+    spec.cluster = sim::generated::generated_cluster(rng, /*extremes=*/true);
+    spec.reference = sim::generated::generated_cluster(rng, true);
+    spec.sweep = {1};
+    const std::uint64_t key = spec_hash(spec);
+    const std::uint64_t reference_key = reference_spec_hash(spec);
+    for (const sim::generated::DoubleField& f :
+         sim::generated::double_fields()) {
+      for (const double direction : {-HUGE_VAL, HUGE_VAL}) {
+        CampaignSpec moved = spec;
+        f.set(moved.cluster, std::nextafter(f.get(spec.cluster), direction));
+        EXPECT_NE(spec_hash(moved), key) << "trial " << trial << " " << f.key;
+        moved = spec;
+        f.set(moved.reference,
+              std::nextafter(f.get(spec.reference), direction));
+        EXPECT_NE(reference_spec_hash(moved), reference_key)
+            << "trial " << trial << " " << f.key;
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace

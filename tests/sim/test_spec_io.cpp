@@ -3,13 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "generated_cluster.h"
 #include "sim/catalog.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace tgi::sim {
 namespace {
@@ -107,6 +114,99 @@ TEST(SpecIo, RoundTripsCatalogMachines) {
                 original.storage.aggregate_bandwidth(2).value(),
                 original.storage.aggregate_bandwidth(2).value() * 1e-5);
   }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Asserts `back` holds every field of `want` exactly.
+void expect_same_spec(const ClusterSpec& back, const ClusterSpec& want) {
+  for (const generated::DoubleField& f : generated::double_fields()) {
+    EXPECT_EQ(bits(f.get(back)), bits(f.get(want)))
+        << f.key << ": " << f.get(back) << " vs " << f.get(want);
+  }
+  EXPECT_EQ(back.name, want.name);
+  EXPECT_EQ(back.nodes, want.nodes);
+  EXPECT_EQ(back.node.cpu.model, want.node.cpu.model);
+  EXPECT_EQ(back.node.cpu.cores, want.node.cpu.cores);
+  EXPECT_EQ(back.node.sockets, want.node.sockets);
+  EXPECT_EQ(back.node.disks, want.node.disks);
+  EXPECT_EQ(back.interconnect.name, want.interconnect.name);
+}
+
+TEST(SpecIo, GeneratedSpecsRoundTripBitForBit) {
+  // The engine hands a worker its cluster as this text, and the text is
+  // part of every cache key: it must reproduce each double exactly,
+  // extreme magnitudes and unit-scaled quantities included.
+  util::Xoshiro256 rng(0xc1a55eedULL);
+  std::size_t extremes = 0;
+  std::vector<ClusterSpec> specs{fire_cluster(), system_g(),
+                                 low_power_cluster(),
+                                 commodity_gige_cluster(),
+                                 accelerator_heavy_cluster(),
+                                 departmental_cluster(), ClusterSpec{}};
+  for (int trial = 0; trial < 400; ++trial) {
+    specs.push_back(generated::generated_cluster(rng, /*extremes=*/true));
+  }
+  for (const ClusterSpec& spec : specs) {
+    const std::string text = cluster_to_config(spec);
+    SCOPED_TRACE(text);
+    // Every value came from a config number, so none needs the comment.
+    ASSERT_EQ(text.find('#'), std::string::npos);
+    const ClusterSpec back = cluster_from_config(util::Config::parse(text));
+    expect_same_spec(back, spec);
+    EXPECT_EQ(cluster_to_config(back), text);
+    if (::testing::Test::HasFailure()) return;
+    for (const generated::DoubleField& f : generated::double_fields()) {
+      const double magnitude = std::fabs(f.get(spec));
+      if (magnitude != 0.0 && std::fabs(std::log10(magnitude)) > 250) {
+        ++extremes;
+      }
+    }
+  }
+  EXPECT_GT(extremes, 500u);  // the generator reaches both extremes often
+}
+
+TEST(SpecIo, ScaledQuantitiesAreWrittenAsTheShortestExactNumber) {
+  // 7.85 ms scales to a seek time whose plain quotient, back in ms, reads
+  // 7.849999999999999; both numbers reproduce the SI value, so the file
+  // keeps the one the user wrote. Likewise 0.97 us of latency.
+  const std::string text = cluster_to_config(cluster_from_config(
+      util::Config::parse("disk.seek_ms = 7.85\n"
+                          "interconnect.latency_us = 0.97\n")));
+  EXPECT_NE(text.find("\ndisk.seek_ms = 7.85\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\ninterconnect.latency_us = 0.97\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST(SpecIo, AnSiValueNoConfigNumberReachesStaysDistinct) {
+  // Around 16.5 GB/s one ulp of the gbps number scales to about two ulps
+  // of the byte/s value, so about every other SI value has no config
+  // number: its text carries the exact value in a comment, and reads back
+  // as an expressible neighbour.
+  ClusterSpec spec = fire_cluster();
+  spec.node.memory_bandwidth = util::gigabytes_per_sec(16.5);
+  std::set<std::string> texts;
+  std::size_t commented = 0;
+  for (int step = 0; step < 16; ++step) {
+    const std::string text = cluster_to_config(spec);
+    EXPECT_TRUE(texts.insert(text).second) << "step " << step;
+    const ClusterSpec back = cluster_from_config(util::Config::parse(text));
+    const double want = spec.node.memory_bandwidth.value();
+    const double got = back.node.memory_bandwidth.value();
+    if (text.find("# exact SI value") != std::string::npos) {
+      ++commented;
+      EXPECT_NE(got, want);
+      EXPECT_LE(std::fabs(got - want), 2 * (std::nextafter(want, HUGE_VAL) -
+                                            want));
+    } else {
+      EXPECT_EQ(bits(got), bits(want)) << "step " << step;
+    }
+    spec.node.memory_bandwidth =
+        util::ByteRate(std::nextafter(want, HUGE_VAL));
+  }
+  EXPECT_GT(commented, 0u);
+  EXPECT_LT(commented, 16u);
 }
 
 TEST(SpecIo, LoadsFromFile) {

@@ -1,16 +1,21 @@
-// Atomic file writes: all-or-nothing semantics, CRC-32 correctness, and the
-// failed-write regression the checkpoint layer depends on (a write that
-// cannot complete must leave the previous file byte-for-byte intact).
+// Atomic file writes: all-or-nothing semantics, CRC-32 correctness, whole-
+// file reads, and the failed-write regression the checkpoint layer depends
+// on (a write that cannot complete must leave the previous file
+// byte-for-byte intact).
 #include "util/atomic_file.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -105,6 +110,57 @@ TEST(Crc32, SensitiveToSingleBitFlips) {
           << "byte " << i << " bit " << bit;
     }
   }
+}
+
+TEST(Crc32, ContinuesAcrossPieces) {
+  const std::string text = "point index=3\x1fvalue=48\x1fmeasurements=";
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    const std::string_view all(text);
+    EXPECT_EQ(crc32(all.substr(cut), crc32(all.substr(0, cut))), crc32(text))
+        << "cut at " << cut;
+  }
+  EXPECT_EQ(crc32("6789", crc32("12345")), 0xCBF43926u);
+}
+
+TEST_F(AtomicFileTest, ReadFileIfExistsReadsWholeFilesAndMissesMissingOnes) {
+  EXPECT_FALSE(read_file_if_exists(path("absent.tgij")).has_value());
+  const std::string big(100000, 'x');  // past any one-read buffer
+  for (const std::string& content : {std::string(), std::string("a\n"),
+                                     big}) {
+    atomic_write_file(path("f"), content);
+    const std::optional<std::string> got = read_file_if_exists(path("f"));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, content);
+  }
+  // Anything but a missing file is an error, not a miss.
+  EXPECT_THROW((void)read_file_if_exists(root_.string()), TgiError);
+}
+
+TEST_F(AtomicFileTest, ReadToEndKeepsTheOpenedFileWhenAnotherIsRenamedOver) {
+  const std::string target = path("shard.tgij");
+  atomic_write_file(target, "old bytes, whole\n");
+  const int fd = ::open(target.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  atomic_write_file(target, "new bytes, renamed over the path\n");
+  EXPECT_EQ(read_to_end(fd, 4), "old bytes, whole\n");  // hint too small
+  ::close(fd);
+  EXPECT_EQ(*read_file_if_exists(target),
+            "new bytes, renamed over the path\n");
+}
+
+TEST(ReadToEnd, ReadsAPipeThroughShortReads) {
+  // A pipe has no size to hint and delivers at most what is buffered, so
+  // the loop must keep reading until end of file.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::string sent;
+  for (int i = 0; i < 3000; ++i) sent += std::to_string(i) + ",";
+  ASSERT_LT(sent.size(), 16384u);  // fits the pipe buffer: no writer thread
+  ASSERT_EQ(::write(fds[1], sent.data(), sent.size()),
+            static_cast<::ssize_t>(sent.size()));
+  ::close(fds[1]);
+  EXPECT_EQ(read_to_end(fds[0]), sent);
+  ::close(fds[0]);
 }
 
 TEST_F(AtomicFileTest, WritesAndOverwrites) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace tgi::util {
 namespace {
 
@@ -10,6 +13,34 @@ TEST(Format, Fixed) {
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fixed(3.14159, 0), "3");
   EXPECT_EQ(fixed(-1.5, 1), "-1.5");
+}
+
+TEST(Format, FixedIsSizedFromTheValue) {
+  // Past 63 characters a fixed-size buffer would cut the digits off.
+  EXPECT_EQ(fixed(1e60, 6),
+            "999999999999999949387135297074018866963645011013410073083904."
+            "000000");
+  EXPECT_EQ(fixed(-1.5e57, 6),
+            "-1499999999999999985407752241570241939668692766303109251072."
+            "000000");
+  EXPECT_EQ(fixed(1e300, 0).size(), 301u);
+}
+
+TEST(Format, AppendShortestRoundTrips) {
+  std::string out = "x=";
+  append_shortest(out, 0.85);
+  EXPECT_EQ(out, "x=0.85");
+  for (const auto& [v, text] :
+       {std::pair<double, const char*>{0.8500004, "0.8500004"},
+        {1e300, "1e+300"},
+        {1e-300, "1e-300"},
+        {-2.5, "-2.5"},
+        {0.0, "0"},
+        {2.2250738585072014e-308, "2.2250738585072014e-308"}}) {
+    std::string s;
+    append_shortest(s, v);
+    EXPECT_EQ(s, text);
+  }
 }
 
 TEST(Format, Scientific) {

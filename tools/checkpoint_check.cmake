@@ -28,6 +28,13 @@
 #      SIGSTOP/SIGCONT until its shard holds a point record, then killed
 #      with SIGKILL while still running. A rerun at threads=8 must match
 #      the baseline, and its completed shard the full run's, byte for byte.
+#   6. Exact keys (fault-free invocation only): a directory filled for
+#      greenblade with cpu.ghz = 0.85 (as sweep and reference cluster) is
+#      reused for the same file with cpu.ghz = 0.8500004, and one filled
+#      under faults=failure=0.1 for failure=0.1000001. Each rerun must
+#      compute every point its new spec changes — all 9 for the cluster,
+#      the 8 sweep points for the fault rate (the reference run has no
+#      fault plane) — and write stdout and CSVs equal to a fresh run's.
 if(NOT DEFINED TGI_SWEEP OR NOT DEFINED OUT)
   message(FATAL_ERROR "usage: cmake -DTGI_SWEEP=<exe> -DOUT=<dir> "
                       "[-DFAULTS=<spec>] -P checkpoint_check.cmake")
@@ -154,5 +161,50 @@ endif()
 run_sweep("${OUT}/resume_killed" 8 "checkpoint=${ckpt}")
 expect_matches_baseline("${OUT}/resume_killed")
 expect_identical("${OUT}/full.tgij" "${ckpt}/${spec}.tgij")
+
+# 6. Specs that differ past a 6th digit get shards of their own.
+function(run_plain outdir)
+  execute_process(COMMAND ${TGI_SWEEP} seed=7 outdir=${outdir} ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "tgi_sweep failed (rc=${rc}): ${err}")
+  endif()
+  string(REPLACE "${outdir}" "OUTDIR" out "${out}")
+  file(WRITE "${outdir}.stdout" "${out}")
+  file(WRITE "${outdir}.stderr" "${err}")
+endfunction()
+
+# Fills DIR under `first`, reruns `second` over it, and requires stderr to
+# mention `counts` and the rerun to equal a fresh `second` run.
+function(expect_own_shard name first second counts)
+  set(dir "${OUT}/keys_${name}")
+  run_plain("${dir}_filled" ${first} checkpoint=${dir})
+  run_plain("${dir}_reused" ${second} checkpoint=${dir})
+  expect_stderr_mentions("${dir}_reused" "${counts}")
+  run_plain("${dir}_fresh" ${second})
+  expect_identical("${dir}_fresh.stdout" "${dir}_reused.stdout")
+  file(GLOB csvs RELATIVE "${dir}_fresh" "${dir}_fresh/*.csv")
+  foreach(c ${csvs})
+    expect_identical("${dir}_fresh/${c}" "${dir}_reused/${c}")
+  endforeach()
+endfunction()
+
+if(NOT DEFINED FAULTS OR FAULTS STREQUAL "")
+  file(READ "${CMAKE_CURRENT_LIST_DIR}/../clusters/greenblade.conf" blade)
+  string(REGEX REPLACE "\ncpu[.]ghz = [^\n]*" "\ncpu.ghz = 0.85" a "${blade}")
+  string(REGEX REPLACE "\ncpu[.]ghz = [^\n]*" "\ncpu.ghz = 0.8500004" b
+                       "${blade}")
+  if(a STREQUAL blade AND b STREQUAL blade)
+    message(FATAL_ERROR "greenblade.conf has no cpu.ghz line")
+  endif()
+  file(WRITE "${OUT}/a.conf" "${a}")
+  file(WRITE "${OUT}/b.conf" "${b}")
+  expect_own_shard(cluster
+    "cluster=${OUT}/a.conf;reference_cluster=${OUT}/a.conf"
+    "cluster=${OUT}/b.conf;reference_cluster=${OUT}/b.conf"
+    " hits=0 computed=9 ")
+  expect_own_shard(faults "faults=failure=0.1" "faults=failure=0.1000001"
+    " hits=1 computed=8 ")
+endif()
 
 message(STATUS "checkpoint kill-and-rerun determinism OK (${OUT})")

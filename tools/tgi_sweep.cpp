@@ -148,8 +148,9 @@ int run(int argc, const char* const* argv) {
   stats.entries = 1;
 
   // Reference.
-  const harness::PointRecord reference =
-      serve::reference_point(spec, cache ? &*cache : nullptr, stats);
+  const std::uint64_t reference_hash = serve::reference_spec_hash(spec);
+  const harness::PointRecord reference = serve::reference_point(
+      spec, reference_hash, cache ? &*cache : nullptr, stats);
   harness::write_measurements_file(path("reference_systemg.csv"),
                                    reference.point.measurements);
   const core::TgiCalculator calc(reference.point.measurements);
@@ -195,7 +196,7 @@ int run(int argc, const char* const* argv) {
                                    std::cout);
   serve::write_provenance(
       outdir, stats,
-      {{spec.name, hash, serve::reference_spec_hash(spec), stats.points,
+      {{spec.name, hash, reference_hash, stats.points,
         stats.cache_hits, stats.computed, {}}});
   std::cerr << "tgi_sweep: " << stats.summary() << "\n";
   if (spec.faulted()) {
