@@ -1,6 +1,8 @@
 #include "harness/checkpoint.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cinttypes>
@@ -63,12 +65,21 @@ std::string escape(std::string_view raw) {
   return out;
 }
 
-int hex_digit(char ch) {
-  if (ch >= '0' && ch <= '9') return ch - '0';
-  if (ch >= 'A' && ch <= 'F') return ch - 'A' + 10;
-  if (ch >= 'a' && ch <= 'f') return ch - 'a' + 10;
-  return -1;
-}
+/// Each byte's value as a hex digit, or -1: a lookup, so a run of mixed
+/// digits and letters costs no branch per byte.
+constexpr std::array<std::int8_t, 256> kHexDigit = [] {
+  std::array<std::int8_t, 256> table{};
+  table.fill(-1);
+  for (std::uint8_t i = 0; i < 16; ++i) {
+    table[static_cast<std::uint8_t>("0123456789abcdef"[i])] =
+        static_cast<std::int8_t>(i);
+    table[static_cast<std::uint8_t>("0123456789ABCDEF"[i])] =
+        static_cast<std::int8_t>(i);
+  }
+  return table;
+}();
+
+int hex_digit(char ch) { return kHexDigit[static_cast<unsigned char>(ch)]; }
 
 /// Appends the unescaped bytes of `escaped` to `out`.
 void unescape_into(std::string_view escaped, std::string& out) {
@@ -90,12 +101,6 @@ void unescape_into(std::string_view escaped, std::string& out) {
   out.append(escaped.substr(i));
 }
 
-std::string unescape(std::string_view escaped) {
-  std::string out;
-  unescape_into(escaped, out);
-  return out;
-}
-
 /// Bit-exact double serialization: C hexfloat via printf %a / strtod.
 std::string encode_double(double v) {
   char buf[64];
@@ -103,9 +108,52 @@ std::string encode_double(double v) {
   return buf;
 }
 
+/// Reads the spelling encode_double writes for a normal double or a zero —
+/// [-]0x1[.h{1,13}]p±d with the exponent in [-1022, 1023] (h a hex digit
+/// in either case), or [-]0x0p+0 — by building its bits, which are exact.
+/// Returns nullopt for any other spelling (a subnormal, say), which
+/// decode_double leaves to util::parse_double.
+std::optional<double> read_printf_hexfloat(std::string_view text) {
+  std::uint64_t bits = 0;
+  if (!text.empty() && text[0] == '-') {
+    bits = std::uint64_t{1} << 63U;
+    text.remove_prefix(1);
+  }
+  if (text == "0x0p+0") return std::bit_cast<double>(bits);
+  if (text.size() < 6 || text.substr(0, 3) != "0x1") return std::nullopt;
+  std::size_t i = 3;
+  if (text[i] == '.') {
+    std::uint64_t fraction = 0;
+    const std::size_t first = ++i;
+    for (; i < text.size() && i - first < 13; ++i) {
+      const int digit = hex_digit(text[i]);
+      if (digit < 0) break;
+      fraction = (fraction << 4U) | static_cast<std::uint64_t>(digit);
+    }
+    const std::size_t digits = i - first;
+    if (digits == 0) return std::nullopt;
+    bits |= fraction << (4 * (13 - digits));
+  }
+  // 'p', a sign, then 1 to 4 decimal digits.
+  if (text.size() - i < 3 || text.size() - i > 6 || text[i] != 'p' ||
+      (text[i + 1] != '+' && text[i + 1] != '-')) {
+    return std::nullopt;
+  }
+  int exponent = 0;
+  for (const char ch : text.substr(i + 2)) {
+    if (ch < '0' || ch > '9') return std::nullopt;
+    exponent = exponent * 10 + (ch - '0');
+  }
+  if (text[i + 1] == '-') exponent = -exponent;
+  if (exponent < -1022 || exponent > 1023) return std::nullopt;
+  bits |= static_cast<std::uint64_t>(exponent + 1023) << 52U;
+  return std::bit_cast<double>(bits);
+}
+
 /// strtod's grammar (util/number.h), but no leading whitespace and finite
 /// values only.
 double decode_double(std::string_view text) {
+  if (const std::optional<double> v = read_printf_hexfloat(text)) return *v;
   if (text.empty()) throw util::TgiError("journal: empty double field");
   const util::ParsedDouble v = util::parse_double(text);
   if (std::isspace(static_cast<unsigned char>(text[0])) != 0 || !v.complete ||
@@ -175,6 +223,13 @@ void split_views(std::string_view text, char sep,
   pieces.clear();
   for_each_piece(text, sep, [&](std::string_view p) { pieces.push_back(p); });
 }
+
+/// The views a record's lists split into, kept across records so a steady
+/// decode loop does not allocate for them.
+struct SplitScratch {
+  std::vector<std::string_view> items;   ///< RS-separated list elements
+  std::vector<std::string_view> fields;  ///< US-separated fields of one
+};
 
 /// Ordered field list serializer: name=escape(value) joined by US.
 class FieldWriter {
@@ -340,16 +395,19 @@ std::string encode_events(const std::vector<obs::TraceEvent>& events) {
   return out;
 }
 
-std::vector<obs::TraceEvent> decode_events(std::string_view text) {
+std::vector<obs::TraceEvent> decode_events(std::string_view text,
+                                           SplitScratch& split) {
   std::vector<obs::TraceEvent> out;
   if (text.empty()) return out;
-  std::vector<std::string_view> f;
-  for_each_piece(text, kListSep, [&](std::string_view item) {
+  split_views(text, kListSep, split.items);
+  out.reserve(split.items.size());
+  std::vector<std::string_view>& f = split.fields;
+  for (const std::string_view item : split.items) {
     split_views(item, kFieldSep, f);
     if (f.size() < 7 || (f.size() - 7) % 2 != 0) {
       throw util::TgiError("journal: malformed trace event");
     }
-    obs::TraceEvent e;
+    obs::TraceEvent& e = out.emplace_back();
     if (f[0] == "S") {
       e.kind = obs::TraceEvent::Kind::kSpan;
     } else if (f[0] == "I") {
@@ -358,17 +416,21 @@ std::vector<obs::TraceEvent> decode_events(std::string_view text) {
       throw util::TgiError("journal: unknown trace event kind '" +
                            std::string(f[0]) + "'");
     }
-    e.name = unescape(f[1]);
-    e.category = unescape(f[2]);
+    unescape_into(f[1], e.name);
+    unescape_into(f[2], e.category);
     e.benchmark = decode_size(f[3]);
     e.attempt = decode_size(f[4]);
     e.start = util::Seconds(decode_seconds(f[5]));
     e.duration = util::Seconds(decode_seconds(f[6]));
-    for (std::size_t i = 7; i + 1 < f.size(); i += 2) {
-      e.args.emplace_back(unescape(f[i]), unescape(f[i + 1]));
+    e.args.resize((f.size() - 7) / 2);
+    for (std::size_t i = 0; i < e.args.size(); ++i) {
+      // Value before key: a pair with two bad escapes reports the value's,
+      // as `emplace_back(unescape(key), unescape(value))` does under gcc,
+      // which evaluates the arguments right to left.
+      unescape_into(f[8 + 2 * i], e.args[i].second);
+      unescape_into(f[7 + 2 * i], e.args[i].first);
     }
-    out.push_back(std::move(e));
-  });
+  }
   return out;
 }
 
@@ -386,15 +448,18 @@ std::string encode_metrics(const std::vector<obs::Metric>& metrics) {
   return out;
 }
 
-std::vector<obs::Metric> decode_metrics(std::string_view text) {
+std::vector<obs::Metric> decode_metrics(std::string_view text,
+                                        SplitScratch& split) {
   std::vector<obs::Metric> out;
   if (text.empty()) return out;
-  std::vector<std::string_view> f;
-  for_each_piece(text, kListSep, [&](std::string_view item) {
+  split_views(text, kListSep, split.items);
+  out.reserve(split.items.size());
+  std::vector<std::string_view>& f = split.fields;
+  for (const std::string_view item : split.items) {
     split_views(item, kFieldSep, f);
     if (f.size() != 3) throw util::TgiError("journal: malformed metric");
-    obs::Metric m;
-    m.name = unescape(f[0]);
+    obs::Metric& m = out.emplace_back();
+    unescape_into(f[0], m.name);
     if (f[1] == "c") {
       m.kind = obs::MetricKind::kCounter;
     } else if (f[1] == "g") {
@@ -404,8 +469,7 @@ std::vector<obs::Metric> decode_metrics(std::string_view text) {
                            std::string(f[1]) + "'");
     }
     m.value = decode_double(f[2]);
-    out.push_back(std::move(m));
-  });
+  }
   return out;
 }
 
@@ -418,15 +482,20 @@ std::string encode_missing(const std::vector<std::string>& missing) {
   return out;
 }
 
-std::vector<std::string> decode_missing(std::string_view text) {
+std::vector<std::string> decode_missing(std::string_view text,
+                                        SplitScratch& split) {
   std::vector<std::string> out;
   if (text.empty()) return out;
-  for_each_piece(text, kListSep,
-                 [&](std::string_view item) { out.push_back(unescape(item)); });
+  split_views(text, kListSep, split.items);
+  out.reserve(split.items.size());
+  for (const std::string_view item : split.items) {
+    unescape_into(item, out.emplace_back());
+  }
   return out;
 }
 
-PointRecord parse_point_payload(const FieldReader& fields) {
+PointRecord parse_point_payload(const FieldReader& fields,
+                                SplitScratch& split) {
   PointRecord record;
   record.index = fields.get_size("index");
   record.value = fields.get_size("value");
@@ -435,7 +504,7 @@ PointRecord parse_point_payload(const FieldReader& fields) {
   record.point.measurements = decode_measurements(fields.get("measurements"));
   record.robust = fields.get_flag("robust");
   if (record.robust) {
-    record.missing = decode_missing(fields.get("missing"));
+    record.missing = decode_missing(fields.get("missing"), split);
     record.counters.attempts = fields.get_size("attempts");
     record.counters.retries = fields.get_size("retries");
     record.counters.run_faults = fields.get_size("run_faults");
@@ -448,8 +517,8 @@ PointRecord parse_point_payload(const FieldReader& fields) {
   record.traced = fields.get_flag("traced");
   if (record.traced) {
     record.trace_now = util::Seconds(fields.get_seconds("now"));
-    record.events = decode_events(fields.get("events"));
-    record.trace_metrics = decode_metrics(fields.get("metrics"));
+    record.events = decode_events(fields.get("events"), split);
+    record.trace_metrics = decode_metrics(fields.get("metrics"), split);
   }
   return record;
 }
@@ -543,6 +612,7 @@ std::string encode_point_record(const PointRecord& record) {
 JournalContents read_journal(const std::string& text) {
   JournalContents contents;
   FieldReader fields;
+  SplitScratch split;
   // Lines are views of `text`; a last line without '\n' is a torn append.
   std::size_t line_no = 0;
   for (std::size_t pos = 0; pos < text.size();) {
@@ -579,7 +649,7 @@ JournalContents read_journal(const std::string& text) {
         contents.header_valid = true;
       } else if (parsed.kind == "point") {
         fields.parse(parsed.payload);
-        contents.points.push_back(parse_point_payload(fields));
+        contents.points.push_back(parse_point_payload(fields, split));
         contents.point_lines.push_back(line_no);
       } else {
         throw util::TgiError("unknown record kind '" +

@@ -1,6 +1,7 @@
 #include "harness/measurement_io.h"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -49,57 +50,55 @@ void write_measurements_file(
 
 namespace {
 
-/// Splits one CSV record into cells[0..n) and returns n, honoring RFC-4180
-/// double-quote escaping and dropping CR outside quotes. Reuses the strings
-/// already in `cells`, so a parse loop allocates only for its first rows.
-std::size_t split_csv_into(std::string_view line,
-                           std::vector<std::string>& cells) {
+constexpr std::size_t kColumns = 6;
+
+/// Splits one CSV record into views of its cells, honoring RFC-4180
+/// double-quote escaping and dropping CR outside quotes, and returns how
+/// many cells it has; the first kColumns land in `cells`. A cell without a
+/// quote or a CR is a view of `line`. Any other cell is unescaped into
+/// `scratch`, which the call clears and reserves to the line's size, so no
+/// later cell moves an earlier one.
+std::size_t split_csv_row(std::string_view line, std::string& scratch,
+                          std::array<std::string_view, kColumns>& cells) {
+  scratch.clear();
   std::size_t n = 0;
-  const auto next_cell = [&]() -> std::string& {
-    if (n == cells.size()) cells.emplace_back();
-    std::string& cell = cells[n++];
-    cell.clear();
-    return cell;
-  };
-  std::string* cell = &next_cell();
-  bool in_quotes = false;
   std::size_t i = 0;
-  while (i < line.size()) {
-    // Copy the run of plain bytes up to the next quote (in quotes) or the
-    // next quote, comma or CR (outside), then handle that byte.
-    std::size_t stop = i;
-    while (stop < line.size() && line[stop] != '"' &&
-           (in_quotes || (line[stop] != ',' && line[stop] != '\r'))) {
-      ++stop;
+  while (true) {
+    const std::size_t begin = i;
+    while (i < line.size() && line[i] != ',' && line[i] != '"' &&
+           line[i] != '\r') {
+      ++i;
     }
-    cell->append(line.substr(i, stop - i));
-    if (stop == line.size()) break;
-    const char ch = line[stop];
-    i = stop + 1;
-    if (ch == ',') {
-      cell = &next_cell();
-    } else if (ch == '"') {
-      if (!in_quotes) {
-        in_quotes = true;
-      } else if (i < line.size() && line[i] == '"') {
-        *cell += '"';
-        ++i;
-      } else {
-        in_quotes = false;
+    std::string_view cell = line.substr(begin, i - begin);
+    if (i < line.size() && line[i] != ',') {
+      scratch.reserve(line.size());
+      const std::size_t at = scratch.size();
+      scratch.append(cell);
+      bool in_quotes = false;
+      for (; i < line.size() && (in_quotes || line[i] != ','); ++i) {
+        const char ch = line[i];
+        if (ch == '"') {
+          if (in_quotes && i + 1 < line.size() && line[i + 1] == '"') {
+            scratch += '"';
+            ++i;
+          } else {
+            in_quotes = !in_quotes;
+          }
+        } else if (in_quotes || ch != '\r') {
+          scratch += ch;
+        }
       }
-    }  // else a CR outside quotes: dropped
+      TGI_REQUIRE(!in_quotes, "unterminated quote in CSV record: " << line);
+      cell = std::string_view(scratch).substr(at);
+    }
+    if (n < kColumns) cells[n] = cell;
+    ++n;
+    if (i == line.size()) return n;
+    ++i;  // the comma
   }
-  TGI_REQUIRE(!in_quotes, "unterminated quote in CSV record: " << line);
-  return n;
 }
 
 }  // namespace
-
-std::vector<std::string> split_csv_record(const std::string& line) {
-  std::vector<std::string> cells;
-  cells.resize(split_csv_into(line, cells));
-  return cells;
-}
 
 std::vector<core::BenchmarkMeasurement> read_measurements(
     std::string_view text) {
@@ -111,27 +110,34 @@ std::vector<core::BenchmarkMeasurement> read_measurements(
     pos = end + 1;
     return line;
   };
-  std::vector<std::string> cells;
-  {
-    static constexpr std::string_view kExpected[] = {
+  std::string scratch;
+  std::array<std::string_view, kColumns> cells;
+  if (const std::string_view header = next_line();
+      header != kMeasurementCsvHeader) {
+    static constexpr std::array<std::string_view, kColumns> kExpected = {
         "benchmark", "performance", "unit", "watts", "seconds", "joules"};
-    const std::size_t n = split_csv_into(next_line(), cells);
-    TGI_REQUIRE(n == std::size(kExpected) &&
-                    std::equal(std::begin(kExpected), std::end(kExpected),
-                               cells.begin()),
+    TGI_REQUIRE(split_csv_row(header, scratch, cells) == kColumns &&
+                    cells == kExpected,
                 "unexpected CSV header (want '" << kMeasurementCsvHeader
                                                 << "')");
   }
   std::vector<core::BenchmarkMeasurement> out;
+  std::size_t newlines = 0;
+  for (std::size_t at = text.find('\n'); at != std::string_view::npos;
+       at = text.find('\n', at + 1)) {
+    ++newlines;
+  }
+  // A data row holds five commas and ends in '\n' or the end of the text.
+  out.reserve(std::min(newlines, text.size() / kColumns));
   int row = 1;
   // std::stod's acceptance: strtod's grammar, any leading white space, the
   // whole cell, and no range error.
-  auto parse_double = [&](const std::string& cell, const char* what) {
+  auto parse_double = [&](std::string_view cell, const char* what) {
     const util::ParsedDouble v = util::parse_double(cell);
     if (!v.complete || v.range_error) {
       throw util::PreconditionError("row " + std::to_string(row) +
-                                    ": bad " + what + " value '" + cell +
-                                    "'");
+                                    ": bad " + what + " value '" +
+                                    std::string(cell) + "'");
     }
     return v.value;
   };
@@ -139,9 +145,10 @@ std::vector<core::BenchmarkMeasurement> read_measurements(
     const std::string_view line = next_line();
     ++row;
     if (line.empty()) continue;
-    const std::size_t n = split_csv_into(line, cells);
-    TGI_REQUIRE(n == 6, "row " << row << " has " << n << " cells, expected 6");
-    core::BenchmarkMeasurement m;
+    const std::size_t n = split_csv_row(line, scratch, cells);
+    TGI_REQUIRE(n == kColumns,
+                "row " << row << " has " << n << " cells, expected 6");
+    core::BenchmarkMeasurement& m = out.emplace_back();
     m.benchmark = cells[0];
     m.performance = parse_double(cells[1], "performance");
     m.metric_unit = cells[2];
@@ -149,7 +156,6 @@ std::vector<core::BenchmarkMeasurement> read_measurements(
     m.execution_time = util::seconds(parse_double(cells[4], "seconds"));
     m.energy = util::joules(parse_double(cells[5], "joules"));
     m.validate();
-    out.push_back(std::move(m));
   }
   TGI_REQUIRE(!out.empty(), "measurement CSV has no data rows");
   return out;

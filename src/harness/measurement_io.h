@@ -39,9 +39,4 @@ void write_measurements_file(
 [[nodiscard]] std::vector<core::BenchmarkMeasurement> read_measurements_file(
     const std::string& path);
 
-/// Splits one CSV record, honoring RFC-4180 double-quote escaping.
-/// Exposed for tests.
-[[nodiscard]] std::vector<std::string> split_csv_record(
-    const std::string& line);
-
 }  // namespace tgi::harness

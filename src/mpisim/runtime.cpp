@@ -35,7 +35,13 @@ Message Mailbox::pop(int source, int tag,
   }
 }
 
-void Mailbox::notify_abort() { cv_.notify_all(); }
+void Mailbox::notify_abort() {
+  // pop() checks for an abort under mu_ and then waits: locking mu_ here
+  // means a receiver that saw no abort is already waiting when this
+  // notify runs, so the wake-up cannot fall between its check and wait.
+  { std::scoped_lock lock(mu_); }
+  cv_.notify_all();
+}
 
 World::World(int size) : size_(size) {
   TGI_REQUIRE(size_ >= 1, "world size must be >= 1");
@@ -75,6 +81,7 @@ void World::abort(const std::string& why) {
     abort_reason_ = why;
   }
   for (auto& mb : mailboxes_) mb->notify_abort();
+  { std::scoped_lock lock(barrier_mu_); }  // as in Mailbox::notify_abort
   barrier_cv_.notify_all();
 }
 

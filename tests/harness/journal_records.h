@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -39,15 +42,42 @@ inline std::string awkward_name(util::Xoshiro256& rng) {
   return name;
 }
 
-/// A finite double >= 0, sometimes at the edges of the representable range.
+/// A finite double >= 0, often at an edge of the range or of its hexfloat
+/// spelling: zero, a subnormal of any width, DBL_MIN or DBL_MAX and their
+/// neighbours, a normal with 0 to 13 fraction hex digits at any exponent,
+/// or any finite non-negative bit pattern.
 inline double awkward_seconds(util::Xoshiro256& rng) {
-  switch (rng.next() % 5) {
+  static const double kEdges[] = {
+      DBL_MIN, std::nextafter(DBL_MIN, 0.0), std::nextafter(DBL_MIN, 1.0),
+      DBL_MAX, std::nextafter(DBL_MAX, 0.0), DBL_TRUE_MIN};
+  switch (rng.next() % 8) {
     case 0:
       return 0.0;
-    case 1:
-      return 5e-324;  // smallest subnormal
+    case 1: {
+      // The top bit of a `width`-bit fraction set, the rest random.
+      const std::uint64_t width = 1 + rng.next() % 52;
+      return std::bit_cast<double>(
+          (std::uint64_t{1} << (width - 1)) |
+          (rng.next() & ((std::uint64_t{1} << (width - 1)) - 1)));
+    }
     case 2:
-      return 1e300;
+      return kEdges[rng.next() % std::size(kEdges)];
+    case 3: {
+      // `digits` fraction hex digits, the last one odd, so "%a" writes
+      // exactly that many.
+      const std::uint64_t digits = rng.next() % 14;
+      const std::uint64_t fraction =
+          digits == 0 ? 0
+                      : ((rng.next() >> (64 - 4 * digits)) | 1)
+                            << (4 * (13 - digits));
+      const std::uint64_t exponent = 1 + rng.next() % 2046;
+      return std::bit_cast<double>((exponent << 52) | fraction);
+    }
+    case 4: {
+      std::uint64_t pattern = rng.next() >> 1;
+      if ((pattern >> 52) == 0x7ff) pattern ^= std::uint64_t{1} << 62;
+      return std::bit_cast<double>(pattern);
+    }
     default:
       return rng.uniform() * 1e4;
   }

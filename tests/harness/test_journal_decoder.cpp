@@ -47,7 +47,14 @@ const char* const kEdgeTokens[] = {
     "-inf", "nan(1)", "1e-400", "\t7", "7 ", "\r7", "0x", "0x.8", "1e", "+-1",
     ".5", "5.", "0", "-0", "1.7976931348623157e308", "1.7976931348623159e308",
     "18446744073709551615", "18446744073709551616", "00012", "12a", "1,2",
-    "4.9406564584124654e-324", "2.2250738585072011e-308", "1e-5", "0x1P-3"};
+    "4.9406564584124654e-324", "2.2250738585072011e-308", "1e-5", "0x1P-3",
+    // Near the spelling "%a" writes, which the decoder reads directly.
+    "0x1.8P+1", "0X1.8p+1", "0x1.8p1", "0x1.8p+01", "0x1.p+0", "0x1.Ap+0",
+    "0x2p+0", "0x1.00000000000000p+0", "0x1.0000000000000p+0", "0x1p+1024",
+    "0x1p-1023", "0x1p-1022", "0x1.fffffffffffffp+1023", "-0x1p+0",
+    "0x0p+0", "0x0p-0", "0x1p+0000", "0x1p+00000", "0x1.8p+", "0x1.8p",
+    "0x1.8e+1", "0x1.-8p+1", "0x1.8p+1 ", "0x1.00000000000008p+0",
+    "0x1.fffffffffffff8p+0"};
 
 std::uint64_t pick(util::Xoshiro256& rng, std::size_t n) {
   return rng.next() % n;
@@ -303,6 +310,35 @@ TEST(JournalDecoder, AgreesWithTheReferenceDecoderOnDamagedJournals) {
   // The generator must reach both outcomes often.
   EXPECT_GT(decoded_points, 1000u);
   EXPECT_GT(damaged_lines, 1000u);
+}
+
+TEST(JournalDecoder, AnArgWithTwoBadEscapesReportsLikeTheReferenceDecoder) {
+  // One trace arg whose key ends in a truncated escape and whose value
+  // holds a malformed one: the two decoders must name the same defect.
+  PointRecord record;
+  record.value = kValues[0];
+  record.traced = true;
+  obs::TraceEvent event;
+  event.name = "HPL";
+  event.category = "benchmark";
+  event.args = {{"key", "value"}};
+  record.events.push_back(event);
+  const Line parsed = split_line(encode_point_record(record));
+  std::vector<std::string> fields = split(parsed.payload, kUs);
+  for (std::string& field : fields) {
+    if (field.rfind("events=", 0) != 0) continue;
+    std::vector<std::string> f = split(unescape(field.substr(7)), kUs);
+    ASSERT_EQ(f.size(), 9u);
+    f[7] = "key%4";
+    f[8] = "value%zz";
+    field = "events=" + escape(join(f, kUs));
+  }
+  const std::string text =
+      encode_header_record(kSpec, "plain", kValues) +
+      seal(parsed.kind, join(fields, kUs));
+  const JournalContents want = oracle::read_journal(text);
+  ASSERT_EQ(want.damage.size(), 1u);
+  expect_same_contents(want, read_journal(text));
 }
 
 TEST(JournalDecoder, ReconcileMovesWhatItWouldCopy) {

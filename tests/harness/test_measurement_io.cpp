@@ -52,15 +52,67 @@ TEST(MeasurementIo, QuotedBenchmarkNames) {
   EXPECT_EQ(parsed[0].benchmark, "weird, \"name\"");
 }
 
-TEST(MeasurementIo, SplitCsvRecord) {
-  EXPECT_EQ(split_csv_record("a,b,c"),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split_csv_record("\"x,y\",z"),
-            (std::vector<std::string>{"x,y", "z"}));
-  EXPECT_EQ(split_csv_record("\"he said \"\"hi\"\"\",2"),
-            (std::vector<std::string>{"he said \"hi\"", "2"}));
-  EXPECT_EQ(split_csv_record(""), (std::vector<std::string>{""}));
-  EXPECT_THROW(split_csv_record("\"unterminated"), util::PreconditionError);
+/// `rows` after the interchange header, read back.
+std::vector<core::BenchmarkMeasurement> read_rows(const std::string& rows) {
+  return read_measurements(std::string(kMeasurementCsvHeader) + "\n" + rows);
+}
+
+/// The message of the PreconditionError that reading `rows` throws.
+std::string read_error(const std::string& rows) {
+  try {
+    (void)read_rows(rows);
+  } catch (const util::PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MeasurementIo, CellsFollowRfc4180Quoting) {
+  // A quoted comma, a doubled quote, quoted numbers.
+  auto ms = read_rows("\"x,y\",\"1\",MFLOPS,100,10,\"1000\"\n"
+                      "\"he said \"\"hi\"\"\",2,MFLOPS,100,10,1000\n");
+  ASSERT_EQ(ms.size(), 2u);
+  EXPECT_EQ(ms[0].benchmark, "x,y");
+  EXPECT_EQ(ms[0].performance, 1.0);
+  EXPECT_EQ(ms[0].energy.value(), 1000.0);
+  EXPECT_EQ(ms[1].benchmark, "he said \"hi\"");
+  // Empty cells, bare and quoted, and a quote that opens mid-cell.
+  ms = read_rows("HPL,1,,100,10,1000\nST\"RE\"AM,1,\"\",100,10,1000\n");
+  ASSERT_EQ(ms.size(), 2u);
+  EXPECT_EQ(ms[0].metric_unit, "");
+  EXPECT_EQ(ms[1].benchmark, "STREAM");
+  EXPECT_EQ(ms[1].metric_unit, "");
+  // A lone empty quoted cell is a row of one cell; three bare cells are
+  // three.
+  EXPECT_NE(read_error("\"\"\n").find("row 2 has 1 cells, expected 6"),
+            std::string::npos);
+  EXPECT_NE(read_error("a,b,c\n").find("row 2 has 3 cells, expected 6"),
+            std::string::npos);
+  EXPECT_NE(read_error("\"unterminated,1,MFLOPS,100,10,1000\n")
+                .find("unterminated quote in CSV record: \"unterminated"),
+            std::string::npos);
+}
+
+TEST(MeasurementIo, CarriageReturnsDropOutsideQuotesOnly) {
+  // A CRLF file, header included, and a CR inside quotes that stays.
+  const auto ms = read_measurements(
+      "benchmark,performance,unit,watts,seconds,joules\r\n"
+      "HPL,1,MFLOPS,100,10,1000\r\n"
+      "\"A\rB\",1\r,MFLOPS,100,10,1000\r\n");
+  ASSERT_EQ(ms.size(), 2u);
+  EXPECT_EQ(ms[0].benchmark, "HPL");
+  EXPECT_EQ(ms[1].benchmark, "A\rB");
+  EXPECT_EQ(ms[1].performance, 1.0);
+}
+
+TEST(MeasurementIo, HeaderCellsMayBeQuoted) {
+  const auto ms = read_measurements(
+      "\"benchmark\",performance,unit,watts,seconds,\"joules\"\n"
+      "HPL,1,MFLOPS,100,10,1000\n");
+  EXPECT_EQ(ms.size(), 1u);
+  EXPECT_THROW(read_measurements("benchmark,performance,unit,watts,seconds,"
+                                 "joules,extra\nHPL,1,MFLOPS,100,10,1000\n"),
+               util::PreconditionError);
 }
 
 TEST(MeasurementIo, RejectsWrongHeader) {

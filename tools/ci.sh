@@ -26,7 +26,13 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
 echo "== [1/4] tier-1: build + ctest =="
-cmake -B build -G Ninja -DTGI_WARNINGS_AS_ERRORS=ON
+# build/ may already be configured by the tier-1 verify command, with
+# CMake's default generator; a different -G would stop the configure.
+if [ -f build/CMakeCache.txt ]; then
+  cmake -B build -DTGI_WARNINGS_AS_ERRORS=ON
+else
+  cmake -B build -G Ninja -DTGI_WARNINGS_AS_ERRORS=ON
+fi
 cmake --build build -j "$JOBS"
 ctest --test-dir build -j "$JOBS" --output-on-failure
 
