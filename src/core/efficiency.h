@@ -31,7 +31,8 @@ struct CoolingModel {
 };
 
 /// The energy efficiency EE_i of one measurement (Eq. 2 generalized).
-/// Precondition: measurement validates; pue >= 1.
+/// Precondition: measurement validates; pue >= 1; the EE is a finite,
+/// positive, normal double (finite inputs may over- or underflow it).
 [[nodiscard]] double energy_efficiency(const BenchmarkMeasurement& m,
                                        EfficiencyMetric metric,
                                        const CoolingModel& cooling = {});

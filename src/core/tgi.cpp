@@ -1,8 +1,8 @@
 #include "core/tgi.h"
 
 #include <algorithm>
-
 #include <cmath>
+#include <ranges>
 
 #include "stats/means.h"
 #include "util/error.h"
@@ -60,79 +60,130 @@ TgiCalculator::TgiCalculator(std::vector<BenchmarkMeasurement> reference,
                       << reference_[i].benchmark << "'");
     }
   }
-}
-
-std::vector<double> TgiCalculator::derive_weights(
-    const std::vector<BenchmarkMeasurement>& system, WeightScheme scheme) {
-  std::vector<double> raw;
-  raw.reserve(system.size());
-  switch (scheme) {
-    case WeightScheme::kArithmeticMean:
-      return stats::equal_weights(system.size());
-    case WeightScheme::kTime:
-      for (const auto& m : system) raw.push_back(m.execution_time.value());
-      break;
-    case WeightScheme::kEnergy:
-      for (const auto& m : system) raw.push_back(m.energy.value());
-      break;
-    case WeightScheme::kPower:
-      for (const auto& m : system) raw.push_back(m.average_power.value());
-      break;
-    case WeightScheme::kCustom:
-      throw util::PreconditionError(
-          "use compute_custom() for caller-supplied weights");
+  reference_ee_.reserve(reference_.size());
+  for (const auto& m : reference_) {
+    reference_ee_.push_back(
+        energy_efficiency(m, metric_, reference_cooling_));
   }
-  return stats::proportional_weights(raw);
 }
 
-TgiResult TgiCalculator::compute_with_weights(
-    const std::vector<BenchmarkMeasurement>& system,
-    std::span<const double> weights, WeightScheme scheme,
-    const CoolingModel& system_cooling, Aggregation aggregation) const {
-  TGI_REQUIRE(weights.size() == system.size(),
-              "weight count mismatches benchmark count");
-  TGI_REQUIRE(stats::weights_valid(weights),
-              "weights must be non-negative and sum to 1");
+std::size_t TgiCalculator::reference_index(
+    const std::string& benchmark) const {
+  for (std::size_t i = 0; i < reference_.size(); ++i) {
+    if (reference_[i].benchmark == benchmark) return i;
+  }
+  throw util::PreconditionError("no measurement for benchmark '" + benchmark +
+                                "'");
+}
 
+namespace {
+
+/// A result with one component per system benchmark, weights unset.
+TgiResult blank_result(std::size_t benchmarks, WeightScheme scheme,
+                       Aggregation aggregation, EfficiencyMetric metric) {
   TgiResult result;
   result.scheme = scheme;
   result.aggregation = aggregation;
-  result.metric = metric_;
-  result.components.reserve(system.size());
-  std::vector<double> rees;
-  rees.reserve(system.size());
+  result.metric = metric;
+  result.components.resize(benchmarks);
+  return result;
+}
+
+/// Writes the scheme's weights (Eqs. 6 and 10-12), derived from the system
+/// measurements, into `comps` (one per system benchmark).
+void derive_weights(const std::vector<BenchmarkMeasurement>& system,
+                    WeightScheme scheme, std::vector<TgiComponent>& comps) {
+  const auto raw_weights = [&](auto raw) {
+    for (std::size_t i = 0; i < system.size(); ++i) {
+      comps[i].weight = raw(system[i]);
+    }
+    stats::normalize_weights(
+        std::views::transform(comps, &TgiComponent::weight));
+  };
+  switch (scheme) {
+    case WeightScheme::kArithmeticMean: {
+      TGI_REQUIRE(!comps.empty(), "equal weights over no benchmarks");
+      const double w = 1.0 / static_cast<double>(comps.size());
+      for (TgiComponent& comp : comps) comp.weight = w;
+      return;
+    }
+    case WeightScheme::kTime:
+      raw_weights([](const BenchmarkMeasurement& m) {
+        return m.execution_time.value();
+      });
+      return;
+    case WeightScheme::kEnergy:
+      raw_weights(
+          [](const BenchmarkMeasurement& m) { return m.energy.value(); });
+      return;
+    case WeightScheme::kPower:
+      raw_weights([](const BenchmarkMeasurement& m) {
+        return m.average_power.value();
+      });
+      return;
+    case WeightScheme::kCustom:
+      break;
+  }
+  throw util::PreconditionError(
+      "use compute_custom() for caller-supplied weights");
+}
+
+}  // namespace
+
+TgiResult TgiCalculator::compute_derived(
+    const std::vector<BenchmarkMeasurement>& system, WeightScheme scheme,
+    const CoolingModel& system_cooling, Aggregation aggregation) const {
+  TgiResult result = blank_result(system.size(), scheme, aggregation, metric_);
+  derive_weights(system, scheme, result.components);
+  score(system, system_cooling, result);
+  return result;
+}
+
+void TgiCalculator::score(const std::vector<BenchmarkMeasurement>& system,
+                          const CoolingModel& system_cooling,
+                          TgiResult& result) const {
+  std::vector<TgiComponent>& comps = result.components;
+  TGI_REQUIRE(stats::weights_valid(
+                  std::views::transform(comps, &TgiComponent::weight)),
+              "weights must be non-negative and sum to 1");
   double total = 0.0;
   for (std::size_t i = 0; i < system.size(); ++i) {
     const BenchmarkMeasurement& m = system[i];
-    const BenchmarkMeasurement& ref =
-        find_measurement(reference_, m.benchmark);
-    TGI_REQUIRE(m.metric_unit == ref.metric_unit,
+    const std::size_t r = reference_index(m.benchmark);
+    TGI_REQUIRE(m.metric_unit == reference_[r].metric_unit,
                 m.benchmark << ": system reports " << m.metric_unit
-                            << " but reference reports " << ref.metric_unit);
-    TgiComponent comp;
+                            << " but reference reports "
+                            << reference_[r].metric_unit);
+    TgiComponent& comp = comps[i];
     comp.benchmark = m.benchmark;
     comp.ee = energy_efficiency(m, metric_, system_cooling);
-    comp.ref_ee = energy_efficiency(ref, metric_, reference_cooling_);
-    TGI_CHECK(comp.ref_ee > 0.0, "reference EE must be positive");
+    comp.ref_ee = reference_ee_[r];
     comp.ree = comp.ee / comp.ref_ee;  // Eq. 3
-    comp.weight = weights[i];
+    TGI_REQUIRE(std::isnormal(comp.ree),
+                m.benchmark << ": REE = " << comp.ee << " / " << comp.ref_ee
+                            << " over- or underflows");
     comp.contribution = comp.weight * comp.ree;  // one term of Eq. 4
     total += comp.contribution;
-    rees.push_back(comp.ree);
-    result.components.push_back(std::move(comp));
   }
-  switch (aggregation) {
+  switch (result.aggregation) {
     case Aggregation::kWeightedArithmetic:
       result.tgi = total;
-      break;
+      return;
     case Aggregation::kWeightedHarmonic:
-      result.tgi = stats::weighted_harmonic_mean(rees, weights);
-      break;
     case Aggregation::kWeightedGeometric:
-      result.tgi = stats::weighted_geometric_mean(rees, weights);
       break;
   }
-  return result;
+  std::vector<double> rees;
+  std::vector<double> weights;
+  rees.reserve(comps.size());
+  weights.reserve(comps.size());
+  for (const TgiComponent& comp : comps) {
+    rees.push_back(comp.ree);
+    weights.push_back(comp.weight);
+  }
+  result.tgi = result.aggregation == Aggregation::kWeightedHarmonic
+                   ? stats::weighted_harmonic_mean(rees, weights)
+                   : stats::weighted_geometric_mean(rees, weights);
 }
 
 TgiResult TgiCalculator::compute(
@@ -144,9 +195,7 @@ TgiResult TgiCalculator::compute(
                                   << reference_.size()
                                   << " (use compute_partial for a degraded "
                                      "suite)");
-  const std::vector<double> weights = derive_weights(system, scheme);
-  return compute_with_weights(system, weights, scheme, system_cooling,
-                              aggregation);
+  return compute_derived(system, scheme, system_cooling, aggregation);
 }
 
 PartialTgiResult TgiCalculator::compute_partial(
@@ -169,11 +218,9 @@ PartialTgiResult TgiCalculator::compute_partial(
         });
     if (!present) out.missing.push_back(ref.benchmark);
   }
-  // derive_weights normalizes over the surviving benchmarks only — the
+  // The weights are derived over the surviving benchmarks only — the
   // renormalization that keeps a degraded TGI a convex combination.
-  const std::vector<double> weights = derive_weights(system, scheme);
-  out.result = compute_with_weights(system, weights, scheme, system_cooling,
-                                    aggregation);
+  out.result = compute_derived(system, scheme, system_cooling, aggregation);
   return out;
 }
 
@@ -185,8 +232,15 @@ TgiResult TgiCalculator::compute_custom(
               "system suite has " << system.size()
                                   << " benchmarks; reference has "
                                   << reference_.size());
-  return compute_with_weights(system, weights, WeightScheme::kCustom,
-                              system_cooling, aggregation);
+  TGI_REQUIRE(weights.size() == system.size(),
+              "weight count mismatches benchmark count");
+  TgiResult result =
+      blank_result(system.size(), WeightScheme::kCustom, aggregation, metric_);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    result.components[i].weight = weights[i];
+  }
+  score(system, system_cooling, result);
+  return result;
 }
 
 }  // namespace tgi::core

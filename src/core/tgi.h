@@ -15,6 +15,7 @@
 // the component your application stresses).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -91,7 +92,9 @@ struct PartialTgiResult {
 /// suite whose EE values normalize the system under test.
 class TgiCalculator {
  public:
-  /// `reference` must contain one valid measurement per suite benchmark.
+  /// `reference` must contain one valid measurement per suite benchmark,
+  /// each with a valid EE (see energy_efficiency()); a reference that
+  /// fails either throws here.
   explicit TgiCalculator(
       std::vector<BenchmarkMeasurement> reference,
       EfficiencyMetric metric = EfficiencyMetric::kPerformancePerWatt,
@@ -130,18 +133,23 @@ class TgiCalculator {
   [[nodiscard]] EfficiencyMetric metric() const { return metric_; }
 
  private:
-  [[nodiscard]] TgiResult compute_with_weights(
-      const std::vector<BenchmarkMeasurement>& system,
-      std::span<const double> weights, WeightScheme scheme,
+  /// TGI under a derived scheme over `system` (full or partial suite).
+  [[nodiscard]] TgiResult compute_derived(
+      const std::vector<BenchmarkMeasurement>& system, WeightScheme scheme,
       const CoolingModel& system_cooling, Aggregation aggregation) const;
-  /// Derives the scheme's weights from the system measurements
-  /// (Eqs. 6 and 10-12).
-  [[nodiscard]] static std::vector<double> derive_weights(
-      const std::vector<BenchmarkMeasurement>& system, WeightScheme scheme);
+  /// Checks the components' weights, then fills in EE, REE and
+  /// contributions and folds them into result.tgi (Eqs. 2-4).
+  void score(const std::vector<BenchmarkMeasurement>& system,
+             const CoolingModel& system_cooling, TgiResult& result) const;
+  /// Position of `benchmark` in the reference; throws if absent.
+  [[nodiscard]] std::size_t reference_index(
+      const std::string& benchmark) const;
 
   std::vector<BenchmarkMeasurement> reference_;
   EfficiencyMetric metric_;
   CoolingModel reference_cooling_;
+  /// energy_efficiency() of reference_[i], computed once.
+  std::vector<double> reference_ee_;
 };
 
 }  // namespace tgi::core

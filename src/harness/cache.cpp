@@ -1,5 +1,6 @@
 #include "harness/cache.h"
 
+#include <string_view>
 #include <utility>
 
 #include "sim/spec_io.h"
@@ -49,14 +50,21 @@ ResultCache::ResultCache(std::string directory)
 }
 
 std::string ResultCache::shard_path(std::uint64_t spec_hash) const {
-  return directory_ + "/" + spec_hash_hex(spec_hash) + ".tgij";
+  constexpr std::string_view kSuffix = ".tgij";
+  std::string path;
+  path.reserve(directory_.size() + 1 + 16 + kSuffix.size());
+  path += directory_;
+  path += '/';
+  append_spec_hash_hex(path, spec_hash);
+  path += kSuffix;
+  return path;
 }
 
 CacheLookup ResultCache::lookup(std::uint64_t spec_hash,
                                 const std::string& mode,
                                 const std::vector<std::size_t>& values) const {
-  return PointStore(shard_path(spec_hash), spec_hash, mode, values)
-      .load("cache: quarantined entry");
+  return PointStore::load(shard_path(spec_hash), spec_hash, mode, values,
+                          "cache: quarantined entry");
 }
 
 void ResultCache::store(std::uint64_t spec_hash, const std::string& mode,

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cctype>
 #include <charconv>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -34,10 +33,17 @@ std::uint64_t journal_spec_hash(std::string_view canonical_spec) {
   return hash;
 }
 
+void append_spec_hash_hex(std::string& out, std::uint64_t hash) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    out += kHex[(hash >> static_cast<unsigned>(shift)) & 0xFU];
+  }
+}
+
 std::string spec_hash_hex(std::uint64_t hash) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);
-  return buf;
+  std::string out;
+  append_spec_hash_hex(out, hash);
+  return out;
 }
 
 namespace {
@@ -225,8 +231,14 @@ void split_views(std::string_view text, char sep,
 }
 
 /// The views a record's lists split into, kept across records so a steady
-/// decode loop does not allocate for them.
+/// decode loop does not allocate for them. Sized up front for a traced
+/// point record (a few events of 11 fields, about five metrics); a larger
+/// list grows them.
 struct SplitScratch {
+  SplitScratch() {
+    items.reserve(16);
+    fields.reserve(16);
+  }
   std::vector<std::string_view> items;   ///< RS-separated list elements
   std::vector<std::string_view> fields;  ///< US-separated fields of one
 };
@@ -258,6 +270,14 @@ class FieldWriter {
 /// Reused across records, so a steady decode loop does not allocate.
 class FieldReader {
  public:
+  /// Room for every field of a robust point record (19), the largest
+  /// kind, and for the unescaped values of a payload of `max_payload`
+  /// bytes: unescaping only shortens a value.
+  explicit FieldReader(std::size_t max_payload) {
+    fields_.reserve(20);
+    unescaped_.reserve(max_payload);
+  }
+
   /// Splits `payload`, which must outlive every get(); throws on a field
   /// that is not name=value, a bad escape, or a duplicate name.
   void parse(std::string_view payload) {
@@ -345,6 +365,9 @@ std::string encode_values(const std::vector<std::size_t>& values) {
 std::vector<std::size_t> decode_values(std::string_view text) {
   std::vector<std::size_t> out;
   if (text.empty()) return out;
+  out.reserve(static_cast<std::size_t>(
+                  std::count(text.begin(), text.end(), ',')) +
+              1);
   for_each_piece(text, ',', [&](std::string_view item) {
     out.push_back(decode_size(item));
   });
@@ -611,7 +634,17 @@ std::string encode_point_record(const PointRecord& record) {
 
 JournalContents read_journal(const std::string& text) {
   JournalContents contents;
-  FieldReader fields;
+  // A line is at most one point record, and no payload outgrows its line.
+  std::size_t lines = 0;
+  std::size_t longest = 0;
+  for (std::size_t begin = 0; begin < text.size(); ++lines) {
+    const std::size_t end = std::min(text.find('\n', begin), text.size());
+    longest = std::max(longest, end - begin);
+    begin = end + 1;
+  }
+  contents.points.reserve(lines);
+  contents.point_lines.reserve(lines);
+  FieldReader fields(longest);
   SplitScratch split;
   // Lines are views of `text`; a last line without '\n' is a torn append.
   std::size_t line_no = 0;
@@ -809,16 +842,24 @@ PointStore::PointStore(std::string path, std::uint64_t spec_hash,
 }
 
 StoreLoad PointStore::load(const char* warn_prefix) const {
+  return load(path_, spec_hash_, mode_, values_, warn_prefix);
+}
+
+StoreLoad PointStore::load(const std::string& path, std::uint64_t spec_hash,
+                           const std::string& mode,
+                           const std::vector<std::size_t>& values,
+                           const char* warn_prefix) {
+  TGI_REQUIRE(!path.empty(), "PointStore needs a path");
   StoreLoad out;
   JournalContents contents;
   try {
-    const std::optional<std::string> text = util::read_file_if_exists(path_);
+    const std::optional<std::string> text = util::read_file_if_exists(path);
     if (!text) return out;  // no shard yet: every point misses
     contents = read_journal(*text);
     // Throws before it takes anything from `contents`, so the catch below
     // still sees the structural damage.
     JournalState state =
-        reconcile_journal(std::move(contents), spec_hash_, mode_, values_);
+        reconcile_journal(std::move(contents), spec_hash, mode, values);
     out.completed = std::move(state.completed);
     out.damage = std::move(state.damage);
   } catch (const util::TgiError& ex) {
@@ -830,7 +871,7 @@ StoreLoad PointStore::load(const char* warn_prefix) const {
         JournalDamage{0, std::string("shard rejected: ") + ex.what()});
   }
   for (const JournalDamage& d : out.damage) {
-    TGI_LOG_WARN(warn_prefix << " (" << path_ << " line " << d.line
+    TGI_LOG_WARN(warn_prefix << " (" << path << " line " << d.line
                              << "): " << d.reason);
   }
   return out;

@@ -78,6 +78,8 @@ namespace tgi::harness {
 /// A spec hash as 16 lowercase hex digits: the journal header field, the
 /// cache shard file name, and provenance all print it this way.
 [[nodiscard]] std::string spec_hash_hex(std::uint64_t hash);
+/// The same 16 digits, appended to `out`.
+void append_spec_hash_hex(std::string& out, std::uint64_t hash);
 
 /// One quarantined journal line and why it was rejected.
 struct JournalDamage {
@@ -199,6 +201,13 @@ class PointStore {
   /// into `damage`, each logged at WARN as "<warn_prefix> (<path> line N):
   /// <reason>".
   [[nodiscard]] StoreLoad load(const char* warn_prefix) const;
+  /// load() of the file at `path` against (spec_hash, mode, values),
+  /// without a handle that copies them: a read-only lookup.
+  [[nodiscard]] static StoreLoad load(const std::string& path,
+                                      std::uint64_t spec_hash,
+                                      const std::string& mode,
+                                      const std::vector<std::size_t>& values,
+                                      const char* warn_prefix);
 
   /// Atomically replaces the file (util::AtomicFile; the directory is
   /// created) with the header plus `records` in index order. `records` may

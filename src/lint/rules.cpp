@@ -199,6 +199,59 @@ class RawAlignedAllocRule final : public Rule {
   }
 };
 
+// --- isa-specific-code ----------------------------------------------------
+
+/// Code for one instruction set — intrinsic headers, per-function target
+/// attributes, CPU-feature queries — outside util/atomic_file.cpp. The
+/// CRC-32 there is the one kernel that picks an ISA path at run time (a
+/// PCLMULQDQ fold, with the portable table loop beside it and a test that
+/// holds both to a bitwise reference). Anywhere else, such code would be a
+/// second build- or host-dependent path that the rest of the repository's
+/// byte-identity contracts do not cover.
+class IsaSpecificCodeRule final : public Rule {
+ public:
+  [[nodiscard]] std::string_view id() const override {
+    return "isa-specific-code";
+  }
+  [[nodiscard]] std::string_view description() const override {
+    return "ISA-specific code (<*intrin.h> / <arm_neon.h> includes, "
+           "__attribute__((target(...))), __builtin_cpu_supports) outside "
+           "util/atomic_file.cpp, the CRC-32's one sanctioned home";
+  }
+
+  void check(const SourceFile& file, std::vector<Violation>& out) const override {
+    if (file.path == "src/util/atomic_file.cpp") return;  // the one home
+    static constexpr std::string_view kBuiltins[] = {
+        "__builtin_cpu_supports", "__builtin_cpu_is", "__builtin_cpu_init"};
+    for (std::size_t i = 0; i < file.code.size(); ++i) {
+      const std::string& line = file.code[i];
+      std::string packed;  // the line without blanks
+      for (const char c : line) {
+        if (c != ' ' && c != '\t') packed += c;
+      }
+      const std::string_view why =
+          " outside util/atomic_file.cpp; ISA-specific code lives in the "
+          "CRC-32 alone";
+      if (starts_with(packed, "#include<") &&
+          (packed.find("intrin.h>") != std::string::npos ||
+           packed.find("<arm_neon.h>") != std::string::npos)) {
+        add(out, file, i + 1, id(),
+            "intrinsics header" + std::string(why));
+      }
+      if (packed.find("__attribute__((target(") != std::string::npos ||
+          packed.find("gnu::target(") != std::string::npos) {
+        add(out, file, i + 1, id(),
+            "per-function target attribute" + std::string(why));
+      }
+      for (std::string_view name : kBuiltins) {
+        if (contains_identifier(line, name)) {
+          add(out, file, i + 1, id(), std::string(name) + std::string(why));
+        }
+      }
+    }
+  }
+};
+
 // --- raw-process-spawn ----------------------------------------------------
 
 /// Raw process-control calls outside util/subprocess. util::Subprocess is
@@ -868,6 +921,7 @@ RuleSet default_rules() {
   rules.push_back(std::make_unique<AssertMacroRule>());
   rules.push_back(std::make_unique<BannedRandomRule>());
   rules.push_back(std::make_unique<CoutInLibraryRule>());
+  rules.push_back(std::make_unique<IsaSpecificCodeRule>());
   rules.push_back(std::make_unique<NonatomicOutputWriteRule>());
   rules.push_back(std::make_unique<RawAlignedAllocRule>());
   rules.push_back(std::make_unique<RawProcessSpawnRule>());

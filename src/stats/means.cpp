@@ -71,34 +71,4 @@ double weighted_geometric_mean(std::span<const double> xs,
   return std::exp(log_acc);
 }
 
-std::vector<double> proportional_weights(std::span<const double> raw) {
-  TGI_REQUIRE(!raw.empty(), "weights from empty data");
-  double total = 0.0;
-  for (double r : raw) {
-    TGI_REQUIRE(r >= 0.0, "proportional weight source must be >= 0, got "
-                              << r);
-    total += r;
-  }
-  TGI_REQUIRE(total > 0.0, "proportional weight sources sum to zero");
-  std::vector<double> out;
-  out.reserve(raw.size());
-  for (double r : raw) out.push_back(r / total);
-  return out;
-}
-
-std::vector<double> equal_weights(std::size_t n) {
-  TGI_REQUIRE(n > 0, "equal_weights(0)");
-  return std::vector<double>(n, 1.0 / static_cast<double>(n));
-}
-
-bool weights_valid(std::span<const double> weights, double tol) {
-  if (weights.empty()) return false;
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0 || !std::isfinite(w)) return false;
-    total += w;
-  }
-  return std::fabs(total - 1.0) <= tol;
-}
-
 }  // namespace tgi::stats

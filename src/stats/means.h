@@ -7,8 +7,11 @@
 // and the weight constructors shared by tgi::core.
 #pragma once
 
+#include <cmath>
+#include <ranges>
 #include <span>
-#include <vector>
+
+#include "util/error.h"
 
 namespace tgi::stats {
 
@@ -34,17 +37,36 @@ namespace tgi::stats {
 [[nodiscard]] double weighted_geometric_mean(std::span<const double> xs,
                                              std::span<const double> weights);
 
-/// Normalizes non-negative `raw` values so they sum to 1 — the construction
-/// behind W_t, W_e and W_p (Eqs. 10-12): weight_i = raw_i / Σ raw_j.
-/// Precondition: non-empty, all raw >= 0, sum > 0.
-[[nodiscard]] std::vector<double> proportional_weights(
-    std::span<const double> raw);
+/// Scales non-negative raw values in place so they sum to 1 — the
+/// construction behind W_t, W_e and W_p (Eqs. 10-12): w_i = raw_i / Σ raw_j,
+/// summed in order. `weights` is any range of double lvalues, so a weight
+/// field is normalized where it lives (tgi::core writes its raw values into
+/// each TgiComponent::weight). Precondition: non-empty, all raw >= 0,
+/// sum > 0.
+template <std::ranges::forward_range Weights>
+void normalize_weights(Weights&& weights) {
+  TGI_REQUIRE(!std::ranges::empty(weights), "weights from empty data");
+  double total = 0.0;
+  for (const double r : weights) {
+    TGI_REQUIRE(r >= 0.0, "proportional weight source must be >= 0, got "
+                              << r);
+    total += r;
+  }
+  TGI_REQUIRE(total > 0.0, "proportional weight sources sum to zero");
+  for (double& w : weights) w = w / total;
+}
 
-/// Returns a vector of n equal weights 1/n. Precondition: n > 0.
-[[nodiscard]] std::vector<double> equal_weights(std::size_t n);
-
-/// True when weights are non-negative and sum to 1 within `tol`.
-[[nodiscard]] bool weights_valid(std::span<const double> weights,
-                                 double tol = 1e-9);
+/// True when weights are non-negative and sum to 1 within `tol`. Any range
+/// of doubles, as for normalize_weights.
+template <std::ranges::forward_range Weights>
+[[nodiscard]] bool weights_valid(Weights&& weights, double tol = 1e-9) {
+  if (std::ranges::empty(weights)) return false;
+  double total = 0.0;
+  for (const double w : weights) {
+    if (w < 0.0 || !std::isfinite(w)) return false;
+    total += w;
+  }
+  return std::fabs(total - 1.0) <= tol;
+}
 
 }  // namespace tgi::stats

@@ -40,8 +40,18 @@ namespace tgi::util {
 /// checksum). Deterministic across platforms; used for journal records.
 /// `prior` continues a checksum zlib-style: crc32(b, crc32(a)) equals
 /// crc32 of a followed by b, so pieces need not be concatenated first.
+/// On x86-64 hosts with PCLMULQDQ (checked once per process), inputs of 64
+/// bytes or more fold 16-byte blocks by carry-less multiplication; the
+/// tail, short inputs and other hosts take the slicing-by-8 table loop.
 [[nodiscard]] std::uint32_t crc32(std::string_view data,
                                   std::uint32_t prior = 0);
+
+namespace detail {
+/// crc32() by the slicing-by-8 loop alone, whatever the host: the path a
+/// host without PCLMULQDQ takes, exposed so tests can compare both paths.
+[[nodiscard]] std::uint32_t crc32_portable(std::string_view data,
+                                           std::uint32_t prior = 0);
+}  // namespace detail
 
 /// Reads an open descriptor (a file, a pipe) to end of file, retrying
 /// EINTR and short reads; `size_hint` sizes the first read (a file's fstat

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.h"
 
 namespace tgi::core {
@@ -57,6 +59,53 @@ TEST(Efficiency, ValidatesMeasurement) {
   EXPECT_THROW(
       (void)energy_efficiency(bad, EfficiencyMetric::kPerformancePerWatt),
       util::PreconditionError);
+}
+
+TEST(Efficiency, RejectsAnEfficiencyThatOverOrUnderflows) {
+  // Finite, valid measurements whose EE is inf, subnormal or 0; each
+  // error names the benchmark and the metric.
+  BenchmarkMeasurement overflow = sample();
+  overflow.performance = 1e300;
+  overflow.average_power = util::watts(1e-10);
+  overflow.execution_time = util::seconds(1.0);
+  overflow.energy = util::joules(1e-10);
+  BenchmarkMeasurement subnormal = sample();
+  subnormal.performance = 1e-300;
+  subnormal.average_power = util::watts(1e10);
+  subnormal.execution_time = util::seconds(1.0);
+  subnormal.energy = util::joules(1e10);
+  BenchmarkMeasurement edp_overflow = sample();
+  edp_overflow.average_power = util::watts(1e150);
+  edp_overflow.execution_time = util::seconds(1e150);
+  edp_overflow.energy = util::joules(1e300);
+  const struct {
+    const BenchmarkMeasurement& m;
+    EfficiencyMetric metric;
+    const char* says;
+  } cases[] = {
+      {overflow, EfficiencyMetric::kPerformancePerWatt,
+       "X: performance/watt energy efficiency is inf"},
+      {subnormal, EfficiencyMetric::kPerformancePerWatt,
+       "X: performance/watt energy efficiency is 1e-310"},
+      {edp_overflow, EfficiencyMetric::kInverseEnergyDelay,
+       "X: 1/(energy*delay) energy efficiency is 0"},
+  };
+  for (const auto& c : cases) {
+    c.m.validate();
+    try {
+      (void)energy_efficiency(c.m, c.metric);
+      ADD_FAILURE() << c.says;
+    } catch (const util::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.says), std::string::npos)
+          << e.what();
+    }
+  }
+  // The other metric of each is fine.
+  EXPECT_GT(energy_efficiency(overflow, EfficiencyMetric::kInverseEnergyDelay),
+            0.0);
+  EXPECT_GT(
+      energy_efficiency(edp_overflow, EfficiencyMetric::kPerformancePerWatt),
+      0.0);
 }
 
 TEST(Efficiency, MetricNames) {

@@ -197,6 +197,46 @@ TEST(Tgi, Validation) {
                util::PreconditionError);
 }
 
+TEST(Tgi, AReferenceEfficiencyThatUnderflowsFailsAtConstruction) {
+  // EE = 1e-300 / 1e10 is subnormal: every REE against it would be inf.
+  auto reference = reference_suite();
+  reference[0] = make("HPL", 1e-300, "MFLOPS", 1e10, 1.0);
+  EXPECT_THROW(TgiCalculator{reference}, util::PreconditionError);
+  // Under inverse EDP the same row is fine; 1e150 W for 1e150 s is not.
+  EXPECT_NO_THROW(
+      TgiCalculator(reference, EfficiencyMetric::kInverseEnergyDelay));
+  reference[0] = make("HPL", 1000.0, "MFLOPS", 1e150, 1e150);
+  EXPECT_THROW(
+      TgiCalculator(reference, EfficiencyMetric::kInverseEnergyDelay),
+      util::PreconditionError);
+}
+
+TEST(Tgi, AnEfficiencyOrReeThatOverflowsIsRefused) {
+  const TgiCalculator calc(reference_suite());
+  auto system = system_suite();
+  system[0] = make("HPL", 1e300, "MFLOPS", 1e-10, 1.0);  // EE = inf
+  for (const Aggregation aggregation :
+       {Aggregation::kWeightedArithmetic, Aggregation::kWeightedHarmonic,
+        Aggregation::kWeightedGeometric}) {
+    EXPECT_THROW(calc.compute(system, WeightScheme::kArithmeticMean, {},
+                              aggregation),
+                 util::PreconditionError);
+  }
+  // Both EEs are normal, but 1e300 / 1e-20 is not: REE = inf.
+  auto reference = reference_suite();
+  reference[0] = make("HPL", 1e-10, "MFLOPS", 1e10, 1.0);
+  system[0] = make("HPL", 1e300, "MFLOPS", 1.0, 1.0);
+  EXPECT_THROW(TgiCalculator(reference).compute(
+                   system, WeightScheme::kArithmeticMean),
+               util::PreconditionError);
+  // Under inverse EDP, energy × delay overflows: EE = 0.
+  const TgiCalculator edp(reference_suite(),
+                          EfficiencyMetric::kInverseEnergyDelay);
+  system[0] = make("HPL", 1000.0, "MFLOPS", 1e150, 1e150);
+  EXPECT_THROW(edp.compute(system, WeightScheme::kArithmeticMean),
+               util::PreconditionError);
+}
+
 TEST(Tgi, HarmonicAndGeometricAggregation) {
   const TgiCalculator calc(reference_suite());
   const auto system = system_suite();

@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/tgi.h"
+#include "generated_cluster.h"
 #include "sim/catalog.h"
+#include "sim/spec_io.h"
+#include "stats/means.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace tgi::harness {
 namespace {
@@ -118,6 +124,60 @@ TEST(ReferenceMeasurements, WorksAsTgiReference) {
   EXPECT_GT(r.tgi, 0.0);
   EXPECT_TRUE(std::isfinite(r.tgi));
   EXPECT_EQ(r.components.size(), 3u);
+}
+
+/// ROADMAP item 6: a system measured as its own reference scores TGI = 1
+/// for every weight scheme, aggregation and EE metric — over generated
+/// clusters, end to end: two runners with two exact meters measure the
+/// suite on the same spec at one scale, and one is the other's reference.
+TEST(SuiteRunner, GeneratedClustersScoreOneAgainstThemselves) {
+  util::Xoshiro256 rng(0x7E1F);
+  for (int k = 0; k < 32; ++k) {
+    const sim::ClusterSpec cluster = sim::generated::generated_cluster(rng);
+    SCOPED_TRACE(sim::cluster_to_config(cluster));
+    const std::size_t processes = 1 + rng.uniform_index(cluster.total_cores());
+    // Resolution only sets how finely the exact meter integrates; a
+    // coarse one keeps long generated runs cheap.
+    power::ModelMeter system_meter(util::seconds(0.5));
+    power::ModelMeter reference_meter(util::seconds(0.5));
+    SuiteRunner system(cluster, system_meter);
+    SuiteRunner reference(cluster, reference_meter);
+    const SuitePoint measured = system.run_suite(processes);
+    const SuitePoint ref = reference.run_suite(processes);
+    ASSERT_EQ(measured.measurements.size(), 3u);
+    std::vector<double> custom(3);
+    for (double& w : custom) w = rng.uniform(0.1, 1.0);
+    stats::normalize_weights(custom);
+    for (const core::EfficiencyMetric metric :
+         {core::EfficiencyMetric::kPerformancePerWatt,
+          core::EfficiencyMetric::kInverseEnergyDelay}) {
+      const core::TgiCalculator calc(ref.measurements, metric);
+      for (const core::Aggregation aggregation :
+           {core::Aggregation::kWeightedArithmetic,
+            core::Aggregation::kWeightedHarmonic,
+            core::Aggregation::kWeightedGeometric}) {
+        std::vector<core::TgiResult> results;
+        for (const core::WeightScheme scheme :
+             {core::WeightScheme::kArithmeticMean, core::WeightScheme::kTime,
+              core::WeightScheme::kEnergy, core::WeightScheme::kPower}) {
+          results.push_back(
+              calc.compute(measured.measurements, scheme, {}, aggregation));
+        }
+        results.push_back(calc.compute_custom(measured.measurements, custom,
+                                              {}, aggregation));
+        for (const core::TgiResult& r : results) {
+          for (const core::TgiComponent& c : r.components) {
+            EXPECT_EQ(c.ree, 1.0) << c.benchmark;
+          }
+          // Σ w_i · 1 with Σ w_i = 1: a few ulps of rounding in the sum.
+          EXPECT_NEAR(r.tgi, 1.0, 4 * 0x1p-52)
+              << core::weight_scheme_name(r.scheme) << ", "
+              << core::aggregation_name(aggregation) << ", "
+              << core::efficiency_metric_name(metric);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

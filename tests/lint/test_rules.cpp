@@ -216,6 +216,55 @@ TEST(RawAlignedAlloc, AllowMarkerWaives) {
       "raw-aligned-alloc"));
 }
 
+// --- isa-specific-code ----------------------------------------------------
+
+TEST(IsaSpecificCode, FlagsIntrinsicsTargetAttributesAndCpuQueries) {
+  for (const char* code :
+       {"#include <immintrin.h>\n", "#include <wmmintrin.h>\n",
+        "#  include   <x86intrin.h>\n", "#include <arm_neon.h>\n",
+        "__attribute__((target(\"pclmul\"))) int f();\n",
+        "__attribute__ ((target (\"avx2\"))) int f();\n",
+        "[[gnu::target(\"sse4.2\")]] int f();\n",
+        "if (__builtin_cpu_supports(\"pclmul\")) {}\n",
+        "__builtin_cpu_init();\n", "return __builtin_cpu_is(\"intel\");\n"}) {
+    for (const char* path : {"src/util/atomic_file.h", "src/harness/h.cpp",
+                             "tools/t.cpp", "tests/util/t.cpp",
+                             "bench/b.cpp"}) {
+      EXPECT_TRUE(has_rule(lint(path, code), "isa-specific-code"))
+          << path << ": " << code;
+    }
+  }
+}
+
+TEST(IsaSpecificCode, AllowsTheCrcFileCommentsStringsAndLookalikes) {
+  // The one sanctioned home.
+  EXPECT_FALSE(has_rule(
+      lint("src/util/atomic_file.cpp",
+           "#include <immintrin.h>\n"
+           "__attribute__((target(\"pclmul\"))) int f();\n"
+           "bool b = __builtin_cpu_supports(\"pclmul\");\n"),
+      "isa-specific-code"));
+  // Comments, strings, other headers and longer identifiers never match.
+  for (const char* code :
+       {"// #include <immintrin.h> would be banned here\n",
+        "const char* s = \"__builtin_cpu_supports\";\n",
+        "#include <intrinsics_table.h>\n", "#include \"util/simd.h\"\n",
+        "my__builtin_cpu_supports_wrapper();\n",
+        "int target(int x);\n",
+        "struct A { int __attribute__((aligned(16))) x; };\n"}) {
+    EXPECT_FALSE(has_rule(lint("src/harness/h.cpp", code),
+                          "isa-specific-code"))
+        << code;
+  }
+}
+
+TEST(IsaSpecificCode, AllowMarkerWaives) {
+  EXPECT_FALSE(has_rule(
+      lint("src/util/simd.h",
+           "#include <immintrin.h>  // tgi-lint: allow(isa-specific-code)\n"),
+      "isa-specific-code"));
+}
+
 // --- raw-process-spawn ----------------------------------------------------
 
 TEST(RawProcessSpawn, FlagsRawProcessControlInSrcAndTools) {
@@ -594,7 +643,7 @@ TEST(RuleSet, FormatViolationMatchesPromisedShape) {
 
 TEST(RuleSet, DefaultRulesHaveStableUniqueIds) {
   const RuleSet rules = default_rules();
-  ASSERT_EQ(rules.size(), 13u);
+  ASSERT_EQ(rules.size(), 14u);
   for (std::size_t i = 1; i < rules.size(); ++i) {
     EXPECT_LT(rules[i - 1]->id(), rules[i]->id());
   }
@@ -602,7 +651,7 @@ TEST(RuleSet, DefaultRulesHaveStableUniqueIds) {
 
 TEST(RuleSet, CatalogCoversPerFileGraphAndAuditRules) {
   const std::vector<RuleInfo> catalog = rule_catalog();
-  ASSERT_EQ(catalog.size(), 17u);  // 13 per-file + 2 graph + 2 audit
+  ASSERT_EQ(catalog.size(), 18u);  // 14 per-file + 2 graph + 2 audit
   for (std::size_t i = 1; i < catalog.size(); ++i) {
     EXPECT_LT(catalog[i - 1].id, catalog[i].id);
   }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ranges>
 #include <vector>
 
 #include "util/error.h"
@@ -51,29 +52,36 @@ TEST(Means, WeightedRejectsBadWeights) {
 
 TEST(Means, ProportionalWeights) {
   // Eq. 10-12 form: raw magnitudes normalize to a unit simplex.
-  const std::vector<double> raw{10.0, 30.0, 60.0};
-  const auto w = proportional_weights(raw);
+  std::vector<double> w{10.0, 30.0, 60.0};
+  normalize_weights(w);
   ASSERT_EQ(w.size(), 3u);
   EXPECT_DOUBLE_EQ(w[0], 0.1);
   EXPECT_DOUBLE_EQ(w[1], 0.3);
   EXPECT_DOUBLE_EQ(w[2], 0.6);
   EXPECT_TRUE(weights_valid(w));
+  // In place in a field: each w_i is raw_i / Σ raw, the sum taken in order.
+  struct Item {
+    double other = -1.0;
+    double weight = 0.0;
+  };
+  std::vector<Item> items{{-1.0, 0.1}, {-1.0, 0.7}, {-1.0, 0.3}};
+  const auto weights = std::views::transform(items, &Item::weight);
+  normalize_weights(weights);
+  const double total = 0.1 + 0.7 + 0.3;
+  EXPECT_EQ(items[0].weight, 0.1 / total);
+  EXPECT_EQ(items[1].weight, 0.7 / total);
+  EXPECT_EQ(items[2].weight, 0.3 / total);
+  EXPECT_EQ(items[1].other, -1.0);
+  EXPECT_TRUE(weights_valid(weights));
 }
 
 TEST(Means, ProportionalWeightsErrors) {
-  EXPECT_THROW(proportional_weights(std::vector<double>{}),
+  EXPECT_THROW(normalize_weights(std::vector<double>{}),
                util::PreconditionError);
-  EXPECT_THROW(proportional_weights(std::vector<double>{1.0, -1.0}),
+  EXPECT_THROW(normalize_weights(std::vector<double>{1.0, -1.0}),
                util::PreconditionError);
-  EXPECT_THROW(proportional_weights(std::vector<double>{0.0, 0.0}),
+  EXPECT_THROW(normalize_weights(std::vector<double>{0.0, 0.0}),
                util::PreconditionError);
-}
-
-TEST(Means, EqualWeights) {
-  const auto w = equal_weights(4);
-  ASSERT_EQ(w.size(), 4u);
-  for (double v : w) EXPECT_DOUBLE_EQ(v, 0.25);
-  EXPECT_THROW(equal_weights(0), util::PreconditionError);
 }
 
 TEST(Means, WeightsValid) {
@@ -101,10 +109,10 @@ TEST_P(MeanInequality, AmGmHmOrdering) {
 TEST_P(MeanInequality, WeightedAmIsConvexCombination) {
   util::Xoshiro256 rng(GetParam() ^ 0xabcdULL);
   std::vector<double> xs(8);
-  std::vector<double> raw(8);
+  std::vector<double> w(8);
   for (double& x : xs) x = rng.uniform(-50.0, 50.0);
-  for (double& r : raw) r = rng.uniform(0.1, 5.0);
-  const auto w = proportional_weights(raw);
+  for (double& r : w) r = rng.uniform(0.1, 5.0);
+  normalize_weights(w);
   const double m = weighted_arithmetic_mean(xs, w);
   EXPECT_LE(m, *std::max_element(xs.begin(), xs.end()) + 1e-12);
   EXPECT_GE(m, *std::min_element(xs.begin(), xs.end()) - 1e-12);

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace tgi::util {
@@ -73,11 +74,14 @@ TEST(Crc32, MatchesIeeeTestVectors) {
   EXPECT_EQ(crc32(std::string(1, '\0')), 0xD202EF8Du);
 }
 
-TEST(Crc32, SlicedMatchesTheBytewiseReference) {
-  // The one-byte-at-a-time loop the sliced version replaced, at every
-  // length around the 8-byte block size and at every start offset.
-  const auto bytewise = [](std::string_view data) {
-    std::uint32_t crc = 0xFFFFFFFFU;
+TEST(Crc32, BothPathsMatchTheBytewiseReference) {
+  // The one-byte-at-a-time loop, against crc32() (folded from 64 bytes on
+  // a PCLMULQDQ host) and the slicing-by-8 path alone: every length to
+  // 4096 bytes (across the 8-, 16- and 64-byte block edges), every start
+  // offset modulo 16, a random `prior`, and the input cut into two
+  // chained pieces.
+  const auto bytewise = [](std::string_view data, std::uint32_t prior) {
+    std::uint32_t crc = prior ^ 0xFFFFFFFFU;
     for (const char ch : data) {
       crc ^= static_cast<unsigned char>(ch);
       for (int k = 0; k < 8; ++k) {
@@ -86,14 +90,29 @@ TEST(Crc32, SlicedMatchesTheBytewiseReference) {
     }
     return crc ^ 0xFFFFFFFFU;
   };
-  std::string bytes;
-  for (int i = 0; i < 300; ++i) {
-    bytes += static_cast<char>((i * 167 + 13) % 256);
+  Xoshiro256 rng(0xC3C32);
+  std::string bytes(4096 + 16, '\0');
+  for (char& ch : bytes) ch = static_cast<char>(rng.next());
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    const std::size_t start = len % 16;
+    const std::string_view data(bytes.data() + start, len);
+    const auto prior = static_cast<std::uint32_t>(rng.next());
+    const std::uint32_t want = bytewise(data, prior);
+    ASSERT_EQ(crc32(data, prior), want) << start << "+" << len;
+    ASSERT_EQ(detail::crc32_portable(data, prior), want)
+        << start << "+" << len;
+    const std::size_t cut = rng.uniform_index(len + 1);
+    ASSERT_EQ(crc32(data.substr(cut), crc32(data.substr(0, cut), prior)),
+              want)
+        << start << "+" << len << " cut at " << cut;
   }
-  for (std::size_t start = 0; start < 8; ++start) {
-    for (std::size_t len = 0; start + len <= bytes.size(); ++len) {
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (const std::size_t len : {15U, 16U, 17U, 63U, 64U, 65U, 79U, 80U,
+                                  127U, 128U, 129U, 900U, 4080U}) {
       const std::string_view data(bytes.data() + start, len);
-      ASSERT_EQ(crc32(data), bytewise(data)) << start << "+" << len;
+      ASSERT_EQ(crc32(data), bytewise(data, 0)) << start << "+" << len;
+      ASSERT_EQ(detail::crc32_portable(data), bytewise(data, 0))
+          << start << "+" << len;
     }
   }
 }
