@@ -30,48 +30,28 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-/// The experiment's plain-sweep spec hash: the one canonical spec text.
-std::uint64_t sweep_hash(const bench::Experiment& e) {
-  return harness::journal_spec_hash(
-      harness::cache_spec_text(e.system_under_test, e.seed,
-                               e.meter_kind == "model", {}, nullptr, 0,
-                               e.sweep));
-}
-
 /// The experiment's plain-sweep checkpoint in `dir`: its cache shard.
 harness::PointStore journal_store(const bench::Experiment& e,
                                   const std::string& dir) {
-  const std::uint64_t hash = sweep_hash(e);
+  const std::uint64_t hash = serve::spec_hash(e.spec);
   return harness::PointStore(harness::ResultCache(dir).shard_path(hash), hash,
-                             "plain", e.sweep);
+                             "plain", e.spec.sweep);
 }
 
 /// The experiment's plain sweep checkpointed into `dir` the way `tgi_sweep
-/// checkpoint=DIR` does it — ResultCache::fill over the sweep engine's
-/// point body: the shard's valid points are replayed (their count lands in
-/// `replayed`), the rest computed and appended.
+/// checkpoint=DIR` does it (serve::sweep_records, a ResultCache::fill over
+/// the sweep's point body): the shard's valid points are replayed (their
+/// count lands in `replayed`), the rest computed and appended.
 std::vector<harness::SuitePoint> run_journaled(const bench::Experiment& e,
                                                const std::string& dir,
                                                std::size_t threads,
                                                std::size_t& replayed) {
-  const harness::ParallelSweep sweep(
-      e.system_under_test,
-      bench::sweep_meter_factory(e, bench::suite_measurements({})));
-  replayed = e.sweep.size();
-  const harness::CacheLookup filled = harness::ResultCache(dir).fill(
-      sweep_hash(e), "plain", e.sweep,
-      [&sweep, &e, threads, &replayed](const std::vector<std::size_t>& pending,
-                                       const harness::RecordSink& done) {
-        replayed -= pending.size();
-        harness::execute_points(
-            pending.size(), threads, nullptr,
-            [&sweep, &e, &pending, &done](std::size_t i) {
-              done(sweep.record_point(e.sweep, pending[i], nullptr));
-            });
-      });
+  const harness::ResultCache cache(dir);
+  serve::CampaignStats stats;
+  const auto records = serve::sweep_records(e.spec, &cache, threads, stats);
+  replayed = stats.cache_hits;
   std::vector<harness::SuitePoint> points;
-  for (const auto& [k, record] : filled.completed)
-    points.push_back(record.point);
+  for (const auto& [k, record] : records) points.push_back(record.point);
   return points;
 }
 
@@ -126,8 +106,8 @@ int main(int argc, char** argv) {
         "journal holds a header plus one record per sweep point",
         replayed == 0 &&
             std::ranges::count(slurp(journal_store(e, dir).path()), '\n') ==
-                static_cast<std::ptrdiff_t>(e.sweep.size() + 1) &&
-            full.size() == e.sweep.size());
+                static_cast<std::ptrdiff_t>(e.spec.sweep.size() + 1) &&
+            full.size() == e.spec.sweep.size());
 
     // Kill and rerun: keep the first three records (as if the process
     // died mid-sweep), then rerun at a different thread count. Results
@@ -184,7 +164,7 @@ int main(int argc, char** argv) {
           run_journaled(e, dir, e.threads, replayed);
       bench::print_check(
           "after the republish a complete journal replays every point",
-          bench::same_points(truth, again) && replayed == e.sweep.size());
+          bench::same_points(truth, again) && replayed == e.spec.sweep.size());
     }
 
     fs::remove_all(scratch);

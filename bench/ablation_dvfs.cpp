@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
           harness::SuiteConfig cfg;
           cfg.tuning.cpu_clock_ghz = clocks[k];
           power::ModelMeter meter(util::seconds(0.5));
-          harness::SuiteRunner runner(e.system_under_test, meter, cfg);
+          harness::SuiteRunner runner(e.spec.cluster, meter, cfg);
           return runner.run_suite(128);
         },
         e.threads);

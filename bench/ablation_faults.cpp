@@ -62,25 +62,18 @@ int main(int argc, char** argv) {
                           "fault plane: TGI stability vs injected faults");
     power::ModelMeter exact_ref(util::seconds(0.5));
     const auto reference =
-        harness::reference_measurements(e.reference_system, exact_ref);
+        harness::reference_measurements(e.spec.reference, exact_ref);
     const core::TgiCalculator calc(reference);
 
-    harness::RobustConfig robust;
-    // The WattsUp simulation is noisy, so long bit-identical sample runs
-    // really are stuck readings there; ModelMeter repeats legitimately.
-    if (e.meter_kind == "wattsup") robust.stuck_run_limit = 8;
-    const harness::SuiteConfig suite{};
+    // tgi_sweep's recovery policy for the experiment's meter.
+    const harness::RobustConfig robust = serve::spec_robust_config(e.spec);
     const std::size_t robust_stride =
-        harness::robust_measurements_per_point(suite, robust);
+        harness::robust_measurements_per_point({}, robust);
 
-    // Fault-free truth: today's plain parallel sweep.
+    // Fault-free truth: the plain sweep's TGI(AM) series.
     const std::vector<harness::SuitePoint> plain = bench::run_sweep(e);
-    std::vector<double> truth;
-    for (const auto& pt : plain) {
-      truth.push_back(
-          calc.compute(pt.measurements, core::WeightScheme::kArithmeticMean)
-              .tgi);
-    }
+    const std::vector<double> truth = serve::paper_series(plain, &calc).tgi.at(
+        core::WeightScheme::kArithmeticMean);
 
     harness::ParallelSweepConfig cfg;
     cfg.threads = e.threads;
@@ -90,11 +83,9 @@ int main(int argc, char** argv) {
     // exactly and the whole recovery stack must be a bit-exact no-op.
     {
       const harness::ParallelSweep engine(
-          e.system_under_test,
-          bench::sweep_meter_factory(e, bench::suite_measurements(suite)),
-          cfg);
+          e.spec.cluster, serve::spec_meter_factory(e.spec), cfg);
       const auto robust_points =
-          engine.run_robust(e.sweep, harness::FaultPlan(), robust);
+          engine.run_robust(e.spec.sweep, harness::FaultPlan(), robust);
       bool identical = robust_points.size() == plain.size();
       bool untouched = identical;
       for (std::size_t k = 0; identical && k < plain.size(); ++k) {
@@ -112,14 +103,14 @@ int main(int argc, char** argv) {
 
     // The same engine (retry-aware meter stride) across the fault rates.
     const harness::ParallelSweep engine(
-        e.system_under_test, bench::sweep_meter_factory(e, robust_stride),
+        e.spec.cluster, serve::spec_meter_factory(e.spec, robust_stride),
         cfg);
     util::TextTable table({"rate", "TGI(AM) mean", "worst |rel err|",
                            "retries", "rejected", "dropped", "degraded"});
     double worst_recovered = 0.0;
     for (const double rate : {0.05, 0.15, 0.30}) {
       const auto points =
-          engine.run_robust(e.sweep, harness::FaultPlan(mixed_spec(rate)),
+          engine.run_robust(e.spec.sweep, harness::FaultPlan(mixed_spec(rate)),
                             robust);
       double sum = 0.0;
       std::size_t measured = 0;
@@ -172,15 +163,14 @@ int main(int argc, char** argv) {
       harness::ParallelSweepConfig wide_cfg;
       wide_cfg.threads = 8;
       const harness::MeterFactory factory =
-          bench::sweep_meter_factory(e, robust_stride);
-      const harness::ParallelSweep serial(e.system_under_test, factory,
+          serve::spec_meter_factory(e.spec, robust_stride);
+      const harness::ParallelSweep serial(e.spec.cluster, factory,
                                           serial_cfg);
-      const harness::ParallelSweep wide(e.system_under_test, factory,
-                                        wide_cfg);
+      const harness::ParallelSweep wide(e.spec.cluster, factory, wide_cfg);
       bench::print_check(
           "faulted sweep is bit-identical at threads=1 and threads=8",
-          same_robust_points(serial.run_robust(e.sweep, plan, robust),
-                             wide.run_robust(e.sweep, plan, robust)));
+          same_robust_points(serial.run_robust(e.spec.sweep, plan, robust),
+                             wide.run_robust(e.spec.sweep, plan, robust)));
     }
 
     // Graceful degradation: drive the failure rate high enough that some
@@ -189,7 +179,7 @@ int main(int argc, char** argv) {
       harness::FaultSpec spec;
       spec.failure_rate = 0.8;
       const auto points =
-          engine.run_robust(e.sweep, harness::FaultPlan(spec), robust);
+          engine.run_robust(e.spec.sweep, harness::FaultPlan(spec), robust);
       const harness::RobustSuitePoint* sample = nullptr;
       for (const auto& rp : points) {
         if (rp.degraded() && !rp.point.measurements.empty()) {

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
           harness::SuiteConfig cfg;
           cfg.hpl.comm_overlap = overlaps[k];
           power::ModelMeter meter(util::seconds(0.5));
-          harness::SuiteRunner runner(e.system_under_test, meter, cfg);
+          harness::SuiteRunner runner(e.spec.cluster, meter, cfg);
           return runner.run_suite(128);
         },
         e.threads);

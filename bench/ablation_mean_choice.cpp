@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
     harness::MultiSeries multi;
     multi.x_label = "cores";
-    multi.x = bench::x_axis(e.sweep);
+    multi.x.assign(e.spec.sweep.begin(), e.spec.sweep.end());
     std::vector<double> am;
     std::vector<double> hm;
     std::vector<double> gm;
@@ -57,6 +57,8 @@ int main(int argc, char** argv) {
     bench::print_check(
         "harmonic TGI sits below arithmetic by a meaningful margin",
         hm.back() < 0.8 * am.back());
-    bench::maybe_write_csv(e, multi);
+    bench::maybe_write_csv(e, [&multi](const std::string& path) {
+      harness::write_csv(multi, path);
+    });
   });
 }

@@ -16,11 +16,11 @@ int main(int argc, char** argv) {
     // Exact reference baseline for both pipelines.
     power::ModelMeter exact_ref(util::seconds(0.5));
     const auto reference = harness::reference_measurements(
-        e.reference_system, exact_ref);
+        e.spec.reference, exact_ref);
     const core::TgiCalculator calc(reference);
 
     power::ModelMeter exact(util::seconds(0.5));
-    harness::SuiteRunner exact_runner(e.system_under_test, exact);
+    harness::SuiteRunner exact_runner(e.spec.cluster, exact);
 
     util::TextTable table({"cores", "TGI exact", "TGI wattsup (5-run range)",
                            "max |rel err|"});
@@ -33,11 +33,11 @@ int main(int argc, char** argv) {
       double worst = 0.0;
     };
     const auto rows = util::parallel_map(
-        e.sweep.size(),
+        e.spec.sweep.size(),
         [&](std::size_t k) {
-          const std::size_t p = e.sweep[k];
+          const std::size_t p = e.spec.sweep[k];
           power::ModelMeter exact_point(util::seconds(0.5));
-          harness::SuiteRunner truth_runner(e.system_under_test, exact_point);
+          harness::SuiteRunner truth_runner(e.spec.cluster, exact_point);
           PointRow row;
           row.truth =
               calc.compute(truth_runner.run_suite(p).measurements,
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
             power::WattsUpConfig cfg;
             cfg.seed = 0xfeedULL + trial * 977 + p;
             power::WattsUpMeter plug(cfg);
-            harness::SuiteRunner runner(e.system_under_test, plug);
+            harness::SuiteRunner runner(e.spec.cluster, plug);
             const double tgi =
                 calc.compute(runner.run_suite(p).measurements,
                              core::WeightScheme::kArithmeticMean)
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     double worst = 0.0;
     for (std::size_t k = 0; k < rows.size(); ++k) {
       worst = std::max(worst, rows[k].worst);
-      table.add_row({std::to_string(e.sweep[k]),
+      table.add_row({std::to_string(e.spec.sweep[k]),
                      util::fixed(rows[k].truth, 4),
                      util::fixed(rows[k].lo, 4) + " .. " +
                          util::fixed(rows[k].hi, 4),
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       flaky.seed = 0xbadbadULL;
       flaky.dropout_rate = 0.15;
       power::WattsUpMeter meter(flaky);
-      harness::SuiteRunner runner(e.system_under_test, meter);
+      harness::SuiteRunner runner(e.spec.cluster, meter);
       const double tgi =
           calc.compute(runner.run_suite(128).measurements,
                        core::WeightScheme::kArithmeticMean)

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
                           "cooling extension: PUE-scaled TGI");
     const auto reference = bench::reference_suite(e);
     power::ModelMeter meter(util::seconds(0.5));
-    harness::SuiteRunner runner(e.system_under_test, meter);
+    harness::SuiteRunner runner(e.spec.cluster, meter);
     const auto point = runner.run_suite(128);
 
     const core::TgiCalculator plain(reference);

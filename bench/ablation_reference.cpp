@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
               harness::reference_measurements(refs[k].spec, ref_meter);
           const core::TgiCalculator calc(reference);
           power::ModelMeter meter(util::seconds(0.5));
-          harness::SuiteRunner runner(e.system_under_test, meter);
+          harness::SuiteRunner runner(e.spec.cluster, meter);
           RefRow row;
           row.lo = calc.compute(runner.run_suite(16).measurements,
                                 core::WeightScheme::kArithmeticMean);
@@ -61,12 +61,12 @@ int main(int argc, char** argv) {
     // scale must give TGI = 1.
     power::ModelMeter m1(util::seconds(0.5));
     power::ModelMeter m2(util::seconds(0.5));
-    harness::SuiteRunner self_runner(e.system_under_test, m1);
+    harness::SuiteRunner self_runner(e.spec.cluster, m1);
     harness::SuiteConfig cfg;
-    cfg.reference_iozone_nodes = e.system_under_test.nodes;
+    cfg.reference_iozone_nodes = e.spec.cluster.nodes;
     // Build the self-reference with whole-cluster metering to mirror the
     // system-under-test pipeline exactly.
-    harness::SuiteRunner ref_runner(e.system_under_test, m2, cfg);
+    harness::SuiteRunner ref_runner(e.spec.cluster, m2, cfg);
     const auto self_point = ref_runner.run_suite(128);
     const core::TgiCalculator self_calc(self_point.measurements);
     const double self_tgi =

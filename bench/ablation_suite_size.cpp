@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
     power::ModelMeter ref_meter_3(util::seconds(0.5));
     power::ModelMeter ref_meter_4(util::seconds(0.5));
     const core::TgiCalculator calc3(harness::reference_measurements(
-        e.reference_system, ref_meter_3, three));
+        e.spec.reference, ref_meter_3, three));
     const core::TgiCalculator calc4(harness::reference_measurements(
-        e.reference_system, ref_meter_4, four));
+        e.spec.reference, ref_meter_4, four));
 
     // Both compositions sweep on the parallel engine (exact meter, so the
     // factory is trivially order-independent).
@@ -30,23 +30,23 @@ int main(int argc, char** argv) {
     cfg3.suite = three;
     cfg3.threads = e.threads;
     harness::ParallelSweep sweep3(
-        e.system_under_test, harness::model_meter_factory(util::seconds(0.5)),
+        e.spec.cluster, harness::model_meter_factory(util::seconds(0.5)),
         cfg3);
     harness::ParallelSweepConfig cfg4;
     cfg4.suite = four;
     cfg4.threads = e.threads;
     harness::ParallelSweep sweep4(
-        e.system_under_test, harness::model_meter_factory(util::seconds(0.5)),
+        e.spec.cluster, harness::model_meter_factory(util::seconds(0.5)),
         cfg4);
-    const auto points3 = sweep3.run(e.sweep);
-    const auto points4 = sweep4.run(e.sweep);
+    const auto points3 = sweep3.run(e.spec.sweep);
+    const auto points4 = sweep4.run(e.spec.sweep);
 
     util::TextTable table({"cores", "TGI (3 bench)", "TGI (3+GUPS)",
                            "REE(GUPS)", "least REE (4-bench)"});
     std::vector<double> tgi3;
     std::vector<double> tgi4;
-    for (std::size_t k = 0; k < e.sweep.size(); ++k) {
-      const std::size_t p = e.sweep[k];
+    for (std::size_t k = 0; k < e.spec.sweep.size(); ++k) {
+      const std::size_t p = e.spec.sweep[k];
       const auto r3 = calc3.compute(points3[k].measurements,
                                     core::WeightScheme::kArithmeticMean);
       const auto r4 = calc4.compute(points4[k].measurements,

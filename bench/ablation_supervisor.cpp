@@ -94,13 +94,8 @@ int main(int argc, char** argv) {
     // One campaign entry over the experiment's sweep; at workers=2 shard 0
     // owns the even indices, so a shard-0 fault after one journaled point
     // leaves a genuine missing suffix for the restart to recompute.
-    serve::CampaignSpec spec;
+    serve::CampaignSpec spec = e.spec;
     spec.name = "alpha";
-    spec.cluster = e.system_under_test;
-    spec.reference = e.reference_system;
-    spec.sweep = e.sweep;
-    spec.seed = e.seed;
-    spec.exact_meter = (e.meter_kind == "model");
     const std::vector<serve::CampaignSpec> entries{spec};
 
     auto config = [&](const std::string& tag,

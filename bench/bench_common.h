@@ -3,12 +3,13 @@
 // Every figure/table binary accepts `key=value` overrides on the command
 // line (seed=…, sweep=…, csv=path, meter=wattsup|model, threads=N,
 // trace=DIR, plus any keys the harness itself reads; any other key fails)
-// and funnels through run_sweep() so all eight experiments measure the
-// same way the paper did: Fire behind the plug meter, SystemG as the
-// SPEC-style reference. Sweeps run on the deterministic parallel engine
-// (harness::ParallelSweep): threads=1 reproduces the serial execution
-// bit-for-bit, threads=N prints the same numbers N× faster. Checkpointed
-// sweeps are tgi_sweep's job (checkpoint=DIR, DESIGN.md §11);
+// and reads them into the serve::CampaignSpec tgi_sweep builds from the
+// same keys. So there is one reproduction path (DESIGN.md §4): run_sweep()
+// is tgi_sweep's point body (serve::compute_points), reference_suite() its
+// reference run (serve::reference_point), and csv= writes the CSV tgi_sweep
+// writes (serve::write_paper_csv). threads=1 reproduces the serial
+// execution bit-for-bit, threads=N prints the same numbers N× faster.
+// Checkpointed sweeps are tgi_sweep's job (checkpoint=DIR, DESIGN.md §11);
 // bench/ablation_checkpoint builds its own journal.
 #pragma once
 
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,6 +29,9 @@
 #include "harness/report.h"
 #include "harness/suite.h"
 #include "obs/trace.h"
+#include "serve/campaign.h"
+#include "serve/spec.h"
+#include "serve/worker.h"
 #include "sim/catalog.h"
 #include "stats/correlation.h"
 #include "stats/regression.h"
@@ -38,34 +43,26 @@
 
 namespace tgi::bench {
 
-/// The paper's Fire sweep grid (16..128 MPI processes).
-inline std::vector<std::size_t> default_sweep() {
-  return {16, 32, 48, 64, 80, 96, 112, 128};
-}
-
-/// Everything one experiment needs.
+/// Everything one experiment needs. `spec` is the sweep tgi_sweep runs for
+/// the same sweep=, seed= and meter=: Fire against SystemG at the paper
+/// seed unless overridden.
 struct Experiment {
   util::Config config;
-  std::vector<std::size_t> sweep;
-  std::unique_ptr<power::PowerMeter> meter;
-  std::unique_ptr<power::PowerMeter> reference_meter;
-  sim::ClusterSpec system_under_test;
-  sim::ClusterSpec reference_system;
+  serve::CampaignSpec spec;
   std::optional<std::string> csv_path;
   /// When set (trace=DIR), run_sweep() writes the deterministic
   /// observability record (DIR/trace.json + DIR/metrics.csv, DESIGN.md
   /// §10). Bit-identical for every threads= value; never changes results.
   std::optional<std::string> trace_dir;
-  std::uint64_t seed = 0;
-  std::string meter_kind;
   /// Worker threads for sweeps and fan-outs; 0 = default (TGI_THREADS
   /// env, else hardware concurrency), 1 = serial.
   std::size_t threads = 0;
 };
 
-/// Parses argv into an Experiment. Throws on malformed arguments and on
-/// any key that is neither a common one nor in `extra_keys` (the keys the
-/// harness reads from e.config itself).
+/// Parses argv into an Experiment. Throws on malformed arguments, on a
+/// sweep= or meter= that tgi_sweep would refuse, and on any key that is
+/// neither a common one nor in `extra_keys` (the keys the harness reads
+/// from e.config itself) — all before the harness prints anything.
 inline Experiment make_experiment(
     int argc, const char* const* argv,
     const std::vector<std::string>& extra_keys = {}) {
@@ -75,48 +72,17 @@ inline Experiment make_experiment(
   std::vector<std::string> known{"sweep", "seed", "meter",
                                  "threads", "csv", "trace"};
   known.insert(known.end(), extra_keys.begin(), extra_keys.end());
-  util::require_known_keys(
-      e.config, known,
+  const std::string name =
       argc > 0 ? std::filesystem::path(argv[0]).filename().string()
-               : "bench");
-  std::vector<long long> sweep_raw;
-  for (std::size_t p : default_sweep()) {
-    sweep_raw.push_back(static_cast<long long>(p));
-  }
-  for (long long p : e.config.get_int_list("sweep", sweep_raw)) {
-    e.sweep.push_back(static_cast<std::size_t>(p));
-  }
-  e.seed = static_cast<std::uint64_t>(e.config.get_int("seed", 0x9e3779b9LL));
-  e.meter_kind = e.config.get_string("meter", "wattsup");
+               : "bench";
+  util::require_known_keys(e.config, known, name);
+  e.spec = serve::command_line_spec(e.config, name);
   const long long threads = e.config.get_int("threads", 0);
   TGI_REQUIRE(threads >= 0, "threads must be >= 0 (0 = default)");
   e.threads = static_cast<std::size_t>(threads);
-  auto make_meter = [&](std::uint64_t salt) -> std::unique_ptr<power::PowerMeter> {
-    if (e.meter_kind == "model") {
-      return std::make_unique<power::ModelMeter>(util::seconds(0.5));
-    }
-    if (e.meter_kind == "wattsup") {
-      power::WattsUpConfig cfg;
-      cfg.seed = e.seed + salt;
-      return std::make_unique<power::WattsUpMeter>(cfg);
-    }
-    throw util::PreconditionError("meter must be 'wattsup' or 'model', got '" +
-                                  e.meter_kind + "'");
-  };
-  e.meter = make_meter(0);
-  e.reference_meter = make_meter(0x517cc1b7ULL);
-  e.system_under_test = sim::fire_cluster();
-  e.reference_system = sim::system_g();
   e.csv_path = e.config.get("csv");
   e.trace_dir = e.config.get("trace");
   return e;
-}
-
-/// Measurements one run_suite() point performs (the WattsUp run_offset
-/// stride that makes a per-point meter replay the shared-meter streams) —
-/// derived from the same suite_benchmarks() roster run_suite executes.
-inline std::size_t suite_measurements(const harness::SuiteConfig& suite) {
-  return harness::suite_benchmarks(suite).size();
 }
 
 /// Publishes trace.json + metrics.csv into `dir` and says so.
@@ -127,47 +93,20 @@ inline void write_trace_files(const obs::SweepTrace& trace,
             << " events) and metrics.csv\n";
 }
 
-/// Per-point meter factory matching the experiment's meter= selection,
-/// seeded so point k's instrument replays exactly the error draws it
-/// would see from one meter shared across a serial sweep.
-inline harness::MeterFactory sweep_meter_factory(
-    const Experiment& e, std::size_t measurements_per_point,
-    std::uint64_t salt = 0) {
-  if (e.meter_kind == "model") {
-    return harness::model_meter_factory(util::seconds(0.5));
+/// Runs the experiment's sweep through tgi_sweep's point body
+/// (serve::compute_points; bit-identical output for any threads= value).
+/// With trace=DIR on the command line, also emits the observability record
+/// rebuilt from the point records, as tgi_sweep does.
+inline std::vector<harness::SuitePoint> run_sweep(const Experiment& e) {
+  serve::CampaignStats stats;
+  const std::map<std::size_t, harness::PointRecord> records =
+      serve::sweep_records(e.spec, nullptr, e.threads, stats);
+  if (e.trace_dir) {
+    write_trace_files(harness::replay_trace(records), *e.trace_dir);
   }
-  power::WattsUpConfig cfg;
-  cfg.seed = e.seed + salt;
-  return harness::wattsup_meter_factory(cfg, measurements_per_point);
-}
-
-/// Runs the full suite sweep on the system under test (parallel across
-/// sweep points; bit-identical output for any threads= value). With
-/// trace=DIR on the command line, also emits the observability record.
-inline std::vector<harness::SuitePoint> run_sweep(
-    Experiment& e, const harness::SuiteConfig& suite = {}) {
-  harness::ParallelSweepConfig cfg;
-  cfg.suite = suite;
-  cfg.threads = e.threads;
-  harness::ParallelSweep sweep(e.system_under_test,
-                               sweep_meter_factory(e, suite_measurements(suite)),
-                               cfg);
-  if (!e.trace_dir) return sweep.run(e.sweep);
-  obs::SweepTrace trace;
-  std::vector<harness::SuitePoint> points = sweep.run(e.sweep, &trace);
-  write_trace_files(trace, *e.trace_dir);
+  std::vector<harness::SuitePoint> points;
+  for (const auto& [k, record] : records) points.push_back(record.point);
   return points;
-}
-
-/// Per-benchmark EE (performance per watt) pulled out of a sweep.
-inline std::vector<double> ee_series(
-    const std::vector<harness::SuitePoint>& points, const std::string& name) {
-  std::vector<double> out;
-  for (const auto& pt : points) {
-    const auto& m = core::find_measurement(pt.measurements, name);
-    out.push_back(m.performance / m.average_power.value());
-  }
-  return out;
 }
 
 /// Bitwise equality of two measurement sets (== on every double, no
@@ -200,11 +139,6 @@ inline bool same_points(const std::vector<harness::SuitePoint>& a,
     }
   }
   return true;
-}
-
-/// x axis (process counts) as doubles.
-inline std::vector<double> x_axis(const std::vector<std::size_t>& sweep) {
-  return {sweep.begin(), sweep.end()};
 }
 
 /// Monotonic wall clock in seconds, for the micro benches' timings.
@@ -288,27 +222,30 @@ inline double effective_cores(std::size_t max_threads) {
   return single > 0.0 ? best / single : 0.0;
 }
 
-/// Reference suite measured once (SystemG, subset-metered I/O).
-inline std::vector<core::BenchmarkMeasurement> reference_suite(Experiment& e) {
-  return harness::reference_measurements(e.reference_system,
-                                         *e.reference_meter);
+/// The reference suite (SystemG, subset-metered I/O): the reference run
+/// tgi_sweep publishes as reference_systemg.csv.
+inline std::vector<core::BenchmarkMeasurement> reference_suite(
+    const Experiment& e) {
+  serve::CampaignStats stats;
+  return serve::reference_point(e.spec, serve::reference_spec_hash(e.spec),
+                                nullptr, stats)
+      .point.measurements;
 }
 
-/// Writes CSV when the user passed csv=path.
-inline void maybe_write_csv(const Experiment& e,
-                            const harness::Series& series) {
-  if (e.csv_path) {
-    harness::write_csv(series, *e.csv_path);
-    std::cout << "wrote " << *e.csv_path << "\n";
-  }
+/// With csv=path on the command line, calls write(path) and says so.
+template <typename Write>
+void maybe_write_csv(const Experiment& e, Write write) {
+  if (!e.csv_path) return;
+  write(*e.csv_path);
+  std::cout << "wrote " << *e.csv_path << "\n";
 }
 
-inline void maybe_write_csv(const Experiment& e,
-                            const harness::MultiSeries& multi) {
-  if (e.csv_path) {
-    harness::write_csv(multi, *e.csv_path);
-    std::cout << "wrote " << *e.csv_path << "\n";
-  }
+/// Writes one of tgi_sweep's figure/table CSVs when csv=path is given.
+inline void maybe_write_csv(const Experiment& e, serve::PaperCsv csv,
+                            const serve::PaperSeries& series) {
+  maybe_write_csv(e, [&](const std::string& path) {
+    serve::write_paper_csv(csv, series, path);
+  });
 }
 
 /// Common main() wrapper: uniform error reporting across the harnesses.

@@ -15,12 +15,10 @@ int main(int argc, char** argv) {
     harness::print_banner(std::cout, "Figure 2",
                           "Energy Efficiency of HPL (Fire cluster)");
     const auto points = bench::run_sweep(e);
+    const serve::PaperSeries paper = serve::paper_series(points, nullptr);
 
-    harness::Series series;
-    series.x_label = "MPI processes";
-    series.y_label = "MFLOPS/W";
-    series.x = bench::x_axis(e.sweep);
-    series.y = bench::ee_series(points, "HPL");
+    const harness::Series series{"MPI processes", "MFLOPS/W", paper.x,
+                                 paper.ee.at("HPL")};
     harness::print_series(std::cout, series, 2);
 
     // Context rows the paper quotes: absolute performance per point.
@@ -43,6 +41,6 @@ int main(int argc, char** argv) {
         "Fire @128 delivers the paper's 901-GFLOPS class (820..1000)",
         points.back().measurements[0].performance > 820e3 &&
             points.back().measurements[0].performance < 1000e3);
-    bench::maybe_write_csv(e, series);
+    bench::maybe_write_csv(e, serve::PaperCsv::kFig2HplEe, paper);
   });
 }

@@ -15,12 +15,10 @@ int main(int argc, char** argv) {
     harness::print_banner(std::cout, "Figure 3",
                           "Energy Efficiency of Stream (Fire cluster)");
     const auto points = bench::run_sweep(e);
+    const serve::PaperSeries paper = serve::paper_series(points, nullptr);
 
-    harness::Series series;
-    series.x_label = "MPI processes";
-    series.y_label = "MBPS/W";
-    series.x = bench::x_axis(e.sweep);
-    series.y = bench::ee_series(points, "STREAM");
+    const harness::Series series{"MPI processes", "MBPS/W", paper.x,
+                                 paper.ee.at("STREAM")};
     harness::print_series(std::cout, series, 2);
 
     util::TextTable detail(
@@ -46,11 +44,11 @@ int main(int argc, char** argv) {
     const auto late_fit = stats::linear_fit(x_late, y_late);
     bench::print_check("STREAM efficiency saturates (late slope <= 0)",
                        late_fit.slope <= 0.0);
-    const auto hpl = bench::ee_series(points, "HPL");
+    const auto& hpl = paper.ee.at("HPL");
     bench::print_check(
         "STREAM EE grows far less than HPL EE across the sweep",
         series.y.back() / series.y.front() <
             0.5 * (hpl.back() / hpl.front()));
-    bench::maybe_write_csv(e, series);
+    bench::maybe_write_csv(e, serve::PaperCsv::kFig3StreamEe, paper);
   });
 }

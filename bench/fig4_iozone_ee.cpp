@@ -15,52 +15,34 @@ int main(int argc, char** argv) {
   return bench::run_harness(argc, argv, [](bench::Experiment& e) {
     harness::print_banner(std::cout, "Figure 4",
                           "Energy Efficiency of IOzone (Fire cluster)");
-    // Node sweep on the parallel engine: one IOzone measurement per point,
-    // so point k's meter starts at run_offset k (bit-identical to one
-    // meter shared across the serial 1..8 loop).
-    std::vector<std::size_t> node_counts;
-    for (std::size_t nodes = 1; nodes <= e.system_under_test.nodes;
-         ++nodes) {
-      node_counts.push_back(nodes);
-    }
-    harness::ParallelSweepConfig cfg;
-    cfg.threads = e.threads;
-    harness::ParallelSweep sweep(e.system_under_test,
-                                 bench::sweep_meter_factory(e, 1), cfg);
+    // The node sweep tgi_sweep writes Figure 4 from: one IOzone
+    // measurement per point, so point k's meter starts at run_offset k
+    // (bit-identical to one meter shared across the serial 1..8 loop).
     obs::SweepTrace trace;
-    const auto points = sweep.run_with(
-        node_counts,
-        [](harness::SuiteRunner& runner, std::size_t nodes) {
-          harness::SuitePoint pt;
-          pt.nodes = nodes;
-          pt.measurements.push_back(runner.run_iozone(nodes));
-          return pt;
-        },
-        e.trace_dir ? &trace : nullptr);
+    const auto points = serve::iozone_node_sweep(
+        e.spec, e.threads, e.trace_dir ? &trace : nullptr);
     if (e.trace_dir) bench::write_trace_files(trace, *e.trace_dir);
 
-    harness::Series series;
-    series.x_label = "nodes";
-    series.y_label = "MBPS/W";
+    const harness::Series fig4 = serve::fig4_series(points);
     util::TextTable detail(
         {"nodes", "aggregate MB/s", "power (W)", "time (s)"});
     for (const auto& pt : points) {
       const auto& m = pt.measurements.front();
-      series.x.push_back(static_cast<double>(pt.nodes));
-      series.y.push_back(m.performance / m.average_power.value());
       detail.add_row({std::to_string(pt.nodes),
                       util::fixed(m.performance, 1),
                       util::fixed(m.average_power.value(), 0),
                       util::fixed(m.execution_time.value(), 0)});
     }
-    harness::print_series(std::cout, series, 4);
+    harness::print_series(std::cout, {"nodes", "MBPS/W", fig4.x, fig4.y}, 4);
     std::cout << "\n" << detail;
 
-    const auto fit = stats::linear_fit(series.x, series.y);
+    const auto fit = stats::linear_fit(fig4.x, fig4.y);
     bench::print_check("IOzone efficiency falls with node count",
                        fit.slope < 0.0);
     bench::print_check("decline is strong (last < 60% of first)",
-                       series.y.back() < 0.6 * series.y.front());
-    bench::maybe_write_csv(e, series);
+                       fig4.y.back() < 0.6 * fig4.y.front());
+    bench::maybe_write_csv(e, [&fig4](const std::string& path) {
+      harness::write_csv(fig4, path);
+    });
   });
 }

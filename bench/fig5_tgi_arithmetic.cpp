@@ -18,18 +18,17 @@ int main(int argc, char** argv) {
     const auto reference = bench::reference_suite(e);
     const core::TgiCalculator calc(reference);
     const auto points = bench::run_sweep(e);
+    const serve::PaperSeries paper = serve::paper_series(points, &calc);
 
-    harness::Series series;
-    series.x_label = "cores";
-    series.y_label = "TGI (AM)";
+    const harness::Series series{
+        "cores", "TGI (AM)", paper.x,
+        paper.tgi.at(core::WeightScheme::kArithmeticMean)};
     util::TextTable detail(
         {"cores", "TGI", "REE(HPL)", "REE(STREAM)", "REE(IOzone)",
          "least REE"});
     for (const auto& pt : points) {
       const core::TgiResult r = calc.compute(
           pt.measurements, core::WeightScheme::kArithmeticMean);
-      series.x.push_back(static_cast<double>(pt.processes));
-      series.y.push_back(r.tgi);
       detail.add_row({std::to_string(pt.processes), util::fixed(r.tgi, 4),
                       util::fixed(r.components[0].ree, 3),
                       util::fixed(r.components[1].ree, 3),
@@ -39,7 +38,7 @@ int main(int argc, char** argv) {
     harness::print_series(std::cout, series, 4);
     std::cout << "\n" << detail;
 
-    const auto io = bench::ee_series(points, "IOzone");
+    const auto& io = paper.ee.at("IOzone");
     const double r_io = stats::pearson(series.y, io);
     std::cout << "\nPCC(TGI-AM, IOzone EE) = " << util::fixed(r_io, 3)
               << "  (paper: .99)\n";
@@ -50,6 +49,6 @@ int main(int argc, char** argv) {
                                     core::WeightScheme::kArithmeticMean)
                                .least_ree()
                                .benchmark == "IOzone");
-    bench::maybe_write_csv(e, series);
+    bench::maybe_write_csv(e, serve::PaperCsv::kFig5TgiAm, paper);
   });
 }

@@ -17,29 +17,17 @@ int main(int argc, char** argv) {
     const auto reference = bench::reference_suite(e);
     const core::TgiCalculator calc(reference);
     const auto points = bench::run_sweep(e);
+    const serve::PaperSeries paper = serve::paper_series(points, &calc);
 
-    harness::MultiSeries multi;
-    multi.x_label = "cores";
-    multi.x = bench::x_axis(e.sweep);
-    std::vector<double> wt;
-    std::vector<double> we;
-    std::vector<double> wp;
-    std::vector<double> am;
-    for (const auto& pt : points) {
-      wt.push_back(
-          calc.compute(pt.measurements, core::WeightScheme::kTime).tgi);
-      we.push_back(
-          calc.compute(pt.measurements, core::WeightScheme::kEnergy).tgi);
-      wp.push_back(
-          calc.compute(pt.measurements, core::WeightScheme::kPower).tgi);
-      am.push_back(calc.compute(pt.measurements,
-                                core::WeightScheme::kArithmeticMean)
-                       .tgi);
-    }
-    multi.series = {{"TGI(W_t)", wt},
-                    {"TGI(W_p)", wp},
-                    {"TGI(W_e)", we},
-                    {"TGI(AM)", am}};
+    const auto& we = paper.tgi.at(core::WeightScheme::kEnergy);
+    const auto& am = paper.tgi.at(core::WeightScheme::kArithmeticMean);
+    const harness::MultiSeries multi{
+        "cores",
+        paper.x,
+        {{"TGI(W_t)", paper.tgi.at(core::WeightScheme::kTime)},
+         {"TGI(W_p)", paper.tgi.at(core::WeightScheme::kPower)},
+         {"TGI(W_e)", we},
+         {"TGI(AM)", am}}};
     harness::print_multi_series(std::cout, multi, 4);
 
     // The weight vectors themselves at full scale, to show why: HPL
@@ -58,6 +46,6 @@ int main(int argc, char** argv) {
         std::abs(we.back() - am.back()) > 0.2);
     bench::print_check("AM-TGI falls across sweep while W_e-TGI rises",
                        am.back() < am.front() && we.back() > we.front());
-    bench::maybe_write_csv(e, multi);
+    bench::maybe_write_csv(e, serve::PaperCsv::kFig6Weighted, paper);
   });
 }

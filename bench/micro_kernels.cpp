@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     // --- reduce_tree: serial fold vs fixed-shape tree --------------------
     simd::Lane<double> data = simd::make_lane<double>(reduce_n);
     {
-      util::Xoshiro256 rng(e.seed);
+      util::Xoshiro256 rng(e.spec.seed);
       for (std::size_t i = 0; i < reduce_n; ++i) {
         data[i] = rng.uniform(-1.0, 1.0);
       }

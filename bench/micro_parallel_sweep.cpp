@@ -22,41 +22,34 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(e.config.get_int("repeat", 4));
     std::vector<std::size_t> grid;
     for (std::size_t r = 0; r < repeat; ++r) {
-      for (const std::size_t p : e.sweep) grid.push_back(p);
+      for (const std::size_t p : e.spec.sweep) grid.push_back(p);
     }
     std::size_t threads = e.threads;
     if (threads == 0) threads = util::ThreadPool::default_thread_count();
 
+    const harness::MeterFactory factory = serve::spec_meter_factory(e.spec);
     // Legacy serial path: one runner, one meter shared across all points.
     const double t0 = bench::now_seconds();
     std::vector<harness::SuitePoint> serial;
     {
-      power::WattsUpConfig cfg;
-      cfg.seed = e.seed;
-      power::WattsUpMeter meter(cfg);
-      harness::SuiteRunner runner(e.system_under_test, meter);
+      const std::unique_ptr<power::PowerMeter> meter = factory(0);
+      harness::SuiteRunner runner(e.spec.cluster, *meter);
       serial = runner.sweep(grid);
     }
     const double t_serial = bench::now_seconds() - t0;
-
-    harness::SuiteConfig suite;
-    power::WattsUpConfig base;
-    base.seed = e.seed;
-    const auto factory = harness::wattsup_meter_factory(
-        base, bench::suite_measurements(suite));
 
     harness::ParallelSweepConfig one;
     one.threads = 1;
     const double t1 = bench::now_seconds();
     const auto points_1 =
-        harness::ParallelSweep(e.system_under_test, factory, one).run(grid);
+        harness::ParallelSweep(e.spec.cluster, factory, one).run(grid);
     const double t_one = bench::now_seconds() - t1;
 
     harness::ParallelSweepConfig many;
     many.threads = threads;
     const double t2 = bench::now_seconds();
     const auto points_n =
-        harness::ParallelSweep(e.system_under_test, factory, many).run(grid);
+        harness::ParallelSweep(e.spec.cluster, factory, many).run(grid);
     const double t_many = bench::now_seconds() - t2;
 
     util::TextTable table({"path", "threads", "wall (s)", "points/s"});

@@ -26,11 +26,11 @@ int main(int argc, char** argv) {
       sim::Workload workload;
     };
     const std::vector<Item> items{
-        {"HPL", kernels::make_hpl_workload(e.system_under_test, hpl)},
+        {"HPL", kernels::make_hpl_workload(e.spec.cluster, hpl)},
         {"STREAM",
-         kernels::make_stream_workload(e.system_under_test, stream)},
+         kernels::make_stream_workload(e.spec.cluster, stream)},
         {"IOzone",
-         kernels::make_iozone_workload(e.system_under_test, iozone)}};
+         kernels::make_iozone_workload(e.spec.cluster, iozone)}};
 
     // Simulate the three runs concurrently (one simulator per task), then
     // print in fixed order so the report is byte-stable.
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     const auto shown = util::parallel_map(
         items.size(),
         [&](std::size_t k) {
-          const sim::ExecutionSimulator simulator(e.system_under_test);
+          const sim::ExecutionSimulator simulator(e.spec.cluster);
           const sim::SimulatedRun run = simulator.run(items[k].workload);
           return Shown{run.elapsed, power::energy_breakdown(run.timeline)};
         },

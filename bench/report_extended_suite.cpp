@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
     harness::SuiteConfig cfg;
     cfg.tuning.meter_active_nodes_only = true;
     power::ModelMeter ref_meter(util::seconds(0.5));
-    harness::SuiteRunner ref_runner(e.reference_system, ref_meter, cfg);
+    harness::SuiteRunner ref_runner(e.spec.reference, ref_meter, cfg);
     auto reference =
-        ref_runner.run_extended_suite(e.reference_system.total_cores())
+        ref_runner.run_extended_suite(e.spec.reference.total_cores())
             .measurements;
     // Re-run the reference IOzone on the standard slice (see DESIGN.md).
     for (auto& m : reference) {
@@ -35,18 +35,18 @@ int main(int argc, char** argv) {
     harness::ParallelSweepConfig sweep_cfg;
     sweep_cfg.threads = e.threads;
     harness::ParallelSweep sweep(
-        e.system_under_test, harness::model_meter_factory(util::seconds(0.5)),
+        e.spec.cluster, harness::model_meter_factory(util::seconds(0.5)),
         sweep_cfg);
     obs::SweepTrace trace;
     const auto points =
-        sweep.run_extended(e.sweep, e.trace_dir ? &trace : nullptr);
+        sweep.run_extended(e.spec.sweep, e.trace_dir ? &trace : nullptr);
     if (e.trace_dir) bench::write_trace_files(trace, *e.trace_dir);
 
     util::TextTable table({"cores", "TGI(AM)", "REE HPL", "STREAM",
                            "IOzone", "GUPS", "PTRANS", "FFT",
                            "least REE"});
-    for (std::size_t k = 0; k < e.sweep.size(); ++k) {
-      const std::size_t p = e.sweep[k];
+    for (std::size_t k = 0; k < e.spec.sweep.size(); ++k) {
+      const std::size_t p = e.spec.sweep[k];
       const auto r = calc.compute(points[k].measurements,
                                   core::WeightScheme::kArithmeticMean);
       std::vector<std::string> row{std::to_string(p),

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     const core::TgiCalculator calc(reference);
 
     const sim::ClusterSpec accel = sim::accelerator_heavy_cluster();
-    const std::vector<sim::ClusterSpec> machines{e.system_under_test, accel};
+    const std::vector<sim::ClusterSpec> machines{e.spec.cluster, accel};
     const std::vector<std::size_t> scales{128, accel.total_cores()};
     // Both machines' suite points are independent; run them as two tasks.
     const auto measured = util::parallel_map(

@@ -6,7 +6,7 @@
 // the magnitudes (TFLOPS class, kW class) rather than digits.
 #include "bench_common.h"
 
-#include "util/atomic_file.h"
+#include "harness/measurement_io.h"
 
 int main(int argc, char** argv) {
   using namespace tgi;
@@ -44,20 +44,9 @@ int main(int argc, char** argv) {
                        hpl.average_power.value() > 2e4 &&
                            hpl.average_power.value() < 6e4);
 
-    if (e.csv_path) {
-      util::AtomicFile out(*e.csv_path);
-      util::CsvWriter csv(out.stream());
-      csv.write_row({"benchmark", "performance", "unit", "watts", "seconds",
-                     "joules"});
-      for (const auto& m : reference) {
-        csv.write_row({m.benchmark, util::fixed(m.performance, 3),
-                       m.metric_unit,
-                       util::fixed(m.average_power.value(), 3),
-                       util::fixed(m.execution_time.value(), 3),
-                       util::fixed(m.energy.value(), 3)});
-      }
-      out.commit();
-      std::cout << "wrote " << *e.csv_path << "\n";
-    }
+    // tgi_sweep's reference_systemg.csv, byte for byte.
+    bench::maybe_write_csv(e, [&reference](const std::string& path) {
+      harness::write_measurements_file(path, reference);
+    });
   });
 }

@@ -9,10 +9,7 @@
 // weights lose the desired property.
 #include "bench_common.h"
 
-#include <map>
-
 #include "stats/bootstrap.h"
-#include "util/atomic_file.h"
 
 int main(int argc, char** argv) {
   using namespace tgi;
@@ -22,32 +19,23 @@ int main(int argc, char** argv) {
         "PCC between per-benchmark EE and TGI under different weights");
     const auto reference = bench::reference_suite(e);
     const core::TgiCalculator calc(reference);
-    const auto points = bench::run_sweep(e);
-
-    const auto hpl = bench::ee_series(points, "HPL");
-    const auto stream = bench::ee_series(points, "STREAM");
-    const auto io = bench::ee_series(points, "IOzone");
-
-    const std::vector<core::WeightScheme> schemes{
-        core::WeightScheme::kArithmeticMean, core::WeightScheme::kTime,
-        core::WeightScheme::kEnergy, core::WeightScheme::kPower};
-    std::map<core::WeightScheme, std::vector<double>> tgi;
-    for (const auto& pt : points) {
-      for (const auto scheme : schemes) {
-        tgi[scheme].push_back(calc.compute(pt.measurements, scheme).tgi);
-      }
-    }
+    const serve::PaperSeries paper =
+        serve::paper_series(bench::run_sweep(e), &calc);
+    const auto& hpl = paper.ee.at("HPL");
+    const auto& stream = paper.ee.at("STREAM");
+    const auto& io = paper.ee.at("IOzone");
+    const auto& tgi = paper.tgi;
 
     util::TextTable table(
         {"Benchmark", "AM", "Time", "Energy", "Power",
          "AM 95% bootstrap CI"});
     auto row = [&](const char* name, const std::vector<double>& ee) {
       std::vector<std::string> cells{name};
-      for (const auto scheme : schemes) {
-        cells.push_back(util::fixed(stats::pearson(tgi[scheme], ee), 3));
+      for (const auto scheme : serve::kPaperSchemes) {
+        cells.push_back(util::fixed(stats::pearson(tgi.at(scheme), ee), 3));
       }
       const stats::BootstrapInterval ci = stats::pearson_bootstrap_ci(
-          tgi[core::WeightScheme::kArithmeticMean], ee);
+          tgi.at(core::WeightScheme::kArithmeticMean), ee);
       cells.push_back("[" + util::fixed(ci.lo, 2) + ", " +
                       util::fixed(ci.hi, 2) + "]");
       table.add_row(std::move(cells));
@@ -60,8 +48,8 @@ int main(int argc, char** argv) {
               << "(bootstrap CIs quantify what an 8-point sweep can "
                  "actually resolve)\n";
 
-    const auto& am = tgi[core::WeightScheme::kArithmeticMean];
-    const auto& we = tgi[core::WeightScheme::kEnergy];
+    const auto& am = tgi.at(core::WeightScheme::kArithmeticMean);
+    const auto& we = tgi.at(core::WeightScheme::kEnergy);
     bench::print_check(
         "AM: IOzone correlates above Stream, Stream above HPL",
         stats::pearson(am, io) > stats::pearson(am, stream) &&
@@ -70,23 +58,6 @@ int main(int argc, char** argv) {
         "Energy weights: HPL becomes the top correlate (undesired)",
         stats::pearson(we, hpl) > stats::pearson(we, io) &&
             stats::pearson(we, hpl) > stats::pearson(we, stream));
-
-    if (e.csv_path) {
-      util::AtomicFile out(*e.csv_path);
-      util::CsvWriter csv(out.stream());
-      csv.write_row({"benchmark", "am", "time", "energy", "power"});
-      for (const auto& [name, ee] :
-           std::vector<std::pair<std::string, const std::vector<double>*>>{
-               {"IOzone", &io}, {"Stream", &stream}, {"HPL", &hpl}}) {
-        std::vector<std::string> cells{name};
-        for (const auto scheme : schemes) {
-          cells.push_back(
-              util::fixed(stats::pearson(tgi[scheme], *ee), 6));
-        }
-        csv.write_row(cells);
-      }
-      out.commit();
-      std::cout << "wrote " << *e.csv_path << "\n";
-    }
+    bench::maybe_write_csv(e, serve::PaperCsv::kTable2Pcc, paper);
   });
 }

@@ -25,6 +25,17 @@ const char* weight_scheme_name(WeightScheme scheme) {
   return "?";
 }
 
+WeightScheme parse_weight_scheme(const std::string& name) {
+  if (name == "am" || name == "arithmetic") {
+    return WeightScheme::kArithmeticMean;
+  }
+  if (name == "time") return WeightScheme::kTime;
+  if (name == "energy") return WeightScheme::kEnergy;
+  if (name == "power") return WeightScheme::kPower;
+  throw util::PreconditionError("unknown scheme '" + name +
+                                "' (am|time|energy|power)");
+}
+
 const char* aggregation_name(Aggregation aggregation) {
   switch (aggregation) {
     case Aggregation::kWeightedArithmetic:

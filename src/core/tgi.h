@@ -36,6 +36,10 @@ enum class WeightScheme {
 /// Human-readable scheme name.
 [[nodiscard]] const char* weight_scheme_name(WeightScheme scheme);
 
+/// A command line's `scheme=`: am (or arithmetic), time, energy or power;
+/// anything else throws a PreconditionError.
+[[nodiscard]] WeightScheme parse_weight_scheme(const std::string& name);
+
 /// Central-tendency measure used to fold the weighted REEs (Eq. 4 uses the
 /// weighted arithmetic mean; the related work the paper builds on — Smith
 /// '88, John '04 — argues weighted harmonic/geometric means are also valid

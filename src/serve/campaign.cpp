@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <ostream>
 #include <utility>
 
@@ -11,12 +12,14 @@
 #include "harness/cache.h"
 #include "harness/checkpoint.h"
 #include "harness/measurement_io.h"
+#include "harness/parallel.h"
 #include "harness/suite.h"
 #include "obs/trace.h"
 #include "power/meter.h"
 #include "serve/supervisor.h"
 #include "serve/worker.h"
 #include "sim/spec_io.h"
+#include "stats/correlation.h"
 #include "util/atomic_file.h"
 #include "util/error.h"
 #include "util/format.h"
@@ -100,9 +103,7 @@ std::size_t write_sweep_summary(
                                      record.point.measurements);
     std::vector<std::string> row{std::to_string(spec.sweep[k])};
     double tgi_am = 0.0;
-    for (const core::WeightScheme scheme :
-         {core::WeightScheme::kArithmeticMean, core::WeightScheme::kTime,
-          core::WeightScheme::kEnergy, core::WeightScheme::kPower}) {
+    for (const core::WeightScheme scheme : kPaperSchemes) {
       const double value = calc.compute(record.point.measurements, scheme).tgi;
       if (scheme == core::WeightScheme::kArithmeticMean) tgi_am = value;
       row.push_back(util::fixed(value, 6));
@@ -119,6 +120,107 @@ std::size_t write_sweep_summary(
   }
   summary_file.commit();
   return spec.sweep.size();
+}
+
+PaperSeries paper_series(const std::vector<harness::SuitePoint>& points,
+                         const core::TgiCalculator* calc) {
+  PaperSeries series;
+  for (const harness::SuitePoint& pt : points) {
+    series.x.push_back(static_cast<double>(pt.processes));
+    for (const char* name : {"HPL", "STREAM", "IOzone"}) {
+      const core::BenchmarkMeasurement& m =
+          core::find_measurement(pt.measurements, name);
+      series.ee[name].push_back(m.performance / m.average_power.value());
+    }
+    if (calc == nullptr) continue;
+    for (const core::WeightScheme scheme : kPaperSchemes) {
+      series.tgi[scheme].push_back(calc->compute(pt.measurements, scheme).tgi);
+    }
+  }
+  return series;
+}
+
+const char* paper_csv_name(PaperCsv csv) {
+  static constexpr std::array<const char*, 5> kNames{
+      "fig2_hpl_ee.csv", "fig3_stream_ee.csv", "fig5_tgi_am.csv",
+      "fig6_tgi_weighted.csv", "table2_pcc.csv"};
+  return kNames[static_cast<std::size_t>(csv)];
+}
+
+void write_paper_csv(PaperCsv csv, const PaperSeries& series,
+                     const std::string& path) {
+  using core::WeightScheme;
+  const auto& tgi = series.tgi;
+  harness::MultiSeries figure{"cores", series.x, {}};
+  switch (csv) {
+    case PaperCsv::kFig2HplEe:
+      figure.x_label = "processes";
+      figure.series = {{"MFLOPS_per_W", series.ee.at("HPL")}};
+      break;
+    case PaperCsv::kFig3StreamEe:
+      figure.x_label = "processes";
+      figure.series = {{"MBPS_per_W", series.ee.at("STREAM")}};
+      break;
+    case PaperCsv::kFig5TgiAm:
+      figure.series = {{"TGI_AM", tgi.at(WeightScheme::kArithmeticMean)}};
+      break;
+    case PaperCsv::kFig6Weighted:
+      // The printed figure's order: time (left panel), power, energy, AM.
+      figure.series = {{"W_t", tgi.at(WeightScheme::kTime)},
+                       {"W_p", tgi.at(WeightScheme::kPower)},
+                       {"W_e", tgi.at(WeightScheme::kEnergy)},
+                       {"AM", tgi.at(WeightScheme::kArithmeticMean)}};
+      break;
+    case PaperCsv::kTable2Pcc: {
+      TGI_REQUIRE(series.x.size() >= 2,
+                  "Table II correlates over at least two sweep points");
+      util::AtomicFile out(path);
+      util::CsvWriter table(out.stream());
+      table.write_row({"benchmark", "am", "time", "energy", "power"});
+      for (const char* name : {"IOzone", "STREAM", "HPL"}) {
+        std::vector<std::string> row{name};
+        for (const WeightScheme scheme : kPaperSchemes) {
+          row.push_back(util::fixed(
+              stats::pearson(tgi.at(scheme), series.ee.at(name)), 6));
+        }
+        table.write_row(row);
+      }
+      out.commit();
+      return;
+    }
+  }
+  harness::write_csv(figure, path);
+}
+
+std::vector<harness::SuitePoint> iozone_node_sweep(const CampaignSpec& spec,
+                                                   std::size_t threads,
+                                                   obs::SweepTrace* trace) {
+  std::vector<std::size_t> nodes(spec.cluster.nodes);
+  std::iota(nodes.begin(), nodes.end(), std::size_t{1});
+  harness::ParallelSweepConfig cfg;
+  cfg.threads = threads;
+  const harness::ParallelSweep sweep(spec.cluster,
+                                     spec_meter_factory(spec, 1), cfg);
+  return sweep.run_with(
+      nodes,
+      [](harness::SuiteRunner& runner, std::size_t n) {
+        harness::SuitePoint pt;
+        pt.nodes = n;
+        pt.measurements.push_back(runner.run_iozone(n));
+        return pt;
+      },
+      trace);
+}
+
+harness::Series fig4_series(
+    const std::vector<harness::SuitePoint>& node_points) {
+  harness::Series fig4{"nodes", "MBPS_per_W", {}, {}};
+  for (const harness::SuitePoint& pt : node_points) {
+    const core::BenchmarkMeasurement& m = pt.measurements.front();
+    fig4.x.push_back(static_cast<double>(pt.nodes));
+    fig4.y.push_back(m.performance / m.average_power.value());
+  }
+  return fig4;
 }
 
 std::string CampaignStats::summary() const {
@@ -171,6 +273,18 @@ std::map<std::size_t, PointRecord> fill_points(
   stats.cache_hits += values.size() - computed;
   stats.computed += computed;
   return records;
+}
+
+std::map<std::size_t, PointRecord> sweep_records(
+    const CampaignSpec& spec, const harness::ResultCache* cache,
+    std::size_t threads, CampaignStats& stats, obs::WallProfiler* profiler) {
+  return fill_points(
+      cache, spec_hash(spec), spec_mode(spec), spec.sweep,
+      [&spec, threads, profiler](const std::vector<std::size_t>& pending,
+                                 const harness::RecordSink& done) {
+        compute_points(spec, pending, threads, done, profiler);
+      },
+      stats);
 }
 
 PointRecord reference_point(const CampaignSpec& spec,

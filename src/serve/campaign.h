@@ -35,6 +35,7 @@
 // provenance writer: its checkpoint directory is a result cache.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -45,6 +46,10 @@
 #include "core/tgi.h"
 #include "harness/cache.h"
 #include "harness/checkpoint.h"
+#include "harness/report.h"
+#include "harness/suite.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 #include "serve/spec.h"
 #include "serve/supervisor.h"
 
@@ -109,6 +114,15 @@ std::map<std::size_t, harness::PointRecord> fill_points(
     const std::string& mode, const std::vector<std::size_t>& values,
     const harness::PointCompute& compute, CampaignStats& stats);
 
+/// The spec's sweep records, counted into `stats`: fill_points under
+/// spec_hash(spec) over serve::compute_points on `threads`, the point body
+/// of tgi_sweep and the fig/table harnesses. `cache` and `profiler` may be
+/// null.
+std::map<std::size_t, harness::PointRecord> sweep_records(
+    const CampaignSpec& spec, const harness::ResultCache* cache,
+    std::size_t threads, CampaignStats& stats,
+    obs::WallProfiler* profiler = nullptr);
+
 /// The entry's reference run, counted into `stats`: fill_points under
 /// `reference_hash`, which is reference_spec_hash(spec) (the caller keeps
 /// it for provenance). `cache` may be null.
@@ -129,6 +143,55 @@ std::size_t write_sweep_summary(
     const core::TgiCalculator& calc, const std::string& dir,
     const std::string& point_prefix, const std::string& label,
     std::ostream& out);
+
+/// The TGI weight schemes of the paper's figures and tables, in Table II's
+/// column order.
+inline constexpr std::array<core::WeightScheme, 4> kPaperSchemes{
+    core::WeightScheme::kArithmeticMean, core::WeightScheme::kTime,
+    core::WeightScheme::kEnergy, core::WeightScheme::kPower};
+
+/// The paper's series over one fault-free process sweep (DESIGN.md §4):
+/// the process counts, each benchmark's EE (performance per watt) by name
+/// (HPL, STREAM, IOzone), and the TGI under each of kPaperSchemes. tgi_sweep
+/// and the fig/table harnesses build Figs. 2, 3, 5, 6 and Table II from it.
+struct PaperSeries {
+  std::vector<double> x;
+  std::map<std::string, std::vector<double>> ee;
+  std::map<core::WeightScheme, std::vector<double>> tgi;  ///< empty w/o calc
+};
+
+/// Builds the series from a sweep's points; `calc` (the reference) may be
+/// null when only the EE series are wanted.
+[[nodiscard]] PaperSeries paper_series(
+    const std::vector<harness::SuitePoint>& points,
+    const core::TgiCalculator* calc);
+
+/// The CSV artifacts of a fault-free process sweep.
+enum class PaperCsv { kFig2HplEe, kFig3StreamEe, kFig5TgiAm, kFig6Weighted,
+                      kTable2Pcc };
+
+/// The file name tgi_sweep gives `csv` in its outdir.
+[[nodiscard]] const char* paper_csv_name(PaperCsv csv);
+
+/// Writes one artifact of `series` to `path`, with the one set of headers
+/// tgi_sweep and the harnesses' csv= share. Figs. 5-6 and Table II need
+/// the TGI series; Table II needs at least two points.
+void write_paper_csv(PaperCsv csv, const PaperSeries& series,
+                     const std::string& path);
+
+/// Figure 4's node sweep: IOzone alone on 1..spec.cluster.nodes nodes of
+/// the spec's cluster, one measurement per point, so point k meters at run
+/// offset k of the spec's seed. About `nodes` IOzone measurements: it is
+/// not cached and not part of a sweep's trace record; a non-null `trace`
+/// gets a record of its own.
+[[nodiscard]] std::vector<harness::SuitePoint> iozone_node_sweep(
+    const CampaignSpec& spec, std::size_t threads,
+    obs::SweepTrace* trace = nullptr);
+
+/// Figure 4 (nodes, IOzone EE) from iozone_node_sweep's points, labelled
+/// as tgi_sweep and the harness's csv= write it.
+[[nodiscard]] harness::Series fig4_series(
+    const std::vector<harness::SuitePoint>& node_points);
 
 class CampaignEngine {
  public:

@@ -72,36 +72,62 @@ harness::SweepGranularity parse_granularity(const std::string& text) {
       "granularity must be 'point' or 'task', got '" + text + "'");
 }
 
+/// Reads the keys every front end shares into `spec`, whose cluster is
+/// set: sweep= (default: the paper's Fire grid, 16..128 processes), seed=,
+/// meter= and faults=. Errors name `context`.
+void read_sweep_keys(const util::Config& cfg, const std::string& context,
+                     CampaignSpec& spec) {
+  spec.sweep = checked_sweep(
+      cfg.get_int_list("sweep", {16, 32, 48, 64, 80, 96, 112, 128}),
+      spec.cluster, context);
+  spec.seed = static_cast<std::uint64_t>(
+      cfg.get_int("seed", static_cast<long long>(spec.seed)));
+  const std::string meter = cfg.get_string("meter", "wattsup");
+  TGI_REQUIRE(meter == "wattsup" || meter == "model",
+              context << ": meter must be 'wattsup' or 'model', got '"
+                      << meter << "'");
+  spec.exact_meter = meter == "model";
+  if (cfg.has("faults")) {
+    spec.fault_text = *cfg.get("faults");
+    (void)spec.faults();  // validate now, before any output
+  }
+}
+
 /// Builds one entry from its parsed key=value section.
 CampaignSpec build_entry(const std::string& name, const util::Config& cfg,
                         const std::string& base_dir) {
+  const std::string context = "campaign entry [" + name + "]";
   util::require_known_keys(cfg,
                            {"cluster", "reference", "sweep", "seed", "meter",
                             "faults", "granularity"},
-                           "campaign entry [" + name + "]");
+                           context);
   CampaignSpec spec;
   spec.name = name;
   validate_entry_name(spec.name);
   spec.cluster = resolve_cluster(cfg.get_string("cluster", "fire"), base_dir);
   spec.reference =
       resolve_cluster(cfg.get_string("reference", "systemg"), base_dir);
-  TGI_REQUIRE(cfg.has("sweep"),
-              "campaign entry [" << name << "] needs sweep=V1,V2,...");
-  spec.sweep = checked_sweep(cfg.get_int_list("sweep", {}), spec.cluster,
-                             "campaign entry [" + name + "]");
-  spec.seed = static_cast<std::uint64_t>(
-      cfg.get_int("seed", static_cast<long long>(spec.seed)));
-  spec.exact_meter = checked_exact_meter(cfg.get_string("meter", "wattsup"),
-                                         "campaign entry [" + name + "]");
-  if (cfg.has("faults")) {
-    spec.fault_text = *cfg.get("faults");
-    (void)spec.faults();  // validate now, at parse time
-  }
+  TGI_REQUIRE(cfg.has("sweep"), context << " needs sweep=V1,V2,...");
+  read_sweep_keys(cfg, context, spec);
   spec.granularity = parse_granularity(cfg.get_string("granularity", "point"));
   return spec;
 }
 
 }  // namespace
+
+CampaignSpec command_line_spec(const util::Config& cfg,
+                               const std::string& name) {
+  CampaignSpec spec;
+  spec.name = name;
+  spec.cluster = cfg.has("cluster")
+                     ? sim::load_cluster_file(*cfg.get("cluster"))
+                     : sim::fire_cluster();
+  spec.reference = cfg.has("reference_cluster")
+                       ? sim::load_cluster_file(*cfg.get("reference_cluster"))
+                       : sim::system_g();
+  read_sweep_keys(cfg, name, spec);
+  return spec;
+}
 
 harness::FaultSpec CampaignSpec::faults() const {
   TGI_REQUIRE(faulted(), "entry [" << name << "] has no fault spec");
@@ -125,14 +151,6 @@ std::vector<std::size_t> checked_sweep(const std::vector<long long>& values,
   return sweep;
 }
 
-bool checked_exact_meter(const std::string& meter,
-                         const std::string& context) {
-  TGI_REQUIRE(meter == "wattsup" || meter == "model",
-              context << ": meter must be 'wattsup' or 'model', got '"
-                      << meter << "'");
-  return meter == "model";
-}
-
 const char* spec_mode(const CampaignSpec& spec) {
   return spec.faulted() ? "robust" : "plain";
 }
@@ -145,7 +163,8 @@ harness::RobustConfig spec_robust_config(const CampaignSpec& spec) {
   return robust;
 }
 
-harness::MeterFactory spec_meter_factory(const CampaignSpec& spec) {
+harness::MeterFactory spec_meter_factory(const CampaignSpec& spec,
+                                         std::size_t stride) {
   if (spec.exact_meter) {
     return harness::model_meter_factory(util::seconds(0.5));
   }
@@ -154,10 +173,12 @@ harness::MeterFactory spec_meter_factory(const CampaignSpec& spec) {
   wcfg.seed = spec.seed;
   // Point k's meter starts k strides into the shared-meter stream, one
   // stride being the measurements a point takes (retries included).
-  return harness::wattsup_meter_factory(
-      wcfg, spec.faulted() ? harness::robust_measurements_per_point(
-                                 suite, spec_robust_config(spec))
-                           : harness::suite_benchmarks(suite).size());
+  if (stride == 0) {
+    stride = spec.faulted() ? harness::robust_measurements_per_point(
+                                  suite, spec_robust_config(spec))
+                            : harness::suite_benchmarks(suite).size();
+  }
+  return harness::wattsup_meter_factory(wcfg, stride);
 }
 
 std::unique_ptr<power::PowerMeter> reference_meter(const CampaignSpec& spec) {
@@ -165,7 +186,7 @@ std::unique_ptr<power::PowerMeter> reference_meter(const CampaignSpec& spec) {
     return std::make_unique<power::ModelMeter>(util::seconds(0.5));
   }
   power::WattsUpConfig wcfg;
-  wcfg.seed = spec.seed + 1;
+  wcfg.seed = spec.seed + kReferenceSeedSalt;
   return std::make_unique<power::WattsUpMeter>(wcfg);
 }
 
@@ -188,9 +209,10 @@ std::uint64_t spec_hash(const CampaignSpec& spec) {
 
 std::string reference_spec_text(const CampaignSpec& spec) {
   const harness::SuiteConfig suite;
-  // Reference meters get the +1 seed salt (reference_meter), and the
+  // Reference meters get the salted seed (reference_meter), and the
   // marker line separates the reference keyspace from plain sweeps.
-  return harness::cache_spec_text(spec.reference, spec.seed + 1,
+  return harness::cache_spec_text(spec.reference,
+                                  spec.seed + kReferenceSeedSalt,
                                   spec.exact_meter, suite, nullptr, 0,
                                   {spec.reference.total_cores()})
       .insert(0, "reference=1\n");

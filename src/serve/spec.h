@@ -36,8 +36,13 @@
 #include "harness/robust.h"
 #include "power/meter.h"
 #include "sim/machine.h"
+#include "util/config.h"
 
 namespace tgi::serve {
+
+/// Added to a spec's seed to seed its reference run's meter, so the
+/// reference instrument's error draws are not any sweep point's.
+inline constexpr std::uint64_t kReferenceSeedSalt = 0x517cc1b7ULL;
 
 /// One sweep spec — a campaign entry, a worker handoff, or one tgi_sweep
 /// invocation: everything that determines a sweep's bytes, plus its
@@ -48,7 +53,7 @@ struct CampaignSpec {
   sim::ClusterSpec cluster;
   sim::ClusterSpec reference;
   std::vector<std::size_t> sweep;
-  std::uint64_t seed = 0x9e3779b9ULL;
+  std::uint64_t seed = 0x9e3779b9ULL;  ///< the paper seed, every default
   bool exact_meter = false;  ///< meter=model (noise-free ModelMeter)
   /// The user's fault spec text, verbatim (empty = fault-free sweep).
   /// Kept as text so the engine→worker handoff re-parses the exact same
@@ -62,6 +67,14 @@ struct CampaignSpec {
   [[nodiscard]] harness::FaultSpec faults() const;
 };
 
+/// The spec one command line asks for: tgi_sweep's keys cluster= and
+/// reference_cluster= (spec files; default Fire and SystemG), sweep=
+/// (default the paper's grid, 16..128 processes), seed=, meter= and
+/// faults=. The fig/table harnesses accept a subset. `name` names the spec
+/// and its errors; all is validated before the caller writes any output.
+[[nodiscard]] CampaignSpec command_line_spec(const util::Config& cfg,
+                                             const std::string& name);
+
 /// The sweep values a spec may carry on `cluster`: each in
 /// [1, cluster.total_cores()], at least one. Throws a PreconditionError
 /// naming `context` otherwise. Every front end (campaign entries, worker
@@ -70,12 +83,6 @@ struct CampaignSpec {
 [[nodiscard]] std::vector<std::size_t> checked_sweep(
     const std::vector<long long>& values, const sim::ClusterSpec& cluster,
     const std::string& context);
-
-/// Reads a `meter=` value: true for "model" (the exact ModelMeter), false
-/// for "wattsup"; anything else throws a PreconditionError naming
-/// `context`. Every front end reads the meter through this one check.
-[[nodiscard]] bool checked_exact_meter(const std::string& meter,
-                                       const std::string& context);
 
 /// "plain" or "robust" — the journal/cache mode this entry runs under.
 [[nodiscard]] const char* spec_mode(const CampaignSpec& spec);
@@ -87,12 +94,13 @@ struct CampaignSpec {
 
 /// The per-point meter factory of the entry's sweep: a WattsUp meter
 /// seeded with spec.seed whose run offsets stride by the measurements one
-/// point takes in the entry's mode, or the exact ModelMeter.
+/// point takes in the entry's mode, or the exact ModelMeter. A nonzero
+/// `stride` replaces the mode's (Figure 4's IOzone-only points take 1).
 [[nodiscard]] harness::MeterFactory spec_meter_factory(
-    const CampaignSpec& spec);
+    const CampaignSpec& spec, std::size_t stride = 0);
 
 /// The meter of the entry's reference run: the sweep meter's kind with the
-/// seed salted by +1.
+/// seed salted by kReferenceSeedSalt.
 [[nodiscard]] std::unique_ptr<power::PowerMeter> reference_meter(
     const CampaignSpec& spec);
 
@@ -105,8 +113,9 @@ struct CampaignSpec {
 /// Canonical cache-key text for the entry's REFERENCE run and its digest.
 /// A reference run is not a plain sweep point of the reference cluster —
 /// it meters only active nodes, runs IOzone on a node slice, and salts the
-/// meter seed (+1) — so its key carries a `reference=1` marker line that
-/// keeps it from ever colliding with a sweep over the same machine.
+/// meter seed (kReferenceSeedSalt) — so its key carries a `reference=1`
+/// marker line that keeps it from ever colliding with a sweep over the same
+/// machine.
 [[nodiscard]] std::string reference_spec_text(const CampaignSpec& spec);
 [[nodiscard]] std::uint64_t reference_spec_hash(const CampaignSpec& spec);
 

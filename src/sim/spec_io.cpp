@@ -67,11 +67,19 @@ ClusterSpec cluster_from_config(const util::Config& cfg) {
       watts_of("power.board_w", c.node.power.board_overhead);
   c.node.power.psu.rated_dc =
       watts_of("power.psu_rated_w", c.node.power.psu.rated_dc);
-  c.node.power.psu.efficiency_at_20pct = cfg.get_double(
+  // A PSU cannot deliver more than it draws, nor deliver nothing: the
+  // model divides by these.
+  auto efficiency_of = [&](const char* key, double fallback) {
+    const double eff = cfg.get_double(key, fallback);
+    TGI_REQUIRE(eff > 0.0 && eff <= 1.0,
+                key << " must be in (0, 1], got " << eff);
+    return eff;
+  };
+  c.node.power.psu.efficiency_at_20pct = efficiency_of(
       "power.psu_eff_20", c.node.power.psu.efficiency_at_20pct);
-  c.node.power.psu.efficiency_at_50pct = cfg.get_double(
+  c.node.power.psu.efficiency_at_50pct = efficiency_of(
       "power.psu_eff_50", c.node.power.psu.efficiency_at_50pct);
-  c.node.power.psu.efficiency_at_100pct = cfg.get_double(
+  c.node.power.psu.efficiency_at_100pct = efficiency_of(
       "power.psu_eff_100", c.node.power.psu.efficiency_at_100pct);
 
   const std::string fabric = cfg.get_string("interconnect", "");

@@ -3,9 +3,12 @@
 // one a user could write. Numbers are drawn within the catalog's ranges
 // (sim/catalog.cpp), at full double precision or rounded to 7 decimals;
 // with `extremes`, a field may instead take a magnitude near 1e-300 or
-// 1e300 (kept normal both as written and once scaled into SI units).
+// 1e300 (kept normal both as written and once scaled into SI units; a PSU
+// efficiency stops at 1).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,7 +24,8 @@ namespace tgi::sim::generated {
 
 /// One double of a ClusterSpec as a config file carries it: the key, the
 /// factor cluster_from_config scales the number by into the SI field, the
-/// catalog range in config units, and the SI field itself.
+/// catalog range in config units, the SI field itself, and the largest
+/// value cluster_from_config accepts (a PSU efficiency is at most 1).
 struct DoubleField {
   const char* key;
   double scale;
@@ -29,6 +33,7 @@ struct DoubleField {
   double hi;
   double (*get)(const ClusterSpec&);
   void (*set)(ClusterSpec&, double);
+  double max = HUGE_VAL;
 };
 
 /// Every double field cluster_to_config writes, in its order.
@@ -91,13 +96,16 @@ inline const std::vector<DoubleField>& double_fields() {
        [](C& c, double v) { c.node.power.psu.rated_dc = util::Watts(v); }},
       {"power.psu_eff_20", 1.0, 0.7, 0.9,
        [](const C& c) { return c.node.power.psu.efficiency_at_20pct; },
-       [](C& c, double v) { c.node.power.psu.efficiency_at_20pct = v; }},
+       [](C& c, double v) { c.node.power.psu.efficiency_at_20pct = v; },
+       1.0},
       {"power.psu_eff_50", 1.0, 0.8, 0.95,
        [](const C& c) { return c.node.power.psu.efficiency_at_50pct; },
-       [](C& c, double v) { c.node.power.psu.efficiency_at_50pct = v; }},
+       [](C& c, double v) { c.node.power.psu.efficiency_at_50pct = v; },
+       1.0},
       {"power.psu_eff_100", 1.0, 0.75, 0.92,
        [](const C& c) { return c.node.power.psu.efficiency_at_100pct; },
-       [](C& c, double v) { c.node.power.psu.efficiency_at_100pct = v; }},
+       [](C& c, double v) { c.node.power.psu.efficiency_at_100pct = v; },
+       1.0},
       {"interconnect.latency_us", 1e-6, 1.0, 60.0,
        [](const C& c) { return c.interconnect.latency.value(); },
        [](C& c, double v) { c.interconnect.latency = util::Seconds(v); }},
@@ -143,7 +151,9 @@ inline std::string generated_config(util::Xoshiro256& rng, bool extremes) {
         if (extremes) x = 1e-300 * (f.scale < 1.0 ? 1.0 / f.scale : 1.0);
         break;
       case 2:
-        if (extremes) x = 1e300 * (f.scale > 1.0 ? 1.0 / f.scale : 1.0);
+        if (extremes) {
+          x = std::min(f.max, 1e300 * (f.scale > 1.0 ? 1.0 / f.scale : 1.0));
+        }
         break;
       default:
         break;

@@ -96,6 +96,34 @@ TEST(SpecIo, NonFiniteNumbersAreRejected) {
   }
 }
 
+TEST(SpecIo, PsuEfficienciesOutsideTheUnitIntervalAreRejected) {
+  // An efficiency above 1 would make wall power smaller than the DC load,
+  // and 0 divides by zero: either must fail at load, naming the key.
+  const std::string accel = cluster_to_config(accelerator_heavy_cluster());
+  const auto with = [&accel](const std::string& key, const char* value) {
+    std::string text = accel;
+    const std::size_t start = text.find("\n" + key + " = ");
+    const std::size_t end = text.find('\n', start + 1);
+    text.replace(start, end - start, "\n" + key + " = " + value);
+    return util::Config::parse(text);
+  };
+  for (const auto& [key, value] :
+       {std::pair<std::string, const char*>{"power.psu_eff_50", "1.5"},
+        {"power.psu_eff_20", "0"}}) {
+    try {
+      (void)cluster_from_config(with(key, value));
+      ADD_FAILURE() << key << " = " << value << " loaded";
+    } catch (const util::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(key + " must be in (0, 1]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(cluster_from_config(with("power.psu_eff_100", "1"))
+                .node.power.psu.efficiency_at_100pct,
+            1.0);
+}
+
 TEST(SpecIo, RoundTripsCatalogMachines) {
   for (const ClusterSpec& original :
        {fire_cluster(), system_g(), low_power_cluster()}) {

@@ -31,17 +31,6 @@ namespace {
 
 using namespace tgi;
 
-core::WeightScheme parse_scheme(const std::string& name) {
-  if (name == "am" || name == "arithmetic") {
-    return core::WeightScheme::kArithmeticMean;
-  }
-  if (name == "time") return core::WeightScheme::kTime;
-  if (name == "energy") return core::WeightScheme::kEnergy;
-  if (name == "power") return core::WeightScheme::kPower;
-  throw util::PreconditionError("unknown scheme '" + name +
-                                "' (am|time|energy|power)");
-}
-
 core::EfficiencyMetric parse_metric(const std::string& name) {
   if (name == "perf_per_watt") {
     return core::EfficiencyMetric::kPerformancePerWatt;
@@ -107,9 +96,9 @@ int run(int argc, const char* const* argv) {
                                  parse_weights(*cfg.get("weights")),
                                  system_cooling, aggregation);
   } else {
-    result = calc.compute(system,
-                          parse_scheme(cfg.get_string("scheme", "am")),
-                          system_cooling, aggregation);
+    result = calc.compute(
+        system, core::parse_weight_scheme(cfg.get_string("scheme", "am")),
+        system_cooling, aggregation);
   }
 
   std::cout << "TGI = " << util::fixed(result.tgi, 6) << "   ("

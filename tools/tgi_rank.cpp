@@ -19,17 +19,6 @@ namespace {
 
 using namespace tgi;
 
-core::WeightScheme parse_scheme(const std::string& name) {
-  if (name == "am" || name == "arithmetic") {
-    return core::WeightScheme::kArithmeticMean;
-  }
-  if (name == "time") return core::WeightScheme::kTime;
-  if (name == "energy") return core::WeightScheme::kEnergy;
-  if (name == "power") return core::WeightScheme::kPower;
-  throw util::PreconditionError("unknown scheme '" + name +
-                                "' (am|time|energy|power)");
-}
-
 int run(int argc, const char* const* argv) {
   const util::Config cfg = util::Config::from_args(argc, argv);
   const auto reference_path = cfg.get("reference");
@@ -56,7 +45,8 @@ int run(int argc, const char* const* argv) {
   TGI_REQUIRE(!submissions.empty(), "no machine CSVs given");
 
   const harness::Ranking ranking = harness::rank_machines(
-      calc, submissions, parse_scheme(cfg.get_string("scheme", "am")));
+      calc, submissions,
+      core::parse_weight_scheme(cfg.get_string("scheme", "am")));
   std::cout << harness::render_ranking(ranking);
   return 0;
 }

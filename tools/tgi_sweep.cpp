@@ -53,7 +53,9 @@
 //   fig2_hpl_ee.csv, fig3_stream_ee.csv, fig4_iozone_ee.csv,
 //   fig5_tgi_am.csv, fig6_tgi_weighted.csv, table2_pcc.csv,
 //   reference_systemg.csv, fire_<cores>.csv (one measurement set per
-//   sweep point), sweep_summary.csv, and provenance.json.
+//   sweep point), sweep_summary.csv, and provenance.json. The figure and
+//   table CSVs equal the bench/ harnesses' csv= files byte for byte; Fig. 4
+//   is an IOzone node sweep of its own, neither checkpointed nor traced.
 #include <filesystem>
 #include <iostream>
 #include <map>
@@ -70,15 +72,9 @@
 #include "obs/trace.h"
 #include "serve/campaign.h"
 #include "serve/spec.h"
-#include "serve/worker.h"
-#include "sim/catalog.h"
-#include "sim/spec_io.h"
-#include "stats/correlation.h"
 #include "util/atomic_file.h"
 #include "util/config.h"
 #include "util/error.h"
-#include "util/format.h"
-#include "util/table.h"
 
 namespace {
 
@@ -99,37 +95,9 @@ util::Config parse_args(int argc, const char* const* argv) {
   return cfg;
 }
 
-/// The sweep this invocation asks for, as the one spec description the
-/// campaign engine and its workers use. Everything is validated here,
-/// before any output is written.
-serve::CampaignSpec sweep_spec(const util::Config& cfg) {
-  serve::CampaignSpec spec;
-  spec.name = "tgi_sweep";
-  spec.cluster = cfg.has("cluster")
-                     ? sim::load_cluster_file(*cfg.get("cluster"))
-                     : sim::fire_cluster();
-  spec.reference = cfg.has("reference_cluster")
-                       ? sim::load_cluster_file(*cfg.get("reference_cluster"))
-                       : sim::system_g();
-  spec.sweep = serve::checked_sweep(
-      cfg.get_int_list("sweep", {16, 32, 48, 64, 80, 96, 112, 128}),
-      spec.cluster, "tgi_sweep");
-  spec.seed = static_cast<std::uint64_t>(
-      cfg.get_int("seed", static_cast<long long>(spec.seed)));
-  spec.exact_meter =
-      serve::checked_exact_meter(cfg.get_string("meter", "wattsup"),
-                                 "tgi_sweep");
-  if (cfg.has("faults")) {
-    spec.fault_text = *cfg.get("faults");
-    (void)spec.faults();  // validate now, before any output
-  }
-  return spec;
-}
-
 int run(int argc, const char* const* argv) {
   const util::Config cfg = parse_args(argc, argv);
-  const serve::CampaignSpec spec = sweep_spec(cfg);
-  const std::vector<std::size_t>& sweep = spec.sweep;
+  const serve::CampaignSpec spec = serve::command_line_spec(cfg, "tgi_sweep");
   const long long threads_raw = cfg.get_int("threads", 0);
   TGI_REQUIRE(threads_raw >= 0, "threads must be >= 0 (0 = default)");
 
@@ -166,17 +134,10 @@ int run(int argc, const char* const* argv) {
   }
 
   // Sweep (reference_cluster is not in its key: it only affects TGI).
-  const std::uint64_t hash = serve::spec_hash(spec);
   const std::size_t threads = static_cast<std::size_t>(threads_raw);
-  obs::WallProfiler* const wall = profile_dir ? &profiler : nullptr;
   const std::map<std::size_t, harness::PointRecord> records =
-      serve::fill_points(
-          cache ? &*cache : nullptr, hash, serve::spec_mode(spec), sweep,
-          [&spec, threads, wall](const std::vector<std::size_t>& pending,
-                                 const harness::RecordSink& done) {
-            serve::compute_points(spec, pending, threads, done, wall);
-          },
-          stats);
+      serve::sweep_records(spec, cache ? &*cache : nullptr, threads, stats,
+                           profile_dir ? &profiler : nullptr);
 
   if (trace_dir) {
     const obs::SweepTrace trace = harness::replay_trace(records);
@@ -196,7 +157,7 @@ int run(int argc, const char* const* argv) {
                                    std::cout);
   serve::write_provenance(
       outdir, stats,
-      {{spec.name, hash, reference_hash, stats.points,
+      {{spec.name, serve::spec_hash(spec), reference_hash, stats.points,
         stats.cache_hits, stats.computed, {}}});
   std::cerr << "tgi_sweep: " << stats.summary() << "\n";
   if (spec.faulted()) {
@@ -206,65 +167,23 @@ int run(int argc, const char* const* argv) {
     return 0;
   }
 
-  std::map<std::string, std::vector<double>> ee;
-  std::vector<double> x;
-  std::map<core::WeightScheme, std::vector<double>> tgi;
-  const std::vector<core::WeightScheme> schemes{
-      core::WeightScheme::kArithmeticMean, core::WeightScheme::kTime,
-      core::WeightScheme::kEnergy, core::WeightScheme::kPower};
-  for (const auto& [k, record] : records) {
-    const auto& measurements = record.point.measurements;
-    x.push_back(static_cast<double>(sweep[k]));
-    for (const auto scheme : schemes) {
-      tgi[scheme].push_back(calc.compute(measurements, scheme).tgi);
-    }
-    for (const char* name : {"HPL", "STREAM", "IOzone"}) {
-      const auto& m = core::find_measurement(measurements, name);
-      ee[name].push_back(m.performance / m.average_power.value());
-    }
+  std::vector<harness::SuitePoint> points;
+  for (const auto& [k, record] : records) points.push_back(record.point);
+  const serve::PaperSeries series = serve::paper_series(points, &calc);
+  for (const serve::PaperCsv csv :
+       {serve::PaperCsv::kFig2HplEe, serve::PaperCsv::kFig3StreamEe,
+        serve::PaperCsv::kFig5TgiAm, serve::PaperCsv::kFig6Weighted,
+        serve::PaperCsv::kTable2Pcc}) {
+    // Correlations need at least two sweep points.
+    if (csv == serve::PaperCsv::kTable2Pcc && points.size() < 2) continue;
+    serve::write_paper_csv(csv, series, path(serve::paper_csv_name(csv)));
   }
-
-  // Figure CSVs.
-  harness::write_csv(
-      harness::Series{"processes", "MFLOPS_per_W", x, ee["HPL"]},
-      path("fig2_hpl_ee.csv"));
-  harness::write_csv(
-      harness::Series{"processes", "MBPS_per_W", x, ee["STREAM"]},
-      path("fig3_stream_ee.csv"));
-  harness::write_csv(
-      harness::Series{"processes", "MBPS_per_W", x, ee["IOzone"]},
-      path("fig4_iozone_ee.csv"));
-  harness::write_csv(
-      harness::Series{"cores", "TGI_AM", x,
-                      tgi[core::WeightScheme::kArithmeticMean]},
-      path("fig5_tgi_am.csv"));
-  harness::MultiSeries fig6;
-  fig6.x_label = "cores";
-  fig6.x = x;
-  fig6.series = {{"W_t", tgi[core::WeightScheme::kTime]},
-                 {"W_e", tgi[core::WeightScheme::kEnergy]},
-                 {"W_p", tgi[core::WeightScheme::kPower]},
-                 {"AM", tgi[core::WeightScheme::kArithmeticMean]}};
-  harness::write_csv(fig6, path("fig6_tgi_weighted.csv"));
-
-  // Table II CSV (correlations need at least two sweep points).
-  if (x.size() >= 2) {
-    util::AtomicFile out(path("table2_pcc.csv"));
-    util::CsvWriter csv(out.stream());
-    csv.write_row({"benchmark", "am", "time", "energy", "power"});
-    for (const char* name : {"IOzone", "STREAM", "HPL"}) {
-      std::vector<std::string> row{name};
-      for (const auto scheme : schemes) {
-        row.push_back(
-            util::fixed(stats::pearson(tgi[scheme], ee[name]), 6));
-      }
-      csv.write_row(row);
-    }
-    out.commit();
-  }
+  const auto node_points = serve::iozone_node_sweep(spec, threads);
+  harness::write_csv(serve::fig4_series(node_points),
+                     path("fig4_iozone_ee.csv"));
 
   std::cout << "wrote " << outdir << "/ (figures, tables, and "
-            << sweep.size() + 1 << " measurement CSVs)\n";
+            << spec.sweep.size() + 1 << " measurement CSVs)\n";
   return 0;
 }
 
