@@ -93,6 +93,22 @@ inline void write_trace_files(const obs::SweepTrace& trace,
             << " events) and metrics.csv\n";
 }
 
+/// With trace=DIR on the command line, publishes the trace of plain sweep
+/// points, derived from their measurements as tgi_sweep derives its own
+/// (harness::replay_trace over make_point_record's records). Point k is
+/// labelled values[k].
+inline void maybe_write_points_trace(
+    const Experiment& e, const std::vector<std::size_t>& values,
+    const std::vector<harness::SuitePoint>& points) {
+  if (!e.trace_dir) return;
+  std::map<std::size_t, harness::PointRecord> records;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    records.emplace(
+        k, harness::make_point_record(k, values[k], points[k], nullptr));
+  }
+  write_trace_files(harness::replay_trace(records), *e.trace_dir);
+}
+
 /// Runs the experiment's sweep through tgi_sweep's point body
 /// (serve::compute_points; bit-identical output for any threads= value).
 /// With trace=DIR on the command line, also emits the observability record
@@ -232,10 +248,14 @@ inline std::vector<core::BenchmarkMeasurement> reference_suite(
       .point.measurements;
 }
 
-/// With csv=path on the command line, calls write(path) and says so.
+/// With csv=path on the command line, creates the path's directory, calls
+/// write(path) and says so.
 template <typename Write>
 void maybe_write_csv(const Experiment& e, Write write) {
   if (!e.csv_path) return;
+  const std::filesystem::path parent =
+      std::filesystem::path(*e.csv_path).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
   write(*e.csv_path);
   std::cout << "wrote " << *e.csv_path << "\n";
 }

@@ -18,10 +18,10 @@ int main(int argc, char** argv) {
     // The node sweep tgi_sweep writes Figure 4 from: one IOzone
     // measurement per point, so point k's meter starts at run_offset k
     // (bit-identical to one meter shared across the serial 1..8 loop).
-    obs::SweepTrace trace;
-    const auto points = serve::iozone_node_sweep(
-        e.spec, e.threads, e.trace_dir ? &trace : nullptr);
-    if (e.trace_dir) bench::write_trace_files(trace, *e.trace_dir);
+    const auto points = serve::iozone_node_sweep(e.spec, e.threads);
+    std::vector<std::size_t> nodes;
+    for (const auto& pt : points) nodes.push_back(pt.nodes);
+    bench::maybe_write_points_trace(e, nodes, points);
 
     const harness::Series fig4 = serve::fig4_series(points);
     util::TextTable detail(

@@ -37,10 +37,8 @@ int main(int argc, char** argv) {
     harness::ParallelSweep sweep(
         e.spec.cluster, harness::model_meter_factory(util::seconds(0.5)),
         sweep_cfg);
-    obs::SweepTrace trace;
-    const auto points =
-        sweep.run_extended(e.spec.sweep, e.trace_dir ? &trace : nullptr);
-    if (e.trace_dir) bench::write_trace_files(trace, *e.trace_dir);
+    const auto points = sweep.run_extended(e.spec.sweep);
+    bench::maybe_write_points_trace(e, e.spec.sweep, points);
 
     util::TextTable table({"cores", "TGI(AM)", "REE HPL", "STREAM",
                            "IOzone", "GUPS", "PTRANS", "FFT",

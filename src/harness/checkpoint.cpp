@@ -48,7 +48,7 @@ std::string spec_hash_hex(std::uint64_t hash) {
 
 namespace {
 
-constexpr char kMagic[] = "TGIJ1";
+constexpr char kMagic[] = "TGIJ2";
 constexpr char kFieldSep = '\x1f';  // US: separates name=value fields
 constexpr char kListSep = '\x1e';   // RS: separates nested list elements
 
@@ -231,7 +231,7 @@ void split_views(std::string_view text, char sep,
 }
 
 /// The views a record's lists split into, kept across records so a steady
-/// decode loop does not allocate for them. Sized up front for a traced
+/// decode loop does not allocate for them. Sized up front for a robust
 /// point record (a few events of 11 fields, about five metrics); a larger
 /// list grows them.
 struct SplitScratch {
@@ -270,7 +270,7 @@ class FieldWriter {
 /// Reused across records, so a steady decode loop does not allocate.
 class FieldReader {
  public:
-  /// Room for every field of a robust point record (19), the largest
+  /// Room for every field of a robust point record (18), the largest
   /// kind, and for the unescaped values of a payload of `max_payload`
   /// bytes: unescaping only shortens a value.
   explicit FieldReader(std::size_t max_payload) {
@@ -536,9 +536,6 @@ PointRecord parse_point_payload(const FieldReader& fields,
     record.counters.dropped_benchmarks = fields.get_size("dropped_benchmarks");
     record.counters.backoff = util::Seconds(fields.get_seconds("backoff"));
     record.counters.stalled = util::Seconds(fields.get_seconds("stalled"));
-  }
-  record.traced = fields.get_flag("traced");
-  if (record.traced) {
     record.trace_now = util::Seconds(fields.get_seconds("now"));
     record.events = decode_events(fields.get("events"), split);
     record.trace_metrics = decode_metrics(fields.get("metrics"), split);
@@ -596,7 +593,7 @@ std::string encode_header_record(std::uint64_t spec_hash,
               "journal mode must be 'plain' or 'robust', got '" << mode
                                                                 << "'");
   FieldWriter fields;
-  fields.add("v", "1");
+  fields.add("v", "2");
   fields.add("spec", spec_hash_hex(spec_hash));
   fields.add("mode", mode);
   fields.add("values", encode_values(values));
@@ -604,6 +601,11 @@ std::string encode_header_record(std::uint64_t spec_hash,
 }
 
 std::string encode_point_record(const PointRecord& record) {
+  TGI_REQUIRE(record.robust || (record.trace_now.value() == 0.0 &&
+                                record.events.empty() &&
+                                record.trace_metrics.empty()),
+              "point " << record.index
+                       << ": a plain record's trace is derived, not stored");
   FieldWriter fields;
   fields.add_size("index", record.index);
   fields.add_size("value", record.value);
@@ -622,9 +624,6 @@ std::string encode_point_record(const PointRecord& record) {
                     record.counters.dropped_benchmarks);
     fields.add_double("backoff", record.counters.backoff.value());
     fields.add_double("stalled", record.counters.stalled.value());
-  }
-  fields.add("traced", record.traced ? "1" : "0");
-  if (record.traced) {
     fields.add_double("now", record.trace_now.value());
     fields.add("events", encode_events(record.events));
     fields.add("metrics", encode_metrics(record.trace_metrics));
@@ -667,7 +666,7 @@ JournalContents read_journal(const std::string& text) {
           throw util::TgiError("duplicate header record");
         }
         fields.parse(parsed.payload);
-        if (fields.get("v") != "1") {
+        if (fields.get("v") != "2") {
           throw util::TgiError("unsupported journal version '" +
                                std::string(fields.get("v")) + "'");
         }
@@ -760,14 +759,6 @@ JournalState reconcile_journal(JournalContents&& contents,
                     " was journaled in the other sweep mode"});
       continue;
     }
-    if (!record.traced) {
-      // The engine always journals the observability section (a replay
-      // must be able to serve trace=); a record without one is foreign.
-      state.damage.push_back(JournalDamage{
-          line, "point " + std::to_string(index) +
-                    " lacks the observability section"});
-      continue;
-    }
     if (!state.completed.try_emplace(index, std::move(record)).second) {
       state.damage.push_back(JournalDamage{
           line, "duplicate record for point " + std::to_string(index) +
@@ -779,13 +770,22 @@ JournalState reconcile_journal(JournalContents&& contents,
 
 PointRecord make_point_record(std::size_t index, std::size_t value,
                               const SuitePoint& point,
-                              const obs::PointRecorder* recorder) {
+                              const obs::PointRecorder* /*recorder*/) {
   PointRecord record;
   record.index = index;
   record.value = value;
   record.point = point;
+  return record;
+}
+
+PointRecord make_robust_point_record(std::size_t index, std::size_t value,
+                                     const RobustSuitePoint& point,
+                                     const obs::PointRecorder* recorder) {
+  PointRecord record = make_point_record(index, value, point.point, nullptr);
+  record.robust = true;
+  record.missing = point.missing;
+  record.counters = point.counters;
   if (recorder != nullptr) {
-    record.traced = true;
     record.trace_now = recorder->now();
     record.events = recorder->events();
     record.trace_metrics = recorder->metrics().sorted();
@@ -793,21 +793,20 @@ PointRecord make_point_record(std::size_t index, std::size_t value,
   return record;
 }
 
-PointRecord make_robust_point_record(std::size_t index, std::size_t value,
-                                     const RobustSuitePoint& point,
-                                     const obs::PointRecorder* recorder) {
-  PointRecord record = make_point_record(index, value, point.point, recorder);
-  record.robust = true;
-  record.missing = point.missing;
-  record.counters = point.counters;
-  return record;
-}
-
 void restore_recorder(const PointRecord& record,
                       obs::PointRecorder& recorder) {
-  TGI_REQUIRE(record.traced,
-              "point " << record.index
-                       << " was journaled without a trace section");
+  if (!record.robust) {
+    // A plain point's trace is a pure function of its measurements: one
+    // benchmark span each, back to back, as SuiteRunner recorded them.
+    const std::vector<core::BenchmarkMeasurement>& ms =
+        record.point.measurements;
+    for (std::size_t b = 0; b < ms.size(); ++b) {
+      recorder.set_context(b, 0);
+      record_benchmark_run(recorder, ms[b].benchmark, ms[b].performance,
+                           ms[b].metric_unit, ms[b].execution_time);
+    }
+    return;
+  }
   for (const obs::TraceEvent& event : record.events) {
     recorder.restore_event(event);
   }

@@ -17,18 +17,17 @@
 // (DESIGN.md §3b) keys on the point index, so a killed sweep rerun over its
 // shard is byte-identical to an uninterrupted one at any thread count.
 //
-// Journal format: one record per line,
-//
-//   TGIJ1 <kind> <crc32-hex8> <payload>\n
-//
-// where <kind> is `header` or `point`, the CRC-32 (util/atomic_file.h)
-// covers "<kind> <payload>" (computed piece by piece, never over a copy),
-// and the payload is `name=value` fields joined by US (0x1f). Values are
-// percent-escaped (%, LF, CR, RS, US), so a record is always exactly one
-// line; nested lists (trace events, metrics) join their escaped elements
-// with RS (0x1e) before the field-level escape.
-// Doubles ride the measurement_io interchange CSV (17 significant digits)
-// or C hexfloats, bit-exactly; integers are plain decimal digits.
+// Journal format v2: one record per line, `TGIJ2 <kind> <crc32-hex8>
+// <payload>\n`. <kind> is `header` (v=2, spec, mode, values) or `point`;
+// the CRC-32 (util/atomic_file.h) covers "<kind> <payload>" (computed piece
+// by piece, never over a copy); the payload is `name=value` fields joined
+// by US (0x1f), values percent-escaped (%, LF, CR, RS, US) so a record is
+// one line, nested lists joining escaped elements with RS (0x1e). A plain
+// point holds index, value, processes, nodes, the measurement CSV and
+// robust=0 — its trace is derived (restore_recorder); a robust point adds
+// its recovery accounting and its trace (now, events, metrics). Doubles
+// ride the interchange CSV (17 significant digits) or C hexfloats,
+// bit-exactly. A v1 line fails the magic check: quarantined, recomputed.
 //
 // Decoding is one pass over views of the file, read by one open, fstat and
 // read loop (util::read_file_if_exists; a missing file is a miss): lines,
@@ -89,7 +88,7 @@ struct JournalDamage {
 
 /// One completed sweep point as journaled: enough to replay the point —
 /// results, robust accounting, and the observability record — without
-/// re-running it.
+/// re-running it. Only a robust record stores its trace.
 struct PointRecord {
   std::size_t index = 0;  ///< sweep point index (the RNG stream key)
   std::size_t value = 0;  ///< sweep value at that index (cross-check)
@@ -97,10 +96,9 @@ struct PointRecord {
   bool robust = false;
   std::vector<std::string> missing;  ///< robust only: dropped benchmarks
   PointCounters counters;            ///< robust only: recovery accounting
-  bool traced = false;
-  util::Seconds trace_now{0.0};  ///< recorder clock at point completion
-  std::vector<obs::TraceEvent> events;
-  std::vector<obs::Metric> trace_metrics;
+  util::Seconds trace_now{0.0};  ///< robust only: recorder clock at the end
+  std::vector<obs::TraceEvent> events;     ///< robust only
+  std::vector<obs::Metric> trace_metrics;  ///< robust only
 };
 
 /// Structural parse of a whole journal: the first valid header, every
@@ -117,7 +115,7 @@ struct JournalContents {
 };
 
 /// Serializes the header / a point record as one journal line (with the
-/// trailing newline). Exposed for tests.
+/// trailing newline). A plain record must carry no trace. Exposed for tests.
 [[nodiscard]] std::string encode_header_record(
     std::uint64_t spec_hash, const std::string& mode,
     const std::vector<std::size_t>& values);
@@ -151,24 +149,26 @@ struct JournalState {
     JournalContents&& contents, std::uint64_t spec_hash,
     const std::string& mode, const std::vector<std::size_t>& values);
 
-/// Builds the journal record for a freshly computed point. `recorder` may
-/// be null (untraced sweep).
+/// Builds the journal record for a freshly computed plain point. The
+/// recorder is not journaled — a plain point's trace is derived from its
+/// measurements — and may be null.
 [[nodiscard]] PointRecord make_point_record(std::size_t index,
                                             std::size_t value,
                                             const SuitePoint& point,
                                             const obs::PointRecorder* recorder);
+/// The same for a robust point; its record stores the recorder's trace.
 [[nodiscard]] PointRecord make_robust_point_record(
     std::size_t index, std::size_t value, const RobustSuitePoint& point,
     const obs::PointRecorder* recorder);
 
-/// Replays a record's observability section into a fresh recorder: events
-/// verbatim, metrics by kind, clock to the journaled value — so a replayed
-/// trace merges byte-identically to the uninterrupted one. Requires
-/// record.traced.
+/// Replays a record's trace into a fresh recorder: a robust record's
+/// events, metrics and clock verbatim; a plain record's derived from its
+/// measurements, benchmark b recorded at context (b, 0) by
+/// record_benchmark_run — what SuiteRunner recorded live, bit for bit.
 void restore_recorder(const PointRecord& record, obs::PointRecorder& recorder);
 
-/// A sweep's trace rebuilt from its (traced) records, merged by index —
-/// byte-identical to the live sweep's; tgi_sweep and campaigns emit it.
+/// A sweep's trace rebuilt from its records, merged by index; tgi_sweep,
+/// campaigns and the bench harnesses emit it.
 [[nodiscard]] obs::SweepTrace replay_trace(
     const std::map<std::size_t, PointRecord>& records);
 

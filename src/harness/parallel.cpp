@@ -62,28 +62,17 @@ ParallelSweep::ParallelSweep(sim::ClusterSpec cluster,
 namespace {
 
 /// The one sweep body behind run_with and run_robust. Each point is fully
-/// self-contained: `compute(k, recorder)` builds point k's own meter and
-/// runner (recorder is null unless tracing). Results and recorders land in
-/// preallocated slots, so completion order cannot reorder the output.
+/// self-contained: `compute(k)` builds point k's own meter and runner.
+/// Results land in preallocated slots, so completion order cannot reorder
+/// the output.
 template <typename Point, typename Compute>
 std::vector<Point> sweep_points(const ParallelSweepConfig& config,
-                                const std::vector<std::size_t>& values,
-                                obs::SweepTrace* trace,
-                                const Compute& compute) {
-  std::vector<obs::PointRecorder> recorders;
-  if (trace != nullptr) {
-    recorders.reserve(values.size());
-    for (std::size_t k = 0; k < values.size(); ++k) {
-      recorders.emplace_back(k, std::to_string(values[k]));
-    }
-  }
-  std::vector<Point> results(values.size());
-  execute_points(values.size(), config.threads, nullptr,
-                 [&recorders, &results, &compute](std::size_t k) {
-                   results[k] = compute(
-                       k, recorders.empty() ? nullptr : &recorders[k]);
+                                std::size_t count, const Compute& compute) {
+  std::vector<Point> results(count);
+  execute_points(count, config.threads, nullptr,
+                 [&results, &compute](std::size_t k) {
+                   results[k] = compute(k);
                  });
-  if (trace != nullptr) *trace = obs::SweepTrace::merge(std::move(recorders));
   return results;
 }
 
@@ -94,12 +83,10 @@ SuitePoint standard_suite(SuiteRunner& runner, std::size_t processes) {
 }  // namespace
 
 SuitePoint ParallelSweep::plain_point(std::size_t k, std::size_t value,
-                                      const SweepPointFn& fn,
-                                      obs::PointRecorder* recorder) const {
+                                      const SweepPointFn& fn) const {
   const std::unique_ptr<power::PowerMeter> meter = meter_factory_(k);
   TGI_CHECK(meter != nullptr, "meter factory returned null");
   SuiteRunner runner(cluster_, *meter, config_.suite);
-  if (recorder != nullptr) runner.attach_recorder(recorder);
   return fn(runner, value);
 }
 
@@ -120,54 +107,49 @@ PointRecord ParallelSweep::record_point(const std::vector<std::size_t>& values,
                                         const RobustConfig& robust) const {
   TGI_REQUIRE(k < values.size(),
               "sweep point " << k << " is outside the sweep");
-  obs::PointRecorder recorder(k, std::to_string(values[k]));
-  if (plan != nullptr) {
-    return make_robust_point_record(
-        k, values[k], robust_point(k, values[k], *plan, robust, &recorder),
-        &recorder);
+  if (plan == nullptr) {
+    return make_point_record(k, values[k],
+                             plain_point(k, values[k], standard_suite),
+                             nullptr);
   }
-  return make_point_record(
-      k, values[k], plain_point(k, values[k], standard_suite, &recorder),
+  // A robust point's fault, backoff and stall events are in no
+  // measurement, so its record keeps the live recorder's trace.
+  obs::PointRecorder recorder(k, std::to_string(values[k]));
+  return make_robust_point_record(
+      k, values[k], robust_point(k, values[k], *plan, robust, &recorder),
       &recorder);
 }
 
 std::vector<SuitePoint> ParallelSweep::run_with(
-    const std::vector<std::size_t>& values, const SweepPointFn& fn,
-    obs::SweepTrace* trace) const {
+    const std::vector<std::size_t>& values, const SweepPointFn& fn) const {
   TGI_REQUIRE(static_cast<bool>(fn), "ParallelSweep::run_with: empty fn");
   return sweep_points<SuitePoint>(
-      config_, values, trace,
-      [this, &fn, &values](std::size_t k, obs::PointRecorder* recorder) {
-        return plain_point(k, values[k], fn, recorder);
+      config_, values.size(), [this, &fn, &values](std::size_t k) {
+        return plain_point(k, values[k], fn);
       });
 }
 
 std::vector<RobustSuitePoint> ParallelSweep::run_robust(
     const std::vector<std::size_t>& process_counts, const FaultPlan& plan,
-    const RobustConfig& robust, obs::SweepTrace* trace) const {
+    const RobustConfig& robust) const {
   return sweep_points<RobustSuitePoint>(
-      config_, process_counts, trace,
-      [this, &plan, &robust, &process_counts](std::size_t k,
-                                              obs::PointRecorder* recorder) {
-        return robust_point(k, process_counts[k], plan, robust, recorder);
+      config_, process_counts.size(),
+      [this, &plan, &robust, &process_counts](std::size_t k) {
+        return robust_point(k, process_counts[k], plan, robust, nullptr);
       });
 }
 
 std::vector<SuitePoint> ParallelSweep::run(
-    const std::vector<std::size_t>& process_counts,
-    obs::SweepTrace* trace) const {
-  return run_with(process_counts, standard_suite, trace);
+    const std::vector<std::size_t>& process_counts) const {
+  return run_with(process_counts, standard_suite);
 }
 
 std::vector<SuitePoint> ParallelSweep::run_extended(
-    const std::vector<std::size_t>& process_counts,
-    obs::SweepTrace* trace) const {
-  return run_with(
-      process_counts,
-      [](SuiteRunner& runner, std::size_t processes) {
-        return runner.run_extended_suite(processes);
-      },
-      trace);
+    const std::vector<std::size_t>& process_counts) const {
+  return run_with(process_counts,
+                  [](SuiteRunner& runner, std::size_t processes) {
+                    return runner.run_extended_suite(processes);
+                  });
 }
 
 }  // namespace tgi::harness

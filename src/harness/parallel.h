@@ -84,18 +84,14 @@ class ParallelSweep {
                 ParallelSweepConfig config = {});
 
   /// The standard suite across a process-count sweep: parallel equivalent
-  /// of SuiteRunner::sweep. When `trace` is non-null it receives the
-  /// merged observability record (per-point recorders merged BY INDEX, so
-  /// trace output is bit-identical for every thread count); tracing is
-  /// observational and never changes the returned points.
+  /// of SuiteRunner::sweep. It records no trace: a plain point's is derived
+  /// from its measurements (replay_trace, harness/checkpoint.h).
   [[nodiscard]] std::vector<SuitePoint> run(
-      const std::vector<std::size_t>& process_counts,
-      obs::SweepTrace* trace = nullptr) const;
+      const std::vector<std::size_t>& process_counts) const;
 
   /// The six-benchmark extended suite across a process-count sweep.
   [[nodiscard]] std::vector<SuitePoint> run_extended(
-      const std::vector<std::size_t>& process_counts,
-      obs::SweepTrace* trace = nullptr) const;
+      const std::vector<std::size_t>& process_counts) const;
 
   /// Generic form: point k is produced by fn(runner_for_point_k,
   /// values[k]). Use for sweeps over something other than process counts
@@ -103,8 +99,7 @@ class ParallelSweep {
   using SweepPointFn =
       std::function<SuitePoint(SuiteRunner& runner, std::size_t value)>;
   [[nodiscard]] std::vector<SuitePoint> run_with(
-      const std::vector<std::size_t>& values, const SweepPointFn& fn,
-      obs::SweepTrace* trace = nullptr) const;
+      const std::vector<std::size_t>& values, const SweepPointFn& fn) const;
 
   /// The standard suite sweep through the fault plane and recovery policy
   /// (harness/robust.h): point k runs on a RobustSuiteRunner whose fault
@@ -115,21 +110,20 @@ class ParallelSweep {
   /// every attempt retries.
   [[nodiscard]] std::vector<RobustSuitePoint> run_robust(
       const std::vector<std::size_t>& process_counts, const FaultPlan& plan,
-      const RobustConfig& robust = {},
-      obs::SweepTrace* trace = nullptr) const;
+      const RobustConfig& robust = {}) const;
 
   /// The point body every sweep above runs, for callers that compute part
   /// of a sweep (serve::compute_points): point `k` of the standard suite
-  /// over `values` (robust under `plan` when non-null) as the traced
-  /// record a cache shard banks. Thread-safe.
+  /// over `values` (robust under `plan` when non-null) as the record a
+  /// cache shard banks; only a robust point runs with a recorder, whose
+  /// trace its record stores. Thread-safe.
   [[nodiscard]] PointRecord record_point(
       const std::vector<std::size_t>& values, std::size_t k,
       const FaultPlan* plan, const RobustConfig& robust = {}) const;
 
  private:
   [[nodiscard]] SuitePoint plain_point(std::size_t k, std::size_t value,
-                                       const SweepPointFn& fn,
-                                       obs::PointRecorder* recorder) const;
+                                       const SweepPointFn& fn) const;
   [[nodiscard]] RobustSuitePoint robust_point(
       std::size_t k, std::size_t value, const FaultPlan& plan,
       const RobustConfig& robust, obs::PointRecorder* recorder) const;

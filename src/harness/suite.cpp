@@ -18,6 +18,17 @@ std::vector<std::string> extended_suite_benchmarks() {
   return {"HPL", "STREAM", "IOzone", "GUPS", "PTRANS", "FFT"};
 }
 
+void record_benchmark_run(obs::PointRecorder& recorder,
+                          const std::string& name, double performance,
+                          const std::string& unit, util::Seconds elapsed) {
+  recorder.span(name, "benchmark", recorder.now(), elapsed,
+                {{"performance", util::fixed(performance, 3)},
+                 {"unit", unit}});
+  recorder.advance(elapsed);
+  recorder.metrics().add("runs");
+  recorder.metrics().add("measured_seconds", elapsed.value());
+}
+
 SuiteRunner::SuiteRunner(sim::ClusterSpec cluster, power::PowerMeter& meter,
                          SuiteConfig config)
     : simulator_(std::move(cluster), config.tuning),
@@ -32,13 +43,8 @@ core::BenchmarkMeasurement SuiteRunner::measure(const sim::Workload& workload,
   // its time is spent whether or not the reading survives validation
   // downstream, so the span (and the clock advance) belong to the run.
   if (recorder_ != nullptr) {
-    recorder_->span(workload.benchmark, "benchmark", recorder_->now(),
-                    run.elapsed,
-                    {{"performance", util::fixed(performance, 3)},
-                     {"unit", unit}});
-    recorder_->advance(run.elapsed);
-    recorder_->metrics().add("runs");
-    recorder_->metrics().add("measured_seconds", run.elapsed.value());
+    record_benchmark_run(*recorder_, workload.benchmark, performance, unit,
+                         run.elapsed);
   }
   const power::MeterReading reading =
       meter_.measure(run.timeline.as_source(), run.elapsed);
@@ -120,9 +126,6 @@ SuitePoint SuiteRunner::run_extended_suite(std::size_t processes) {
   SuitePoint point;
   point.processes = processes;
   point.nodes = cluster().nodes_for(processes);
-  // Unlike run_suite, the extended loop does NOT stamp a per-benchmark
-  // recorder context: extended spans have always carried benchmark=0,
-  // attempt=0.
   for (const std::string& name : extended_suite_benchmarks()) {
     point.measurements.push_back(run_benchmark(name, processes));
   }

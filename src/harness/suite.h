@@ -128,12 +128,18 @@ class SuiteRunner {
   obs::PointRecorder* recorder_ = nullptr;
 };
 
+/// Records one benchmark run: a `benchmark` span from the recorder's clock
+/// over `elapsed` (args: performance to 3 decimals, unit), the clock moved
+/// past it, and the `runs` and `measured_seconds` counters. SuiteRunner and
+/// restore_recorder's derivation both record through it.
+void record_benchmark_run(obs::PointRecorder& recorder,
+                          const std::string& name, double performance,
+                          const std::string& unit, util::Seconds elapsed);
+
 /// Reference measurements: the full suite at the reference cluster's full
 /// scale — what SystemG provides in the paper (Table I). When `recorder`
 /// is non-null the run records benchmark spans on it (observational, never
-/// changes a measurement) — the campaign engine journals reference runs
-/// into its result cache, and journal records carry the observability
-/// section (DESIGN.md §11, §13).
+/// changes a measurement).
 [[nodiscard]] std::vector<core::BenchmarkMeasurement> reference_measurements(
     const sim::ClusterSpec& reference_cluster, power::PowerMeter& meter,
     SuiteConfig config = {}, obs::PointRecorder* recorder = nullptr);

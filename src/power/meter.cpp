@@ -8,6 +8,18 @@
 
 namespace tgi::power {
 
+namespace {
+
+/// Sample `i` of 0..steps: i * dt capped at the run's end, and the end
+/// itself for the last one, which steps * dt can miss by an ulp.
+util::Seconds sample_time(std::size_t i, std::size_t steps, double dt,
+                          util::Seconds end) {
+  if (i == steps) return end;
+  return util::Seconds(std::min(static_cast<double>(i) * dt, end.value()));
+}
+
+}  // namespace
+
 MeterReading summarize(PowerTrace trace) {
   TGI_REQUIRE(trace.size() >= 2, "meter produced fewer than 2 samples");
   MeterReading reading;
@@ -46,8 +58,7 @@ MeterReading WattsUpMeter::measure(const PowerSource& source,
   const auto steps =
       static_cast<std::size_t>(std::ceil(duration.value() / dt));
   for (std::size_t i = 0; i <= steps; ++i) {
-    const util::Seconds t(std::min(static_cast<double>(i) * dt,
-                                   duration.value()));
+    const util::Seconds t = sample_time(i, steps, dt, duration);
     // Serial-link dropouts lose interior samples; the first and last are
     // always kept so the reading spans the run.
     if (config_.dropout_rate > 0.0 && i != 0 && i != steps &&
@@ -85,8 +96,7 @@ MeterReading ModelMeter::measure(const PowerSource& source,
   const auto steps =
       static_cast<std::size_t>(std::ceil(duration.value() / dt));
   for (std::size_t i = 0; i <= steps; ++i) {
-    const util::Seconds t(std::min(static_cast<double>(i) * dt,
-                                   duration.value()));
+    const util::Seconds t = sample_time(i, steps, dt, duration);
     trace.add({t, source(t)});
   }
   return summarize(std::move(trace));

@@ -193,23 +193,20 @@ void write_paper_csv(PaperCsv csv, const PaperSeries& series,
 }
 
 std::vector<harness::SuitePoint> iozone_node_sweep(const CampaignSpec& spec,
-                                                   std::size_t threads,
-                                                   obs::SweepTrace* trace) {
+                                                   std::size_t threads) {
   std::vector<std::size_t> nodes(spec.cluster.nodes);
   std::iota(nodes.begin(), nodes.end(), std::size_t{1});
   harness::ParallelSweepConfig cfg;
   cfg.threads = threads;
   const harness::ParallelSweep sweep(spec.cluster,
                                      spec_meter_factory(spec, 1), cfg);
-  return sweep.run_with(
-      nodes,
-      [](harness::SuiteRunner& runner, std::size_t n) {
-        harness::SuitePoint pt;
-        pt.nodes = n;
-        pt.measurements.push_back(runner.run_iozone(n));
-        return pt;
-      },
-      trace);
+  return sweep.run_with(nodes, [](harness::SuiteRunner& runner,
+                                  std::size_t n) {
+    harness::SuitePoint pt;
+    pt.nodes = n;
+    pt.measurements.push_back(runner.run_iozone(n));
+    return pt;
+  });
 }
 
 harness::Series fig4_series(
@@ -301,13 +298,12 @@ PointRecord reference_point(const CampaignSpec& spec,
                            const harness::RecordSink& done) {
             const std::unique_ptr<power::PowerMeter> meter =
                 reference_meter(spec);
-            obs::PointRecorder recorder(0, std::to_string(values[0]));
             harness::SuitePoint point;
             point.processes = values[0];
             point.nodes = spec.reference.nodes;
-            point.measurements = harness::reference_measurements(
-                spec.reference, *meter, {}, &recorder);
-            done(harness::make_point_record(0, values[0], point, &recorder));
+            point.measurements =
+                harness::reference_measurements(spec.reference, *meter);
+            done(harness::make_point_record(0, values[0], point, nullptr));
           },
           stats)
           .at(0));

@@ -49,7 +49,6 @@
 #include "harness/report.h"
 #include "harness/suite.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "serve/spec.h"
 #include "serve/supervisor.h"
 
@@ -182,11 +181,9 @@ void write_paper_csv(PaperCsv csv, const PaperSeries& series,
 /// Figure 4's node sweep: IOzone alone on 1..spec.cluster.nodes nodes of
 /// the spec's cluster, one measurement per point, so point k meters at run
 /// offset k of the spec's seed. About `nodes` IOzone measurements: it is
-/// not cached and not part of a sweep's trace record; a non-null `trace`
-/// gets a record of its own.
+/// not cached and not part of a sweep's trace record.
 [[nodiscard]] std::vector<harness::SuitePoint> iozone_node_sweep(
-    const CampaignSpec& spec, std::size_t threads,
-    obs::SweepTrace* trace = nullptr);
+    const CampaignSpec& spec, std::size_t threads);
 
 /// Figure 4 (nodes, IOzone EE) from iozone_node_sweep's points, labelled
 /// as tgi_sweep and the harness's csv= write it.

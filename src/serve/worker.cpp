@@ -43,7 +43,7 @@ void maybe_fire_fault_hook(const WorkerAssignment& a, std::size_t done) {
     // handle.
     std::ofstream tail(  // tgi-lint: allow(nonatomic-output-write)
         a.journal_dir + "/journal.tgij", std::ios::binary | std::ios::app);
-    tail << "TGIJ1 point deadbeef {\"torn\":";
+    tail << "TGIJ2 point deadbeef {\"torn\":";
     tail.flush();
     std::_Exit(0);
   }

@@ -26,7 +26,7 @@ std::string crc_hex(std::uint32_t crc) {
   return buf;
 }
 
-constexpr char kMagic[] = "TGIJ1";
+constexpr char kMagic[] = "TGIJ2";
 constexpr char kFieldSep = '\x1f';  // US: separates name=value fields
 constexpr char kListSep = '\x1e';   // RS: separates nested list elements
 
@@ -283,9 +283,6 @@ PointRecord parse_point_payload(const std::string& payload) {
     record.counters.dropped_benchmarks = fields.get_size("dropped_benchmarks");
     record.counters.backoff = util::Seconds(fields.get_seconds("backoff"));
     record.counters.stalled = util::Seconds(fields.get_seconds("stalled"));
-  }
-  record.traced = fields.get_flag("traced");
-  if (record.traced) {
     record.trace_now = util::Seconds(fields.get_seconds("now"));
     record.events = decode_events(fields.get("events"));
     record.trace_metrics = decode_metrics(fields.get("metrics"));
@@ -361,7 +358,7 @@ JournalContents read_journal(const std::string& text) {
           throw util::TgiError("duplicate header record");
         }
         const FieldReader fields(parsed.payload);
-        if (fields.get("v") != "1") {
+        if (fields.get("v") != "2") {
           throw util::TgiError("unsupported journal version '" +
                                fields.get("v") + "'");
         }

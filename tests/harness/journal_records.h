@@ -1,7 +1,8 @@
 // Seeded journal records for the codec tests (test_checkpoint.cpp,
-// test_journal_decoder.cpp): plain, robust and traced records whose names
-// need escaping and whose times sit at the edges of the double range, and a
-// field-by-field, bit-exact record comparison.
+// test_journal_decoder.cpp, test_observability.cpp): plain records, and
+// robust records with a trace, whose names need escaping and whose times
+// sit at the edges of the double range, and a field-by-field, bit-exact
+// record comparison.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -83,11 +84,11 @@ inline double awkward_seconds(util::Xoshiro256& rng) {
   }
 }
 
-/// A seeded record for point `index` of `values`: plain or robust, with
-/// or without an observability section.
+/// A seeded record for point `index` of `values`: plain, or robust with an
+/// observability section (a plain record's is derived, not stored).
 inline PointRecord generated_record(util::Xoshiro256& rng,
-                             const std::vector<std::size_t>& values,
-                             std::size_t index, bool robust, bool traced) {
+                                    const std::vector<std::size_t>& values,
+                                    std::size_t index, bool robust) {
   static const char* const kBenchmarks[] = {"HPL", "STREAM", "IOzone", "GUPS"};
   PointRecord record;
   record.index = index;
@@ -120,9 +121,6 @@ inline PointRecord generated_record(util::Xoshiro256& rng,
     record.counters.dropped_benchmarks = rng.next() % 4;
     record.counters.backoff = util::Seconds(awkward_seconds(rng));
     record.counters.stalled = util::Seconds(awkward_seconds(rng));
-  }
-  record.traced = traced;
-  if (traced) {
     record.trace_now = util::Seconds(awkward_seconds(rng));
     const std::uint64_t events = rng.next() % 4;
     for (std::uint64_t i = 0; i < events; ++i) {
@@ -179,7 +177,6 @@ inline void expect_equal_records(const PointRecord& a, const PointRecord& b) {
   EXPECT_EQ(a.counters.dropped_benchmarks, b.counters.dropped_benchmarks);
   EXPECT_EQ(bits(a.counters.backoff.value()), bits(b.counters.backoff.value()));
   EXPECT_EQ(bits(a.counters.stalled.value()), bits(b.counters.stalled.value()));
-  EXPECT_EQ(a.traced, b.traced);
   EXPECT_EQ(bits(a.trace_now.value()), bits(b.trace_now.value()));
   ASSERT_EQ(a.events.size(), b.events.size());
   for (std::size_t i = 0; i < a.events.size(); ++i) {

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "harness/checkpoint.h"
+#include "util/atomic_file.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -60,8 +62,7 @@ class CacheTest : public ::testing::Test {
   fs::path root_;
 };
 
-/// A traced synthetic record for sweep index `k` — the cache inherits the
-/// journal trust policy, which quarantines untraced records as foreign.
+/// A synthetic plain record for sweep index `k`.
 PointRecord record_for(std::size_t k) {
   PointRecord record;
   record.index = k;
@@ -76,19 +77,6 @@ PointRecord record_for(std::size_t k) {
   m.execution_time = util::seconds(16.5);
   m.energy = util::joules(m.average_power.value() * 16.5);
   record.point.measurements.push_back(m);
-  record.traced = true;
-  record.trace_now = util::Seconds(16.5);
-  obs::TraceEvent e;
-  e.kind = obs::TraceEvent::Kind::kSpan;
-  e.name = "HPL";
-  e.category = "benchmark";
-  e.benchmark = 0;
-  e.attempt = 0;
-  e.start = util::Seconds(0.0);
-  e.duration = util::Seconds(16.5);
-  record.events.push_back(e);
-  record.trace_metrics.push_back(
-      obs::Metric{"runs", obs::MetricKind::kCounter, 1.0});
   return record;
 }
 
@@ -211,7 +199,7 @@ TEST_F(CacheTest, DamagedRecordsAreQuarantinedOthersStillServe) {
   // Flip one byte inside the LAST record: that record quarantines, every
   // other record still serves bit-exactly.
   std::string text = slurp(cache.shard_path(kSpec));
-  const std::size_t last = text.rfind("\nTGIJ1 point");
+  const std::size_t last = text.rfind("\nTGIJ2 point");
   ASSERT_NE(last, std::string::npos);
   text[last + 20] ^= 0x04;
   spill(cache.shard_path(kSpec), text);
@@ -232,7 +220,7 @@ TEST_F(CacheTest, DuplicateRecordsServeTheFirstValidCopy) {
   std::string text = slurp(cache.shard_path(kSpec));
   // Append a duplicate of the first point record: quarantined as a
   // duplicate, the first valid copy wins (journal resume semantics).
-  const std::size_t first = text.find("\nTGIJ1 point");
+  const std::size_t first = text.find("\nTGIJ2 point");
   ASSERT_NE(first, std::string::npos);
   const std::size_t end = text.find('\n', first + 1);
   text += text.substr(first + 1, end - first);
@@ -324,6 +312,62 @@ TEST_F(CacheTest, FillBanksEachRecordAsItArrives) {
       util::TgiError);
   EXPECT_EQ(banked_before_next, (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_EQ(cache.lookup(kSpec, "plain", kSweep).completed.size(), 2u);
+}
+
+/// One journal line of the v1 format: "TGIJ1 <kind> <crc> <payload>", its
+/// CRC valid, so only the magic and the version tell it from a v2 line.
+std::string v1_line(const std::string& kind, const std::string& payload) {
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", util::crc32(kind + " " + payload));
+  return "TGIJ1 " + kind + " " + crc + " " + payload + "\n";
+}
+
+TEST_F(CacheTest, AVersionOneShardIsQuarantinedAndRecomputed) {
+  std::vector<std::size_t> cold_asked;
+  const ResultCache cold(dir("cold"));
+  const CacheLookup want =
+      cold.fill(kSpec, "plain", kSweep, serve_records(cold_asked));
+  // A v1 shard of the same spec: a header and a traced plain point.
+  const ResultCache cache(dir("cache"));
+  fs::create_directories(dir("cache"));
+  const auto fields = [](std::initializer_list<const char*> parts) {
+    std::string payload;
+    for (const char* part : parts) {
+      if (!payload.empty()) payload += '\x1f';  // US between fields
+      payload += part;
+    }
+    return payload;
+  };
+  spill(cache.shard_path(kSpec),
+        v1_line("header", fields({"v=1", "spec=0000cafef00d5eed",
+                                  "mode=plain", "values=16,48,80,128"})) +
+            v1_line("point",
+                    fields({"index=0", "value=16", "processes=16", "nodes=1",
+                            "measurements=benchmark,performance,unit,watts,"
+                            "seconds,joules%0AHPL,1000,MFLOPS,512.25,16.5,"
+                            "8452.125%0A",
+                            "robust=0", "traced=1", "now=0x1.08p+4",
+                            "events=S%1FHPL%1Fbenchmark%1F0%1F0%1F0x0p+0"
+                            "%1F0x1.08p+4",
+                            "metrics=runs%1Fc%1F0x1p+0"})));
+  std::vector<std::size_t> asked;
+  const CacheLookup got =
+      cache.fill(kSpec, "plain", kSweep, serve_records(asked));
+  ASSERT_EQ(got.damage.size(), 3u);  // both lines, then the lost header
+  for (const JournalDamage& d : got.damage) {
+    EXPECT_NE(d.reason.find(d.line == 0 ? "header missing" : "bad magic"),
+              std::string::npos)
+        << d.reason;
+  }
+  EXPECT_EQ(asked, (std::vector<std::size_t>{0, 1, 2, 3}));
+  ASSERT_EQ(got.completed.size(), want.completed.size());
+  for (const auto& [k, record] : want.completed) {
+    EXPECT_EQ(encode_point_record(got.completed.at(k)),
+              encode_point_record(record))
+        << "index " << k;
+  }
+  EXPECT_EQ(slurp(cache.shard_path(kSpec)), slurp(cold.shard_path(kSpec)));
+  EXPECT_EQ(slurp(cache.shard_path(kSpec)).rfind("TGIJ2 header", 0), 0u);
 }
 
 TEST_F(CacheTest, FillCompactsADamagedCompleteShardWithoutComputing) {

@@ -164,6 +164,15 @@ std::pair<std::string, std::string> serialize(const obs::SweepTrace& trace) {
   return {json.str(), csv.str()};
 }
 
+/// The trace derived from plain sweep points, as tgi_sweep emits it.
+obs::SweepTrace points_trace(const std::vector<SuitePoint>& points) {
+  std::map<std::size_t, PointRecord> records;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    records.emplace(k, make_point_record(k, kSweep[k], points[k], nullptr));
+  }
+  return replay_trace(records);
+}
+
 void expect_bitwise_equal(const std::vector<SuitePoint>& a,
                           const std::vector<SuitePoint>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -198,7 +207,16 @@ PointRecord sample_record() {
   m.execution_time = util::seconds(17.03125);
   m.energy = util::joules(4321.125 * 17.03125);
   record.point.measurements.push_back(m);
-  record.traced = true;
+  return record;
+}
+
+/// sample_record as a robust point, with the trace a robust record stores.
+PointRecord robust_sample() {
+  PointRecord record = sample_record();
+  record.robust = true;
+  record.counters.attempts = 9;
+  record.counters.backoff = util::Seconds(35.0);
+  record.counters.stalled = util::Seconds(240.0);
   record.trace_now = util::Seconds(17.03125);
   obs::TraceEvent e;
   e.kind = obs::TraceEvent::Kind::kSpan;
@@ -250,6 +268,24 @@ TEST(JournalRecord, PointRoundTripsBitExactly) {
             record.point.measurements[0].performance);
   EXPECT_EQ(got.point.measurements[0].energy.value(),
             record.point.measurements[0].energy.value());
+  // A plain record stores no trace: it is derived from the measurements.
+  EXPECT_TRUE(got.events.empty());
+  EXPECT_TRUE(got.trace_metrics.empty());
+  const std::string line = encode_point_record(record);
+  for (const char* field : {"traced=", "now=", "events=", "metrics="}) {
+    EXPECT_EQ(line.find(field), std::string::npos) << field;
+  }
+}
+
+TEST(JournalRecord, RobustTraceRoundTripsBitExactly) {
+  const PointRecord record = robust_sample();
+  const JournalContents contents = read_journal(
+      encode_header_record(kSpec, "robust", kSweep) +
+      encode_point_record(record));
+  ASSERT_TRUE(contents.damage.empty())
+      << contents.damage.front().reason;
+  ASSERT_EQ(contents.points.size(), 1u);
+  const PointRecord& got = contents.points[0];
   EXPECT_EQ(got.trace_now.value(), record.trace_now.value());
   ASSERT_EQ(got.events.size(), 1u);
   EXPECT_EQ(got.events[0].name, "HPL");
@@ -263,9 +299,15 @@ TEST(JournalRecord, PointRoundTripsBitExactly) {
   EXPECT_EQ(got.trace_metrics[1].value, 4321.125);
 }
 
-TEST(JournalRecord, RobustSectionRoundTrips) {
+TEST(JournalRecord, PlainRecordWithATraceIsRefused) {
+  // It would not be stored, so the encoder refuses rather than drop it.
   PointRecord record = sample_record();
-  record.robust = true;
+  record.events = robust_sample().events;
+  EXPECT_THROW((void)encode_point_record(record), util::PreconditionError);
+}
+
+TEST(JournalRecord, RobustSectionRoundTrips) {
+  PointRecord record = robust_sample();
   record.missing = {"IOzone", "GUPS"};
   record.counters.attempts = 9;
   record.counters.retries = 5;
@@ -369,7 +411,7 @@ TEST(JournalQuarantine, MissingHeaderQuarantinesEverything) {
 /// payload and the CRC recomputed: damage only the schema can catch.
 std::string reseal(const std::string& line, const std::string& from,
                    const std::string& to) {
-  // TGIJ1 <kind> <crc32-hex8> <payload>\n
+  // TGIJ2 <kind> <crc32-hex8> <payload>\n
   const std::size_t kind_at = line.find(' ') + 1;
   const std::size_t crc_at = line.find(' ', kind_at) + 1;
   const std::string kind = line.substr(kind_at, crc_at - kind_at - 1);
@@ -379,7 +421,7 @@ std::string reseal(const std::string& line, const std::string& from,
   if (at != std::string::npos) payload.replace(at, from.size(), to);
   char crc[16];
   std::snprintf(crc, sizeof(crc), "%08x", util::crc32(kind + " " + payload));
-  return "TGIJ1 " + kind + " " + crc + " " + payload + "\n";
+  return "TGIJ2 " + kind + " " + crc + " " + payload + "\n";
 }
 
 /// Asserts the record line is quarantined with exactly one damage entry.
@@ -388,15 +430,6 @@ void expect_quarantined(const std::string& line, const std::string& what) {
   EXPECT_TRUE(contents.points.empty()) << what;
   EXPECT_FALSE(contents.header_valid) << what;
   EXPECT_EQ(contents.damage.size(), 1u) << what;
-}
-
-PointRecord robust_sample() {
-  PointRecord record = sample_record();
-  record.robust = true;
-  record.counters.attempts = 9;
-  record.counters.backoff = util::Seconds(35.0);
-  record.counters.stalled = util::Seconds(240.0);
-  return record;
 }
 
 TEST(JournalQuarantine, IntegersAreDigitsOnlyAndMustFit) {
@@ -417,7 +450,7 @@ TEST(JournalQuarantine, HeaderValuesAreDigitsOnly) {
 
 TEST(JournalQuarantine, RecorderClockMustBeFiniteAndNonNegative) {
   for (const double now : {std::nan(""), HUGE_VAL, -1.0}) {
-    PointRecord record = sample_record();
+    PointRecord record = robust_sample();
     record.trace_now = util::Seconds(now);
     expect_quarantined(encode_point_record(record), std::to_string(now));
   }
@@ -433,10 +466,10 @@ TEST(JournalQuarantine, RobustDurationsMustBeFiniteAndNonNegative) {
 }
 
 TEST(JournalQuarantine, TraceEventTimesMustBeFiniteAndNonNegative) {
-  PointRecord start = sample_record();
+  PointRecord start = robust_sample();
   start.events[0].start = util::Seconds(-1.0);
   expect_quarantined(encode_point_record(start), "start=-1");
-  PointRecord duration = sample_record();
+  PointRecord duration = robust_sample();
   duration.events[0].duration = util::Seconds(std::nan(""));
   expect_quarantined(encode_point_record(duration), "duration=nan");
 }
@@ -452,7 +485,7 @@ TEST(JournalQuarantine, InfiniteMeasurementsAreQuarantined) {
 }
 
 TEST(JournalQuarantine, MetricValuesMustBeFinite) {
-  PointRecord record = sample_record();
+  PointRecord record = robust_sample();
   record.trace_metrics[0].value = HUGE_VAL;
   expect_quarantined(encode_point_record(record), "metric=inf");
 }
@@ -467,7 +500,7 @@ TEST(JournalRoundTrip, EncodeReadEncodeIsByteIdentical) {
   for (int trial = 0; trial < 300; ++trial) {
     const PointRecord record =
         generated_record(rng, values, rng.next() % values.size(),
-                         trial % 2 == 1, trial % 3 != 0);
+                         trial % 2 == 1);
     const std::string line = encode_point_record(record);
     const JournalContents contents = read_journal(line);
     ASSERT_TRUE(contents.damage.empty())
@@ -490,7 +523,7 @@ TEST_F(CheckpointTest, GeneratedRecordsSurvivePublishAndLoad) {
     std::map<std::size_t, PointRecord> published;
     for (std::size_t k = 0; k < values.size(); ++k) {
       if (rng.next() % 4 == 0) continue;  // partial stores are allowed
-      published.emplace(k, generated_record(rng, values, k, robust, true));
+      published.emplace(k, generated_record(rng, values, k, robust));
     }
     store.publish(published);
     const StoreLoad loaded = store.load("test");
@@ -506,13 +539,11 @@ TEST_F(CheckpointTest, GeneratedRecordsSurvivePublishAndLoad) {
 // ------------------------------------------------------- engine integration
 
 TEST_F(CheckpointTest, CheckpointingDoesNotPerturbResultsOrTrace) {
-  obs::SweepTrace bare_trace;
-  const auto bare =
-      make_engine(2, plain_stride()).run(kSweep, &bare_trace);
+  const auto bare = make_engine(2, plain_stride()).run(kSweep);
   const Filled filled = fill_sweep(dir("cp"), {.threads = 2});
   expect_bitwise_equal(points_of(filled), bare);
   EXPECT_EQ(serialize(replay_trace(filled.shard.completed)),
-            serialize(bare_trace));
+            serialize(points_trace(bare)));
 }
 
 TEST_F(CheckpointTest, FreshJournalReplaysCompletely) {
@@ -561,10 +592,8 @@ std::vector<std::string> lines_of(const std::string& text) {
 }
 
 TEST_F(CheckpointTest, KillAndResumeIsByteIdenticalAtEveryThreadCount) {
-  obs::SweepTrace baseline_trace;
-  const auto baseline =
-      make_engine(1, plain_stride()).run(kSweep, &baseline_trace);
-  const auto baseline_bytes = serialize(baseline_trace);
+  const auto baseline = make_engine(1, plain_stride()).run(kSweep);
+  const auto baseline_bytes = serialize(points_trace(baseline));
   // A full checkpointed run provides the journal we will truncate.
   (void)fill_sweep(dir("full"));
   const std::string full = slurp(shard(dir("full")));
@@ -597,10 +626,11 @@ TEST_F(CheckpointTest, RobustKillAndResumeIsByteIdentical) {
   const RobustConfig robust;
   const std::size_t stride = robust_measurements_per_point({}, robust);
   const FaultPlan plan(hot_spec());
-  obs::SweepTrace baseline_trace;
-  const auto baseline =
-      make_engine(1, stride).run_robust(kSweep, plan, robust, &baseline_trace);
-  (void)fill_sweep(dir("full"), {.plan = &plan});
+  const auto baseline = make_engine(1, stride).run_robust(kSweep, plan, robust);
+  // The uninterrupted run's trace, recorded live and stored in its records.
+  const auto baseline_bytes =
+      serialize(replay_trace(fill_sweep(dir("full"), {.plan = &plan})
+                                 .shard.completed));
   const std::string full = slurp(shard(dir("full")));
   // Keep header + first two records: two points replay, two recompute.
   const std::vector<std::string> lines = lines_of(full);
@@ -630,7 +660,7 @@ TEST_F(CheckpointTest, RobustKillAndResumeIsByteIdentical) {
       }
     }
     EXPECT_EQ(serialize(replay_trace(resumed.shard.completed)),
-              serialize(baseline_trace))
+              baseline_bytes)
         << "threads=" << threads;
     EXPECT_EQ(slurp(shard(cp)), full) << "threads=" << threads;
   }
@@ -906,38 +936,54 @@ TEST_F(CheckpointTest, StoreRefusesARecordItsLoadWouldQuarantine) {
   // The write side runs the read side's rule: a record a load would
   // quarantine is refused by append and publish alike, before a byte is
   // written.
+  const auto robust_for = [](std::size_t index) {
+    PointRecord record = robust_sample();
+    record.index = index;
+    record.value = kSweep[index];
+    return record;
+  };
   PointRecord inf_hpl = record_for(1);
   inf_hpl.point.measurements[0].performance = HUGE_VAL;
-  PointRecord negative_clock = record_for(1);
-  negative_clock.trace_now = util::Seconds(-1.0);
-  PointRecord nan_metric = record_for(1);
-  nan_metric.trace_metrics[0].value = std::nan("");
   PointRecord wrong_value = record_for(1);
   wrong_value.value = 81;
-  PointRecord untraced = record_for(1);
-  untraced.traced = false;
-  const std::pair<const char*, PointRecord> bad[] = {
-      {"HPL performance inf", inf_hpl},
-      {"negative trace_now", negative_clock},
-      {"NaN metric", nan_metric},
-      {"sweep value mismatch", wrong_value},
-      {"untraced", untraced}};
-  PointStore journal = store_at(dir("cp"));
-  journal.publish({{0, record_for(0)}});
-  const std::string banked = slurp(shard(dir("cp")));
-  for (const auto& [what, record] : bad) {
-    EXPECT_THROW(journal.append(record), util::TgiError) << what;
-    EXPECT_EQ(slurp(shard(dir("cp"))), banked) << what;
-    EXPECT_THROW(journal.publish({{0, record_for(0)}, {1, record}}),
+  PointRecord plain_trace = record_for(1);
+  plain_trace.trace_now = util::Seconds(1.0);
+  PointRecord negative_clock = robust_for(1);
+  negative_clock.trace_now = util::Seconds(-1.0);
+  PointRecord nan_metric = robust_for(1);
+  nan_metric.trace_metrics[0].value = std::nan("");
+  struct Bad {
+    const char* what;
+    const char* mode;
+    PointRecord record;
+  };
+  const Bad bad[] = {{"HPL performance inf", "plain", inf_hpl},
+                     {"sweep value mismatch", "plain", wrong_value},
+                     {"plain record with a trace", "plain", plain_trace},
+                     {"negative trace_now", "robust", negative_clock},
+                     {"NaN metric", "robust", nan_metric}};
+  for (const Bad& b : bad) {
+    const bool robust = std::string(b.mode) == "robust";
+    const auto good = [&](std::size_t index) {
+      return robust ? robust_for(index) : record_for(index);
+    };
+    const std::string cp = dir(b.what);
+    PointStore journal = store_at(cp, b.mode);
+    journal.publish({{0, good(0)}});
+    const std::string banked = slurp(shard(cp));
+    EXPECT_THROW(journal.append(b.record), util::TgiError) << b.what;
+    EXPECT_EQ(slurp(shard(cp)), banked) << b.what;
+    EXPECT_THROW(journal.publish({{0, good(0)}, {1, b.record}}),
                  util::TgiError)
-        << what;
-    EXPECT_EQ(slurp(shard(dir("cp"))), banked) << what;
+        << b.what;
+    EXPECT_EQ(slurp(shard(cp)), banked) << b.what;
+    EXPECT_EQ(journal.records().size(), 1u) << b.what;
+    // The good record still goes through both paths.
+    journal.append(good(1));
+    journal.publish(journal.records());
+    EXPECT_EQ(store_at(cp, b.mode).load("test").completed.size(), 2u)
+        << b.what;
   }
-  EXPECT_EQ(journal.records().size(), 1u);
-  // The good record still goes through both paths.
-  journal.append(record_for(1));
-  journal.publish(journal.records());
-  EXPECT_EQ(store_at(dir("cp")).load("test").completed.size(), 2u);
 }
 
 TEST_F(CheckpointTest, ADirectoryAtTheStorePathIsDamageNotAThrow) {

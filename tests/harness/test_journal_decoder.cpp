@@ -1,5 +1,5 @@
 // Differential test of the journal decoder against the decoder it replaced
-// (journal_oracle.h). Seeded plain, robust and traced journals get edge
+// (journal_oracle.h). Seeded plain and robust journals get edge
 // tokens planted in every kind of number field — integers, hexfloats, trace
 // and metric values, measurement CSV cells, quoted and with CR — resealed
 // so they get past the CRC, and are then mutated by bit flips, truncations
@@ -117,7 +117,7 @@ struct Line {
   std::string payload;
 };
 
-/// "TGIJ1 <kind> <crc> <payload>\n" apart.
+/// "TGIJ2 <kind> <crc> <payload>\n" apart.
 Line split_line(const std::string& line) {
   const std::size_t kind_at = line.find(' ') + 1;
   const std::size_t crc_at = line.find(' ', kind_at) + 1;
@@ -129,7 +129,7 @@ Line split_line(const std::string& line) {
 std::string seal(const std::string& kind, const std::string& payload) {
   char crc[16];
   std::snprintf(crc, sizeof(crc), "%08x", util::crc32(kind + " " + payload));
-  return "TGIJ1 " + kind + " " + crc + " " + payload + "\n";
+  return "TGIJ2 " + kind + " " + crc + " " + payload + "\n";
 }
 
 /// `token` as one CSV cell: bare, quoted, with a CR the reader drops, or
@@ -248,8 +248,7 @@ std::string generated_journal(util::Xoshiro256& rng) {
   const std::uint64_t records = pick(rng, 5);
   for (std::uint64_t r = 0; r < records; ++r) {
     std::string line = encode_point_record(
-        generated_record(rng, kValues, pick(rng, kValues.size()), robust,
-                         pick(rng, 4) != 0));
+        generated_record(rng, kValues, pick(rng, kValues.size()), robust));
     const std::uint64_t damage = pick(rng, 4);
     if (damage == 0 || damage == 1) line = plant(line, rng);
     if (damage == 2) line = mutate_payload(line, rng);
@@ -317,7 +316,7 @@ TEST(JournalDecoder, AnArgWithTwoBadEscapesReportsLikeTheReferenceDecoder) {
   // holds a malformed one: the two decoders must name the same defect.
   PointRecord record;
   record.value = kValues[0];
-  record.traced = true;
+  record.robust = true;
   obs::TraceEvent event;
   event.name = "HPL";
   event.category = "benchmark";
@@ -334,7 +333,7 @@ TEST(JournalDecoder, AnArgWithTwoBadEscapesReportsLikeTheReferenceDecoder) {
     field = "events=" + escape(join(f, kUs));
   }
   const std::string text =
-      encode_header_record(kSpec, "plain", kValues) +
+      encode_header_record(kSpec, "robust", kValues) +
       seal(parsed.kind, join(fields, kUs));
   const JournalContents want = oracle::read_journal(text);
   ASSERT_EQ(want.damage.size(), 1u);

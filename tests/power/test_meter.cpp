@@ -150,6 +150,25 @@ TEST(Meters, RejectNonPositiveDuration) {
                util::PreconditionError);
 }
 
+TEST(Meters, LastSampleIsTheRunsEndWhenTheGridRoundsShortOfIt) {
+  // D / 0.05 rounds to exactly 9, but 9 * 0.05 rounds to one ulp below D:
+  // the last sample still lands at D, so the reading spans the whole run.
+  const util::Seconds d(0x1.ccccccccccccep-2);
+  ASSERT_EQ(std::ceil(d.value() / 0.05), 9.0);
+  ASSERT_LT(9 * 0.05, d.value());
+  ModelMeter exact(util::seconds(0.05));
+  WattsUpConfig cfg;
+  cfg.sample_interval = util::seconds(0.05);
+  WattsUpMeter plug(cfg);
+  for (PowerMeter* meter : {static_cast<PowerMeter*>(&exact),
+                            static_cast<PowerMeter*>(&plug)}) {
+    const MeterReading r = meter->measure(constant_source(100.0), d);
+    EXPECT_EQ(r.duration.value(), d.value()) << meter->name();
+    EXPECT_EQ(r.trace.samples().back().t.value(), d.value()) << meter->name();
+    EXPECT_EQ(r.trace.size(), 10u) << meter->name();
+  }
+}
+
 TEST(Meters, Names) {
   EXPECT_NE(ModelMeter().name().find("ModelMeter"), std::string::npos);
   EXPECT_NE(WattsUpMeter().name().find("WattsUp"), std::string::npos);

@@ -252,7 +252,7 @@ TEST_F(CampaignTest, CorruptedShardIsQuarantinedRecomputedAndHealed) {
   for (const auto& file : fs::directory_iterator(dir("cache"))) {
     if (file.path().extension() != ".tgij") continue;
     std::string text = slurp(file.path().string());
-    const std::size_t last = text.rfind("\nTGIJ1 point");
+    const std::size_t last = text.rfind("\nTGIJ2 point");
     ASSERT_NE(last, std::string::npos);
     text[last + 20] ^= 0x04;
     spill(file.path().string(), text);

@@ -97,7 +97,9 @@ TEST_F(WorkerTest, JournalsExactlyTheAssignedIndices) {
   ASSERT_TRUE(records.count(1));
   EXPECT_EQ(records.at(1).index, 1u);
   EXPECT_EQ(records.at(1).value, 48u);
-  EXPECT_TRUE(records.at(1).traced);
+  // A plain record's trace is derived from its measurements, not stored.
+  EXPECT_EQ(records.at(1).point.measurements.size(), 3u);
+  EXPECT_TRUE(records.at(1).events.empty());
 }
 
 TEST_F(WorkerTest, RejectsMalformedAssignments) {

@@ -47,17 +47,19 @@ endfunction()
 # Runs the command after `journal` and SIGKILLs it once `journal` holds a
 # point record; ${rc_var} gets its status (137 when the kill landed). A
 # POSIX shell stops it at once, runs it in short slices until the record
-# is there, and kills it stopped. A command that outruns the shell exits
-# 0 instead; callers retry that.
+# is there, and kills it stopped. The command runs at nice 19, so waking
+# it does not preempt the shell on a shared CPU: otherwise a slice could
+# last a whole scheduler slice, long enough to bank every point. A command
+# that outruns the shell exits 0 instead; callers retry that.
 function(kill_after_first_record rc_var journal)
   execute_process(
     COMMAND sh -c [[
       journal="$1"; shift
-      "$@" > /dev/null 2>&1 &
+      nice -n 19 "$@" > /dev/null 2>&1 &
       pid=$!
       kill -STOP "$pid"
       i=0
-      until grep -qs '^TGIJ1 point' "$journal" || [ "$i" -ge 50000 ]; do
+      until grep -qs '^TGIJ2 point' "$journal" || [ "$i" -ge 50000 ]; do
         i=$((i + 1))
         kill -CONT "$pid"
         n=0; while [ "$n" -lt 20 ]; do n=$((n + 1)); done

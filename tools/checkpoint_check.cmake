@@ -125,7 +125,7 @@ endforeach()
 
 # 4. Corrupted record: inject a stray byte into the first point record so
 # its line no longer parses; the rerun must quarantine and recompute it.
-string(FIND "${full_journal}" "\nTGIJ1 point" first_rec)
+string(FIND "${full_journal}" "\nTGIJ2 point" first_rec)
 if(first_rec EQUAL -1)
   message(FATAL_ERROR "journal has no point records")
 endif()
@@ -153,7 +153,7 @@ foreach(attempt RANGE 1 10)
     break()
   endif()
 endforeach()
-file(STRINGS "${ckpt}/${spec}.tgij" killed_points REGEX "^TGIJ1 point")
+file(STRINGS "${ckpt}/${spec}.tgij" killed_points REGEX "^TGIJ2 point")
 if(NOT rc EQUAL 137 OR killed_points STREQUAL "")
   message(FATAL_ERROR "expected tgi_sweep SIGKILLed (status 137) after a "
                       "journaled point; got status ${rc}")

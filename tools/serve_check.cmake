@@ -138,7 +138,7 @@ endforeach()
 file(GLOB shards "${OUT}/cache/*.tgij")
 list(GET shards 0 shard)
 file(READ "${shard}" shard_text)
-string(FIND "${shard_text}" "\nTGIJ1 point" last_rec REVERSE)
+string(FIND "${shard_text}" "\nTGIJ2 point" last_rec REVERSE)
 if(last_rec EQUAL -1)
   message(FATAL_ERROR "cache shard ${shard} has no point records")
 endif()
@@ -227,7 +227,7 @@ foreach(attempt RANGE 1 10)
   if(EXISTS "${shard}")
     # Complete point lines only: a record torn by the kill has no newline.
     file(READ "${shard}" shard_text)
-    string(REGEX MATCHALL "TGIJ1 point[^\n]*\n" lines "${shard_text}")
+    string(REGEX MATCHALL "TGIJ2 point[^\n]*\n" lines "${shard_text}")
     list(LENGTH lines banked)
   endif()
   if(rc EQUAL 137 AND banked GREATER 0 AND banked LESS 3)
