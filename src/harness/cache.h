@@ -3,8 +3,8 @@
 // The campaign engine (DESIGN.md §13) deduplicates sweep points across
 // many requests: a point is keyed by (spec_hash, point_index), where the
 // spec hash is journal_spec_hash() over cache_spec_text — the one
-// canonical text of a sweep's identity. A campaign worker's journal and a
-// cache shard carry this same key, and a `tgi_sweep checkpoint=DIR`
+// canonical text of a sweep's identity. A worker journal and a cache
+// shard carry this same key, and a `tgi_sweep checkpoint=DIR`
 // directory is a cache directory: its checkpoint is the spec's shard.
 // The text includes the sweep values: a point's RNG streams are keyed on
 // its *index* in the value list, so two sweeps with different value lists

@@ -930,7 +930,7 @@ void PointStore::append(PointRecord record) {
     TGI_REQUIRE(out_.good(),
                 "cannot open journal '" << path_ << "' for appending");
   }
-  // Deterministic I/O fault injection (DESIGN.md §15): tear this append
+  // Deterministic I/O fault injection (DESIGN.md §11): tear this append
   // exactly the way ENOSPC/EIO/a crash mid-write would. A short write
   // leaves a prefix with no trailing newline — the same torn tail a
   // SIGKILL leaves — and the per-record CRC quarantines it on read.

@@ -1,6 +1,6 @@
 // The one point store (DESIGN.md §11): the journal record codec and the
-// `.tgij` file handle behind every checkpoint, campaign worker journal and
-// cache shard.
+// `.tgij` file handle behind every checkpoint, cache shard and
+// `tgi_serve --worker` journal.
 //
 // Every measured sweep point is banked as one checksummed record. A
 // PointStore is one journal file bound to one sweep (spec hash, mode,
@@ -11,8 +11,8 @@
 // refuse a record the decoder would quarantine, so a store never banks a
 // point its own load would not serve back. A cache shard — which a
 // `tgi_sweep checkpoint=DIR` directory holds too — is read, filled and
-// republished only by harness::ResultCache::fill (harness/cache.h); a
-// campaign worker publishes an empty journal and appends to it. Replayed
+// republished only by harness::ResultCache::fill (harness/cache.h); the
+// worker mode publishes an empty journal and appends to it. Replayed
 // points keep the per-point RNG offsets the determinism contract
 // (DESIGN.md §3b) keys on the point index, so a killed sweep rerun over its
 // shard is byte-identical to an uninterrupted one at any thread count.

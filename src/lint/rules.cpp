@@ -255,13 +255,12 @@ class IsaSpecificCodeRule final : public Rule {
 // --- raw-process-spawn ----------------------------------------------------
 
 /// Raw process-control calls outside util/subprocess. util::Subprocess is
-/// the one sanctioned home for fork/exec/waitpid (DESIGN.md §15): it owns
-/// the fd redirection, the non-blocking try_wait()/kill() supervision
-/// surface, and a destructor that SIGTERM→SIGKILL-escalates instead of
-/// blocking forever on a hung child. Ad-hoc fork()/system()/popen() calls
-/// bypass all of that — an unsupervised child is exactly the campaign-hang
-/// failure mode the Supervisor exists to close — and system()/popen()
-/// additionally launder argv through an unauditable shell.
+/// the one sanctioned home for fork/exec/waitpid (DESIGN.md §8): it owns
+/// the fd redirection, the non-blocking try_wait()/kill() surface, and a
+/// destructor that SIGTERM→SIGKILL-escalates instead of blocking forever
+/// on a hung child. Ad-hoc fork()/system()/popen() calls bypass all of
+/// that, and system()/popen() additionally launder argv through an
+/// unauditable shell.
 class RawProcessSpawnRule final : public Rule {
  public:
   [[nodiscard]] std::string_view id() const override {

@@ -16,11 +16,11 @@
 //                     tree stays meaningful.
 //   raw-process-spawn fork / exec* / waitpid / system / popen /
 //                     posix_spawn outside util/subprocess — children are
-//                     spawned and supervised through util::Subprocess
-//                     (DESIGN.md §15) so every worker has the non-blocking
-//                     try_wait()/kill() surface and the escalating
-//                     destructor; system()/popen() also launder argv
-//                     through an unauditable shell.
+//                     spawned through util::Subprocess (DESIGN.md §8) so
+//                     every child has the non-blocking try_wait()/kill()
+//                     surface and the escalating destructor;
+//                     system()/popen() also launder argv through an
+//                     unauditable shell.
 //   raw-unit-double   `double`-typed parameters with unit-suspicious names
 //                     (watts, joules, seconds, energy, power, flops) in
 //                     public library headers — physical quantities crossing

@@ -16,9 +16,7 @@
 #include "harness/suite.h"
 #include "obs/trace.h"
 #include "power/meter.h"
-#include "serve/supervisor.h"
 #include "serve/worker.h"
-#include "sim/spec_io.h"
 #include "stats/correlation.h"
 #include "util/atomic_file.h"
 #include "util/error.h"
@@ -27,20 +25,7 @@
 
 namespace tgi::serve {
 
-namespace {
-
 using harness::PointRecord;
-
-std::string join_indices(const std::vector<std::size_t>& indices) {
-  std::string text;
-  for (const std::size_t index : indices) {
-    if (!text.empty()) text += ',';
-    text += std::to_string(index);
-  }
-  return text;
-}
-
-}  // namespace
 
 std::size_t write_sweep_summary(
     const CampaignSpec& spec,
@@ -225,19 +210,17 @@ std::string CampaignStats::summary() const {
          " points=" + std::to_string(points) +
          " hits=" + std::to_string(cache_hits) +
          " computed=" + std::to_string(computed) +
-         " quarantined=" + std::to_string(quarantined) +
-         " worker_failures=" + std::to_string(worker_failures) +
-         " worker_restarts=" + std::to_string(worker_restarts) +
-         " worker_hangs=" + std::to_string(worker_hangs) +
-         " worker_quarantined=" + std::to_string(worker_quarantined);
+         " quarantined=" + std::to_string(quarantined);
 }
 
 CampaignEngine::CampaignEngine(CampaignConfig config)
     : config_(std::move(config)) {
   TGI_REQUIRE(!config_.cache_dir.empty(), "campaign needs cache_dir");
   TGI_REQUIRE(!config_.outdir.empty(), "campaign needs outdir");
-  TGI_REQUIRE(config_.workers == 0 || !config_.worker_exe.empty(),
-              "workers > 0 needs a worker executable");
+  TGI_REQUIRE(config_.workers == 0,
+              "the campaign engine computes in-process only: workers must "
+              "be 0, got "
+                  << config_.workers);
 }
 
 std::map<std::size_t, PointRecord> fill_points(
@@ -317,10 +300,6 @@ void write_provenance(const std::string& outdir, const CampaignStats& stats,
                 << ", \"points\": " << stats.points << ", \"cache_hits\": "
                 << stats.cache_hits << ", \"computed\": " << stats.computed
                 << ", \"quarantined\": " << stats.quarantined
-                << ", \"worker_failures\": " << stats.worker_failures
-                << ", \"worker_restarts\": " << stats.worker_restarts
-                << ", \"worker_hangs\": " << stats.worker_hangs
-                << ", \"worker_quarantined\": " << stats.worker_quarantined
                 << "},\n  \"entries\": [";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const EntryProvenance& p = entries[i];
@@ -330,121 +309,13 @@ void write_provenance(const std::string& outdir, const CampaignStats& stats,
                   << "\", \"reference_spec\": \""
                   << harness::spec_hash_hex(p.reference_spec)
                   << "\", \"points\": " << p.points << ", \"hits\": " << p.hits
-                  << ", \"computed\": " << p.computed;
-    // The supervision taxonomy (DESIGN.md §15) — like every other
-    // cache/worker-dependent fact, it lives here and on stderr only.
-    json.stream() << ", \"shards\": [";
-    for (std::size_t s = 0; s < p.shards.size(); ++s) {
-      const ShardReport& r = p.shards[s];
-      json.stream() << (s == 0 ? "" : ", ") << "{\"shard\": " << r.shard
-                    << ", \"outcome\": \""
-                    << util::json_escape(outcome_name(r.outcome))
-                    << "\", \"restarts\": " << r.restarts
-                    << ", \"backoff_s\": " << util::fixed(r.backoff.value(), 1)
-                    << ", \"attempts\": [";
-      for (std::size_t a = 0; a < r.attempts.size(); ++a) {
-        const ShardAttempt& att = r.attempts[a];
-        json.stream() << (a == 0 ? "" : ", ") << "{\"outcome\": \""
-                      << util::json_escape(outcome_name(att.outcome))
-                      << "\", \"detail\": \"" << util::json_escape(att.detail)
-                      << "\", \"banked\": " << att.banked << "}";
-      }
-      json.stream() << "]}";
-    }
-    json.stream() << "]}";
+                  << ", \"computed\": " << p.computed << "}";
   }
   json.stream() << "\n  ]\n}\n";
   json.commit();
 }
 
 namespace {
-
-/// Shards `pending` round-robin and runs one supervised `tgi_serve
-/// --worker` per non-empty shard (serve::Supervisor, DESIGN.md §15) in a
-/// scratch directory private to this run: hung workers are killed, failed
-/// attempts are restarted over the still-missing indices, crash-looping
-/// shards are quarantined. Shards fold in fixed shard order (first valid
-/// record per index wins) into `done`; returns the indices none banked.
-std::vector<std::size_t> run_worker_shards(
-    const CampaignConfig& config, const CampaignSpec& spec,
-    std::uint64_t hash, const std::string& mode,
-    const std::vector<std::size_t>& pending, CampaignStats& stats,
-    std::vector<ShardReport>& reports, const harness::RecordSink& done) {
-  const std::string scratch = config.cache_dir + "/work/" + spec.name + "." +
-                              util::unique_token();
-  std::vector<std::vector<std::size_t>> shards(config.workers);
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    shards[i % config.workers].push_back(pending[i]);
-  }
-  const std::string cluster_path = scratch + "/cluster.conf";
-  const std::string spec_path = scratch + "/spec.conf";
-  std::filesystem::create_directories(scratch);
-  util::atomic_write_file(cluster_path, sim::cluster_to_config(spec.cluster));
-  // The handoff names the cluster file relative to the spec file's own
-  // directory (load_worker_spec resolves it there) — relocatable scratch.
-  util::atomic_write_file(spec_path, worker_spec_config(spec, "cluster.conf"));
-
-  std::vector<ShardJob> jobs;
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    if (shards[s].empty()) continue;
-    ShardJob job;
-    job.shard = s;
-    job.label = "[" + spec.name + "]";
-    job.indices = shards[s];
-    job.dir = scratch + "/shard" + std::to_string(s);
-    const std::string worker_exe = config.worker_exe;
-    const std::size_t threads = config.threads;
-    job.argv = [worker_exe, spec_path, threads, s](
-                   const std::vector<std::size_t>& remaining,
-                   const std::string& journal_dir, std::size_t) {
-      return std::vector<std::string>{
-          worker_exe,
-          "--worker",
-          "spec=" + spec_path,
-          "indices=" + join_indices(remaining),
-          "journal=" + journal_dir,
-          "threads=" + std::to_string(threads),
-          "shard=" + std::to_string(s)};
-    };
-    // Damage (including a torn tail from a SIGKILLed worker, or a missing
-    // file from one that died before the header) is counted, WARNed, and
-    // treated as absence — whatever is missing gets recomputed.
-    job.merge = [hash, &mode, &spec,
-                 &stats](const std::string& journal_path) {
-      harness::StoreLoad loaded =
-          harness::PointStore(journal_path, hash, mode, spec.sweep)
-              .load("serve: quarantined worker record");
-      stats.quarantined += loaded.damage.size();
-      return std::move(loaded.completed);
-    };
-    jobs.push_back(std::move(job));
-  }
-
-  Supervisor supervisor(config.supervisor);
-  std::vector<SupervisedShard> supervised = supervisor.run(jobs);
-
-  std::vector<bool> banked(spec.sweep.size(), false);
-  for (SupervisedShard& shard : supervised) {
-    for (auto& [index, record] : shard.records) {
-      if (!banked[index]) done(std::move(record));
-      banked[index] = true;
-    }
-    for (const ShardAttempt& attempt : shard.report.attempts) {
-      if (attempt.failed) ++stats.worker_failures;
-      if (attempt.outcome == ShardOutcome::kHung) ++stats.worker_hangs;
-    }
-    stats.worker_restarts += shard.report.restarts;
-    if (shard.report.quarantined()) ++stats.worker_quarantined;
-    reports.push_back(std::move(shard.report));
-  }
-  std::vector<std::size_t> missing;
-  for (const std::size_t k : pending) {
-    if (!banked[k]) missing.push_back(k);
-  }
-  std::error_code ec;
-  std::filesystem::remove_all(scratch, ec);
-  return missing;
-}
 
 /// Writes one entry's artifacts and report lines from its records — the
 /// single emission path cold and warm runs share. Report lines carry the
@@ -491,35 +362,26 @@ CampaignStats CampaignEngine::run(const std::vector<CampaignSpec>& entries,
     ++stats.entries;
     EntryProvenance prov;
     prov.name = entry.name;
-    const std::uint64_t hash = spec_hash(entry);
-    const std::string mode = spec_mode(entry);
-    prov.spec = hash;
+    prov.spec = spec_hash(entry);
     const std::size_t hits_before = stats.cache_hits;
     const std::size_t computed_before = stats.computed;
 
-    // 1-4. ResultCache::fill serves the hits and banks each miss steps
-    // 2-3 compute as it arrives.
+    // 1-2. ResultCache::fill serves the hits and banks each computed miss
+    // as it arrives (sweep_records' compute, under the hash computed once).
     const std::map<std::size_t, PointRecord> records = fill_points(
-        &cache, hash, mode, entry.sweep,
-        [this, &entry, hash, &mode, &stats, &prov](
-            const std::vector<std::size_t>& pending,
-            const harness::RecordSink& done) {
-          const std::vector<std::size_t> missing =
-              config_.workers > 0
-                  ? run_worker_shards(config_, entry, hash, mode, pending,
-                                      stats, prov.shards, done)
-                  : pending;
-          if (!missing.empty()) {
-            compute_points(entry, missing, config_.threads, done);
-          }
+        &cache, prov.spec, spec_mode(entry), entry.sweep,
+        [this, &entry](const std::vector<std::size_t>& pending,
+                       const harness::RecordSink& done) {
+          compute_points(entry, pending, config_.threads, done);
         },
         stats);
 
-    // 5. Reference run, cached under its own key.
+    // 3. Reference run, cached under its own key.
     prov.reference_spec = reference_spec_hash(entry);
     const PointRecord reference =
         reference_point(entry, prov.reference_spec, &cache, stats);
 
+    // 4. Emission, from the records alone.
     emit_entry(config_, entry, records, reference, out);
     prov.points = entry.sweep.size() + 1;
     prov.hits = stats.cache_hits - hits_before;

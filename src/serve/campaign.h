@@ -1,38 +1,27 @@
 // The campaign engine (DESIGN.md §13): many sweep specs in, deduplicated
-// through the content-addressed result cache, cache misses sharded across
-// worker processes, every artifact byte-identical to a cold serial run.
+// through the content-addressed result cache, cache misses computed
+// in-process on `threads`, every artifact byte-identical to a cold serial
+// run.
 //
-// Execution of one entry — steps 1-4 are one harness::ResultCache::fill:
-//   1. look the spec's shard up — valid records are cache hits, damaged
-//      ones are quarantined (WARN) and become misses; a clean all-hit
-//      shard is served and never rewritten;
-//   2. shard the missing GLOBAL indices round-robin across `workers`
-//      `tgi_serve --worker` processes, each journaling into its own
-//      scratch directory under <cache>/work/ (0 = compute in-process
-//      through the same point body, serve::compute_points — no scratch);
-//   3. supervise every shard through serve::Supervisor (DESIGN.md §15):
-//      a progress watchdog SIGTERM→SIGKILLs hung workers, failed attempts
-//      (signal / nonzero / hang / clean-but-incomplete journal) are WARNed
-//      and restarted over ONLY the still-missing indices with accounted
-//      exponential backoff, and a crash-looping shard is quarantined.
-//      Attempt journals merge in FIXED SHARD-then-ATTEMPT ORDER (first
-//      valid record per index wins — order only matters for damage
-//      accounting, since a point's record bytes are identical whichever
-//      worker computed them); whatever a quarantined shard still owes is
-//      recomputed in-process (serve::compute_points) — the campaign
-//      self-heals;
-//   4. append each fresh record to the shard as it arrives, publish it in
-//      index order, and emit from the records — byte-identical cold or
-//      warm, since the store refuses a record its load would quarantine;
-//   5. the entry's reference run is filled the same way under its own key
+// Execution of one entry:
+//   1. harness::ResultCache::fill looks the spec's shard up: valid records
+//      are cache hits, damaged ones are quarantined (WARN) and become
+//      misses; a clean all-hit shard is served and never rewritten;
+//   2. the misses are computed through serve::compute_points, the point
+//      body tgi_sweep and the fig/table harnesses run, and each record is
+//      appended to the shard as it finishes, so a killed campaign loses
+//      only the points in flight;
+//   3. the entry's reference run is filled the same way under its own key
 //      (reference_point, reference_spec_text), so repeated reference
-//      machines across entries and campaigns are hits too.
+//      machines across entries and campaigns are hits too;
+//   4. every artifact is emitted from the records, cold or warm alike,
+//      since the store refuses a record its load would quarantine.
 //
-// Cache-dependent facts (hit/miss counts, worker failures, quarantines)
-// never reach the report stream: they go to stderr and to
-// outdir/provenance.json (write_provenance), which is excluded from all
-// byte comparisons. tgi_sweep shares fill_points, reference_point and the
-// provenance writer: its checkpoint directory is a result cache.
+// Cache-dependent facts (hit/miss counts, quarantines) never reach the
+// report stream: they go to stderr and to outdir/provenance.json
+// (write_provenance), which is excluded from all byte comparisons.
+// tgi_sweep shares fill_points, reference_point and the provenance writer:
+// its checkpoint directory is a result cache.
 #pragma once
 
 #include <array>
@@ -50,42 +39,33 @@
 #include "harness/suite.h"
 #include "obs/profile.h"
 #include "serve/spec.h"
-#include "serve/supervisor.h"
 
 namespace tgi::serve {
 
 struct CampaignConfig {
-  /// Result cache directory (shards + worker scratch live here).
+  /// Result cache directory: one shard per spec.
   std::string cache_dir;
   /// Output directory: one subdirectory per entry + provenance.json.
   std::string outdir;
-  /// Worker processes per entry's miss set; 0 = compute in-process.
+  /// Must stay 0: the engine computes in-process only, and the constructor
+  /// refuses any other value. Kept only because perfbench/ sets it
+  /// (ROADMAP item 1 removes it).
   std::size_t workers = 0;
-  /// Sweep threads per compute (in-process and per worker); 0 = ThreadPool
-  /// default, 1 = serial.
+  /// Sweep threads per compute; 0 = ThreadPool default, 1 = serial.
   std::size_t threads = 1;
-  /// Worker executable (tgi_serve); required when workers > 0.
-  std::string worker_exe;
   /// Write per-entry trace/trace.json + trace/metrics.csv (DESIGN.md §10),
   /// rebuilt from the journaled observability sections.
   bool trace = false;
-  /// Worker supervision policy (DESIGN.md §15): progress watchdog, bounded
-  /// restarts with accounted backoff, crash-loop quarantine.
-  SupervisorConfig supervisor;
 };
 
 /// What a campaign run did. `computed` is the recompute counter the hit-
 /// semantics tests pin to zero on a warm cache.
 struct CampaignStats {
   std::size_t entries = 0;
-  std::size_t points = 0;           ///< sweep points + reference runs
-  std::size_t cache_hits = 0;       ///< served from the cache
-  std::size_t computed = 0;         ///< actually recomputed this run
-  std::size_t quarantined = 0;      ///< damaged cache/journal records
-  std::size_t worker_failures = 0;  ///< failed worker attempts (any strike)
-  std::size_t worker_restarts = 0;  ///< supervised restarts performed
-  std::size_t worker_hangs = 0;     ///< attempts killed by the watchdog
-  std::size_t worker_quarantined = 0;  ///< shards that exhausted restarts
+  std::size_t points = 0;       ///< sweep points + reference runs
+  std::size_t cache_hits = 0;   ///< served from the cache
+  std::size_t computed = 0;     ///< actually recomputed this run
+  std::size_t quarantined = 0;  ///< damaged cache records
 
   [[nodiscard]] std::string summary() const;
 };
@@ -98,7 +78,6 @@ struct EntryProvenance {
   std::size_t points = 0;            ///< sweep points + the reference run
   std::size_t hits = 0;
   std::size_t computed = 0;
-  std::vector<ShardReport> shards;  ///< supervision taxonomy, workers > 0
 };
 
 /// Writes <outdir>/provenance.json: `stats` and one object per entry, every
@@ -195,7 +174,7 @@ class CampaignEngine {
   explicit CampaignEngine(CampaignConfig config);
 
   /// Runs the campaign. The human-readable report goes to `out` and is
-  /// byte-identical for every thread count, worker count, and cache state;
+  /// byte-identical for every thread count and cache state;
   /// per-entry artifacts land under outdir/<entry>/. Returns the run's
   /// stats (also written to outdir/provenance.json).
   CampaignStats run(const std::vector<CampaignSpec>& entries,

@@ -20,10 +20,12 @@
 // point path; `granularity` is still accepted (and a bad value still
 // rejected) only because perfbench/ campaigns write it.
 //
-// The same grammar minus [sections] doubles as the engine→worker handoff
-// file (worker_spec_config / load_worker_spec): the engine serializes the
-// entry with its cluster inlined as a spec-file path and the fault spec as
-// the user's original text, so the worker re-parses bit-identical inputs.
+// The same grammar minus [sections] doubles as the `tgi_serve --worker`
+// handoff file (worker_spec_config / load_worker_spec): the entry with its
+// cluster as a spec-file path and the fault spec as the user's original
+// text, so the worker re-parses bit-identical inputs. The handoff stays
+// only because perfbench/ drives the worker mode (ROADMAP item 1 removes
+// it).
 #pragma once
 
 #include <cstdint>
@@ -56,8 +58,8 @@ struct CampaignSpec {
   std::uint64_t seed = 0x9e3779b9ULL;  ///< the paper seed, every default
   bool exact_meter = false;  ///< meter=model (noise-free ModelMeter)
   /// The user's fault spec text, verbatim (empty = fault-free sweep).
-  /// Kept as text so the engine→worker handoff re-parses the exact same
-  /// spec; `faults()` derives the parsed form.
+  /// Kept as text so the worker handoff re-parses the exact same spec;
+  /// `faults()` derives the parsed form.
   std::string fault_text;
   /// Inert: kept only because perfbench/ sets it; nothing reads it.
   harness::SweepGranularity granularity = harness::SweepGranularity::kPoint;
@@ -128,7 +130,7 @@ struct CampaignSpec {
     const std::string& path);
 
 /// Serializes one entry as a worker handoff file (section-free campaign
-/// grammar; the cluster rides as a path to a spec file the engine wrote).
+/// grammar; the cluster rides as a path to a spec file the caller wrote).
 [[nodiscard]] std::string worker_spec_config(const CampaignSpec& spec,
                                              const std::string& cluster_path);
 /// Loads a worker handoff file. The worker never needs the reference

@@ -201,7 +201,7 @@ std::vector<SupervisedShard> Supervisor::run(
                    << job.shard << " for " << job.label
                    << " quarantined after " << state.attempt
                    << " attempt(s); its " << remaining.size()
-                   << " remaining point(s) fall back to in-process compute");
+                   << " point(s) still unjournaled");
       return;
     }
     // Accounted exponential backoff (never slept), RobustConfig's shape:

@@ -1,16 +1,13 @@
 // serve::Supervisor — deterministic worker-process supervision
 // (DESIGN.md §15).
 //
-// The campaign engine's process-failure story used to stop at "a dead
-// worker WARNs and heals in-process": a *hung* worker blocked the campaign
-// forever in a blocking wait(), and a crash-looping shard was retried zero
-// times. The Supervisor closes that gap with the same policy shape the
-// in-process robustness layer (harness/robust.h) gives measurements:
+// Kept only because perfbench/ drives it: its traced sweep_cold replays a
+// two-shard `tgi_serve --worker` sweep under it (ROADMAP item 1 removes
+// it). The campaign engine computes in-process and never spawns a worker.
 //
 //   - progress watchdog: a shard counts as hung after `stall_polls`
-//     supervision polls with NO growth of its journal file. The deadline
-//     is progress-based — ticks without a journaled byte — never a
-//     wall-clock read, so no published number can ever depend on timing;
+//     supervision polls with NO growth of its journal file — ticks without
+//     a journaled byte, never a wall-clock read;
 //   - escalation: a hung worker gets SIGTERM, `grace_polls` ticks to
 //     comply, then SIGKILL;
 //   - bounded restarts: every failed attempt (signal, nonzero exit, hang,
@@ -20,15 +17,7 @@
 //     each restart charges accounted (never slept) exponential backoff,
 //     base * 2^(r-1), mirroring RobustConfig;
 //   - crash-loop quarantine: a shard that exhausts its budget is
-//     quarantined — its remaining points fall back to the engine's
-//     deterministic in-process compute, the existing heal path.
-//
-// Exit-status taxonomy (clean / signal / nonzero / hung / quarantined)
-// goes to stderr and provenance.json, NEVER stdout: because the cache
-// banks every journaled point and restarts recompute only the missing
-// suffix, the final artifacts stay byte-identical to an undisturbed run at
-// every worker/thread count, and the report stream must not betray how
-// rough the road was.
+//     quarantined, and what it still owes is left to the caller.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +31,7 @@
 
 namespace tgi::serve {
 
-/// Supervision policy knobs (CLI: restarts=, stall_polls=).
+/// Supervision policy knobs.
 struct SupervisorConfig {
   /// Restarts per shard after the first attempt (attempts = 1 + this).
   std::size_t max_restarts = 2;
@@ -62,10 +51,10 @@ struct SupervisorConfig {
 /// How one attempt (or the whole shard) ended.
 enum class ShardOutcome {
   kClean,        ///< exit 0 with every assigned point journaled
-  kSignal,       ///< killed by a signal (its own, or the fault plane's)
+  kSignal,       ///< killed by a signal
   kNonzero,      ///< exited with a nonzero code
   kHung,         ///< stalled past the watchdog; SIGTERM→SIGKILL escalation
-  kQuarantined,  ///< restart budget exhausted; fell back to in-process
+  kQuarantined,  ///< restart budget exhausted
 };
 
 [[nodiscard]] const char* outcome_name(ShardOutcome outcome);
@@ -79,8 +68,7 @@ struct ShardAttempt {
   bool failed = false;     ///< counted as a strike
 };
 
-/// The supervision record for one shard — the taxonomy that reaches
-/// stderr and provenance.json.
+/// The supervision record for one shard — the taxonomy its caller reads.
 struct ShardReport {
   std::size_t shard = 0;
   std::vector<ShardAttempt> attempts;

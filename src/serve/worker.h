@@ -1,12 +1,15 @@
-// The campaign worker: computes an assigned subset of one spec's sweep
-// points (DESIGN.md §13).
+// The sweep engine's point body for a subset of one spec's sweep points
+// (DESIGN.md §13).
 //
-// tgi_sweep, a campaign entry and a `tgi_serve --worker` shard process all
-// run the sweep engine's point body through compute_points on GLOBAL point
-// indices (meters, fault and robust streams keyed on the global index),
-// reproducing exactly the bytes ParallelSweep would produce in a full
-// sweep. run_worker appends every record to a harness::PointStore at
-// `journal_dir`/journal.tgij, which the engine loads in fixed shard order.
+// tgi_sweep, a campaign entry and the fig/table harnesses all compute
+// through compute_points on GLOBAL point indices (meters, fault and robust
+// streams keyed on the global index), reproducing exactly the bytes
+// ParallelSweep would produce in a full sweep.
+//
+// run_worker and WorkerAssignment stay only because perfbench/ drives the
+// `tgi_serve --worker` mode (ROADMAP item 1 removes them): run_worker
+// appends every record to a harness::PointStore at
+// `journal_dir`/journal.tgij.
 #pragma once
 
 #include <cstddef>
@@ -28,23 +31,6 @@ struct WorkerAssignment {
   std::string journal_dir;
   /// Sweep threads (0 = ThreadPool default, 1 = serial).
   std::size_t threads = 1;
-
-  // Deterministic process-fault hooks (DESIGN.md §15, serve_check.cmake):
-  // each fires after journaling exactly that many points, so "N points
-  // then the fault" is a precise statement about what's on disk. Any armed
-  // hook forces serial execution in assignment order (records are
-  // thread-count-invariant, so the journal bytes are unchanged). 0 = off.
-  /// Raise SIGKILL — a real mid-campaign kill, no sleep-and-poll raciness.
-  std::size_t die_after = 0;
-  /// Stop journaling and ignore SIGTERM forever: exercises the
-  /// supervisor's progress watchdog and its SIGTERM→SIGKILL escalation.
-  std::size_t hang_after = 0;
-  /// _Exit(3) — a nonzero exit with the journal intact up to this point.
-  std::size_t exit_after = 0;
-  /// Append a torn garbage record (no trailing newline) to the journal,
-  /// then _Exit(0): a CLEAN exit with an incomplete, damaged journal.
-  /// Proves supervision trust is journal-driven, never exit-status-driven.
-  std::size_t garbage_after = 0;
 };
 
 /// Computes `indices` (global, strictly increasing) of the spec's sweep on
@@ -58,8 +44,7 @@ void compute_points(const CampaignSpec& spec,
                     obs::WallProfiler* profiler = nullptr);
 
 /// Computes the assignment into a fresh journal and returns the number of
-/// points journaled. With a process-fault hook armed this call may not
-/// return at all.
+/// points journaled.
 std::size_t run_worker(const CampaignSpec& spec, const WorkerAssignment& a);
 
 }  // namespace tgi::serve

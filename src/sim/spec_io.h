@@ -48,9 +48,9 @@ namespace tgi::sim {
 /// written exactly (shortest round-trip digits; a unit-scaled quantity as
 /// the config number whose scaling reproduces it), so
 /// cluster_from_config(Config::parse(text)) reproduces each double bit for
-/// bit — the engine→worker cluster handoff relies on it — and the text,
-/// part of every cache key (harness::cache_spec_text), tells apart specs a
-/// single ulp apart. An SI value no config number reaches keeps its exact
+/// bit — the worker handoff (serve::worker_spec_config) relies on it —
+/// and the text, part of every cache key (harness::cache_spec_text), tells
+/// apart specs a single ulp apart. An SI value no config number reaches keeps its exact
 /// value in a trailing comment (still a distinct key; the file then reads
 /// back as the nearest expressible spec).
 [[nodiscard]] std::string cluster_to_config(const ClusterSpec& spec);

@@ -256,7 +256,7 @@ void atomic_write_file(const std::string& path, std::string_view content) {
       throw TgiError("atomic_write_file: cannot open staging file '" + temp +
                      "' for '" + path + "'");
     }
-    // Deterministic I/O fault injection (DESIGN.md §15): the fault hits
+    // Deterministic I/O fault injection (DESIGN.md §11): the fault hits
     // the STAGING write, so however it fails — torn prefix or nothing —
     // the rename never happens and the visible file keeps its old bytes.
     const IoFaultKind fault = next_io_fault();

@@ -1,8 +1,8 @@
-// Deterministic I/O fault injection for the publish paths (DESIGN.md §15).
+// Deterministic I/O fault injection for the publish paths (DESIGN.md §11).
 //
 // The §9 fault plane makes *measurements* fail on purpose; this shim does
-// the same for the filesystem layer the campaign engine's durability story
-// rests on: short writes, ENOSPC, EIO — the failure modes of a multi-day
+// the same for the filesystem layer the result cache and the checkpoint
+// rest on: short writes, ENOSPC, EIO — the failure modes of a multi-day
 // metered campaign writing to real disks. The two audited write paths
 // consult it:
 //
@@ -15,13 +15,10 @@
 //     quarantines the torn tail on read, exactly like a SIGKILL mid-append.
 //
 // Faults are decided per guarded operation from a seeded Xoshiro256 keyed
-// on (seed, operation index): a given spec replays the identical fault
-// sequence, which is what makes the worker-process fault campaigns in
-// tools/serve_check.cmake reproducible. The shim is process-wide and OFF by
-// default; the campaign engine only ever installs it inside `tgi_serve
-// --worker` processes (TGI_SERVE_WORKER_IO_FAULTS), so the engine's own
-// emission and in-process heal path never fault and recovery always
-// converges.
+// on (seed, operation index), so a given spec replays the identical fault
+// sequence. The shim is process-wide and OFF by default; only tests
+// install it (tests/util/test_io_faults.cpp, tests/harness/
+// test_checkpoint.cpp).
 #pragma once
 
 #include <cstdint>

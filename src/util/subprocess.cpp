@@ -164,13 +164,4 @@ ExitStatus run_process(std::vector<std::string> argv,
   return child.wait();
 }
 
-std::string current_executable() {
-  char buffer[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  TGI_CHECK(n > 0, "readlink(/proc/self/exe) failed: "
-                       << std::strerror(errno));
-  buffer[n] = '\0';
-  return std::string(buffer);
-}
-
 }  // namespace tgi::util

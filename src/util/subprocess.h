@@ -1,14 +1,14 @@
 // The sanctioned process-spawn primitive — util::Subprocess is to child
-// processes what util::ThreadPool is to threads.
+// processes what util::ThreadPool is to threads (DESIGN.md §15).
 //
-// The campaign engine (DESIGN.md §13) shards sweep points across worker
-// *processes*; anything that forks must keep the repo's determinism
-// auditable, so process creation is concentrated here the same way raw
-// threads are concentrated in util/thread_pool*. A spawned child gets an
-// explicit argv, optional stdout/stderr redirection to files, and optional
-// extra environment variables; the parent observes only the exit
-// disposition. No shells, no PATH-dependent surprises beyond execvp's
-// documented lookup, no inherited stream interleaving unless asked for.
+// Kept only because perfbench/ drives serve::Supervisor over it (ROADMAP
+// item 1 removes it); nothing in the TGI pipeline spawns a process. While
+// it exists, process creation stays concentrated here (lint rule
+// raw-process-spawn). A spawned child gets an explicit argv, optional
+// stdout/stderr redirection to files, and optional extra environment
+// variables; the parent observes only the exit disposition. No shells, no
+// PATH-dependent surprises beyond execvp's documented lookup, no inherited
+// stream interleaving unless asked for.
 #pragma once
 
 #include <string>
@@ -84,9 +84,5 @@ class Subprocess {
 /// Convenience: spawn, wait, return the disposition.
 [[nodiscard]] ExitStatus run_process(std::vector<std::string> argv,
                                      SubprocessOptions options = {});
-
-/// Absolute path of the running executable (/proc/self/exe) — how
-/// tgi_serve re-spawns itself in --worker mode without trusting argv[0].
-[[nodiscard]] std::string current_executable();
 
 }  // namespace tgi::util

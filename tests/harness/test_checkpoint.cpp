@@ -820,7 +820,7 @@ TEST_F(CheckpointTest, FuzzedJournalsNeverCorruptAResumedSweep) {
   }
 }
 
-// ------------------------------------------------- I/O fault shim (§15)
+// ------------------------------------------------- I/O fault shim (§11)
 
 /// First seed whose first shim draw at rate=1 is `want`.
 std::uint64_t seed_with_first(util::IoFaultKind want) {

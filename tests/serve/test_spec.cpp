@@ -1,5 +1,5 @@
 // Campaign spec parsing (DESIGN.md §13): the [entry] grammar, its
-// defaults, loud failures on malformed input, the engine→worker handoff
+// defaults, loud failures on malformed input, the worker handoff
 // round-trip, and the key-space separation between sweep, faulted, and
 // reference runs, down to one ulp of any cluster double.
 #include "serve/spec.h"
@@ -220,33 +220,57 @@ TEST(CampaignSpec, WorkerHandoffRoundTripsTheCacheKey) {
       fs::temp_directory_path() / "tgi_serve_spec_roundtrip";
   fs::remove_all(root);
   fs::create_directories(root);
-  const auto original = parse(
+  // A cluster file with a 7th decimal: the handoff carries the cluster as
+  // text, which must hold every digit, or the worker prices a different
+  // machine under the entry's key.
+  const std::string low_power =
+      sim::cluster_to_config(sim::low_power_cluster());
+  const std::string ghz = "\ncpu.ghz = ";
+  const std::size_t at = low_power.find(ghz);
+  ASSERT_NE(at, std::string::npos);
+  {
+    std::ofstream seventh((root / "seventh.conf").string());
+    seventh << low_power.substr(0, at) << ghz << "0.8500004"
+            << low_power.substr(low_power.find('\n', at + 1));
+  }
+  const auto originals = parse_campaign(
       "[gamma]\n"
       "cluster = fire\n"
       "sweep = 16,48,80\n"
       "seed = 23\n"
-      "faults = dropout=0.2,failure=0.1\n")[0];
-  {
-    std::ofstream cluster((root / "cluster.conf").string());
-    cluster << sim::cluster_to_config(original.cluster);
-    std::ofstream spec((root / "spec.conf").string());
-    spec << worker_spec_config(original, "cluster.conf");
+      "faults = dropout=0.2,failure=0.1\n"
+      "[seventh]\n"
+      "cluster = seventh.conf\n"
+      "sweep = 16,48,80\n"
+      "seed = 7\n",
+      root.string());
+  ASSERT_EQ(originals[1].cluster.node.cpu.ghz, 0.8500004);
+  for (const CampaignSpec& original : originals) {
+    {
+      std::ofstream cluster((root / "cluster.conf").string());
+      cluster << sim::cluster_to_config(original.cluster);
+      std::ofstream spec((root / "spec.conf").string());
+      spec << worker_spec_config(original, "cluster.conf");
+    }
+    const CampaignSpec loaded =
+        load_worker_spec((root / "spec.conf").string());
+    // The handoff must re-parse to bit-identical sweep inputs: same cache
+    // key, same cluster, same fault text, same mode.
+    EXPECT_EQ(canonical_spec_text(loaded), canonical_spec_text(original))
+        << original.name;
+    EXPECT_EQ(spec_hash(loaded), spec_hash(original)) << original.name;
+    EXPECT_EQ(loaded.cluster.node.cpu.ghz, original.cluster.node.cpu.ghz)
+        << original.name;
+    EXPECT_EQ(loaded.fault_text, original.fault_text) << original.name;
+    EXPECT_EQ(loaded.seed, original.seed) << original.name;
+    EXPECT_STREQ(spec_mode(loaded), spec_mode(original)) << original.name;
   }
-  const CampaignSpec loaded = load_worker_spec((root / "spec.conf").string());
-  // The handoff must re-parse to bit-identical sweep inputs: same cache
-  // key, same fault text, same mode.
-  EXPECT_EQ(canonical_spec_text(loaded), canonical_spec_text(original));
-  EXPECT_EQ(spec_hash(loaded), spec_hash(original));
-  EXPECT_EQ(loaded.fault_text, original.fault_text);
-  EXPECT_EQ(loaded.seed, original.seed);
-  EXPECT_STREQ(spec_mode(loaded), spec_mode(original));
   fs::remove_all(root);
 }
 
 TEST(CampaignSpec, WorkerSpecRejectsTheGranularityKey) {
-  // The engine and its workers ship in one binary and every sweep runs one
-  // path, so the handoff file has no granularity key; a stray one fails
-  // loudly like any unknown key.
+  // Every sweep runs one path, so the handoff file has no granularity key;
+  // a stray one fails loudly like any unknown key.
   const fs::path root = fs::temp_directory_path() / "tgi_serve_spec_keys";
   fs::remove_all(root);
   fs::create_directories(root);

@@ -162,7 +162,7 @@ void expect_same_spec(const ClusterSpec& back, const ClusterSpec& want) {
 }
 
 TEST(SpecIo, GeneratedSpecsRoundTripBitForBit) {
-  // The engine hands a worker its cluster as this text, and the text is
+  // The worker handoff carries the cluster as this text, and the text is
   // part of every cache key: it must reproduce each double exactly,
   // extreme magnitudes and unit-scaled quantities included.
   util::Xoshiro256 rng(0xc1a55eedULL);

@@ -1,4 +1,4 @@
-// The seeded I/O fault shim (util/io_faults.h, DESIGN.md §15): spec
+// The seeded I/O fault shim (util/io_faults.h, DESIGN.md §11): spec
 // parsing, per-operation determinism, and the atomic-publish guarantee
 // under fault fuzz — a faulted atomic_write_file must never tear the
 // published file, whatever the seed draws.
@@ -119,7 +119,7 @@ class IoFaultPublishTest : public ::testing::Test {
 TEST_F(IoFaultPublishTest, FaultedPublishNeverTearsTheVisibleFile) {
   // Fault fuzz over many seeds: every injected kind (short write included)
   // must fail the STAGING write, leave the published bytes intact, and
-  // clean up the temp file — the §15 "a failed publish can never tear a
+  // clean up the temp file — the §11 "a failed publish can never tear a
   // visible artifact" contract.
   const std::string target = (root_ / "artifact.csv").string();
   const std::string good = "cores,tgi\n16,0.5\n48,0.4\n80,0.3\n";

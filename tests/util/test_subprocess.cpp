@@ -105,11 +105,5 @@ TEST(Subprocess, RedirectsStdoutStderrAndInjectsEnv) {
   fs::remove_all(root);
 }
 
-TEST(Subprocess, CurrentExecutableIsAnExistingFile) {
-  const std::string exe = current_executable();
-  ASSERT_FALSE(exe.empty());
-  EXPECT_TRUE(fs::exists(exe));
-}
-
 }  // namespace
 }  // namespace tgi::util

@@ -11,8 +11,8 @@
 #   2. sanitize: ASan+UBSan build + ctest with halt-on-first-report
 #      semantics (-fno-sanitize-recover=all);
 #   3. tsan: ThreadSanitizer build + ctest — the thread pool, the parallel
-#      sweep, the campaign engine and its worker processes run real
-#      concurrency, so data races are a class of bug this repo can have;
+#      sweep and the campaign engine's threads run real concurrency, so
+#      data races are a class of bug this repo can have;
 #   4. bench: the timing checks perfbench cannot see, run by name (a
 #      `[check] ... FAILED` line fails the exit code), then
 #      `perfbench/run.py --selftest`, which checks the benchmark of

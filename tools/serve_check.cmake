@@ -5,40 +5,19 @@
 #         -P serve_check.cmake
 #
 # Scenario:
-#   1. Cold campaign (workers=2, threads=2, traced) — the truth. Its
-#      stderr must report zero cache hits and zero worker failures.
-#   2. Warm reruns against the same cache at (workers=0, threads=1),
-#      (workers=1, threads=4), (workers=4, threads=8): stdout and the whole
-#      output tree (the same file list, every file's bytes) must match the
-#      cold run, and stderr must report computed=0 — a cache hit is a
-#      byte-identical no-op.
+#   1. Cold campaign (threads=2, traced) — the truth. Its stderr must
+#      report the expected hit and compute counts.
+#   2. Warm reruns against the same cache at threads=1, 4 and 8: stdout
+#      and the whole output tree (the same file list, every file's bytes)
+#      must match the cold run, stderr must report computed=0, and no shard
+#      may be written (each shard's mtime is pinned to a past time and
+#      checked after) — a cache hit is a byte-identical no-op.
 #   3. Corruption: bit-flip one cached record. The next run must
 #      quarantine it (WARN on stderr), recompute, and still match.
-#   4. Worker kill: against a fresh cache, TGI_SERVE_WORKER_DIE_AFTER
-#      SIGKILLs shard 0 after one journaled point. The engine must WARN,
-#      bank the partial journal, self-heal in-process, and still produce
-#      byte-identical artifacts.
-#   5. Worker hang: TGI_SERVE_WORKER_HANG_AFTER stops shard 0 journaling
-#      (SIGTERM ignored); the progress watchdog must escalate to SIGKILL,
-#      restart over the missing suffix, and stay byte-identical.
-#   6. Crash loop: TGI_SERVE_WORKER_IO_FAULTS at rate 1.0 on every
-#      attempt makes shard 0 a zero-progress crash loop; the supervisor
-#      must quarantine it after the restart budget and heal in-process —
-#      and the warm rerun over that healed cache must report computed=0.
-#   7. Garbage tail: TGI_SERVE_WORKER_GARBAGE_TAIL appends a torn record
-#      and exits 0; trust is journal-driven, so the clean exit still
-#      counts as a strike and the torn record is quarantined.
-#   Scenarios 4-7 each heal a fresh cache; a warm rerun over it must then
-#   report computed=0 and match the cold run. No warm rerun may write a
-#   shard: each shard's mtime is pinned to a past time and checked after.
-#   8. Two processes race on one fresh cache: each stages in its own
-#      scratch, so both exit 0 with the cold run's bytes.
-#   9. A workers=0 campaign SIGKILLed mid-entry banked its finished points:
-#      the rerun computes only the rest and matches the cold run.
-#
-# Every run passes stall_polls=2000 so a hung worker is detected in a few
-# seconds even under TSan; the knob never reaches stdout, so the byte
-# comparisons are unaffected.
+#   4. Two processes race on one fresh cache: each stages under its own
+#      temp names, so both exit 0 with the cold run's bytes.
+#   5. A campaign SIGKILLed mid-entry banked its finished points: the
+#      rerun computes only the rest and matches the cold run.
 if(NOT DEFINED TGI_SERVE OR NOT DEFINED OUT)
   message(FATAL_ERROR "usage: cmake -DTGI_SERVE=<exe> -DOUT=<dir> "
                       "[-DFAULTS=<spec>] -P serve_check.cmake")
@@ -63,19 +42,16 @@ file(WRITE "${OUT}/campaign.conf" "${campaign_text}")
 # Runs one campaign; captures stdout/stderr for the byte comparisons. The
 # report stream carries entry names, never paths, so no normalization is
 # needed — stdout must match byte for byte as-is.
-function(run_campaign outdir cache workers threads)
+function(run_campaign outdir cache threads)
   execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env ${ARGN}
-            ${TGI_SERVE} campaign=${OUT}/campaign.conf cache=${cache}
-            outdir=${outdir} workers=${workers} threads=${threads} trace=1
-            stall_polls=2000
+    COMMAND ${TGI_SERVE} campaign=${OUT}/campaign.conf cache=${cache}
+            outdir=${outdir} threads=${threads} trace=1
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR
-            "tgi_serve failed (workers=${workers}, threads=${threads}, "
-            "rc=${rc}): ${err}")
+            "tgi_serve failed (threads=${threads}, rc=${rc}): ${err}")
   endif()
   file(WRITE "${outdir}.stdout" "${out}")
   file(WRITE "${outdir}.stderr" "${err}")
@@ -83,8 +59,8 @@ endfunction()
 
 # Asserts outdir's stdout matches the cold campaign's, and its output tree
 # has the cold tree's file list with every file byte-identical.
-# provenance.json records this run's cache and supervision stats by design
-# and is the one exempt file.
+# provenance.json records this run's cache stats by design and is the one
+# exempt file.
 function(expect_matches_cold outdir)
   expect_identical("${OUT}/cold.stdout" "${outdir}.stdout")
   file(GLOB_RECURSE cold_files RELATIVE "${OUT}/cold" "${OUT}/cold/*")
@@ -103,33 +79,24 @@ function(expect_matches_cold outdir)
   endforeach()
 endfunction()
 
-# A warm rerun over `cache` recomputes nothing, writes no shard, and
-# matches the cold campaign.
-function(expect_warm_noop outdir cache workers threads)
-  pin_shard_mtimes("${cache}")
-  run_campaign("${outdir}" "${cache}" ${workers} ${threads})
-  expect_matches_cold("${outdir}")
-  expect_stderr_mentions("${outdir}" " computed=0")
-  expect_shards_unwritten("${cache}")
-endfunction()
-
 # 1. Cold campaign: all 5 sweep points and alpha's reference computed;
 # beta's identical reference machine is already a hit within the SAME cold
 # run — cross-entry dedup through the cache.
-run_campaign("${OUT}/cold" "${OUT}/cache" 2 2)
+run_campaign("${OUT}/cold" "${OUT}/cache" 2)
 expect_stderr_mentions("${OUT}/cold" "hits=1 computed=6")
-expect_stderr_mentions("${OUT}/cold" "worker_failures=0")
 if(NOT EXISTS "${OUT}/cold/provenance.json")
   message(FATAL_ERROR "cold campaign left no provenance.json")
 endif()
 
-# 2. Warm reruns: zero recomputation, byte-identical at every worker and
-# thread count, and not one shard rewritten.
-foreach(wt "0;1" "1;4" "4;8")
-  list(GET wt 0 workers)
-  list(GET wt 1 threads)
-  expect_warm_noop("${OUT}/warm_w${workers}_t${threads}" "${OUT}/cache"
-                   ${workers} ${threads})
+# 2. Warm reruns: zero recomputation, byte-identical at every thread
+# count, and not one shard rewritten.
+foreach(threads 1 4 8)
+  set(outdir "${OUT}/warm_t${threads}")
+  pin_shard_mtimes("${OUT}/cache")
+  run_campaign("${outdir}" "${OUT}/cache" ${threads})
+  expect_matches_cold("${outdir}")
+  expect_stderr_mentions("${outdir}" " computed=0")
+  expect_shards_unwritten("${OUT}/cache")
 endforeach()
 
 # 3. Corruption: flip a byte inside the last record of one cache shard;
@@ -146,52 +113,11 @@ math(EXPR split "${last_rec} + 1")
 string(SUBSTRING "${shard_text}" 0 ${split} prefix)
 string(SUBSTRING "${shard_text}" ${split} -1 last_line)
 file(WRITE "${shard}" "${prefix}x${last_line}")
-run_campaign("${OUT}/healed" "${OUT}/cache" 2 2)
+run_campaign("${OUT}/healed" "${OUT}/cache" 2)
 expect_matches_cold("${OUT}/healed")
 expect_stderr_mentions("${OUT}/healed" "cache: quarantined entry")
 
-# 4. Worker kill: fresh cache; shard 0 of each entry dies after one
-# journaled point. The engine banks the partial journals, recomputes the
-# rest in-process, and the artifacts still match.
-run_campaign("${OUT}/killed" "${OUT}/cache_killed" 2 2
-             "TGI_SERVE_WORKER_DIE_AFTER=0:1")
-expect_matches_cold("${OUT}/killed")
-expect_stderr_mentions("${OUT}/killed" "died (signal 9")
-expect_stderr_mentions("${OUT}/killed" "merging its partial journal")
-expect_warm_noop("${OUT}/killed_warm" "${OUT}/cache_killed" 0 1)
-
-# 5. Worker hang: shard 0 stops journaling after one point and ignores
-# SIGTERM; the progress watchdog must escalate to SIGKILL and the restart
-# recomputes only the missing suffix.
-run_campaign("${OUT}/hung" "${OUT}/cache_hung" 2 2
-             "TGI_SERVE_WORKER_HANG_AFTER=0:1")
-expect_matches_cold("${OUT}/hung")
-expect_stderr_mentions("${OUT}/hung" "hung (no journal growth")
-expect_stderr_mentions("${OUT}/hung" "SIGTERM escalated to SIGKILL")
-expect_stderr_mentions("${OUT}/hung" "restarting (attempt 2")
-expect_warm_noop("${OUT}/hung_warm" "${OUT}/cache_hung" 0 1)
-
-# 6. Crash loop: every attempt's journal write faults (attempts=99 covers
-# the whole restart budget), so shard 0 makes zero progress, is
-# quarantined, and its points fall back to in-process compute.
-run_campaign("${OUT}/looped" "${OUT}/cache_looped" 2 2
-             "TGI_SERVE_WORKER_IO_FAULTS=0:1.0:99")
-expect_matches_cold("${OUT}/looped")
-expect_stderr_mentions("${OUT}/looped" "quarantined after")
-expect_stderr_mentions("${OUT}/looped" "fall back to in-process compute")
-expect_warm_noop("${OUT}/looped_warm" "${OUT}/cache_looped" 0 1)
-
-# 7. Garbage tail: shard 0 appends a torn record and exits 0. Trust is
-# journal-driven — the clean exit with an incomplete journal is a strike,
-# and the torn record is quarantined rather than merged.
-run_campaign("${OUT}/garbage" "${OUT}/cache_garbage" 2 2
-             "TGI_SERVE_WORKER_GARBAGE_TAIL=0:1")
-expect_matches_cold("${OUT}/garbage")
-expect_stderr_mentions("${OUT}/garbage" "quarantined worker record")
-expect_stderr_mentions("${OUT}/garbage" "clean exit but")
-expect_warm_noop("${OUT}/garbage_warm" "${OUT}/cache_garbage" 0 1)
-
-# 8. Two processes race on one fresh cache. execute_process can only pipe
+# 4. Two processes race on one fresh cache. execute_process can only pipe
 # children into each other, so a POSIX shell starts both and waits for
 # each.
 execute_process(
@@ -203,7 +129,7 @@ execute_process(
     second=$?
     wait "$first" && [ "$second" -eq 0 ]
   ]] sh "${OUT}" ${TGI_SERVE} campaign=${OUT}/campaign.conf
-     cache=${OUT}/cache_race workers=0 threads=2 trace=1 stall_polls=2000
+     cache=${OUT}/cache_race threads=2 trace=1
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "racing campaigns on one cache failed (rc=${rc})")
@@ -212,17 +138,18 @@ foreach(r race1 race2)
   expect_matches_cold("${OUT}/${r}")
 endforeach()
 
-# 9. An attempt the campaign outran (it finished, or alpha's shard held
-# all 3 points before the kill) is retried.
+# 5. A campaign SIGKILLed after its first banked record resumes computing
+# only the missing points. An attempt the campaign outran (it finished, or
+# alpha's shard held all 3 points before the kill) is retried.
 file(READ "${OUT}/cold/provenance.json" provenance)
 string(JSON alpha_spec GET "${provenance}" entries 0 spec)
-set(cache "${OUT}/cache_inproc")
+set(cache "${OUT}/cache_killed")
 set(shard "${cache}/${alpha_spec}.tgij")
 foreach(attempt RANGE 1 10)
   file(REMOVE_RECURSE "${cache}")
   kill_after_first_record(rc "${shard}" ${TGI_SERVE}
-    campaign=${OUT}/campaign.conf cache=${cache} outdir=${OUT}/inproc_killed
-    workers=0 threads=1 trace=1 stall_polls=2000)
+    campaign=${OUT}/campaign.conf cache=${cache} outdir=${OUT}/killed
+    threads=1 trace=1)
   set(banked 0)
   if(EXISTS "${shard}")
     # Complete point lines only: a record torn by the kill has no newline.
@@ -241,9 +168,9 @@ endif()
 # Cold: 5 sweep points + alpha's reference computed, beta's reference a hit.
 math(EXPR computed "6 - ${banked}")
 math(EXPR hits "1 + ${banked}")
-run_campaign("${OUT}/inproc_resumed" "${cache}" 0 1)
-expect_matches_cold("${OUT}/inproc_resumed")
-expect_stderr_mentions("${OUT}/inproc_resumed"
+run_campaign("${OUT}/resumed" "${cache}" 1)
+expect_matches_cold("${OUT}/resumed")
+expect_stderr_mentions("${OUT}/resumed"
                        " hits=${hits} computed=${computed} ")
 
 message(STATUS "campaign cache-hit determinism OK (${OUT})")

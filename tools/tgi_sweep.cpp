@@ -158,7 +158,7 @@ int run(int argc, const char* const* argv) {
   serve::write_provenance(
       outdir, stats,
       {{spec.name, serve::spec_hash(spec), reference_hash, stats.points,
-        stats.cache_hits, stats.computed, {}}});
+        stats.cache_hits, stats.computed}});
   std::cerr << "tgi_sweep: " << stats.summary() << "\n";
   if (spec.faulted()) {
     std::cout << "wrote " << outdir
