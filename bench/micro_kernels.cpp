@@ -9,19 +9,17 @@
 //                     (kAccumulators independent chains, same bytes every
 //                     build). The STREAM validation scan runs this shape.
 //   * gups_verify   — the historical compare-and-break table scan vs the
-//                     branchless OR-accumulated scan run_gups() now uses.
-//   * stream_triad  — the plain std::vector triad loop vs the aligned
-//                     restrict Lane loop inside run_stream()'s workers.
+//                     branchless OR-accumulated scan run_gups() uses on
+//                     its aligned table.
 //
-// The speedups here are the evidence for the §14 pass — they come from
-// single-thread ILP/vectorization, so they hold on one core. The
-// `[check] at least one lane speeds up >= 1.5x` line fails the exit code
-// when they do not; tools/ci.sh runs this bench.
+// These are the two lanes a measurement keeps (DESIGN.md §14). Their
+// speedups come from single-thread ILP/vectorization, so they hold on one
+// core. The `[check] at least one lane speeds up >= 1.5x` line fails the
+// exit code when they do not; tools/ci.sh runs this bench.
 #include "bench_common.h"
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 #include "util/rng.h"
 #include "util/simd.h"
@@ -65,21 +63,6 @@ __attribute__((noinline)) bool verify_branchless(const std::uint64_t* t,
   return deviation == 0;
 }
 
-__attribute__((noinline)) void triad_plain(const double* b, const double* c,
-                                           double* a, std::size_t n,
-                                           double scalar) {
-  for (std::size_t i = 0; i < n; ++i) a[i] = b[i] + scalar * c[i];
-}
-
-__attribute__((noinline)) void triad_lane(const double* b, const double* c,
-                                          double* a, std::size_t n,
-                                          double scalar) {
-  const double* TGI_SIMD_RESTRICT vb = simd::assume_aligned(b);
-  const double* TGI_SIMD_RESTRICT vc = simd::assume_aligned(c);
-  double* TGI_SIMD_RESTRICT va = simd::assume_aligned(a);
-  for (std::size_t i = 0; i < n; ++i) va[i] = vb[i] + scalar * vc[i];
-}
-
 struct LaneResult {
   std::string lane;
   std::size_t elements = 0;
@@ -103,9 +86,6 @@ int main(int argc, char** argv) {
     const auto table_n = std::uint64_t{1}
                          << static_cast<unsigned>(
                                 e.config.get_int("table_log2", 17));
-    const auto triad_n = std::size_t{1}
-                         << static_cast<unsigned>(
-                                e.config.get_int("triad_log2", 15));
     const auto repeats =
         static_cast<std::size_t>(e.config.get_int("repeats", 16));
     const auto trials =
@@ -166,27 +146,6 @@ int main(int argc, char** argv) {
     lanes.push_back({"gups_verify", static_cast<std::size_t>(table_n),
                      t_early, t_branchless});
 
-    // --- stream_triad: plain vectors vs aligned restrict lanes -----------
-    std::vector<double> pa(triad_n, 0.0), pb(triad_n, 2.0), pc(triad_n, 0.5);
-    simd::Lane<double> la = simd::make_lane<double>(triad_n, 0.0);
-    simd::Lane<double> lb = simd::make_lane<double>(triad_n, 2.0);
-    simd::Lane<double> lc = simd::make_lane<double>(triad_n, 0.5);
-    const double t_plain = best_seconds(trials, [&pa, &pb, &pc, triad_n,
-                                                 repeats] {
-      for (std::size_t r = 0; r < repeats; ++r) {
-        triad_plain(pb.data(), pc.data(), pa.data(), triad_n, 3.0);
-        keep(pa[0]);
-      }
-    });
-    const double t_aligned = best_seconds(trials, [&la, &lb, &lc, triad_n,
-                                                   repeats] {
-      for (std::size_t r = 0; r < repeats; ++r) {
-        triad_lane(lb.data(), lc.data(), la.data(), triad_n, 3.0);
-        keep(la[0]);
-      }
-    });
-    lanes.push_back({"stream_triad", triad_n, t_plain, t_aligned});
-
     util::TextTable tbl({"lane", "elements", "before (ms)", "after (ms)",
                          "speedup"});
     double best_speedup = 0.0;
@@ -203,18 +162,14 @@ int main(int argc, char** argv) {
 
     // Correctness of the rewritten lanes against their predecessors. The
     // tree reduction *reorders* the fold, so the two sums agree to a
-    // rounding tolerance, not bitwise; the triad lanes run the identical
-    // per-element expression and must match exactly.
+    // rounding tolerance, not bitwise.
     bench::print_check(
         "fixed-shape tree agrees with the serial fold",
         std::fabs(tree_value - fold_value) <=
             1e-9 * std::max(1.0, std::fabs(fold_value)));
     bench::print_check("branchless verify agrees with early-exit verify",
                        early_ok && branchless_ok);
-    bench::print_check("aligned triad lane matches the plain loop bitwise",
-                       std::memcmp(pa.data(), la.data(),
-                                   triad_n * sizeof(double)) == 0);
     bench::print_check("at least one lane speeds up >= 1.5x",
                        best_speedup >= 1.5);
-  }, {"reduce_log2", "table_log2", "triad_log2", "repeats", "trials"});
+  }, {"reduce_log2", "table_log2", "repeats", "trials"});
 }

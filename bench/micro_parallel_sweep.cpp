@@ -28,29 +28,32 @@ int main(int argc, char** argv) {
     if (threads == 0) threads = util::ThreadPool::default_thread_count();
 
     const harness::MeterFactory factory = serve::spec_meter_factory(e.spec);
+    // Each path is timed as the best of kTrials runs after a warm-up run:
+    // one run of a few milliseconds is at the mercy of one scheduler
+    // hiccup on a shared host.
+    constexpr std::size_t kTrials = 5;
     // Legacy serial path: one runner, one meter shared across all points.
-    const double t0 = bench::now_seconds();
     std::vector<harness::SuitePoint> serial;
-    {
+    const double t_serial = bench::best_seconds(kTrials, [&] {
       const std::unique_ptr<power::PowerMeter> meter = factory(0);
       harness::SuiteRunner runner(e.spec.cluster, *meter);
       serial = runner.sweep(grid);
-    }
-    const double t_serial = bench::now_seconds() - t0;
+    });
 
     harness::ParallelSweepConfig one;
     one.threads = 1;
-    const double t1 = bench::now_seconds();
-    const auto points_1 =
-        harness::ParallelSweep(e.spec.cluster, factory, one).run(grid);
-    const double t_one = bench::now_seconds() - t1;
+    std::vector<harness::SuitePoint> points_1;
+    const double t_one = bench::best_seconds(kTrials, [&] {
+      points_1 = harness::ParallelSweep(e.spec.cluster, factory, one).run(grid);
+    });
 
     harness::ParallelSweepConfig many;
     many.threads = threads;
-    const double t2 = bench::now_seconds();
-    const auto points_n =
-        harness::ParallelSweep(e.spec.cluster, factory, many).run(grid);
-    const double t_many = bench::now_seconds() - t2;
+    std::vector<harness::SuitePoint> points_n;
+    const double t_many = bench::best_seconds(kTrials, [&] {
+      points_n =
+          harness::ParallelSweep(e.spec.cluster, factory, many).run(grid);
+    });
 
     util::TextTable table({"path", "threads", "wall (s)", "points/s"});
     auto rate = [&](double secs) {

@@ -30,34 +30,6 @@ void require_rate(double rate, const char* what) {
 
 }  // namespace
 
-const char* meter_fault_name(MeterFaultKind kind) {
-  switch (kind) {
-    case MeterFaultKind::kNone:
-      return "none";
-    case MeterFaultKind::kDropoutBurst:
-      return "dropout-burst";
-    case MeterFaultKind::kStuckAt:
-      return "stuck-at";
-    case MeterFaultKind::kGainSpike:
-      return "gain-spike";
-  }
-  return "?";
-}
-
-const char* run_fault_name(RunFaultKind kind) {
-  switch (kind) {
-    case RunFaultKind::kNone:
-      return "none";
-    case RunFaultKind::kBenchmarkFailure:
-      return "benchmark-failure";
-    case RunFaultKind::kTimeout:
-      return "timeout";
-    case RunFaultKind::kTruncatedTrace:
-      return "truncated-trace";
-  }
-  return "?";
-}
-
 bool FaultSpec::enabled() const {
   return dropout_burst_rate > 0.0 || stuck_rate > 0.0 || spike_rate > 0.0 ||
          failure_rate > 0.0 || timeout_rate > 0.0 || truncation_rate > 0.0;

@@ -40,9 +40,6 @@ enum class RunFaultKind {
   kTruncatedTrace,    ///< the run finishes but the power log stops early
 };
 
-[[nodiscard]] const char* meter_fault_name(MeterFaultKind kind);
-[[nodiscard]] const char* run_fault_name(RunFaultKind kind);
-
 /// Fault rates and shape parameters. Rates are probabilities per
 /// measurement (meter faults) or per run attempt (run faults); the three
 /// rates in each group must sum to <= 1.

@@ -70,14 +70,12 @@ StreamResult run_stream(const StreamConfig& config) {
 
   const std::size_t n = config.array_elements;
   const int threads = config.threads;
-  // Aligned, lane-padded arrays (DESIGN.md §14): the kernels compute over
-  // [0, n) and never touch the padding.
-  util::simd::Lane<double> a = util::simd::make_lane<double>(n, 1.0);
-  util::simd::Lane<double> b = util::simd::make_lane<double>(n, 2.0);
-  util::simd::Lane<double> c = util::simd::make_lane<double>(n, 0.0);
-  double* const pa = util::simd::assume_aligned(a.data());
-  double* const pb = util::simd::assume_aligned(b.data());
-  double* const pc = util::simd::assume_aligned(c.data());
+  std::vector<double> a(n, 1.0);
+  std::vector<double> b(n, 2.0);
+  std::vector<double> c(n, 0.0);
+  double* const pa = a.data();
+  double* const pb = b.data();
+  double* const pc = c.data();
 
   // One timing per (kernel, iteration); workers sync on a barrier and
   // thread 0 reads the clock at the sync points.
@@ -97,12 +95,6 @@ StreamResult run_stream(const StreamConfig& config) {
     for (int t = 0; t < threads; ++t) {
       pool.submit([pa, pb, pc, &sync, &times, n, scalar, t, threads,
                    iterations = config.iterations] {
-        // The three arrays are distinct allocations, so the worker-local
-        // restrict views are exact — gcc drops the overlap-check versions
-        // it would otherwise guard the vectorized kernels with.
-        double* TGI_SIMD_RESTRICT va = pa;
-        double* TGI_SIMD_RESTRICT vb = pb;
-        double* TGI_SIMD_RESTRICT vc = pc;
         const Slice s = slice_for(n, t, threads);
         for (int it = 0; it < iterations; ++it) {
           const auto iu = static_cast<std::size_t>(it);
@@ -111,21 +103,21 @@ StreamResult run_stream(const StreamConfig& config) {
           sync.arrive_and_wait();
           if (t == 0) t0 = now_seconds();
           sync.arrive_and_wait();
-          for (std::size_t i = s.begin; i < s.end; ++i) vc[i] = va[i];
+          for (std::size_t i = s.begin; i < s.end; ++i) pc[i] = pa[i];
           sync.arrive_and_wait();
           if (t == 0) times[0][iu] = now_seconds() - t0;
 
           sync.arrive_and_wait();
           if (t == 0) t0 = now_seconds();
           sync.arrive_and_wait();
-          for (std::size_t i = s.begin; i < s.end; ++i) vb[i] = scalar * vc[i];
+          for (std::size_t i = s.begin; i < s.end; ++i) pb[i] = scalar * pc[i];
           sync.arrive_and_wait();
           if (t == 0) times[1][iu] = now_seconds() - t0;
 
           sync.arrive_and_wait();
           if (t == 0) t0 = now_seconds();
           sync.arrive_and_wait();
-          for (std::size_t i = s.begin; i < s.end; ++i) vc[i] = va[i] + vb[i];
+          for (std::size_t i = s.begin; i < s.end; ++i) pc[i] = pa[i] + pb[i];
           sync.arrive_and_wait();
           if (t == 0) times[2][iu] = now_seconds() - t0;
 
@@ -133,7 +125,7 @@ StreamResult run_stream(const StreamConfig& config) {
           if (t == 0) t0 = now_seconds();
           sync.arrive_and_wait();
           for (std::size_t i = s.begin; i < s.end; ++i) {
-            va[i] = vb[i] + scalar * vc[i];
+            pa[i] = pb[i] + scalar * pc[i];
           }
           sync.arrive_and_wait();
           if (t == 0) times[3][iu] = now_seconds() - t0;
@@ -169,8 +161,7 @@ StreamResult run_stream(const StreamConfig& config) {
   // |a| >> |b| and exactly zero (wrongly tight) when a's closed form
   // vanishes, e.g. scalar = -2 after one iteration.
   const StreamExpected expect = stream_closed_form(scalar, config.iterations);
-  auto average_error = [n](const double* base, double expected) {
-    const double* TGI_SIMD_RESTRICT p = util::simd::assume_aligned(base);
+  auto average_error = [n](const double* p, double expected) {
     return util::simd::tree_transform_sum<double>(
                n,
                [p, expected](std::size_t i) {

@@ -3,10 +3,9 @@
 //
 // Byte accounting follows the original: Copy/Scale move 2 words per
 // iteration, Add/Triad move 3 — where a word is one 8-byte double, the
-// element type of the aligned STREAM lanes (DESIGN.md §14). The paper
-// uses Triad ("multiply and accumulate is the most
-// commonly used computation in scientific computing") — run_stream
-// reports all four, and the suite consumes Triad.
+// element type of the STREAM arrays. The paper uses Triad ("multiply and
+// accumulate is the most commonly used computation in scientific
+// computing") — run_stream reports all four, and the suite consumes Triad.
 #pragma once
 
 #include <cstddef>

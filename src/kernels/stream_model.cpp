@@ -10,7 +10,7 @@ namespace {
 // (8-byte words; Triad reads b and c and writes a = 24 bytes/element),
 // spelled out here rather than borrowed from kernels/stream.h's native
 // byte constants, so the simulated workload the goldens pin never follows
-// the native lanes.
+// the native kernel.
 constexpr double kModelWordBytes = 8.0;
 constexpr double kModelTriadBytesPerElement = 3.0 * kModelWordBytes;
 

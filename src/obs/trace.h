@@ -59,7 +59,6 @@ class PointRecorder {
 
   [[nodiscard]] std::size_t point_index() const { return point_index_; }
   [[nodiscard]] const std::string& label() const { return label_; }
-  void set_label(std::string label) { label_ = std::move(label); }
 
   /// Current simulated time on this point's timeline.
   [[nodiscard]] util::Seconds now() const { return now_; }

@@ -5,7 +5,6 @@
 
 #include "net/collectives.h"
 #include "util/error.h"
-#include "util/simd.h"
 
 namespace tgi::sim {
 
@@ -88,99 +87,15 @@ util::Seconds ExecutionSimulator::comm_time(const Phase& phase) const {
   return total;
 }
 
-void ExecutionSimulator::price_roofline(std::span<const Phase> phases,
-                                        double* compute_seconds,
-                                        double* memory_seconds,
-                                        double* io_seconds) const {
-  const std::size_t count = phases.size();
-
-  // Serial gather into aligned SoA lanes (DESIGN.md §14). Validation and
-  // the shared-storage contention model (a per-client-count closed form,
-  // SharedStorageSpec::aggregate_bandwidth) stay in the gather; the
-  // pricing arithmetic below runs over flat restrict lanes.
-  util::simd::Lane<double> flops = util::simd::make_lane<double>(count);
-  util::simd::Lane<double> mem_bytes = util::simd::make_lane<double>(count);
-  util::simd::Lane<double> io_aggregate = util::simd::make_lane<double>(count);
-  util::simd::Lane<double> core_fraction =
-      util::simd::make_lane<double>(count);
-  util::simd::Lane<double> cores = util::simd::make_lane<double>(count);
-  util::simd::Lane<double> random_scale = util::simd::make_lane<double>(count);
-  util::simd::Lane<double> storage_bw = util::simd::make_lane<double>(count);
-  const double total_cores =
-      static_cast<double>(cluster_.node.total_cores());
-  for (std::size_t i = 0; i < count; ++i) {
-    const Phase& phase = phases[i];
-    TGI_REQUIRE(phase.active_nodes >= 1 &&
-                    phase.active_nodes <= cluster_.nodes,
-                "phase '" << phase.label << "' uses " << phase.active_nodes
-                          << " nodes; cluster has " << cluster_.nodes);
-    TGI_REQUIRE(phase.cores_per_node >= 1 &&
-                    phase.cores_per_node <= cluster_.node.total_cores(),
-                "phase '" << phase.label << "' uses " << phase.cores_per_node
-                          << " cores/node; node has "
-                          << cluster_.node.total_cores());
-    flops[i] = phase.flops_per_node.value();
-    mem_bytes[i] = phase.memory_bytes_per_node.value();
-    io_aggregate[i] = (phase.io_bytes_per_node *
-                       static_cast<double>(phase.active_nodes))
-                          .value();
-    core_fraction[i] =
-        static_cast<double>(phase.cores_per_node) / total_cores;
-    cores[i] = static_cast<double>(phase.cores_per_node);
-    // Multiplying delivered bandwidth by exactly 1.0 is a bitwise no-op
-    // (IEEE-754), so the random-access derating folds in branch-free.
-    random_scale[i] =
-        phase.memory_random ? tuning_.random_access_efficiency : 1.0;
-    storage_bw[i] =
-        cluster_.storage.aggregate_bandwidth(phase.active_nodes).value();
-  }
-
-  // The lane loop: per element, the exact FP expression sequence the
-  // scalar pricer used — no branches (a zero numerator prices to +0.0
-  // seconds, the same bits the skipped term produced), no reductions, so
-  // vector code cannot reorder anything.
-  const double peak = cluster_.node.peak_flops().value();
-  const double nominal_ghz = cluster_.node.cpu.ghz;
-  const double clock_ghz =
-      tuning_.cpu_clock_ghz > 0.0 ? tuning_.cpu_clock_ghz : nominal_ghz;
-  const double clock_ratio = clock_ghz / nominal_ghz;
-  const double compute_eff = tuning_.compute_efficiency;
-  const double node_bw = cluster_.node.memory_bandwidth.value();
-  const double memory_eff = tuning_.memory_efficiency;
-  const double half_cores = tuning_.bandwidth_half_cores;
-  const double* TGI_SIMD_RESTRICT pf =
-      util::simd::assume_aligned(flops.data());
-  const double* TGI_SIMD_RESTRICT pm =
-      util::simd::assume_aligned(mem_bytes.data());
-  const double* TGI_SIMD_RESTRICT pio =
-      util::simd::assume_aligned(io_aggregate.data());
-  const double* TGI_SIMD_RESTRICT pcf =
-      util::simd::assume_aligned(core_fraction.data());
-  const double* TGI_SIMD_RESTRICT pc =
-      util::simd::assume_aligned(cores.data());
-  const double* TGI_SIMD_RESTRICT prs =
-      util::simd::assume_aligned(random_scale.data());
-  const double* TGI_SIMD_RESTRICT psb =
-      util::simd::assume_aligned(storage_bw.data());
-  double* TGI_SIMD_RESTRICT out_compute = compute_seconds;
-  double* TGI_SIMD_RESTRICT out_memory = memory_seconds;
-  double* TGI_SIMD_RESTRICT out_io = io_seconds;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double attainable =
-        peak * (pcf[i] * compute_eff * clock_ratio);
-    out_compute[i] = pf[i] / attainable;
-    const double c = pc[i];
-    const double saturation = c / (c + half_cores);
-    const double delivered = (node_bw * (memory_eff * saturation)) * prs[i];
-    out_memory[i] = pm[i] / delivered;
-    out_io[i] = pio[i] / psb[i];
-  }
-}
-
-PhaseBreakdown ExecutionSimulator::assemble_phase(const Phase& phase,
-                                                  util::Seconds compute,
-                                                  util::Seconds memory,
-                                                  util::Seconds io) const {
+PhaseBreakdown ExecutionSimulator::price_phase(const Phase& phase) const {
+  TGI_REQUIRE(phase.active_nodes >= 1 && phase.active_nodes <= cluster_.nodes,
+              "phase '" << phase.label << "' uses " << phase.active_nodes
+                        << " nodes; cluster has " << cluster_.nodes);
+  TGI_REQUIRE(phase.cores_per_node >= 1 &&
+                  phase.cores_per_node <= cluster_.node.total_cores(),
+              "phase '" << phase.label << "' uses " << phase.cores_per_node
+                        << " cores/node; node has "
+                        << cluster_.node.total_cores());
   PhaseBreakdown out;
   out.label = phase.label;
   out.active_nodes = phase.active_nodes;
@@ -192,9 +107,16 @@ PhaseBreakdown ExecutionSimulator::assemble_phase(const Phase& phase,
   const double clock_ghz =
       tuning_.cpu_clock_ghz > 0.0 ? tuning_.cpu_clock_ghz : nominal_ghz;
 
-  out.compute = compute;
-  out.memory = memory;
-  out.io = io;
+  // Roofline terms; a zero numerator prices to +0.0 seconds.
+  const double clock_ratio = clock_ghz / nominal_ghz;
+  out.compute = phase.flops_per_node /
+                (cluster_.node.peak_flops() *
+                 (core_fraction * tuning_.compute_efficiency * clock_ratio));
+  util::ByteRate delivered = delivered_memory_bandwidth(phase.cores_per_node);
+  if (phase.memory_random) delivered *= tuning_.random_access_efficiency;
+  out.memory = phase.memory_bytes_per_node / delivered;
+  out.io = (phase.io_bytes_per_node * static_cast<double>(phase.active_nodes)) /
+           cluster_.storage.aggregate_bandwidth(phase.active_nodes);
   out.comm = comm_time(phase);
 
   TGI_REQUIRE(phase.comm_overlap >= 0.0 && phase.comm_overlap <= 1.0,
@@ -234,26 +156,14 @@ PhaseBreakdown ExecutionSimulator::assemble_phase(const Phase& phase,
 SimulatedRun ExecutionSimulator::run(const Workload& workload) const {
   TGI_REQUIRE(!workload.phases.empty(),
               "workload '" << workload.benchmark << "' has no phases");
-  const std::size_t count = workload.phases.size();
-  // Roofline terms for every phase in one lane pass; assembly below —
-  // comm, BSP duration, utilizations, and the elapsed fold — stays a
-  // serial loop in phase order, exactly as before.
-  util::simd::Lane<double> compute_t = util::simd::make_lane<double>(count);
-  util::simd::Lane<double> memory_t = util::simd::make_lane<double>(count);
-  util::simd::Lane<double> io_t = util::simd::make_lane<double>(count);
-  price_roofline(std::span<const Phase>(workload.phases.data(), count),
-                 compute_t.data(), memory_t.data(), io_t.data());
-
   std::vector<PhaseBreakdown> breakdowns;
-  breakdowns.reserve(count);
+  breakdowns.reserve(workload.phases.size());
   std::vector<power::UtilizationSegment> segments;
-  segments.reserve(count);
+  segments.reserve(workload.phases.size());
   util::Seconds elapsed{0.0};
   std::size_t max_active = 1;
-  for (std::size_t i = 0; i < count; ++i) {
-    PhaseBreakdown pb = assemble_phase(
-        workload.phases[i], util::seconds(compute_t[i]),
-        util::seconds(memory_t[i]), util::seconds(io_t[i]));
+  for (const Phase& phase : workload.phases) {
+    PhaseBreakdown pb = price_phase(phase);
     elapsed += pb.duration;
     max_active = std::max(max_active, pb.active_nodes);
     segments.push_back({pb.duration, pb.utilization, pb.active_nodes});

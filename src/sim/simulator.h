@@ -12,7 +12,6 @@
 // of the phase duration.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "power/timeline.h"
@@ -83,20 +82,9 @@ class ExecutionSimulator {
   [[nodiscard]] const SimTuning& tuning() const { return tuning_; }
 
  private:
-  /// Validates `phases` and prices the three roofline terms for all of
-  /// them at once on aligned SoA lanes (util/simd.h, DESIGN.md §14); the
-  /// outputs are seconds, element i in → element i out. The lane loop is
-  /// branch-free and reduction-free, so vectorizing it cannot reorder any
-  /// FP operation a phase observes — every duration is bit-identical to
-  /// the phase-at-a-time scalar evaluation.
-  void price_roofline(std::span<const Phase> phases, double* compute_seconds,
-                      double* memory_seconds, double* io_seconds) const;
-  /// Comm pricing, BSP duration, and power-model utilization for one
-  /// phase, from its pre-priced roofline terms.
-  [[nodiscard]] PhaseBreakdown assemble_phase(const Phase& phase,
-                                              util::Seconds compute,
-                                              util::Seconds memory,
-                                              util::Seconds io) const;
+  /// Validates `phase` against the machine and prices it: roofline
+  /// terms, comm, BSP duration, and power-model utilizations.
+  [[nodiscard]] PhaseBreakdown price_phase(const Phase& phase) const;
   [[nodiscard]] util::Seconds comm_time(const Phase& phase) const;
 
   ClusterSpec cluster_;

@@ -77,58 +77,4 @@ double percentile(std::span<const double> xs, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double OnlineStats::mean() const {
-  TGI_REQUIRE(n_ > 0, "mean of empty accumulator");
-  return mean_;
-}
-
-double OnlineStats::min() const {
-  TGI_REQUIRE(n_ > 0, "min of empty accumulator");
-  return min_;
-}
-
-double OnlineStats::max() const {
-  TGI_REQUIRE(n_ > 0, "max of empty accumulator");
-  return max_;
-}
-
-double OnlineStats::variance_sample() const {
-  TGI_REQUIRE(n_ >= 2, "sample variance needs >= 2 points");
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev_sample() const {
-  return std::sqrt(variance_sample());
-}
-
 }  // namespace tgi::stats

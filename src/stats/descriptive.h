@@ -37,31 +37,4 @@ namespace tgi::stats {
 /// Linear-interpolated percentile, q in [0, 1]. Precondition: non-empty.
 [[nodiscard]] double percentile(std::span<const double> xs, double q);
 
-/// Streaming mean/variance accumulator (Welford). Numerically stable for
-/// long power traces; mergeable so per-thread accumulators can combine.
-class OnlineStats {
- public:
-  /// Folds one observation in.
-  void add(double x);
-
-  /// Merges another accumulator (parallel reduction step).
-  void merge(const OnlineStats& other);
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  /// Precondition for mean/min/max: count() > 0.
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  /// Precondition: count() >= 2.
-  [[nodiscard]] double variance_sample() const;
-  [[nodiscard]] double stddev_sample() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace tgi::stats

@@ -73,21 +73,6 @@ std::string format(ByteRate r, int precision) {
   return si_format(r.value(), "B/s", precision);
 }
 
-std::string with_commas(long long v) {
-  const bool neg = v < 0;
-  std::string digits = std::to_string(neg ? -v : v);
-  std::string out;
-  out.reserve(digits.size() + digits.size() / 3 + 1);
-  int count = 0;
-  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
-    if (count != 0 && count % 3 == 0) out.push_back(',');
-    out.push_back(*it);
-    ++count;
-  }
-  if (neg) out.push_back('-');
-  return std::string(out.rbegin(), out.rend());
-}
-
 std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());

@@ -34,9 +34,6 @@ std::string format(Seconds t, int precision = 2);
 std::string format(FlopRate r, int precision = 2);
 std::string format(ByteRate r, int precision = 2);
 
-/// Groups thousands in an integer, e.g. 1234567 -> "1,234,567".
-std::string with_commas(long long v);
-
 /// Escapes a string for inclusion inside a JSON string literal: quotes,
 /// backslashes and control characters; everything else passes through.
 /// The one escaper behind every JSON file the project writes.

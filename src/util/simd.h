@@ -1,11 +1,10 @@
 // SIMD / precision substrate for the kernel lanes (DESIGN.md §14).
 //
-// The native kernels (kernels/stream, kernels/gups) and the simulator's
-// roofline/contention inner loops burn the real cycles behind every sweep
-// point; the campaign engine multiplies that cost across hundreds of
-// cache-miss points per run. This header is the one sanctioned home for
-// the raw-speed machinery those loops share, in the H2Pack aligned-lane
-// idiom:
+// Two native kernel loops keep a lane because bench/micro_kernels measures
+// it paying: the STREAM validation scan reduces through
+// `tree_transform_sum`, and GUPS keeps its table on an aligned Lane for
+// its branchless verify. This header is the one sanctioned home for that
+// machinery, in the H2Pack aligned-lane idiom:
 //
 //   * Aligned allocation. `AlignedAllocator<T>` / `Lane<T>` guarantee
 //     every lane's base address is aligned to `kAlignment` (64 bytes: one
@@ -16,15 +15,11 @@
 //     vectorized loop may always read a whole final vector. Padding
 //     elements are value-initialized and must never be *written* by
 //     kernels (results are defined over [0, n)).
-//   * Fixed-shape reductions. Vectorizing an FP reduction reorders it;
-//     a serial left fold forbids vectorization. `tree_sum` /
-//     `tree_transform_sum` pin one explicit reduction shape —
-//     `kAccumulators` interleaved partials combined by a fixed pairwise
-//     tree — that is byte-identical whether the compiler emits scalar or
-//     vector code, and `tree_sum(x, threads)` decomposes by *data size only*
-//     (fixed `kReduceBlock` blocks, partials combined in block order), so
-//     the result is byte-identical at every thread count, the same way
-//     src/obs pins its index-order merges.
+//   * A fixed-shape reduction. Vectorizing an FP reduction reorders it;
+//     a serial left fold forbids vectorization. `tree_transform_sum` pins
+//     one explicit reduction shape — `kAccumulators` interleaved partials
+//     combined by a fixed pairwise tree — that is byte-identical whether
+//     the compiler emits scalar or vector code.
 //
 // Raw aligned allocation (std::aligned_alloc, posix_memalign, _mm_malloc,
 // operator new(std::align_val_t)) anywhere else in src/ or tools/ is a
@@ -32,13 +27,9 @@
 // and the alignment guarantee live here, once.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <new>
-#include <span>
 #include <vector>
-
-#include "util/thread_pool.h"
 
 // GNU-dialect restrict qualifier: the kernel lanes alias nothing, and
 // telling the compiler so removes the runtime overlap checks gcc would
@@ -117,9 +108,9 @@ template <typename T>
 /// Partial accumulators in the fixed reduction shape. Element i feeds
 /// partial i % kAccumulators; the partials are combined by the fixed
 /// pairwise tree ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)). The shape is a
-/// compile-time constant — never derived from thread count, vector width,
-/// or data size — so the reduction order (and therefore every FP result)
-/// is identical for scalar code, vector code, and any pool size.
+/// compile-time constant — never derived from vector width or data size —
+/// so the reduction order (and therefore every FP result) is identical for
+/// scalar and vector code.
 inline constexpr std::size_t kAccumulators = 8;
 
 /// Fixed-shape sum of f(0) ... f(n-1). `f` must be pure (called exactly
@@ -152,42 +143,6 @@ template <typename T, typename F>
   const T q2 = partial[4] + partial[5];
   const T q3 = partial[6] + partial[7];
   return (q0 + q1) + (q2 + q3);
-}
-
-/// Block size of the reduction decomposition. Fixed: block boundaries
-/// depend on data size only — never on thread count or vector width — so
-/// serial and parallel evaluation walk the identical tree.
-inline constexpr std::size_t kReduceBlock = 4096;
-
-/// Fixed-shape sum of a data lane: per-block tree sums (kReduceBlock
-/// leaves each), block partials combined by the same pairwise tree over
-/// *block index*. `threads` only chooses who computes each block partial;
-/// the tree — and therefore every bit of the result — is the same for
-/// threads = 1, 2, N (pinned by tests/util/test_simd.cpp).
-template <typename T>
-[[nodiscard]] T tree_sum(std::span<const T> x, std::size_t threads = 1) {
-  // No alignment assumption: callers may reduce arbitrary spans. Lanes
-  // still vectorize (unaligned vector loads), they just may not use the
-  // aligned-move fast path.
-  const T* TGI_SIMD_RESTRICT p = x.data();
-  const std::size_t n = x.size();
-  if (n <= kReduceBlock) {
-    return tree_transform_sum<T>(n, [p](std::size_t i) { return p[i]; });
-  }
-  const std::size_t blocks = (n + kReduceBlock - 1) / kReduceBlock;
-  std::vector<T> partials = parallel_map(
-      blocks,
-      [p, n](std::size_t b) {
-        const std::size_t begin = b * kReduceBlock;
-        const std::size_t len = std::min(kReduceBlock, n - begin);
-        return tree_transform_sum<T>(
-            len, [p, begin](std::size_t i) { return p[begin + i]; });
-      },
-      threads);
-  // The block partials are the leaves of the same fixed pairwise tree.
-  const T* q = partials.data();
-  return tree_transform_sum<T>(partials.size(),
-                               [q](std::size_t i) { return q[i]; });
 }
 
 }  // namespace tgi::util::simd

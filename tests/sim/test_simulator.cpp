@@ -3,9 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <vector>
+
+#include "generated_cluster.h"
+#include "kernels/extended_models.h"
+#include "kernels/gups_model.h"
+#include "kernels/hpl_model.h"
+#include "kernels/iozone_model.h"
+#include "kernels/stream_model.h"
 #include "net/collectives.h"
 #include "sim/catalog.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace tgi::sim {
 namespace {
@@ -238,6 +250,88 @@ TEST(Simulator, Validation) {
   bad.compute_efficiency = 0.0;
   EXPECT_THROW(ExecutionSimulator(tiny_cluster(), bad),
                util::PreconditionError);
+}
+
+/// FNV-1a over the hexfloat text of every double a SimulatedRun carries:
+/// elapsed, each phase's terms and utilizations, each timeline segment,
+/// and the timeline's exact energy.
+class RunDigest {
+ public:
+  void add(double v) {
+    char text[64];
+    const int len = std::snprintf(text, sizeof text, "%a;", v);
+    for (int i = 0; i < len; ++i) {
+      hash_ = (hash_ ^ static_cast<unsigned char>(text[i])) *
+              0x100000001b3ULL;
+    }
+  }
+  void add(const power::ComponentUtilization& u) {
+    for (double v : {u.cpu, u.memory, u.disk, u.network, u.dvfs_ghz}) add(v);
+  }
+  void add(const SimulatedRun& run) {
+    add(run.elapsed.value());
+    for (const PhaseBreakdown& ph : run.phases) {
+      for (util::Seconds t :
+           {ph.compute, ph.memory, ph.io, ph.comm, ph.duration}) {
+        add(t.value());
+      }
+      add(ph.utilization);
+      add(static_cast<double>(ph.active_nodes));
+    }
+    for (const power::UtilizationSegment& seg : run.timeline.segments()) {
+      add(seg.duration.value());
+      add(seg.utilization);
+      add(static_cast<double>(seg.active_nodes));
+    }
+    add(run.timeline.exact_energy().value());
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Every bit the simulator prices, pinned over generated clusters: HPL at
+/// three process counts, STREAM, IOzone, GUPS (a random-access phase),
+/// PTRANS and FFT, each at the nominal clock and below it. The goldens
+/// cover only the Fire/SystemG sweep; this covers random access and DVFS.
+TEST(Simulator, RunBitsArePinnedOverGeneratedClusters) {
+  util::Xoshiro256 rng(0x51D1);
+  RunDigest digest;
+  for (int k = 0; k < 32; ++k) {
+    const ClusterSpec cluster = generated::generated_cluster(rng);
+    SCOPED_TRACE(cluster_to_config(cluster));
+    const std::size_t cores = cluster.total_cores();
+    std::vector<Workload> workloads;
+    for (std::size_t procs :
+         {std::size_t{1}, std::max<std::size_t>(1, cores / 2), cores}) {
+      kernels::HplModelParams hpl;
+      hpl.processes = procs;
+      workloads.push_back(kernels::make_hpl_workload(cluster, hpl));
+    }
+    kernels::StreamModelParams stream;
+    stream.processes = cores;
+    workloads.push_back(kernels::make_stream_workload(cluster, stream));
+    kernels::IozoneModelParams iozone;
+    iozone.nodes = cluster.nodes;
+    workloads.push_back(kernels::make_iozone_workload(cluster, iozone));
+    kernels::GupsModelParams gups;
+    gups.processes = std::max<std::size_t>(1, cores / 2);
+    workloads.push_back(kernels::make_gups_workload(cluster, gups));
+    kernels::PtransModelParams ptrans;
+    ptrans.processes = cores;
+    workloads.push_back(kernels::make_ptrans_workload(cluster, ptrans));
+    kernels::FftModelParams fft;
+    fft.processes = cores;
+    workloads.push_back(kernels::make_fft_workload(cluster, fft));
+    SimTuning slowed;
+    slowed.cpu_clock_ghz = 0.75 * cluster.node.cpu.ghz;
+    for (const SimTuning& tuning : {SimTuning{}, slowed}) {
+      const ExecutionSimulator sim(cluster, tuning);
+      for (const Workload& wl : workloads) digest.add(sim.run(wl));
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x06d45dfee454faddULL) << std::hex << digest.value();
 }
 
 TEST(Workload, Totals) {

@@ -1,4 +1,4 @@
-// Descriptive statistics: closed-form checks and the Welford accumulator.
+// Descriptive statistics: closed-form checks over spans of doubles.
 #include "stats/descriptive.h"
 
 #include <gtest/gtest.h>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "util/error.h"
-#include "util/rng.h"
 
 namespace tgi::stats {
 namespace {
@@ -61,57 +60,6 @@ TEST(Descriptive, EmptyInputsThrow) {
   EXPECT_THROW((void)median(empty), util::PreconditionError);
   EXPECT_THROW((void)variance_sample(std::vector<double>{1.0}),
                util::PreconditionError);
-}
-
-TEST(OnlineStats, MatchesBatch) {
-  OnlineStats acc;
-  for (double x : kData) acc.add(x);
-  EXPECT_EQ(acc.count(), kData.size());
-  EXPECT_DOUBLE_EQ(acc.mean(), mean(kData));
-  EXPECT_NEAR(acc.variance_sample(), variance_sample(kData), 1e-12);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-}
-
-TEST(OnlineStats, MergeEqualsSingleStream) {
-  util::Xoshiro256 rng(5);
-  std::vector<double> xs(500);
-  for (double& x : xs) x = rng.uniform(-10.0, 10.0);
-
-  OnlineStats whole;
-  for (double x : xs) whole.add(x);
-
-  OnlineStats left;
-  OnlineStats right;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i < 200 ? left : right).add(xs[i]);
-  }
-  left.merge(right);
-
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance_sample(), whole.variance_sample(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a;
-  a.add(1.0);
-  a.add(3.0);
-  OnlineStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(OnlineStats, EmptyAccessThrows) {
-  OnlineStats acc;
-  EXPECT_THROW((void)acc.mean(), util::PreconditionError);
-  acc.add(1.0);
-  EXPECT_THROW((void)acc.variance_sample(), util::PreconditionError);
 }
 
 }  // namespace

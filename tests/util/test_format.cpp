@@ -72,13 +72,5 @@ TEST(Format, UnitWrappers) {
   EXPECT_EQ(format(megabytes_per_sec(95.0)), "95.00 MB/s");
 }
 
-TEST(Format, WithCommas) {
-  EXPECT_EQ(with_commas(0), "0");
-  EXPECT_EQ(with_commas(999), "999");
-  EXPECT_EQ(with_commas(1000), "1,000");
-  EXPECT_EQ(with_commas(1234567), "1,234,567");
-  EXPECT_EQ(with_commas(-1234567), "-1,234,567");
-}
-
 }  // namespace
 }  // namespace tgi::util
