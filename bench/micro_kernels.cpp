@@ -10,7 +10,10 @@
 //                     build). The STREAM validation scan runs this shape.
 //   * gups_verify   — the historical compare-and-break table scan vs the
 //                     branchless OR-accumulated scan run_gups() uses on
-//                     its aligned table.
+//                     its aligned table. The "unaligned" columns time the
+//                     same branchless scan over a plain std::vector with
+//                     no alignment promise: the gap between the two
+//                     speedups is what the aligned Lane buys.
 //
 // These are the two lanes a measurement keeps (DESIGN.md §14). Their
 // speedups come from single-thread ILP/vectorization, so they hold on one
@@ -63,13 +66,24 @@ __attribute__((noinline)) bool verify_branchless(const std::uint64_t* t,
   return deviation == 0;
 }
 
+__attribute__((noinline)) bool verify_branchless_unaligned(
+    const std::uint64_t* t, std::uint64_t n) {
+  std::uint64_t deviation = 0;
+  for (std::uint64_t i = 0; i < n; ++i) deviation |= t[i] ^ i;
+  return deviation == 0;
+}
+
 struct LaneResult {
   std::string lane;
   std::size_t elements = 0;
   double before_s = 0.0;
   double after_s = 0.0;
+  double unaligned_s = 0.0;  ///< 0 when the lane has no unaligned variant
   [[nodiscard]] double speedup() const {
     return before_s / std::max(after_s, 1e-12);
+  }
+  [[nodiscard]] double unaligned_speedup() const {
+    return before_s / std::max(unaligned_s, 1e-12);
   }
 };
 
@@ -118,7 +132,7 @@ int main(int argc, char** argv) {
         keep(tree_value);
       }
     });
-    lanes.push_back({"reduce_tree", reduce_n, t_fold, t_tree});
+    lanes.push_back({"reduce_tree", reduce_n, t_fold, t_tree, 0.0});
 
     // --- gups_verify: compare-and-break vs branchless OR scan ------------
     simd::Lane<std::uint64_t> table = simd::make_lane<std::uint64_t>(
@@ -143,17 +157,34 @@ int main(int argc, char** argv) {
         keep(branchless_ok);
       }
     });
+    // The same branchless scan over a plain vector, no assume_aligned.
+    const std::vector<std::uint64_t> plain(tp, tp + table_n);
+    bool unaligned_ok = false;
+    const std::uint64_t* up = plain.data();
+    const double t_unaligned = best_seconds(trials, [&unaligned_ok, up,
+                                                     table_n, repeats] {
+      for (std::size_t r = 0; r < repeats; ++r) {
+        unaligned_ok = verify_branchless_unaligned(up, table_n);
+        keep(unaligned_ok);
+      }
+    });
     lanes.push_back({"gups_verify", static_cast<std::size_t>(table_n),
-                     t_early, t_branchless});
+                     t_early, t_branchless, t_unaligned});
 
     util::TextTable tbl({"lane", "elements", "before (ms)", "after (ms)",
-                         "speedup"});
+                         "speedup", "unaligned (ms)", "unaligned speedup"});
     double best_speedup = 0.0;
     for (const LaneResult& lane : lanes) {
+      const bool has_unaligned = lane.unaligned_s > 0.0;
       tbl.add_row({lane.lane, std::to_string(lane.elements),
                    util::fixed(lane.before_s * 1e3, 3),
                    util::fixed(lane.after_s * 1e3, 3),
-                   util::fixed(lane.speedup(), 2) + "x"});
+                   util::fixed(lane.speedup(), 2) + "x",
+                   has_unaligned ? util::fixed(lane.unaligned_s * 1e3, 3)
+                                 : "-",
+                   has_unaligned
+                       ? util::fixed(lane.unaligned_speedup(), 2) + "x"
+                       : "-"});
       best_speedup = std::max(best_speedup, lane.speedup());
     }
     std::cout << tbl;
@@ -168,7 +199,7 @@ int main(int argc, char** argv) {
         std::fabs(tree_value - fold_value) <=
             1e-9 * std::max(1.0, std::fabs(fold_value)));
     bench::print_check("branchless verify agrees with early-exit verify",
-                       early_ok && branchless_ok);
+                       early_ok && branchless_ok && unaligned_ok);
     bench::print_check("at least one lane speeds up >= 1.5x",
                        best_speedup >= 1.5);
   }, {"reduce_log2", "table_log2", "repeats", "trials"});

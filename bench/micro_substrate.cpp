@@ -1,7 +1,7 @@
 // Microbench: the substrates only the native path (tgi_native) runs on —
-// the simulated filesystem's write path, the page cache, and mpisim
-// collectives. The meter and the cluster simulator are timed by
-// perfbench's power.* and sim.* spans instead.
+// the simulated filesystem's write path and the page cache. The meter and
+// the cluster simulator are timed by perfbench's power.* and sim.* spans
+// instead.
 //
 // Each operation runs in a repeat loop doubled until one pass takes >= 2 ms;
 // the best of `trials` passes gives its time per call.
@@ -9,17 +9,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "fs/filesystem.h"
-#include "mpisim/runtime.h"
 
 int main(int argc, char** argv) {
   using namespace tgi;
   return bench::run_harness(argc, argv, [](bench::Experiment& e) {
     harness::print_banner(std::cout, "Microbench",
-                          "substrates: filesystem, page cache, mpisim");
+                          "substrates: filesystem, page cache");
     const auto trials =
         static_cast<std::size_t>(e.config.get_int("trials", 5));
     util::TextTable table({"substrate", "arg", "reps", "ns per call"});
@@ -62,27 +60,6 @@ int main(int argc, char** argv) {
       auto hit = cache.access({1, page++ % 2048}, true);
       bench::keep(hit);
     });
-    // mpisim: an allreduce of 1024 doubles, and a two-rank ping-pong.
-    for (const std::uint64_t procs : Args{2, 4, 8}) {
-      time("mpisim_allreduce", procs, [procs] {
-        mpisim::run(static_cast<int>(procs), [](mpisim::Rank& rank) {
-          std::vector<double> v(1024, 1.0);
-          rank.allreduce_sum(std::span<double>(v));
-        });
-      });
-    }
-    for (const std::uint64_t bytes : Args{64, 65536}) {
-      time("mpisim_pingpong", bytes, [bytes] {
-        mpisim::run(2, [bytes](mpisim::Rank& rank) {
-          std::vector<std::uint8_t> buf(bytes, 1);
-          const int peer = 1 - rank.rank();
-          if (rank.rank() == 0) rank.send_bytes(peer, 0, buf);
-          auto got = rank.recv_bytes(peer, rank.rank() == 0 ? 1 : 0);
-          bench::keep(got);
-          if (rank.rank() == 1) rank.send_bytes(peer, 1, buf);
-        });
-      });
-    }
 
     std::cout << table << "\nbest of " << trials << " passes\n";
   }, {"trials"});

@@ -1,7 +1,7 @@
-// Native suite: run the REAL benchmark kernels — the distributed LU solver
-// on mpisim ranks, the threaded STREAM kernels on host memory, and the
-// IOzone tests against the simulated filesystem — and aggregate them into
-// a Green Index with a model-based power estimate.
+// Native suite: run the REAL benchmark kernels — the blocked LU solver,
+// the threaded STREAM kernels on host memory, the IOzone tests against the
+// simulated filesystem and GUPS — and aggregate them into a Green Index
+// with a model-based power estimate.
 //
 // This is the path a user without a cluster takes: everything here
 // executes actual computation on the local machine (with verified
@@ -10,110 +10,33 @@
 #include <iostream>
 
 #include "core/tgi.h"
-#include "fs/filesystem.h"
-#include "kernels/gups.h"
-#include "kernels/hpl2d.h"
-#include "kernels/iozone.h"
-#include "kernels/ptrans.h"
-#include "kernels/stream.h"
+#include "harness/native.h"
 #include "power/node_model.h"
 #include "sim/catalog.h"
 #include "util/format.h"
 #include "util/table.h"
 
-namespace {
-
-using namespace tgi;
-
-/// Model-based power estimate for a host-local run: one Fire-class node at
-/// the given utilization for the measured duration.
-core::BenchmarkMeasurement estimate(const std::string& name,
-                                    double performance,
-                                    const std::string& unit,
-                                    util::Seconds elapsed,
-                                    power::ComponentUtilization util_profile) {
-  const power::NodePowerModel node(sim::fire_cluster().node.power);
-  core::BenchmarkMeasurement m;
-  m.benchmark = name;
-  m.performance = performance;
-  m.metric_unit = unit;
-  m.average_power = node.wall_power(util_profile);
-  m.execution_time = elapsed;
-  m.energy = m.average_power * m.execution_time;
-  m.validate();
-  return m;
-}
-
-}  // namespace
-
 int main() {
+  using namespace tgi;
   std::cout << "running the real kernels (host scale)...\n";
 
-  // --- HPL: 2D block-cyclic LU over a 2×2 mpisim grid, residual-verified -
-  kernels::Hpl2dConfig hpl_cfg;
-  hpl_cfg.n = 512;
-  hpl_cfg.block_size = 64;
-  hpl_cfg.prows = 2;
-  hpl_cfg.pcols = 2;
-  hpl_cfg.seed = 2026;
-  const kernels::HplResult hpl = kernels::run_hpl_mpisim_2d(hpl_cfg);
-  std::cout << "HPL     n=512 2x2 grid: " << util::format(hpl.rate())
-            << ", residual " << util::scientific(hpl.residual, 2)
-            << (hpl.passed ? " (PASSED)" : " (FAILED)") << "\n";
-
-  // --- Bonus HPCC-style kernels: GUPS and PTRANS --------------------------
-  kernels::GupsConfig gups_cfg;
-  gups_cfg.log2_table_words = 20;
-  gups_cfg.updates = 1u << 22;
-  const kernels::GupsResult gups = kernels::run_gups(gups_cfg);
-  std::cout << "GUPS    2^20 table: " << util::fixed(gups.gups, 4)
-            << " GUPS" << (gups.validated ? " (validated)" : " (CORRUPT)")
-            << "\n";
-  kernels::PtransConfig pt_cfg;
-  pt_cfg.n = 256;
-  pt_cfg.block_size = 32;
-  const kernels::PtransResult pt = kernels::run_ptrans_mpisim(pt_cfg);
-  std::cout << "PTRANS  n=256 2x2 grid: " << util::format(pt.exchange_rate())
-            << " exchanged"
-            << (pt.validated ? " (validated)" : " (CORRUPT)") << "\n";
-
-  // --- STREAM: the four kernels on two host threads ----------------------
-  kernels::StreamConfig stream_cfg;
-  stream_cfg.array_elements = 2'000'000;
-  stream_cfg.iterations = 3;
-  stream_cfg.threads = 2;
-  const kernels::StreamResult stream = kernels::run_stream(stream_cfg);
-  std::cout << "STREAM  triad: " << util::format(stream.triad)
-            << (stream.validated ? " (validated)" : " (CORRUPT)") << "\n";
-
-  // --- IOzone: write/rewrite/read against the simulated filesystem -------
-  fs::SimFilesystem filesystem;
-  kernels::IozoneConfig io_cfg;
-  io_cfg.file_size = util::mebibytes(64.0);
-  io_cfg.record_size = util::kibibytes(128.0);
-  const kernels::IozoneResult io = kernels::run_iozone(filesystem, io_cfg);
-  std::cout << "IOzone  write: " << util::format(io.write)
-            << (io.validated ? " (read-back verified)" : " (CORRUPT)")
-            << "\n\n";
-
-  if (!hpl.passed || !stream.validated || !io.validated) {
-    std::cerr << "kernel verification failed; not aggregating\n";
-    return 1;
+  // Every kernel verifies itself; run_native_suite throws on a failure.
+  harness::NativeSuiteConfig config;
+  config.hpl_n = 512;
+  config.hpl_block = 64;
+  config.include_gups = true;
+  const power::NodePowerModel node(sim::fire_cluster().node.power);
+  const std::vector<core::BenchmarkMeasurement> system =
+      harness::run_native_suite(config, node);
+  for (const auto& m : system) {
+    std::cout << "  " << m.benchmark << ": " << util::fixed(m.performance, 2)
+              << " " << m.metric_unit << " in "
+              << util::format(m.execution_time) << " @ "
+              << util::format(m.average_power) << "\n";
   }
+  std::cout << "\n";
 
   // --- Aggregate into TGI -------------------------------------------------
-  // System under test: this host's measurements with modeled power.
-  const std::vector<core::BenchmarkMeasurement> system{
-      estimate("HPL", util::in_megaflops(hpl.rate()), "MFLOPS", hpl.elapsed,
-               {.cpu = 1.0, .memory = 0.4, .disk = 0.0, .network = 0.1}),
-      estimate("STREAM", util::in_megabytes_per_sec(stream.triad), "MBPS",
-               stream.elapsed,
-               {.cpu = 0.6, .memory = 1.0, .disk = 0.0, .network = 0.0}),
-      estimate("IOzone", util::in_megabytes_per_sec(io.write), "MBPS",
-               io.elapsed,
-               {.cpu = 0.2, .memory = 0.3, .disk = 1.0, .network = 0.0}),
-  };
-
   // Reference: scale-down of the same node running the paper's reference
   // ratios — here we simply reuse the host results halved, standing in for
   // "last year's machine" to keep the example self-contained.

@@ -1,22 +1,13 @@
 #include "harness/native.h"
 
-#include <cmath>
-
 #include "fs/filesystem.h"
 #include "kernels/gups.h"
-#include "kernels/hpl2d.h"
+#include "kernels/hpl.h"
 #include "kernels/iozone.h"
 #include "kernels/stream.h"
 #include "util/error.h"
 
 namespace tgi::harness {
-
-std::pair<int, int> squarest_grid(int ranks) {
-  TGI_REQUIRE(ranks >= 1, "need at least one rank");
-  int p = static_cast<int>(std::sqrt(static_cast<double>(ranks)));
-  while (ranks % p != 0) --p;
-  return {p, ranks / p};
-}
 
 namespace {
 
@@ -42,15 +33,9 @@ std::vector<core::BenchmarkMeasurement> run_native_suite(
     const power::NodePowerModel& node_power) {
   std::vector<core::BenchmarkMeasurement> out;
 
-  // --- HPL (real 2D block-cyclic factorization, residual-verified) ------
-  const auto [prows, pcols] = squarest_grid(config.ranks);
-  kernels::Hpl2dConfig hpl_cfg;
-  hpl_cfg.n = config.hpl_n;
-  hpl_cfg.block_size = config.hpl_block;
-  hpl_cfg.prows = prows;
-  hpl_cfg.pcols = pcols;
-  hpl_cfg.seed = config.seed;
-  const kernels::HplResult hpl = kernels::run_hpl_mpisim_2d(hpl_cfg);
+  // --- HPL (real blocked LU factorization, residual-verified) -----------
+  const kernels::HplResult hpl =
+      kernels::run_hpl_serial(config.hpl_n, config.hpl_block, config.seed);
   TGI_REQUIRE(hpl.passed,
               "HPL failed its residual test: " << hpl.residual);
   out.push_back(package(node_power, "HPL",

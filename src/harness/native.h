@@ -2,11 +2,11 @@
 // package them as TGI measurements.
 //
 // This is the first-class version of what a user without a cluster does:
-// the 2D block-cyclic HPL executes actual factorizations over mpisim
-// ranks, STREAM streams host DRAM, IOzone exercises the simulated
-// filesystem — all verified (residuals, closed-form checks, read-back) —
-// and power comes from a node model at stated utilization profiles, since
-// laptops rarely ship with plug meters.
+// HPL executes an actual blocked LU factorization, STREAM streams host
+// DRAM, IOzone exercises the simulated filesystem — all verified
+// (residuals, closed-form checks, read-back) — and power comes from a node
+// model at stated utilization profiles, since laptops rarely ship with plug
+// meters.
 #pragma once
 
 #include <cstdint>
@@ -20,11 +20,9 @@ namespace tgi::harness {
 
 /// Knobs for the host-scale run.
 struct NativeSuiteConfig {
-  /// HPL problem order and blocking (2D grid is chosen from `ranks`).
+  /// HPL problem order and blocking.
   std::size_t hpl_n = 384;
   std::size_t hpl_block = 48;
-  /// mpisim ranks for HPL (factored into the squarest grid).
-  int ranks = 4;
   /// STREAM array elements and repetitions.
   std::size_t stream_elements = 2'000'000;
   int stream_iterations = 3;
@@ -37,9 +35,6 @@ struct NativeSuiteConfig {
   unsigned gups_log2_table = 20;
   std::uint64_t seed = 2026;
 };
-
-/// The squarest P×Q factorization of `ranks` (P <= Q). Exposed for tests.
-[[nodiscard]] std::pair<int, int> squarest_grid(int ranks);
 
 /// Runs the suite; throws if any kernel fails its own verification.
 /// `node_power` models the machine the kernels ran on.

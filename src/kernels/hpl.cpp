@@ -110,7 +110,6 @@ HplResult run_hpl_serial(std::size_t n, std::size_t block_size,
   HplResult result;
   result.n = n;
   result.block_size = block_size;
-  result.processes = 1;
   result.flop_count = hpl_flop_count(n);
 
   const double t0 = now_seconds();

@@ -2,10 +2,9 @@
 // factorization with row partial pivoting, exactly the computation the
 // paper's CPU benchmark performs (Section IV-A).
 //
-// This is the serial blocked factorization (right-looking, LAPACK-style),
-// the reference the distributed 2D solver (hpl2d.h) validates against. It
-// reports the HPL operation count 2/3·N³ + 2·N² and the standard scaled
-// residual acceptance test.
+// This is the serial blocked factorization (right-looking, LAPACK-style)
+// that tgi_native runs. It reports the HPL operation count 2/3·N³ + 2·N²
+// and the standard scaled residual acceptance test.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +19,6 @@ namespace tgi::kernels {
 struct HplResult {
   std::size_t n = 0;
   std::size_t block_size = 0;
-  int processes = 1;
   util::Seconds elapsed{0.0};
   util::FlopCount flop_count{0.0};
   double residual = 0.0;

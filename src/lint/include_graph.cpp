@@ -171,7 +171,7 @@ const LayeringSpec& default_layering_spec() {
 # tgi module layering, bottom-up (DESIGN.md §3 / §8).
 layer util
 layer stats
-layer power net fs mpisim obs
+layer power net fs obs
 layer sim
 layer kernels
 layer core

@@ -10,10 +10,9 @@
 //                     stay bit-reproducible.
 //   raw-thread        std::thread / std::jthread / std::async outside
 //                     util/thread_pool — concurrency flows through
-//                     util::ThreadPool (mpisim's ranks-as-threads runtime
-//                     carries a documented per-line waiver) so parallel
-//                     sweeps stay deterministic and TSan coverage of the
-//                     tree stays meaningful.
+//                     util::ThreadPool so parallel sweeps stay
+//                     deterministic and TSan coverage of the tree stays
+//                     meaningful.
 //   raw-process-spawn fork / exec* / waitpid / system / popen /
 //                     posix_spawn outside util/subprocess — children are
 //                     spawned through util::Subprocess (DESIGN.md §8) so

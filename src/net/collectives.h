@@ -1,9 +1,10 @@
 // Analytic cost models for MPI collective operations.
 //
-// These are the textbook LogP/Hockney-style closed forms for the collective
-// algorithms that tgi::mpisim actually implements (binomial-tree broadcast,
-// ring allreduce, recursive-doubling barrier), so the simulator charges the
-// same asymptotic costs the in-process runtime incurs.
+// These are the textbook LogP/Hockney-style closed forms for the standard
+// collective algorithms (binomial-tree broadcast, ring allreduce,
+// recursive-doubling barrier); they stand in for the paper's MPI runs, so
+// the simulator charges each collective the asymptotic cost a real MPI
+// library incurs.
 #pragma once
 
 #include "net/interconnect.h"

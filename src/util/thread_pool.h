@@ -7,8 +7,7 @@
 // collect results by index, never by completion order — that is what lets
 // harness::ParallelSweep promise thread-count-independent output. The
 // tgi-lint `raw-thread` rule bans std::thread / std::jthread / std::async
-// everywhere else (mpisim's ranks-as-threads runtime is the documented
-// exception) so TSan coverage of the tree stays meaningful.
+// everywhere else so TSan coverage of the tree stays meaningful.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 
 #include "core/tgi.h"
 #include "sim/catalog.h"
-#include "util/error.h"
 
 namespace tgi::harness {
 namespace {
@@ -14,7 +13,6 @@ NativeSuiteConfig tiny_config() {
   NativeSuiteConfig cfg;
   cfg.hpl_n = 64;
   cfg.hpl_block = 8;
-  cfg.ranks = 4;
   cfg.stream_elements = 100000;
   cfg.stream_iterations = 2;
   cfg.stream_threads = 2;
@@ -25,15 +23,6 @@ NativeSuiteConfig tiny_config() {
 
 power::NodePowerModel test_node() {
   return power::NodePowerModel(sim::fire_cluster().node.power);
-}
-
-TEST(SquarestGrid, Factorizations) {
-  EXPECT_EQ(squarest_grid(1), (std::pair{1, 1}));
-  EXPECT_EQ(squarest_grid(4), (std::pair{2, 2}));
-  EXPECT_EQ(squarest_grid(6), (std::pair{2, 3}));
-  EXPECT_EQ(squarest_grid(12), (std::pair{3, 4}));
-  EXPECT_EQ(squarest_grid(7), (std::pair{1, 7}));  // prime
-  EXPECT_THROW((void)squarest_grid(0), util::PreconditionError);
 }
 
 TEST(NativeSuite, ProducesThreeValidMeasurements) {

@@ -324,7 +324,7 @@ TEST(RawThread, FlagsRawThreadPrimitivesEverywhere) {
   EXPECT_TRUE(has_rule(
       lint("src/kernels/k.cpp", "std::thread worker(body);\n"), "raw-thread"));
   EXPECT_TRUE(has_rule(
-      lint("src/mpisim/r.cpp", "std::vector<std::jthread> pool;\n"),
+      lint("src/harness/r.cpp", "std::vector<std::jthread> pool;\n"),
       "raw-thread"));
   EXPECT_TRUE(has_rule(
       lint("tools/t.cpp", "auto f = std::async(run);\n"), "raw-thread"));
@@ -362,7 +362,7 @@ TEST(RawThread, AllowsThreadPoolHomeAndNonThreadIdentifiers) {
 
 TEST(RawThread, AllowMarkerWaivesDocumentedExceptions) {
   const auto vs = lint(
-      "src/mpisim/runtime.cpp",
+      "src/kernels/k.cpp",
       "std::vector<std::jthread> threads;  // tgi-lint: allow(raw-thread)\n");
   EXPECT_FALSE(has_rule(vs, "raw-thread"));
 }

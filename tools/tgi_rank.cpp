@@ -21,6 +21,8 @@ using namespace tgi;
 
 int run(int argc, const char* const* argv) {
   const util::Config cfg = util::Config::from_args(argc, argv);
+  util::require_known_keys(cfg, {"reference", "machines", "scheme"},
+                           "tgi_rank");
   const auto reference_path = cfg.get("reference");
   const auto machines_spec = cfg.get("machines");
   if (!reference_path || !machines_spec) {

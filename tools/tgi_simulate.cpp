@@ -29,12 +29,19 @@ using namespace tgi;
 
 int run(int argc, const char* const* argv) {
   const util::Config cfg = util::Config::from_args(argc, argv);
+  util::require_known_keys(cfg,
+                           {"workload", "cluster", "meter", "pue", "trace"},
+                           "tgi_simulate");
   const auto workload_path = cfg.get("workload");
   if (!workload_path) {
     std::cerr << "usage: tgi_simulate workload=app.conf [cluster=spec.conf]"
                  " [meter=wattsup|model] [pue=X] [trace=out.csv]\n";
     return 2;
   }
+  const std::string meter_kind = cfg.get_string("meter", "wattsup");
+  TGI_REQUIRE(meter_kind == "wattsup" || meter_kind == "model",
+              "meter must be 'wattsup' or 'model', got '" << meter_kind
+                  << "'");
   const sim::Workload workload = sim::load_workload_file(*workload_path);
   const sim::ClusterSpec cluster =
       cfg.has("cluster") ? sim::load_cluster_file(*cfg.get("cluster"))
@@ -46,7 +53,7 @@ int run(int argc, const char* const* argv) {
   const sim::SimulatedRun run = simulator.run(workload);
 
   std::unique_ptr<power::PowerMeter> meter;
-  if (cfg.get_string("meter", "wattsup") == "model") {
+  if (meter_kind == "model") {
     meter = std::make_unique<power::ModelMeter>(util::seconds(0.5));
   } else {
     meter = std::make_unique<power::WattsUpMeter>();
